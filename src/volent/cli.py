@@ -22,10 +22,7 @@ import numpy as np
 
 from . import __version__
 from .coxeter import enumerate_chambers, growth_slope, weighted_ball_growth
-from .errors import (BadThickness, BracketFailed, FrontierTooClose,
-                     NonHyperbolic, NotIrreducible, NotStronglyConnected,
-                     PowerIterationStalled, ResourceLimit, VolentError,
-                     WindowTooNarrow)
+from .errors import BadThickness, Degenerate, NonHyperbolic, VolentError
 from .graphs import MetricGraph, graph_entropy
 from .hypgeom import regular_polygon
 from .measures import lower_bound_2d, santalo_monte_carlo, strictness_report
@@ -34,11 +31,9 @@ from .svg import orbit_svg, tessellation_svg
 from .symbolic import (EntropyEstimate, build_cross_section, pressure_curve,
                        solve_entropy)
 
+# Every other VolentError is numerical and maps to exit 1.
 _INPUT_ERRORS = (ValueError, KeyError, NonHyperbolic, BadThickness,
-                 json.JSONDecodeError, FileNotFoundError)
-_NUMERICAL_ERRORS = (BracketFailed, PowerIterationStalled, NotIrreducible,
-                     NotStronglyConnected, FrontierTooClose, ResourceLimit,
-                     WindowTooNarrow)
+                 Degenerate, json.JSONDecodeError, FileNotFoundError)
 
 _CONFIG_SCHEMA = {
     "polygon": {"p", "m", "q"},
@@ -64,6 +59,8 @@ _DEFAULT_CONFIG = {
 
 def validate_config(cfg: dict) -> dict:
     """Merge over defaults, rejecting unknown keys by name."""
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
     for key in cfg:
         if key not in _CONFIG_SCHEMA:
             raise ValueError(f"unknown config key: {key!r}")
@@ -344,12 +341,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error (numerical): {exc}", file=sys.stderr)
-        return 1
     except _INPUT_ERRORS as exc:
         print(f"error (input): {exc}", file=sys.stderr)
         return 2
+    except VolentError as exc:
+        print(f"error (numerical): {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Chamber enumeration for the reflection group of a Coxeter polygon.
 
 Chambers of the tessellation are in bijection with group elements; we
-enumerate them breadth first, multiplying generators on the right.
-Deduplication keys on the chamber center mapped to the unit disk, where
-coordinates stay bounded: distinct chamber centers are at hyperbolic
-distance >= 2 * inradius, which keeps their disk images separated by far
-more than the quantization step out to any radius reachable here.
+enumerate them breadth first by word length, multiplying generators on
+the right. Each element is generated exactly once, from its canonical
+parent, chosen by right descent sets (Bjorner-Brenti, Combinatorics of
+Coxeter Groups, sections 1.6 and 7.1): the right descent set D_R(w) is
+the set of base walls separating w^-1(z0) from the base chamber center
+z0, a sign test whose margin is at least the inradius. No chamber is
+ever compared with another, so no deduplication is needed.
 
 Each chamber also carries a weight, the product of the branching
 parameters q_i over the letters of the word that reaches it. Summing
@@ -25,10 +27,6 @@ from scipy.special import logsumexp
 from .constants import CHAMBER_CAP
 from .errors import FrontierTooClose, ResourceLimit, WindowTooNarrow
 from .hypgeom import CoxeterPolygon, reflect
-
-# Dedup quantization step for disk coordinates of chamber centers.
-_DEDUP_STEP = 1e-8
-
 
 @dataclass(frozen=True)
 class ChamberSet:
@@ -82,20 +80,31 @@ def enumerate_chambers(poly: CoxeterPolygon,
                        cap: int = CHAMBER_CAP) -> ChamberSet:
     """Breadth-first enumeration of chambers around the base chamber.
 
-    Exactly one of radius_cut and max_depth must be given. With a
-    radius_cut, children whose centers land beyond the cut are pruned
-    and the set is complete out to reach = radius_cut - diameter (any
-    missing chamber is linked to the base by a gallery of chambers whose
-    centers all stay within one diameter of the connecting geodesic).
+    Exactly one of radius_cut and max_depth must be given. Level k holds
+    the elements of length k, each reached once, from its canonical
+    parent: the child w*s of a kept w is generated only if s is not in
+    D_R(w), and kept only if s = min D_R(ws).
+
+    With a radius_cut, children whose centers land beyond the cut are
+    pruned and the set is complete out to reach = radius_cut - diameter
+    (any missing chamber is linked to the base by a gallery of chambers
+    whose centers all stay within one diameter of the connecting
+    geodesic). Pruning loses no chamber inside the cut: for t in D_R(v)
+    the wall between v and v*t separates v(z0) from z0 and is the
+    perpendicular bisector of v(z0) and v*t(z0), so every parent lies
+    strictly closer to z0 than its child, and by induction the canonical
+    parent of each chamber inside the cut was kept.
     """
     if (radius_cut is None) == (max_depth is None):
         raise ValueError("give exactly one of radius_cut, max_depth")
 
-    gens = [reflect(e.geodesic) for e in poly.edges]
-    gen_mats = np.stack([g.m for g in gens])
+    gen_mats = np.stack([reflect(e.geodesic).m for e in poly.edges])
     logq = np.log(np.asarray(poly.q, dtype=float))
     z0 = complex(poly.center.x, poly.center.y)
-    p = len(gens)
+    wall_cx = np.array([e.cx for e in poly.edges])
+    wall_r = np.array([e.r for e in poly.edges])
+    wall_sign = np.array([e.n_sign for e in poly.edges])
+    limit = np.inf if radius_cut is None else radius_cut
 
     mats = [np.eye(2)[None, :, :]]
     rev = [np.zeros(1, dtype=bool)]
@@ -103,71 +112,43 @@ def enumerate_chambers(poly: CoxeterPolygon,
     radii = [np.zeros(1)]
     depths = [np.zeros(1, dtype=np.int64)]
     logm = [np.zeros(1)]
-
-    # Buckets map quantized disk coordinates to global chamber indices.
-    buckets: dict[tuple[int, int], list[int]] = {(0, 0): [0]}
     total = 1
-
-    def disk(z: np.ndarray) -> np.ndarray:
-        return (z - z0) / (z - np.conjugate(z0))
 
     level_mats = mats[0]
     level_rev = rev[0]
     level_logm = logm[0]
+    level_desc = np.zeros((1, gen_mats.shape[0]), dtype=bool)
     depth = 0
-    sep = poly.inradius
 
     while level_mats.shape[0] > 0:
         if max_depth is not None and depth >= max_depth:
             break
         depth += 1
-        # All children of the current level, one generator at a time.
-        cand_m = np.concatenate([level_mats @ gen_mats[i] for i in range(p)])
-        cand_rev = np.concatenate([~level_rev for _ in range(p)])
-        cand_logm = np.concatenate([level_logm + logq[i] for i in range(p)])
+        # Length-increasing children w*s (s not in D_R(w)), generator-major.
+        gen, par = np.nonzero(~level_desc.T)
+        cand_m = level_mats[par] @ gen_mats[gen]
+        cand_rev = ~level_rev[par]
         cand_z = _apply_centers(cand_m, cand_rev, z0)
         cand_r = _hyp_dist(cand_z, z0)
-        if radius_cut is not None:
-            keep = cand_r <= radius_cut
-            cand_m = cand_m[keep]
-            cand_rev = cand_rev[keep]
-            cand_logm = cand_logm[keep]
-            cand_z = cand_z[keep]
-            cand_r = cand_r[keep]
+        sel = np.flatnonzero(cand_r <= limit)
 
-        w = disk(cand_z)
-        kx = np.round(w.real / _DEDUP_STEP).astype(np.int64)
-        ky = np.round(w.imag / _DEDUP_STEP).astype(np.int64)
+        # D_R(v) for each child v: the base walls with v^-1(z0) on their
+        # outer side, v^-1 being the adjugate with the same reversing flag.
+        m = cand_m[sel]
+        inv = np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]],
+                       axis=1).reshape(-1, 2, 2)
+        u = _apply_centers(inv, cand_rev[sel], z0)
+        desc = wall_sign * (np.abs(u[:, None] - wall_cx) - wall_r) < 0.0
+        canonical = desc.argmax(axis=1) == gen[sel]
+        sel = sel[canonical]
 
-        all_centers = np.concatenate(centers)
-        new_idx = []
-        for n in range(cand_z.shape[0]):
-            zi = cand_z[n]
-            dup = False
-            for ox in (-1, 0, 1):
-                for oy in (-1, 0, 1):
-                    for gi in buckets.get((kx[n] + ox, ky[n] + oy), ()):
-                        zc = (all_centers[gi] if gi < all_centers.shape[0]
-                              else cand_z[new_idx[gi - all_centers.shape[0]]])
-                        d2 = abs(zi - zc) ** 2 / (2.0 * zi.imag * zc.imag)
-                        if d2 < math.cosh(sep) - 1.0:
-                            dup = True
-                            break
-                    if dup:
-                        break
-                if dup:
-                    break
-            if not dup:
-                gi = total + len(new_idx)
-                buckets.setdefault((int(kx[n]), int(ky[n])), []).append(gi)
-                new_idx.append(n)
-        if total - 1 + len(new_idx) + 1 > cap:
+        if total + sel.shape[0] > cap:
             raise ResourceLimit(
                 f"chamber enumeration exceeded cap={cap} at depth {depth}")
-        sel = np.asarray(new_idx, dtype=np.int64)
         level_mats = cand_m[sel]
         level_rev = cand_rev[sel]
-        level_logm = cand_logm[sel]
+        level_logm = level_logm[par[sel]] + logq[gen[sel]]
+        level_desc = desc[canonical]
         mats.append(level_mats)
         rev.append(level_rev)
         centers.append(cand_z[sel])

@@ -73,6 +73,12 @@ def test_orbits_bad_matrix(capsys):
     assert code == 2
 
 
+def test_orbits_too_few_lengths(capsys):
+    code, _, err = run(capsys, "orbits", "--k-max", "2")
+    assert code == 2
+    assert "error (input)" in err
+
+
 def test_santalo_small(capsys):
     code, out, _ = run(capsys, "santalo", "--samples", "20000")
     assert code == 0
@@ -98,6 +104,10 @@ def test_entropy_config_errors(tmp_path, capsys):
     bad.write_text("{broken")
     code, _, err = run(capsys, "entropy", "--config", str(bad))
     assert code == 2
+    bad.write_text(json.dumps([1, 2]))
+    code, _, err = run(capsys, "entropy", "--config", str(bad))
+    assert code == 2
+    assert "config must be a JSON object" in err
 
 
 FAST_CFG = {

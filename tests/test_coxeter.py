@@ -1,5 +1,6 @@
 import collections
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,3 +136,82 @@ def test_slope_monotone_in_q():
         tab = weighted_ball_growth(cs, 3.0, 8.0)
         slopes[qv], _ = growth_slope(tab, poly.diameter)
     assert slopes[3] > slopes[2]
+
+
+def _inverse_series(a, n):
+    """First n coefficients of 1/a(t) for a power series with a[0] = 1."""
+    b = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for k in range(1, n):
+        b[k] = -sum(a[j] * b[k - j] for j in range(1, min(k, len(a) - 1) + 1))
+    return b
+
+
+def _steinberg_growth(p, m, q, n):
+    """Per-length weighted counts sum_{l(w)=k} q_w, k < n, from Steinberg's
+    formula 1/W(t) = sum_{J finite} (-1)^|J| t^l(w_J) q_{w_J} / W_J(t).
+
+    The finite parabolic subgroups of a compact hyperbolic polygon group
+    are the trivial one, the p reflections and the p dihedral groups of
+    order 2m at the vertices.
+    """
+    inv_w = [Fraction(1)] + [Fraction(0)] * (n - 1)
+
+    def add(sign, numerator_shift, weight, poincare):
+        series = _inverse_series(poincare, n)
+        for k in range(numerator_shift, n):
+            inv_w[k] += sign * weight * series[k - numerator_shift]
+
+    for i in range(p):
+        qa, qb = q[i], q[(i + 1) % p]
+        add(-1, 1, qa, [Fraction(1), Fraction(qa)])
+        if m % 2:
+            assert qa == qb, "odd m makes adjacent generators conjugate"
+        # alternating words of length k starting with a, and with b
+        dihedral = [Fraction(1)] + [
+            Fraction(qa ** ((k + 1) // 2) * qb ** (k // 2)
+                     + qb ** ((k + 1) // 2) * qa ** (k // 2))
+            for k in range(1, m)]
+        longest = qa ** ((m + 1) // 2) * qb ** (m // 2)
+        add(+1, m, longest, dihedral + [Fraction(longest)])
+    return _inverse_series(inv_w, n)
+
+
+@pytest.mark.parametrize("p, m, q", [
+    (5, 2, (1,) * 5),
+    (6, 2, (1,) * 6),
+    (5, 3, (1,) * 5),
+    (4, 3, (1,) * 4),
+    (5, 2, (2, 3, 2, 3, 4)),
+    (6, 2, (2, 3) * 3),
+    (5, 3, (2,) * 5),
+])
+def test_growth_series_matches_steinberg(p, m, q):
+    depth = 9
+    cs = enumerate_chambers(regular_polygon(p, m, q), max_depth=depth)
+    expected = _steinberg_growth(p, m, q, depth + 1)
+    assert all(c.denominator == 1 for c in expected)
+    weights = np.exp(cs.log_mult)
+    got = [round(float(weights[cs.depths == k].sum()))
+           for k in range(depth + 1)]
+    assert got == [int(c) for c in expected]
+
+
+@pytest.mark.parametrize("p, m, q, depth, cuts", [
+    (5, 2, (2, 3, 2, 3, 4), 12, (5.0, 7.5)),
+    (5, 3, (2,) * 5, 9, (4.0, 5.5)),
+])
+def test_radius_cut_matches_depth_enumeration(p, m, q, depth, cuts):
+    poly = regular_polygon(p, m, q)
+    full = enumerate_chambers(poly, max_depth=depth)
+
+    def rows(cs, mask):
+        return collections.Counter(zip(
+            cs.depths[mask].tolist(),
+            np.round(cs.radii[mask], 9).tolist(),
+            np.round(cs.log_mult[mask], 9).tolist()))
+
+    for cut in cuts:
+        # every chamber within the cut is certified present in `full`
+        assert cut <= full.reach
+        cs = enumerate_chambers(poly, radius_cut=cut)
+        assert rows(cs, slice(None)) == rows(full, full.radii <= cut)
