@@ -32,8 +32,10 @@ from .symbolic import (EntropyEstimate, build_cross_section, pressure_curve,
                        solve_entropy)
 
 # Every other VolentError is numerical and maps to exit 1.
+# RecursionError: json refuses arrays or objects nested too deep.
 _INPUT_ERRORS = (ValueError, KeyError, NonHyperbolic, BadThickness,
-                 Degenerate, json.JSONDecodeError, FileNotFoundError)
+                 Degenerate, json.JSONDecodeError, FileNotFoundError,
+                 RecursionError)
 
 _CONFIG_SCHEMA = {
     "polygon": {"p", "m", "q"},
@@ -65,7 +67,9 @@ def validate_config(cfg: dict) -> dict:
         if key not in _CONFIG_SCHEMA:
             raise ValueError(f"unknown config key: {key!r}")
         sub = _CONFIG_SCHEMA[key]
-        if sub is not None and isinstance(cfg[key], dict):
+        if sub is not None:
+            if not isinstance(cfg[key], dict):
+                raise ValueError(f"config key {key!r} must be an object")
             for k2 in cfg[key]:
                 if k2 not in sub:
                     raise ValueError(f"unknown config key: {key}.{k2!r}")
@@ -75,7 +79,37 @@ def validate_config(cfg: dict) -> dict:
             merged[key].update(val)
         else:
             merged[key] = val
+    _check_pressure(merged["pressure"])
     return merged
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
+def _check_pressure(pc) -> None:
+    """Type and range of the pressure section, naming the bad key."""
+    for key, low in (("n_u", 4), ("n_theta", 4), ("k", 1)):
+        if not (_is_int(pc[key]) and pc[key] >= low):
+            raise ValueError(f"config key pressure.{key} must be an "
+                             f"integer >= {low}, got {pc[key]!r}")
+    if not (_is_finite(pc["tol"]) and pc["tol"] > 0):
+        raise ValueError("config key pressure.tol must be a finite number "
+                         f"> 0, got {pc['tol']!r}")
+    b = pc["bracket"]
+    if not (isinstance(b, list) and len(b) == 2 and all(map(_is_finite, b))
+            and b[0] < b[1]):
+        raise ValueError("config key pressure.bracket must be two finite "
+                         f"numbers lo < hi, got {b!r}")
 
 
 def _out_dir(cfg: dict) -> str:

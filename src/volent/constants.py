@@ -17,7 +17,8 @@ EPS_VERTEX = 1e-9
 # Minimal admissible advance of a traced ray, to skip the wall just crossed.
 EPS_STEP = 1e-12
 
-# Relative tolerance for spectral radius power iteration.
+# Relative width of the Collatz-Wielandt bracket that ends a pressure
+# spectral radius evaluation.
 EPS_POWER = 1e-10
 
 # Default bisection tolerance for entropy solves.

@@ -2,9 +2,13 @@
 
 Universal covers of finite metric graphs without terminal vertices are
 trees, and geodesics in a tree never backtrack. The entropy is the
-unique h > 0 at which the directed-edge adjacency matrix, weighted by
-exp(-h * length of the entered edge), has spectral radius one. A graph
-whose directed edge graph carries a single circuit grows linearly and
+unique h > 0 at which the non-backtracking edge operator, weighted by
+exp(-h * length of the entered edge), has spectral radius one (Lim,
+"Minimal volume entropy for graphs", Trans. AMS 360, 2008). Its sparsity
+pattern is built once; each bisection step only rewrites the weights
+and reads a certified sign of rho - 1 from the shifted power iteration
+of volent.perron, so periodic edge graphs solve too. A graph whose
+vertices all have degree 2 (a union of circuits) grows linearly and
 gets entropy 0 with a degenerate flag instead.
 """
 
@@ -12,14 +16,32 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import NotStronglyConnected, PowerIterationStalled
+from .errors import NotStronglyConnected
+from .perron import WarmPerron, bisect_root
 from .symbolic import EntropyEstimate
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _edge_length(ln) -> float:
+    """ln as a float; ValueError unless a finite positive number."""
+    if isinstance(ln, numbers.Real) and not isinstance(ln, bool) and ln > 0:
+        try:
+            x = float(ln)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"edge length {ln!r} is not a finite positive number")
 
 
 @dataclass(frozen=True)
@@ -39,17 +61,31 @@ class MetricGraph:
 
     @staticmethod
     def from_undirected(n_vertices: int, edges) -> "MetricGraph":
-        """Build from (src, dst, length) triples, one per undirected edge."""
+        """Build from (src, dst, length) triples, one per undirected edge.
+
+        Raises ValueError unless the vertex count and indices are
+        integers (not bools), indices lie in range, lengths are finite
+        positive numbers and no vertex is terminal.
+        """
+        edges = list(edges)
+        if not _is_int(n_vertices) or n_vertices < 1:
+            raise ValueError(f"vertex count {n_vertices!r} is not a "
+                             "positive integer")
+        if n_vertices > len(edges):
+            # degrees sum to 2 * len(edges), so some degree is below 2
+            raise ValueError("terminal vertex (undirected degree < 2)")
         src, dst, length, rev = [], [], [], []
         for (a, b, ln) in edges:
+            if not (_is_int(a) and _is_int(b)):
+                raise ValueError(f"vertex index is not an integer in edge "
+                                 f"{(a, b)!r}")
             if not (0 <= a < n_vertices and 0 <= b < n_vertices):
                 raise ValueError(f"vertex index out of range in edge {(a, b)}")
-            if ln <= 0.0:
-                raise ValueError("edge lengths must be positive")
+            ln = _edge_length(ln)
             k = len(src)
             src += [a, b]
             dst += [b, a]
-            length += [float(ln), float(ln)]
+            length += [ln, ln]
             rev += [k + 1, k]
         g = MetricGraph(
             n_vertices=n_vertices,
@@ -60,13 +96,18 @@ class MetricGraph:
         )
         deg = np.bincount(np.concatenate([g.src, g.dst]),
                           minlength=n_vertices) // 2
-        if n_vertices and deg.min() < 2:
+        if deg.min() < 2:
             raise ValueError("terminal vertex (undirected degree < 2)")
         return g
 
     @staticmethod
     def from_json(text: str) -> "MetricGraph":
+        """Parse {"vertices": n, "edges": [{"src", "dst", "len"}, ...]}."""
         doc = json.loads(text)
+        if not (isinstance(doc, dict) and isinstance(doc.get("edges"), list)
+                and all(isinstance(e, dict) for e in doc["edges"])):
+            raise ValueError('graph JSON must be {"vertices": n, "edges": '
+                             '[{"src": a, "dst": b, "len": l}, ...]}')
         edges = [(e["src"], e["dst"], e["len"]) for e in doc["edges"]]
         return MetricGraph.from_undirected(doc["vertices"], edges)
 
@@ -83,76 +124,49 @@ def scale_lengths(g: MetricGraph, alpha: float) -> MetricGraph:
                        length=g.length * math.sqrt(alpha), rev=g.rev)
 
 
-def _edge_adjacency(g: MetricGraph, h: float) -> sp.csr_matrix:
-    rows, cols, data = [], [], []
-    by_src: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for f in range(g.n_edges):
-        by_src[g.src[f]].append(f)
-    for e in range(g.n_edges):
-        for f in by_src[g.dst[e]]:
-            if f != g.rev[e]:
-                rows.append(e)
-                cols.append(f)
-                data.append(math.exp(-h * g.length[f]))
-    return sp.csr_matrix((data, (rows, cols)),
-                         shape=(g.n_edges, g.n_edges))
+def _nonbacktracking(g: MetricGraph) -> sp.csr_matrix:
+    """Non-backtracking edge operator, data = length of the entered edge.
 
-
-def _spectral_radius(A: sp.csr_matrix, tol: float = 1e-13,
-                     max_iter: int = 200000) -> float:
-    n = A.shape[0]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    prev = None
-    for _ in range(max_iter):
-        w = A @ v
-        r1 = float(np.linalg.norm(w))
-        if r1 == 0.0:
-            return 0.0
-        w /= r1
-        w2 = A @ w
-        r2 = float(np.linalg.norm(w2))
-        v = w2 / r2
-        # geometric mean damps the period-2 oscillation of bipartite
-        # edge graphs
-        r = math.sqrt(r1 * r2)
-        if prev is not None and abs(r - prev) <= tol * r:
-            return r
-        prev = r
-    raise PowerIterationStalled("graph spectral radius did not converge")
+    Row e holds every edge f leaving dst[e] except rev[e], so its
+    length is deg(dst[e]) - 1; columns come out sorted.
+    """
+    m = g.n_edges
+    out = np.argsort(g.src, kind="stable")          # edges grouped by source
+    deg = np.bincount(g.src, minlength=g.n_vertices)
+    first = np.concatenate([[0], np.cumsum(deg)])
+    count = deg[g.dst]
+    rows = np.repeat(np.arange(m), count)
+    offset = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+    cols = out[np.repeat(first[g.dst], count) + offset]
+    keep = cols != g.rev[rows]
+    indptr = np.concatenate([[0], np.cumsum(count - 1)])
+    return sp.csr_matrix((g.length[cols[keep]], cols[keep], indptr),
+                         shape=(m, m))
 
 
 def graph_entropy(g: MetricGraph, tol: float = 1e-10) -> EntropyEstimate:
-    """Unique h >= 0 with spectral radius of the weighted adjacency = 1.
+    """Unique h >= 0 with spectral radius of the weighted adjacency = 1,
+    bisected on certified signs of rho(B(h)) - 1.
 
-    Returns 0 with a degenerate flag when the graph is a single circuit
-    (spectral radius already 1 at h = 0, linear growth).
+    Returns 0 with a degenerate flag when every vertex has degree 2 (a
+    union of circuits: rho = 1 at h = 0, linear growth).
     """
-    A0 = _edge_adjacency(g, 0.0)
-    rho0 = _spectral_radius(A0)
-    if rho0 <= 1.0 + 1e-12:
-        # single circuits land here: both orientation components are
-        # bare cycles, growth is linear
+    A = _nonbacktracking(g)
+    if np.diff(A.indptr).max() <= 1:
         return EntropyEstimate(value=0.0, err=0.0, method="graph_spectral",
                                diagnostics={"degenerate": True,
-                                            "rho_at_0": rho0})
-    n_comp, _ = connected_components(A0, directed=True, connection="strong")
+                                            "rho_at_0": 1.0})
+    n_comp, _ = connected_components(A, directed=True, connection="strong")
     if n_comp != 1:
         raise NotStronglyConnected(
             f"directed edge graph has {n_comp} strong components")
-    h_lo, h_hi = 0.0, 1.0
-    while _spectral_radius(_edge_adjacency(g, h_hi)) > 1.0:
-        h_hi *= 2.0
-        if h_hi > 1e6:
-            raise PowerIterationStalled("entropy bracket ran away")
-    iters = 0
-    while h_hi - h_lo > tol:
-        mid = 0.5 * (h_lo + h_hi)
-        if _spectral_radius(_edge_adjacency(g, mid)) > 1.0:
-            h_lo = mid
-        else:
-            h_hi = mid
-        iters += 1
-    return EntropyEstimate(value=0.5 * (h_lo + h_hi), err=tol,
-                           method="graph_spectral",
+    rho = WarmPerron(A, 1.0, A.data.copy(), 0.0, rtol=1e-13,
+                     max_iter=200_000)
+    # doubling from 1 stops at 2**19, the last upper end below the
+    # runaway cap 1e6
+    h, iters, _ = bisect_root(rho.above, 0.0, 1.0, tol, hi_cap=2.0 ** 19)
+    return EntropyEstimate(value=h, err=tol, method="graph_spectral",
                            diagnostics={"degenerate": False,
-                                        "bisection_iters": iters})
+                                        "bisection_iters": iters,
+                                        "power_iters": rho.steps,
+                                        "bracket_width": rho.width})

@@ -18,7 +18,10 @@ ln q - h L by the geometric potential in this way is what turns the
 empirical (absolutely continuous) transition masses into an estimator
 of the topological pressure rather than of the SRB pressure, which is
 identically zero. With q = 1 the matrix is stochastic at h = 1, so the
-solver recovers the hyperbolic-plane entropy exactly there.
+solver recovers the hyperbolic-plane entropy exactly there. The root is
+bisected on signs of rho - 1 certified by the Collatz-Wielandt brackets
+of the shifted power iteration in volent.perron, which converges
+whatever the period of the transition graph.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .constants import DEFAULT_H_TOL, EPS_POWER
-from .errors import (BracketFailed, NotIrreducible, PowerIterationStalled,
-                     VertexHit)
+from .errors import NotIrreducible, VertexHit
 from .hypgeom import CoxeterPolygon, HGeodesic, HPoint
+from .perron import WarmPerron, bisect_root
 from .tracing import (LOST, NEAR_VERTEX, OK, WallTable, batch_first_crossing,
                       launch, trace)
 
@@ -422,81 +425,56 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
         mass=mass2, mean_L=mean_L[keep_tr], diagnostics=diagnostics)
 
 
-def _pressure_matrix(model: UlamModel, h: float) -> sp.csr_matrix:
-    q_dst = model.q_of_state(model.dst)
-    data = model.mass * q_dst * np.exp((1.0 - h) * model.mean_L)
-    n = model.n_states
-    return sp.csr_matrix((data, (model.src, model.dst)), shape=(n, n))
+def _pressure_rho(model: UlamModel, max_iter: int = 20000) -> WarmPerron:
+    """Warm-started brackets of rho(B(h)) on the model's transitions."""
+    if model.n_states == 0:
+        raise NotIrreducible("empty model")
+    # same coordinates, so both matrices store their data in one order
+    ij, shape = (model.src, model.dst), (model.n_states,) * 2
+    B = sp.csr_matrix((model.mean_L, ij), shape=shape)
+    W = sp.csr_matrix((model.mass * model.q_of_state(model.dst), ij),
+                      shape=shape)
+    return WarmPerron(B, W.data, B.data.copy(), 1.0, EPS_POWER, max_iter)
+
+
+def _log_radius(rho: WarmPerron, h: float) -> float:
+    lo, hi = rho.bracket(h)
+    if hi == 0.0:
+        raise NotIrreducible("transition matrix has a dead row block")
+    return math.log(0.5 * (lo + hi))
 
 
 def pressure_log_radius(model: UlamModel, h: float,
                         max_iter: int = 20000) -> float:
     """ln spectral radius of the weighted transition matrix at h.
 
-    Strictly decreasing in h; its root is the entropy estimate. Power
-    iteration with a geometric mean of two successive growth ratios,
-    which stays stable when the transition graph is nearly periodic.
+    Strictly decreasing in h; its root is the entropy estimate. The
+    value is the midpoint of a Collatz-Wielandt bracket of relative
+    width EPS_POWER.
     """
-    if model.n_states == 0:
-        raise NotIrreducible("empty model")
-    B = _pressure_matrix(model, h)
-    n = model.n_states
-    v = np.full(n, 1.0 / math.sqrt(n))
-    prev_ratio = None
-    for _ in range(max_iter):
-        w = B @ v
-        r1 = float(np.linalg.norm(w))
-        if r1 == 0.0:
-            raise NotIrreducible("transition matrix has a dead row block")
-        w /= r1
-        w2 = B @ w
-        r2 = float(np.linalg.norm(w2))
-        v = w2 / r2
-        ratio = math.sqrt(r1 * r2)
-        if prev_ratio is not None and abs(ratio - prev_ratio) <= EPS_POWER * ratio:
-            return math.log(ratio)
-        prev_ratio = ratio
-    raise PowerIterationStalled(
-        f"spectral radius iteration did not converge in {max_iter} steps")
+    return _log_radius(_pressure_rho(model, max_iter), h)
 
 
 def pressure_curve(model: UlamModel, h_values) -> list:
-    """[(h, pressure_log_radius)] rows, for CSV export."""
-    return [(float(h), pressure_log_radius(model, float(h)))
-            for h in h_values]
+    """[(h, pressure_log_radius)] rows, for CSV export.
+
+    Each point is warm-started from the previous one.
+    """
+    rho = _pressure_rho(model)
+    return [(float(h), _log_radius(rho, float(h))) for h in h_values]
 
 
 def _solve_root(model: UlamModel, bracket: tuple, tol: float) -> tuple:
-    h_lo, h_hi = bracket
-    if h_lo < 0.0:
-        h_lo = 0.0
-    p_lo = pressure_log_radius(model, h_lo)
-    if p_lo <= 0.0:
-        raise BracketFailed(f"pressure at h_lo={h_lo} is {p_lo:.3g} <= 0")
-    p_hi = pressure_log_radius(model, h_hi)
-    widened = 0
-    while p_hi > 0.0:
-        if h_hi >= 50.0:
-            raise BracketFailed("pressure still positive at h = 50")
-        h_hi = min(2.0 * h_hi, 50.0)
-        p_hi = pressure_log_radius(model, h_hi)
-        widened += 1
-    # single sign change check on a uniform probe grid
-    probes = np.linspace(h_lo, h_hi, 10)[1:-1]
-    vals = [pressure_log_radius(model, float(h)) for h in probes]
-    signs = [p_lo > 0.0] + [v > 0.0 for v in vals] + [p_hi > 0.0]
-    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    if changes != 1:
-        raise BracketFailed(f"{changes} sign changes on the probe grid")
-    iters = 0
-    while h_hi - h_lo > tol:
-        mid = 0.5 * (h_lo + h_hi)
-        if pressure_log_radius(model, mid) > 0.0:
-            h_lo = mid
-        else:
-            h_hi = mid
-        iters += 1
-    return 0.5 * (h_lo + h_hi), iters, widened
+    """(h, counters) of the pressure root, bisected on certified signs.
+
+    All mean_L > 0, so every entry of B(h) and rho decrease strictly in
+    h: one sign change, located by the bracket ends alone.
+    """
+    rho = _pressure_rho(model)
+    h, iters, widened = bisect_root(rho.above, max(bracket[0], 0.0),
+                                    bracket[1], tol, hi_cap=50.0)
+    return h, {"bisection_iters": iters, "bracket_widened": widened,
+               "power_iters": rho.steps, "bracket_width": rho.width}
 
 
 def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
@@ -504,21 +482,22 @@ def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
                   refine: bool = True) -> EntropyEstimate:
     """Entropy as the root of the pressure log radius, by bisection.
 
-    With refine=True a second model on the doubled grid is built and
-    solved, and the difference enters the error bar as the dominant
-    discretization term.
+    The diagnostics count the root solve on this model: bisection_iters,
+    bracket_widened, power_iters (kernel steps) and bracket_width (the
+    last Collatz-Wielandt bracket). With refine=True a second model on
+    the doubled grid is built and solved, and the difference enters the
+    error bar as the dominant discretization term.
     """
-    h, iters, widened = _solve_root(model, bracket, tol)
+    h, counters = _solve_root(model, bracket, tol)
     err = tol
-    diagnostics = {"bisection_iters": iters, "bracket_widened": widened,
-                   "grid": [model.n_u, model.n_theta], "k": model.k,
-                   "seed": model.seed}
+    diagnostics = dict(counters, grid=[model.n_u, model.n_theta],
+                       k=model.k, seed=model.seed)
     if refine:
         from .hypgeom import regular_polygon
         poly = regular_polygon(model.p, model.m, model.q)
         fine = build_cross_section(poly, (2 * model.n_u, 2 * model.n_theta),
                                    model.k, model.seed)
-        h_fine, _, _ = _solve_root(fine, bracket, tol)
+        h_fine, _ = _solve_root(fine, bracket, tol)
         err = tol + abs(h_fine - h)
         diagnostics["h_refined"] = h_fine
     return EntropyEstimate(value=h, err=err, method="ulam_pressure",

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from volent.cli import main, validate_config
 
@@ -48,6 +50,14 @@ def test_graph_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run(capsys, "graph", "--file", str(path))
     assert code == 2
+
+
+def test_graph_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "graph", "--file", str(path))
+    assert code == 2
+    assert "error (input)" in err
 
 
 def test_graph_missing_file(capsys):
@@ -108,6 +118,71 @@ def test_entropy_config_errors(tmp_path, capsys):
     code, _, err = run(capsys, "entropy", "--config", str(bad))
     assert code == 2
     assert "config must be a JSON object" in err
+
+
+@pytest.mark.parametrize("pressure,key", [
+    ({"n_u": "abc"}, "pressure.n_u"),
+    ({"n_u": 3}, "pressure.n_u"),
+    ({"n_theta": 8.0}, "pressure.n_theta"),
+    ({"n_theta": True}, "pressure.n_theta"),
+    ({"k": 0}, "pressure.k"),
+    ({"k": None}, "pressure.k"),
+    ({"tol": 0}, "pressure.tol"),
+    ({"tol": -1e-4}, "pressure.tol"),
+    ({"tol": "1e-4"}, "pressure.tol"),
+    ({"tol": 10 ** 400}, "pressure.tol"),
+    ({"bracket": [4.0, 0.5]}, "pressure.bracket"),
+    ({"bracket": [0.5]}, "pressure.bracket"),
+    ({"bracket": [0.5, "4"]}, "pressure.bracket"),
+    ({"bracket": 4.0}, "pressure.bracket"),
+    (5, "'pressure'"),
+])
+def test_entropy_pressure_config_typed(tmp_path, capsys, pressure, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pressure": pressure}))
+    code, _, err = run(capsys, "entropy", "--config", str(cfg))
+    assert code == 2
+    assert key in err and "Traceback" not in err
+
+
+_json_scalar = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                         st.integers(-3, 12), st.integers(),
+                         st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _graph_docs(draw):
+    """A small multigraph document with at most one field corrupted."""
+    n = draw(st.integers(1, 4))
+    edge = st.fixed_dictionaries({"src": st.integers(0, n - 1),
+                                  "dst": st.integers(0, n - 1),
+                                  "len": st.floats(0.25, 4.0)})
+    edges = draw(st.lists(edge, min_size=n, max_size=10))
+    doc = {"vertices": n, "edges": edges}
+    where = draw(st.sampled_from(["none", "vertices", "src", "dst", "len",
+                                  "edge", "edges", "doc"]))
+    junk = draw(_json_scalar)
+    i = draw(st.integers(0, len(edges) - 1))
+    if where in ("vertices", "edges"):
+        doc[where] = junk
+    elif where == "edge":
+        edges[i] = junk
+    elif where == "doc":
+        doc = junk
+    elif where != "none":
+        edges[i][where] = junk
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_graph_docs())
+def test_graph_json_fuzz_exits_cleanly(tmp_path, capsys, doc):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "graph", "--file", str(path))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 FAST_CFG = {

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from volent.errors import NotStronglyConnected
-from volent.graphs import MetricGraph, graph_entropy, scale_lengths
+from volent.graphs import (MetricGraph, _nonbacktracking, graph_entropy,
+                           scale_lengths)
+from volent.perron import perron_bracket
 
 
 def theta_graph():
@@ -104,14 +106,20 @@ def test_relabeling_invariance():
 
 
 def test_spectral_radius_log_convex_in_h():
-    from volent.graphs import _edge_adjacency, _spectral_radius
     rng = np.random.default_rng(0)
     edges = [(0, 1, 0.7), (1, 2, 1.3), (2, 0, 0.9), (0, 2, 1.1),
              (1, 0, 0.8)]
     g = MetricGraph.from_undirected(3, edges)
+    A = _nonbacktracking(g)
+    length = A.data.copy()
+
+    def spectral_radius(h):
+        A.data = np.exp(-h * length)
+        lo, hi, _, _ = perron_bracket(A, rtol=1e-13)
+        return 0.5 * (lo + hi)
+
     hs = np.linspace(0.1, 2.0, 9)
-    lr = np.array([math.log(_spectral_radius(_edge_adjacency(g, h)))
-                   for h in hs])
+    lr = np.array([math.log(spectral_radius(h)) for h in hs])
     d1 = np.diff(lr)
     assert np.all(d1 < 0)           # strictly decreasing
     assert np.all(np.diff(d1) > -1e-9)  # convex
@@ -122,3 +130,51 @@ def test_json_round_trip():
     g = MetricGraph.from_json(json.dumps(doc))
     assert g.n_edges == 6
     assert graph_entropy(g).value == pytest.approx(math.log(2), abs=1e-8)
+
+
+def test_subdivided_theta_period_three():
+    # each of the three paths split into three unit edges: the directed
+    # edge graph has period 3 and h = ln 2 / 3
+    edges, n = [], 2
+    for _ in range(3):
+        edges += [(0, n, 1.0), (n, n + 1, 1.0), (n + 1, 1, 1.0)]
+        n += 2
+    est = graph_entropy(MetricGraph.from_undirected(n, edges), tol=1e-10)
+    assert est.value == pytest.approx(math.log(2.0) / 3.0, abs=1e-9)
+    assert est.diagnostics["power_iters"] > 0
+    assert 0.0 <= est.diagnostics["bracket_width"] < 1e-9
+
+
+@pytest.mark.parametrize("g", [
+    k34(),
+    # parallel edges and a loop
+    MetricGraph.from_undirected(3, [(0, 1, 0.7), (1, 2, 1.3), (2, 0, 0.9),
+                                    (0, 1, 1.1), (2, 2, 0.5)]),
+])
+def test_nonbacktracking_matches_definition(g):
+    # the vectorized pattern against the loop over edge pairs
+    A = _nonbacktracking(g).toarray()
+    for e in range(g.n_edges):
+        for f in range(g.n_edges):
+            linked = g.src[f] == g.dst[e] and f != g.rev[e]
+            assert A[e, f] == (g.length[f] if linked else 0.0)
+
+
+@pytest.mark.parametrize("n,edges", [
+    (2, [(0, 1, "1.0")] * 3),
+    (2, [(0, 1, True)] * 3),
+    (2, [(0, 1, float("nan"))] * 3),
+    (2, [(0, 1, float("inf"))] * 3),
+    (2, [(0, 1, 0.0)] * 3),
+    (2, [(0, 1, -1.0)] * 3),
+    (2, [(0, 1, 10 ** 400)] * 3),
+    (2, [(0, 1.0, 1.0)] * 3),
+    (2, [(False, 1, 1.0)] * 3),
+    (2, [(0, "1", 1.0)] * 3),
+    (2.0, [(0, 1, 1.0)] * 3),
+    (0, []),
+    (10 ** 12, [(0, 1, 1.0)] * 3),
+])
+def test_invalid_input_rejected(n, edges):
+    with pytest.raises(ValueError):
+        MetricGraph.from_undirected(n, edges)

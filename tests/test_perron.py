@@ -1,0 +1,80 @@
+import math
+
+import numpy as np
+import pytest
+
+from volent.errors import BracketFailed, PowerIterationStalled
+from volent.graphs import MetricGraph, _nonbacktracking
+from volent.perron import bisect_root, perron_bracket
+
+
+def k4_operator(L, h):
+    g = MetricGraph.from_undirected(
+        4, [(a, b, L) for a in range(4) for b in range(a + 1, 4)])
+    A = _nonbacktracking(g)
+    A.data = np.exp(-h * A.data)
+    return A
+
+
+@pytest.mark.parametrize("L,h", [(1.0, 0.0), (0.7, 0.4), (1.9, 1.3)])
+def test_k4_bracket_contains_exact_radius(L, h):
+    # K4 is 3-regular: every non-backtracking row holds two entries
+    # exp(-h L), so rho(h) = 2 exp(-h L) exactly
+    A = k4_operator(L, h)
+    rho = 2.0 * math.exp(-h * L)
+    rtol = 1e-13
+    starts = [None, np.random.default_rng(0).uniform(0.1, 1.0, A.shape[0])]
+    for v in starts:
+        lo, hi, v_out, steps = perron_bracket(A, v, rtol=rtol)
+        assert lo <= rho * (1 + 1e-15) and rho * (1 - 1e-15) <= hi
+        assert hi - lo <= rtol * hi
+        assert np.all(v_out > 0)
+
+
+def test_periodic_matrix_converges():
+    # weighted directed 3-cycle of 2-blocks: period 3, where averaging
+    # successive growth ratios never settles; rho = (2 * 3 * 0.5)**(1/3)
+    z = np.zeros((2, 2))
+    P = np.array([[1.0, 1.0], [1.0, 1.0]])
+    B = np.block([[z, P, z], [z, z, 1.5 * P], [0.25 * P, z, z]])
+    lo, hi, _, _ = perron_bracket(B, rtol=1e-13)
+    rho = (2 * 3.0 * 0.5) ** (1.0 / 3.0)
+    assert lo <= rho * (1 + 1e-15) and rho * (1 - 1e-15) <= hi
+    assert hi - lo <= 1e-13 * hi
+
+
+def test_sign_mode_stops_once_target_excluded():
+    A = k4_operator(1.0, 0.5)
+    lo, hi, _, _ = perron_bracket(A, np.linspace(1.0, 2.0, A.shape[0]),
+                                  rtol=1e-13, target=1.0)
+    assert lo > 1.0
+    assert hi - lo > 1e-13 * hi
+
+
+def test_zero_matrix_and_stall():
+    lo, hi, _, steps = perron_bracket(np.zeros((3, 3)))
+    assert (lo, hi, steps) == (0.0, 0.0, 1)
+    # reducible: the two diagonal blocks have radii 1 and 2, so the
+    # bracket stays [1, 2] and the cap is typed
+    B = np.diag([1.0, 2.0])
+    with pytest.raises(PowerIterationStalled):
+        perron_bracket(B, max_iter=50)
+
+
+def test_bisect_root_rules():
+    calls = []
+
+    def above(h):
+        calls.append(h)
+        return h < 3.3
+
+    h, iters, widened = bisect_root(above, 0.0, 1.0, 1e-9, hi_cap=8.0)
+    assert h == pytest.approx(3.3, abs=1e-9)
+    assert widened == 2 and calls[:4] == [0.0, 1.0, 2.0, 4.0]
+    with pytest.raises(BracketFailed):
+        bisect_root(above, 0.0, 1.0, 1e-9, hi_cap=2.0)
+    with pytest.raises(BracketFailed):
+        bisect_root(above, 3.5, 4.0, 1e-9, hi_cap=50.0)
+    # a tolerance below the float spacing still terminates
+    h, _, _ = bisect_root(above, 0.0, 4.0, 0.0, hi_cap=50.0)
+    assert h == pytest.approx(3.3, abs=1e-15)

@@ -9,8 +9,9 @@ from volent.hypgeom import HPoint, geodesic_through, regular_polygon
 from volent.symbolic import (CuttingSequence, UlamModel, WallCrossing,
                              birkhoff_f_integral, birkhoff_lq_integral,
                              build_cross_section, cutting_sequence, f_value,
-                             lq_value, pressure_log_radius, solve_entropy,
-                             thickness_log_product, _solve_root)
+                             lq_value, pressure_curve, pressure_log_radius,
+                             solve_entropy, thickness_log_product,
+                             _solve_root)
 from volent.tracing import WallTable, trace
 
 
@@ -162,7 +163,7 @@ def test_pressure_monotone_in_h(pentagon_q2):
 
 def test_thin_model_root_is_one(pentagon_q1):
     m = build_cross_section(pentagon_q1, (16, 16), 2, seed=0)
-    h, _, _ = _solve_root(m, (0.5, 4.0), 1e-6)
+    h, _ = _solve_root(m, (0.5, 4.0), 1e-6)
     assert h == pytest.approx(1.0, abs=1e-3)
 
 
@@ -205,3 +206,24 @@ def test_build_determinism(pentagon_q2):
     b = build_cross_section(pentagon_q2, (8, 8), 2, seed=3)
     assert np.array_equal(a.src, b.src)
     assert np.array_equal(a.mean_L, b.mean_L)
+
+
+def test_period_stalled_pressure_model_solves(capsys):
+    # a 4x4, K=1 model whose transition graph defeats two-step ratio
+    # averaging; the shifted iteration solves it
+    from volent.cli import main
+    assert main(["pressure", "--n-u", "4", "--n-theta", "4", "--k", "1",
+                 "--no-refine"]) == 0
+    assert "h = 1.84" in capsys.readouterr().out
+
+
+def test_root_solve_counters(pentagon_q2):
+    m = build_cross_section(pentagon_q2, (8, 8), 2, seed=3)
+    est = solve_entropy(m, refine=False)
+    d = est.diagnostics
+    assert d["power_iters"] >= d["bisection_iters"] > 0
+    assert d["bracket_width"] >= 0.0
+    # the curve warm-starts point to point and agrees with single calls
+    hs = np.linspace(est.value - 0.5, est.value + 0.5, 5)
+    for h, p in pressure_curve(m, hs):
+        assert p == pytest.approx(pressure_log_radius(m, h), abs=1e-9)
