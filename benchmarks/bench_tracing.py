@@ -1,67 +1,157 @@
-"""Benchmark: compiled tracing kernels against the pure numpy fallback.
+"""Benchmark: the tracing kernels and the Santalo Monte Carlo.
 
-Runs the batched single-step kernel and the long-trace kernel in a
-subprocess per backend (the backend is chosen at import time via
-VOLENT_PURE_NUMPY), so the numbers reflect what users of either path
-get.
+Times, on the active tracing backend (numba when importable, numpy when
+not or when VOLENT_PURE_NUMPY=1):
 
-Usage: python benchmarks/bench_tracing.py [n_rays]
+- batch: one `batch_first_crossing` over 1e6 seeded rays;
+- santalo: `santalo_monte_carlo` on the default polygon, 1e6 samples,
+  seed 0;
+- traces: 2000 single-ray `trace` calls of T = 50.
+
+Each repeat of each task runs in a fresh subprocess, so its peak RSS
+(from `os.wait4`) is that task's alone. A run records, per task, the
+median of the in-process times, every time, the median peak RSS and a
+digest of the outputs (equal digests mean bit-identical outputs), plus
+the machine. Only public functions are called, so the script runs
+against any checkout of the package: point PYTHONPATH at its `src/`.
+
+Usage:
+    PYTHONPATH=src python benchmarks/bench_tracing.py --label change \\
+        [--repeats 5] [--out BENCH_tracing.json]
+
+A run is stored under `runs[label]` of the output file, keeping the
+other labels, so a before/after pair lands in one file.
 """
 
+import argparse
+import hashlib
 import json
+import math
 import os
-import subprocess
+import platform
+import statistics
 import sys
+import tempfile
+import time
 
-_WORKER = r"""
-import json, math, sys, time
-import numpy as np
-from volent.hypgeom import regular_polygon
-from volent.tracing import WallTable, backend, batch_first_crossing, trace
-
-n = int(sys.argv[1])
-poly = regular_polygon(5, 2, (2, 2, 2, 2, 2))
-table = WallTable.from_polygon(poly)
-rng = np.random.default_rng(0)
-x = rng.uniform(-0.1, 0.1, n)
-y = rng.uniform(0.9, 1.1, n)
-a = rng.uniform(0.0, 2.0 * math.pi, n)
-dx, dy = np.cos(a), np.sin(a)
-
-batch_first_crossing(table, x[:64], y[:64], dx[:64], dy[:64])  # warm up jit
-t0 = time.perf_counter()
-batch_first_crossing(table, x, y, dx, dy)
-t_batch = time.perf_counter() - t0
-
-trace(table, x[0], y[0], dx[0], dy[0], 5.0)
-t0 = time.perf_counter()
-total = 0
-for i in range(min(n, 2000)):
-    j, t, u, th, flag = trace(table, x[i], y[i], dx[i], dy[i], 50.0)
-    total += len(j)
-t_trace = time.perf_counter() - t0
-print(json.dumps({"backend": backend(), "n": n, "batch_s": t_batch,
-                  "trace_s": t_trace, "crossings": total}))
-"""
+TASKS = ("batch", "santalo", "traces")
+N_RAYS = 1_000_000
+N_SAMPLES = 1_000_000
+N_TRACES = 2000
+T_TRACE = 50.0
 
 
-def run(pure: bool, n: int) -> dict:
-    env = dict(os.environ)
-    env["VOLENT_PURE_NUMPY"] = "1" if pure else "0"
-    out = subprocess.run([sys.executable, "-c", _WORKER, str(n)],
-                         env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+def _rays(n: int):
+    import numpy as np
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-0.1, 0.1, n)
+    y = rng.uniform(0.9, 1.1, n)
+    a = rng.uniform(0.0, 2.0 * math.pi, n)
+    return x, y, np.cos(a), np.sin(a)
+
+
+def worker(task: str) -> dict:
+    """Run one task once in this process; time only the measured call."""
+    from volent.hypgeom import regular_polygon
+    from volent.measures import santalo_monte_carlo
+    from volent.tracing import WallTable, backend, batch_first_crossing, trace
+
+    poly = regular_polygon(5, 2, (2, 2, 2, 2, 2))
+    table = WallTable.from_polygon(poly)
+    digest = hashlib.sha256()
+    if task == "batch":
+        rays = _rays(N_RAYS)
+        batch_first_crossing(table, *(r[:64] for r in rays))  # warm up jit
+        t0 = time.perf_counter()
+        out = batch_first_crossing(table, *rays)
+        seconds = time.perf_counter() - t0
+        for arr in out:
+            digest.update(arr.tobytes())
+        counters = {"rays": N_RAYS, "not_ok": int((out[4] != 0).sum())}
+    elif task == "santalo":
+        t0 = time.perf_counter()
+        r = santalo_monte_carlo(poly, samples=N_SAMPLES, seed=0)
+        seconds = time.perf_counter() - t0
+        digest.update(repr((r.monte_carlo, r.mc_stderr)).encode())
+        counters = {"samples": r.samples, "resampled": r.resampled}
+    else:
+        x, y, dx, dy = _rays(N_TRACES)
+        trace(table, x[0], y[0], dx[0], dy[0], 5.0)  # warm up jit
+        t0 = time.perf_counter()
+        outs = [trace(table, x[i], y[i], dx[i], dy[i], T_TRACE)
+                for i in range(N_TRACES)]
+        seconds = time.perf_counter() - t0
+        for out in outs:
+            for arr in out[:4]:
+                digest.update(arr.tobytes())
+        counters = {"traces": N_TRACES,
+                    "crossings": sum(len(o[0]) for o in outs)}
+    return {"backend": backend(), "seconds": seconds,
+            "digest": digest.hexdigest()[:16], **counters}
+
+
+def spawn(task: str) -> tuple:
+    """(worker result, peak RSS in MB) of one fresh worker process."""
+    with tempfile.TemporaryFile("w+") as fh:
+        pid = os.posix_spawn(
+            sys.executable,
+            [sys.executable, os.path.abspath(__file__), "--worker", task],
+            os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, fh.fileno(), 1)])
+        _, status, usage = os.wait4(pid, 0)
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise RuntimeError(f"{task} worker exited with status {status}")
+        fh.seek(0)
+        result = json.loads(fh.read().strip().splitlines()[-1])
+    return result, usage.ru_maxrss / 1024.0
+
+
+def time_task(task: str, repeats: int) -> dict:
+    runs = [spawn(task) for _ in range(repeats)]
+    results = [r for r, _ in runs]
+    if len({r["digest"] for r in results}) != 1:
+        raise RuntimeError(f"{task}: outputs differ between repeats")
+    first = {k: v for k, v in results[0].items() if k != "seconds"}
+    return {**first,
+            "median_s": statistics.median(r["seconds"] for r in results),
+            "runs_s": [r["seconds"] for r in results],
+            "peak_rss_mb": statistics.median(rss for _, rss in runs),
+            "runs_rss_mb": [rss for _, rss in runs]}
+
+
+def machine() -> dict:
+    import numpy as np
+    import volent
+    return {"cpus": os.cpu_count(), "machine": platform.machine(),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "volent": volent.__version__}
 
 
 def main() -> None:
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
-    rows = [run(False, n), run(True, n)]
-    print(f"{'backend':<8} {'batch step':>12} {'2000 traces':>12}")
-    for r in rows:
-        print(f"{r['backend']:<8} {r['batch_s']:>11.3f}s {r['trace_s']:>11.3f}s")
-    if rows[0]["backend"] != rows[1]["backend"]:
-        print(f"speedup: batch x{rows[1]['batch_s'] / rows[0]['batch_s']:.1f}, "
-              f"trace x{rows[1]['trace_s'] / rows[0]['trace_s']:.1f}")
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label")
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--out", default="BENCH_tracing.json")
+    ap.add_argument("--worker", choices=TASKS, help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.worker:
+        print(json.dumps(worker(args.worker)))
+        return
+    if not args.label:
+        ap.error("--label is required")
+
+    run = {"machine": machine(), "repeats": args.repeats,
+           "tasks": {t: time_task(t, args.repeats) for t in TASKS}}
+    doc = {"script": "benchmarks/bench_tracing.py", "runs": {}}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    doc["runs"][args.label] = run
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for t, r in run["tasks"].items():
+        print(f"{t:<8} [{r['backend']}]  median {r['median_s']:.3f} s  "
+              f"peak RSS {r['peak_rss_mb']:.0f} MB  digest {r['digest']}")
 
 
 if __name__ == "__main__":

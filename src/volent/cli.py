@@ -60,7 +60,8 @@ _DEFAULT_CONFIG = {
 
 
 def validate_config(cfg: dict) -> dict:
-    """Merge over defaults, rejecting unknown keys by name."""
+    """Merge over defaults, rejecting unknown keys and badly typed or
+    out-of-range values by name."""
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     for key in cfg:
@@ -79,7 +80,7 @@ def validate_config(cfg: dict) -> dict:
             merged[key].update(val)
         else:
             merged[key] = val
-    _check_pressure(merged["pressure"])
+    _check_fields(merged)
     return merged
 
 
@@ -96,20 +97,38 @@ def _is_finite(x) -> bool:
         return False
 
 
-def _check_pressure(pc) -> None:
-    """Type and range of the pressure section, naming the bad key."""
-    for key, low in (("n_u", 4), ("n_theta", 4), ("k", 1)):
-        if not (_is_int(pc[key]) and pc[key] >= low):
-            raise ValueError(f"config key pressure.{key} must be an "
-                             f"integer >= {low}, got {pc[key]!r}")
-    if not (_is_finite(pc["tol"]) and pc["tol"] > 0):
-        raise ValueError("config key pressure.tol must be a finite number "
-                         f"> 0, got {pc['tol']!r}")
-    b = pc["bracket"]
-    if not (isinstance(b, list) and len(b) == 2 and all(map(_is_finite, b))
-            and b[0] < b[1]):
-        raise ValueError("config key pressure.bracket must be two finite "
-                         f"numbers lo < hi, got {b!r}")
+# (key, least value) of every integer field cmd_entropy reads.
+_INT_FIELDS = (("polygon.p", 3), ("polygon.m", 2), ("pressure.n_u", 4),
+               ("pressure.n_theta", 4), ("pressure.k", 1),
+               ("growth.rows", 3), ("santalo.samples", 10_000),
+               ("santalo.seed", 0), ("seed", 0))
+
+
+def _check_fields(cfg) -> None:
+    """Type and range of every field cmd_entropy reads, naming the bad
+    key."""
+    def get(key):
+        sec, _, sub = key.partition(".")
+        return cfg[sec][sub] if sub else cfg[sec]
+
+    def fail(key, what):
+        raise ValueError(f"config key {key} must be {what}, got {get(key)!r}")
+
+    for key, low in _INT_FIELDS:
+        if not (_is_int(get(key)) and get(key) >= low):
+            fail(key, f"an integer >= {low}")
+    q = get("polygon.q")
+    if not (isinstance(q, list) and all(_is_int(v) and v >= 1 for v in q)):
+        fail("polygon.q", "a list of integers >= 1")
+    for key in ("pressure.tol", "growth.radius_cut"):
+        if not (_is_finite(get(key)) and get(key) > 0):
+            fail(key, "a finite number > 0")
+    for key, what, low in (("pressure.bracket", "lo < hi", -math.inf),
+                           ("growth.window", "0 < lo < hi", 0.0)):
+        b = get(key)
+        if not (isinstance(b, list) and len(b) == 2
+                and all(map(_is_finite, b)) and low < b[0] < b[1]):
+            fail(key, f"two finite numbers {what}")
 
 
 def _out_dir(cfg: dict) -> str:

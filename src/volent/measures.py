@@ -6,7 +6,10 @@ the branching parameter of the segment's entry wall. Its integral over
 the unit tangent bundle of the polygon has the closed form
 2 * sum_i ln(q_i) * ell_i, and a Monte Carlo evaluation in interior
 coordinates (uniform hyperbolic base point, uniform direction) serves
-as an independent oracle for the flux constant 2.
+as an independent oracle for the flux constant 2. Its random draws are
+made up front, each round at full length, and the geometry on them is
+evaluated in blocks of ``tracing.BLOCK`` samples, so the random stream
+and the estimate do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import VertexHit
 from .hypgeom import CoxeterPolygon
-from .tracing import OK, WallTable, batch_first_crossing
+from .tracing import BLOCK, OK, WallTable, batch_first_crossing
 
 FLUX_CONSTANT_2D = 2.0
 
@@ -61,7 +64,12 @@ def santalo_closed_form(poly: CoxeterPolygon) -> float:
 
 def _sample_in_polygon(poly: CoxeterPolygon, table: WallTable, n: int,
                        rng: np.random.Generator):
-    """n points uniform for hyperbolic area in P, by disk rejection."""
+    """n points uniform for hyperbolic area in P, by disk rejection.
+
+    Each round draws all its u and phi up front, then maps and tests
+    them in blocks of BLOCK, keeping the first accepted points in draw
+    order.
+    """
     z0 = complex(poly.center.x, poly.center.y)
     R = poly.circumradius * (1.0 + 1e-9)
     xs = np.empty(n)
@@ -69,25 +77,30 @@ def _sample_in_polygon(poly: CoxeterPolygon, table: WallTable, n: int,
     have = 0
     while have < n:
         m = int((n - have) * 2.2) + 16
-        u = rng.random(m)
-        d = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
-        phi = rng.random(m) * (2.0 * math.pi)
-        # rotate z -> about the center, then push distance d up the
-        # vertical geodesic through it
-        c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
-        zt = 1j * np.exp(d)
-        z = (c * zt + s) / (-s * zt + c)
-        # recentering the rotation from i to the polygon center is the
-        # identity here since the polygon is built with center i
-        z = z.real * z0.imag + z0.real + 1j * (z.imag * z0.imag)
-        inside = np.ones(m, dtype=bool)
-        for j in range(table.cx.shape[0]):
-            dj = np.hypot(z.real - table.cx[j], z.imag) - table.r[j]
-            inside &= table.n_sign[j] * dj > 0.0
-        z = z[inside][: n - have]
-        xs[have:have + z.shape[0]] = z.real
-        ys[have:have + z.shape[0]] = z.imag
-        have += z.shape[0]
+        u_all = rng.random(m)
+        phi_all = rng.random(m)
+        for a in range(0, m, BLOCK):
+            if have == n:
+                break
+            u = u_all[a:a + BLOCK]
+            d = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
+            phi = phi_all[a:a + BLOCK] * (2.0 * math.pi)
+            # rotate z -> about the center, then push distance d up the
+            # vertical geodesic through it
+            c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
+            zt = 1j * np.exp(d)
+            z = (c * zt + s) / (-s * zt + c)
+            # recentering the rotation from i to the polygon center is
+            # the identity here since the polygon is built with center i
+            z = z.real * z0.imag + z0.real + 1j * (z.imag * z0.imag)
+            inside = np.ones(z.shape[0], dtype=bool)
+            for j in range(table.cx.shape[0]):
+                dj = np.hypot(z.real - table.cx[j], z.imag) - table.r[j]
+                inside &= table.n_sign[j] * dj > 0.0
+            z = z[inside][: n - have]
+            xs[have:have + z.shape[0]] = z.real
+            ys[have:have + z.shape[0]] = z.imag
+            have += z.shape[0]
     return xs, ys
 
 
@@ -98,7 +111,10 @@ def santalo_monte_carlo(poly: CoxeterPolygon, samples: int = 1_000_000,
     Base points are uniform for hyperbolic area in P and directions
     uniform on the circle, so the sample mean times the Liouville mass
     2 pi area(P) estimates the integral. Vertex-grazing samples are
-    redrawn; their count is reported.
+    redrawn; their count is reported. All draws of a round are made up
+    front; the forward and backward crossings and ln q / l are then
+    evaluated in blocks of BLOCK samples, so the working set beyond the
+    per-sample arrays does not grow with the sample count.
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
@@ -111,15 +127,17 @@ def santalo_monte_carlo(poly: CoxeterPolygon, samples: int = 1_000_000,
     todo = np.arange(samples)
     resampled = 0
     for _ in range(64):
-        jf, tf, _, _, ff = batch_first_crossing(
-            table, x[todo], y[todo], dx[todo], dy[todo])
-        jb, tb, _, _, fb = batch_first_crossing(
-            table, x[todo], y[todo], -dx[todo], -dy[todo])
-        good = (ff == OK) & (fb == OK)
-        idx = todo[good]
-        lnq = np.log(table.q[jb[good]].astype(float))
-        vals[idx] = lnq / (tf[good] + tb[good])
-        todo = todo[~good]
+        redo = []
+        for k in range(0, todo.size, BLOCK):
+            idx = todo[k:k + BLOCK]
+            xb, yb, dxb, dyb = x[idx], y[idx], dx[idx], dy[idx]
+            _, tf, _, _, ff = batch_first_crossing(table, xb, yb, dxb, dyb)
+            jb, tb, _, _, fb = batch_first_crossing(table, xb, yb, -dxb, -dyb)
+            good = (ff == OK) & (fb == OK)
+            lnq = np.log(table.q[jb[good]].astype(float))
+            vals[idx[good]] = lnq / (tf[good] + tb[good])
+            redo.append(idx[~good])
+        todo = np.concatenate(redo)
         if todo.size == 0:
             break
         resampled += todo.size

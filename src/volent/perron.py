@@ -24,7 +24,10 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
     (e.g. the iterate returned for a nearby matrix). alpha is the
     midpoint of the first bracket. Stops when hi - lo <= rtol * hi or,
     given a target, once the bracket excludes it; lo + hi > 2 * target
-    is then the sign of rho - target. An all-zero B gives (0, 0).
+    is then the sign of rho - target. An all-zero B gives (0, 0). If
+    neither stop holds while lo is not positive (0 or NaN: rows of B
+    underflowed to zero) and hi > 0, PowerIterationStalled is raised at
+    once instead of after max_iter steps, since a zero row keeps lo at 0.
     """
     v = np.ones(B.shape[0]) if v is None else v
     for step in range(1, max_iter + 1):
@@ -36,6 +39,10 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
         if (hi - lo <= rtol * hi
                 or target is not None and (lo > target or hi < target)):
             return lo, hi, v, step
+        if hi > 0.0 and not lo > 0.0:
+            raise PowerIterationStalled(
+                f"entries of B underflowed to zero (bracket [{lo:g}, "
+                f"{hi:g}]); the lower bound can never exceed 0")
         v = w + alpha * v
         v /= v.max()
     raise PowerIterationStalled(

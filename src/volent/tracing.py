@@ -8,7 +8,11 @@ sequence after quotienting by the reflection group.
 
 Hot kernels are compiled with numba when available; setting the
 environment variable ``VOLENT_PURE_NUMPY=1`` selects the pure
-numpy/python fallback. ``benchmarks/bench_tracing.py`` compares the two.
+numpy/python fallback. The numpy batch kernel steps the rays in
+consecutive blocks of ``BLOCK``, so its working set stays fixed however
+many rays a call holds; every operation is per ray, so the outputs do
+not depend on the block size. ``benchmarks/bench_tracing.py`` times the
+active backend's batch kernel, long traces and the Santalo Monte Carlo.
 """
 
 from __future__ import annotations
@@ -68,6 +72,11 @@ class WallTable:
             diameter=poly.diameter,
         )
 
+
+# Rays per call of the numpy batch kernel, whose (BLOCK, p) float
+# temporaries then take a few MB. On 1e6 rays (2-CPU host) 2048-8192
+# were fastest; 1024 and 65536 were 10-30% slower.
+BLOCK = 4096
 
 # Step flags.
 OK = 0
@@ -210,7 +219,11 @@ if not _PURE:
 
 
 def _batch_step_numpy(x, y, dx, dy, prev, cx, rr, slo, shi, nsign):
-    """Vectorized single-step kernel (the numpy fallback for batches)."""
+    """Vectorized single-step kernel (the numpy fallback for batches).
+
+    Returns (j, t, u, theta, flag) arrays. Its (n, p) temporaries make
+    it the caller's job to keep n small (see BLOCK).
+    """
     n = x.shape[0]
     vertical = np.abs(dx) < 1e-13
     safe_dx = np.where(vertical, 1.0, dx)
@@ -232,27 +245,28 @@ def _batch_step_numpy(x, y, dx, dy, prev, cx, rr, slo, shi, nsign):
     psis = np.arctan2(ys_c, xs_c - gcx[:, None])
     t_c = sig[:, None] * (np.log(np.tan(0.5 * psis)) - s0[:, None])
 
-    # vertical-ray candidates
-    dxc = x[:, None] - cx[None, :]
-    h2_v = rr[None, :] ** 2 - dxc ** 2
-    ok_v = h2_v > 0.0
-    ys_v = np.sqrt(np.where(ok_v, h2_v, 1.0))
-    t_v = np.where(dy[:, None] > 0, 1.0, -1.0) * (np.log(ys_v) - np.log(y[:, None]))
+    t = np.where(ok_c & (t_c > EPS_STEP), t_c, np.inf)
 
-    use_v = vertical[:, None]
-    t = np.where(use_v, t_v, t_c)
-    ok = np.where(use_v, ok_v, ok_c)
-    xs = np.where(use_v, x[:, None], xs_c)
-    yss = np.where(use_v, ys_v, ys_c)
-    t = np.where(ok & (t > EPS_STEP), t, np.inf)
+    # vertical-ray candidates, only for the (rare) vertical rows
+    iv = np.flatnonzero(vertical)
+    if iv.size:
+        dxc = x[iv, None] - cx[None, :]
+        h2_v = rr[None, :] ** 2 - dxc ** 2
+        ok_v = h2_v > 0.0
+        ys_v = np.sqrt(np.where(ok_v, h2_v, 1.0))
+        t_v = (np.where(dy[iv, None] > 0, 1.0, -1.0)
+               * (np.log(ys_v) - np.log(y[iv, None])))
+        t[iv] = np.where(ok_v & (t_v > EPS_STEP), t_v, np.inf)
+        xs_c[iv] = x[iv, None]
+        ys_c[iv] = ys_v
     has_prev = prev >= 0
     t[np.where(has_prev)[0], np.where(has_prev, prev, 0)[has_prev]] = np.inf
 
     j = np.argmin(t, axis=1)
     idx = np.arange(n)
     tbest = t[idx, j]
-    xb = xs[idx, j]
-    yb = yss[idx, j]
+    xb = xs_c[idx, j]
+    yb = ys_c[idx, j]
     lost = ~np.isfinite(tbest)
     j = np.where(lost, -1, j)
     jj = np.where(lost, 0, j)
@@ -277,7 +291,7 @@ def _batch_step_numpy(x, y, dx, dy, prev, cx, rr, slo, shi, nsign):
     flag = np.where(lost, LOST,
                     np.where((u < EPS_VERTEX) | (u > ell - EPS_VERTEX),
                              NEAR_VERTEX, OK))
-    return j.astype(np.int64), tbest, u, theta, flag.astype(np.int64), xb, yb, dxr, dyr
+    return j.astype(np.int64), tbest, u, theta, flag.astype(np.int64)
 
 
 def first_crossing(table: WallTable, x, y, dx, dy, prev=-1):
@@ -328,20 +342,24 @@ def batch_first_crossing(table: WallTable, x, y, dx, dy, prev=None):
         prev = np.full(x.shape[0], -1, dtype=np.int64)
     else:
         prev = np.ascontiguousarray(prev, dtype=np.int64)
-    if _PURE:
-        j, t, u, th, flag, *_ = _batch_step_numpy(
-            x, y, dx, dy, prev, table.cx, table.r, table.s_lo, table.s_hi,
-            table.n_sign)
-        return j, t, u, th, flag
     n = x.shape[0]
     out_j = np.empty(n, dtype=np.int64)
     out_t = np.empty(n)
     out_u = np.empty(n)
     out_th = np.empty(n)
     out_flag = np.empty(n, dtype=np.int64)
-    _batch_step_loop(x, y, dx, dy, prev, table.cx, table.r, table.s_lo,
-                     table.s_hi, table.n_sign,
-                     out_j, out_t, out_u, out_th, out_flag)
+    if _PURE:
+        for a in range(0, n, BLOCK):
+            b = slice(a, a + BLOCK)
+            (out_j[b], out_t[b], out_u[b], out_th[b],
+             out_flag[b]) = _batch_step_numpy(x[b], y[b], dx[b], dy[b],
+                                              prev[b], table.cx, table.r,
+                                              table.s_lo, table.s_hi,
+                                              table.n_sign)
+    else:
+        _batch_step_loop(x, y, dx, dy, prev, table.cx, table.r, table.s_lo,
+                         table.s_hi, table.n_sign,
+                         out_j, out_t, out_u, out_th, out_flag)
     return out_j, out_t, out_u, out_th, out_flag
 
 

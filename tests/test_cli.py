@@ -136,10 +136,33 @@ def test_entropy_config_errors(tmp_path, capsys):
     ({"bracket": [0.5, "4"]}, "pressure.bracket"),
     ({"bracket": 4.0}, "pressure.bracket"),
     (5, "'pressure'"),
+    ({"p": "5"}, "polygon.p"),
+    ({"p": 2}, "polygon.p"),
+    ({"m": 1.5}, "polygon.m"),
+    ({"q": "2"}, "polygon.q"),
+    ({"q": [2, 2, 2, 2, 0]}, "polygon.q"),
+    ({"q": [2, 2.5, 2, 2, 2]}, "polygon.q"),
+    ({"radius_cut": "x"}, "growth.radius_cut"),
+    ({"radius_cut": 0}, "growth.radius_cut"),
+    ({"radius_cut": float("nan")}, "growth.radius_cut"),
+    ({"window": [11.0, 4.0]}, "growth.window"),
+    ({"window": [0.0, 4.0]}, "growth.window"),
+    ({"window": "x"}, "growth.window"),
+    ({"rows": 2}, "growth.rows"),
+    ({"rows": 24.0}, "growth.rows"),
+    ({"samples": "x"}, "santalo.samples"),
+    ({"samples": 9999}, "santalo.samples"),
+    ({"samples": 1e6}, "santalo.samples"),
+    ({"seed": -1}, "santalo.seed"),
+    ({"seed": "0"}, "santalo.seed"),
+    ("x", "seed"),
+    (-1, "seed"),
+    (1.5, "seed"),
 ])
 def test_entropy_pressure_config_typed(tmp_path, capsys, pressure, key):
+    # each case is the value of the top-level key that `key` starts with
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"pressure": pressure}))
+    cfg.write_text(json.dumps({key.split(".")[0].strip("'"): pressure}))
     code, _, err = run(capsys, "entropy", "--config", str(cfg))
     assert code == 2
     assert key in err and "Traceback" not in err

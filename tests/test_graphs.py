@@ -1,10 +1,12 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from volent.errors import NotStronglyConnected
+from volent.cli import main
+from volent.errors import NotStronglyConnected, PowerIterationStalled
 from volent.graphs import (MetricGraph, _nonbacktracking, graph_entropy,
                            scale_lengths)
 from volent.perron import perron_bracket
@@ -143,6 +145,22 @@ def test_subdivided_theta_period_three():
     assert est.value == pytest.approx(math.log(2.0) / 3.0, abs=1e-9)
     assert est.diagnostics["power_iters"] > 0
     assert 0.0 <= est.diagnostics["bracket_width"] < 1e-9
+
+
+def test_underflowed_operator_fails_fast(tmp_path, capsys):
+    # from h ~ 15 the weights exp(-50 h) of the long edges underflow to
+    # zero, rows of B(h) vanish and no lower bound can certify rho > 1
+    edges = [(0, 1, 0.01)] * 3 + [(1, 2, 50.0), (2, 0, 50.0), (2, 2, 50.0)]
+    g = MetricGraph.from_undirected(3, edges)
+    t0 = time.perf_counter()
+    with pytest.raises(PowerIterationStalled, match="underflow"):
+        graph_entropy(g)
+    assert time.perf_counter() - t0 < 0.5
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": 3, "edges": [
+        {"src": a, "dst": b, "len": L} for a, b, L in edges]}))
+    assert main(["graph", "--file", str(path)]) == 1
+    assert "underflow" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("g", [

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from volent.tracing import (OK, backend, batch_first_crossing,
+from volent.measures import santalo_monte_carlo
+from volent.tracing import (BLOCK, OK, backend, batch_first_crossing,
                             first_crossing, launch, trace)
 
 
@@ -99,6 +101,57 @@ def test_determinism(table_q2):
     b = trace(table_q2, 0.03, 1.0, 0.6, 0.8, 30.0)
     for x, y in zip(a[:4], b[:4]):
         assert np.array_equal(x, y)
+
+
+def _rays(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.1, 0.1, n)
+    y = rng.uniform(0.9, 1.1, n)
+    a = rng.uniform(0.0, 2.0 * math.pi, n)
+    return x, y, np.cos(a), np.sin(a)
+
+
+def test_batch_block_boundaries(table_q2):
+    # 3 full blocks and a partial one, exact vertical rays and a prev
+    # array; results must not depend on how the rays are split
+    n = 3 * BLOCK + 17
+    x, y, dx, dy = _rays(n, 13)
+    vert = np.r_[0, 5, BLOCK - 1, BLOCK, 2 * BLOCK + 3, n - 1]
+    dx[vert] = 0.0
+    dy[vert] = np.where(np.arange(vert.size) % 2, 1.0, -1.0)
+    prev = np.random.default_rng(14).integers(-1, 5, n)
+    prev[vert] = -1
+    whole = batch_first_crossing(table_q2, x, y, dx, dy, prev=prev)
+    assert np.all(whole[4][vert] == OK)
+    cuts = [0, 1, 8, n]
+    parts = [batch_first_crossing(table_q2, x[a:b], y[a:b], dx[a:b],
+                                  dy[a:b], prev=prev[a:b])
+             for a, b in zip(cuts, cuts[1:])]
+    for k, arr in enumerate(whole):
+        assert np.array_equal(arr, np.concatenate([p[k] for p in parts]))
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_memory_bounded(table_q2):
+    # the outputs take 8 MB; the (n, p) temporaries of an unblocked
+    # numpy step would add about 140 MB at this size
+    rays = _rays(200_000, 5)
+    peak = _traced_peak_mb(lambda: batch_first_crossing(table_q2, *rays))
+    assert peak <= 24.0
+
+
+def test_santalo_memory_bounded(pentagon_q2):
+    peak = _traced_peak_mb(
+        lambda: santalo_monte_carlo(pentagon_q2, samples=200_000, seed=0))
+    assert peak <= 64.0
 
 
 _WORKER = r"""
