@@ -1,7 +1,6 @@
 """Benchmark: the tracing kernels and the Santalo Monte Carlo.
 
-Times, on the active tracing backend (numba when importable, numpy when
-not or when VOLENT_PURE_NUMPY=1):
+Times three tasks:
 
 - batch: one `batch_first_crossing` over 1e6 seeded rays;
 - santalo: `santalo_monte_carlo` on the default polygon, 1e6 samples,
@@ -61,7 +60,6 @@ def worker(task: str) -> dict:
     digest = hashlib.sha256()
     if task == "batch":
         rays = _rays(N_RAYS)
-        batch_first_crossing(table, *(r[:64] for r in rays))  # warm up jit
         t0 = time.perf_counter()
         out = batch_first_crossing(table, *rays)
         seconds = time.perf_counter() - t0
@@ -76,7 +74,6 @@ def worker(task: str) -> dict:
         counters = {"samples": r.samples, "resampled": r.resampled}
     else:
         x, y, dx, dy = _rays(N_TRACES)
-        trace(table, x[0], y[0], dx[0], dy[0], 5.0)  # warm up jit
         t0 = time.perf_counter()
         outs = [trace(table, x[i], y[i], dx[i], dy[i], T_TRACE)
                 for i in range(N_TRACES)]

@@ -40,10 +40,8 @@ _INPUT_ERRORS = (ValueError, KeyError, NonHyperbolic, BadThickness,
 _CONFIG_SCHEMA = {
     "polygon": {"p", "m", "q"},
     "pressure": {"n_u", "n_theta", "k", "tol", "bracket"},
-    "growth": {"radius_cut", "max_depth", "window", "rows"},
+    "growth": {"radius_cut", "window", "rows"},
     "santalo": {"samples", "seed"},
-    "graph": None,   # plain path
-    "orbits": {"lambda", "B", "k_max"},
     "seed": None,
     "output_dir": None,
 }
@@ -265,7 +263,7 @@ def cmd_entropy(args) -> int:
         gc = cfg["growth"]
         cs = enumerate_chambers(poly, radius_cut=gc["radius_cut"])
         table = weighted_ball_growth(cs, gc["window"][0], gc["window"][1],
-                                     gc.get("rows", 24))
+                                     gc["rows"])
         slope, serr = growth_slope(table, poly.diameter)
         growth = EntropyEstimate(value=slope, err=serr, method="ball_growth",
                                  diagnostics={"chambers": len(cs),

@@ -6,19 +6,23 @@ reflection in that wall. The sequence of (wall, flight time, foot
 position, incidence angle) records is exactly the geodesic's cutting
 sequence after quotienting by the reflection group.
 
-Hot kernels are compiled with numba when available; setting the
-environment variable ``VOLENT_PURE_NUMPY=1`` selects the pure
-numpy/python fallback. The numpy batch kernel steps the rays in
-consecutive blocks of ``BLOCK``, so its working set stays fixed however
-many rays a call holds; every operation is per ray, so the outputs do
-not depend on the block size. ``benchmarks/bench_tracing.py`` times the
-active backend's batch kernel, long traces and the Santalo Monte Carlo.
+The step geometry exists twice, one copy per call shape. ``trace``
+follows a single ray with ``_step``, which works on plain Python floats;
+``batch_first_crossing`` steps many rays at once with the numpy kernel
+``_batch_step_numpy``. Both stay because each is the cheap one for its
+call shape. On a 2-CPU x86-64 host (numpy 2.4) one ``_step`` takes
+about 6 us and one kernel call on a single ray about 120 us, so the
+kernel would make single-ray traces many times slower; on a batch of
+2e5 rays the kernel takes about 0.7 us per ray. The kernel steps the
+rays in consecutive blocks of ``BLOCK``, so its working set stays fixed
+however many rays a call holds; every operation is per ray, so the
+outputs do not depend on the block size. ``benchmarks/bench_tracing.py``
+times the batch kernel, long traces and the Santalo Monte Carlo.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,23 +30,10 @@ import numpy as np
 from .constants import EPS_STEP, EPS_VERTEX
 from .hypgeom import CoxeterPolygon
 
-_PURE = os.environ.get("VOLENT_PURE_NUMPY", "") not in ("", "0")
-if not _PURE:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _PURE = True
-
-if _PURE:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
 
 def backend() -> str:
-    """Name of the active tracing backend."""
-    return "numpy" if _PURE else "numba"
+    """Name of the tracing backend; numpy is the only one."""
+    return "numpy"
 
 
 @dataclass(frozen=True)
@@ -90,9 +81,9 @@ def _step(x, y, dx, dy, prev, cx, rr, slo, nsign):
     Returns (j, t, xs, ys, u, theta, dxr, dyr, flag): wall index, flight
     time, crossing point, foot position along the wall from its s_lo end,
     incidence angle of the folded (inward) direction, folded direction,
-    and a status flag.
+    and a status flag. The wall columns cx, rr, slo, nsign are lists of
+    Python floats: indexing them is cheaper than indexing numpy arrays.
     """
-    p = cx.shape[0]
     best_t = 1e300
     best_j = -1
     best_x = 0.0
@@ -104,7 +95,7 @@ def _step(x, y, dx, dy, prev, cx, rr, slo, nsign):
         psi0 = math.atan2(y, x - gcx)
         s0 = math.log(math.tan(0.5 * psi0))
         sig = 1.0 if (dx * (-math.sin(psi0)) + dy * math.cos(psi0)) > 0.0 else -1.0
-    for j in range(p):
+    for j in range(len(cx)):
         if j == prev:
             continue
         if vertical:
@@ -162,64 +153,8 @@ def _step(x, y, dx, dy, prev, cx, rr, slo, nsign):
     return j, best_t, xs, ys, u, theta, dxr, dyr, OK
 
 
-def _trace(x, y, dx, dy, t_max, cx, rr, slo, shi, nsign,
-           out_j, out_t, out_u, out_th):
-    """Trace forward collecting crossings with cumulative time <= t_max.
-
-    Fills the out arrays, returns (count, flag). flag is NEAR_VERTEX as
-    soon as any crossing foot comes within EPS_VERTEX of a wall endpoint,
-    LOST if a step fails, OK otherwise.
-    """
-    n_max = out_j.shape[0]
-    t_acc = 0.0
-    count = 0
-    flag = OK
-    prev = -1
-    while count < n_max:
-        j, t, xs, ys, u, th, dxr, dyr, f = _step(x, y, dx, dy, prev, cx, rr, slo, nsign)
-        if f == LOST:
-            return count, LOST
-        t_acc += t
-        if t_acc > t_max:
-            break
-        ell = shi[j] - slo[j]
-        if u < EPS_VERTEX or u > ell - EPS_VERTEX:
-            return count, NEAR_VERTEX
-        out_j[count] = j
-        out_t[count] = t_acc
-        out_u[count] = u
-        out_th[count] = th
-        count += 1
-        x, y, dx, dy = xs, ys, dxr, dyr
-        prev = j
-    return count, flag
-
-
-def _batch_step_loop(xs, ys, dxs, dys, prev, cx, rr, slo, shi, nsign,
-                     out_j, out_t, out_u, out_th, out_flag):
-    n = xs.shape[0]
-    for i in range(n):
-        j, t, _, _, u, th, _, _, f = _step(xs[i], ys[i], dxs[i], dys[i],
-                                           prev[i], cx, rr, slo, nsign)
-        if f == OK and j >= 0:
-            ell = shi[j] - slo[j]
-            if u < EPS_VERTEX or u > ell - EPS_VERTEX:
-                f = NEAR_VERTEX
-        out_j[i] = j
-        out_t[i] = t
-        out_u[i] = u
-        out_th[i] = th
-        out_flag[i] = f
-
-
-if not _PURE:
-    _step = njit(cache=True)(_step)
-    _trace = njit(cache=True)(_trace)
-    _batch_step_loop = njit(cache=True)(_batch_step_loop)
-
-
 def _batch_step_numpy(x, y, dx, dy, prev, cx, rr, slo, shi, nsign):
-    """Vectorized single-step kernel (the numpy fallback for batches).
+    """Vectorized single-step kernel for batches of rays.
 
     Returns (j, t, u, theta, flag) arrays. Its (n, p) temporaries make
     it the caller's job to keep n small (see BLOCK).
@@ -294,37 +229,40 @@ def _batch_step_numpy(x, y, dx, dy, prev, cx, rr, slo, shi, nsign):
     return j.astype(np.int64), tbest, u, theta, flag.astype(np.int64)
 
 
-def first_crossing(table: WallTable, x, y, dx, dy, prev=-1):
-    """Single-ray step. Returns (j, t, u, theta, flag, xs, ys, dxr, dyr)."""
-    j, t, xs, ys, u, th, dxr, dyr, f = _step(
-        float(x), float(y), float(dx), float(dy), int(prev),
-        table.cx, table.r, table.s_lo, table.n_sign)
-    if f == OK and j >= 0:
-        ell = table.s_hi[j] - table.s_lo[j]
-        if u < EPS_VERTEX or u > ell - EPS_VERTEX:
-            f = NEAR_VERTEX
-    return j, t, u, th, f, xs, ys, dxr, dyr
-
-
 def trace(table: WallTable, x, y, dx, dy, t_max, max_steps=None):
     """Trace a ray forward for hyperbolic time t_max.
 
-    Returns (j, t, u, theta) arrays of crossings with 0 < t <= t_max and a
-    status flag.
+    Returns (j, t, u, theta) arrays of crossings with 0 < t <= t_max, at
+    most max_steps of them, and a status flag: NEAR_VERTEX as soon as a
+    crossing foot comes within EPS_VERTEX of a wall endpoint, LOST if a
+    step finds no crossing, OK otherwise.
     """
-    if max_steps is None:
-        # Consecutive crossings of the convex polygon cannot be farther
-        # apart than its diameter; a generous floor covers short flights.
-        max_steps = int(t_max / 0.05) + 64
-    out_j = np.empty(max_steps, dtype=np.int64)
-    out_t = np.empty(max_steps)
-    out_u = np.empty(max_steps)
-    out_th = np.empty(max_steps)
-    count, flag = _trace(float(x), float(y), float(dx), float(dy), float(t_max),
-                         table.cx, table.r, table.s_lo, table.s_hi, table.n_sign,
-                         out_j, out_t, out_u, out_th)
-    return (out_j[:count].copy(), out_t[:count].copy(),
-            out_u[:count].copy(), out_th[:count].copy(), flag)
+    cx, rr, slo, shi, nsign = (a.tolist() for a in (
+        table.cx, table.r, table.s_lo, table.s_hi, table.n_sign))
+    x, y, dx, dy, t_max = float(x), float(y), float(dx), float(dy), float(t_max)
+    js, ts, us, ths = [], [], [], []
+    t_acc = 0.0
+    flag = OK
+    prev = -1
+    while max_steps is None or len(js) < max_steps:
+        j, t, xs, ys, u, th, dxr, dyr, f = _step(x, y, dx, dy, prev,
+                                                 cx, rr, slo, nsign)
+        if f == LOST:
+            flag = LOST
+            break
+        t_acc += t
+        if t_acc > t_max:
+            break
+        if u < EPS_VERTEX or u > shi[j] - slo[j] - EPS_VERTEX:
+            flag = NEAR_VERTEX
+            break
+        js.append(j)
+        ts.append(t_acc)
+        us.append(u)
+        ths.append(th)
+        x, y, dx, dy, prev = xs, ys, dxr, dyr, j
+    return (np.array(js, dtype=np.int64), np.array(ts), np.array(us),
+            np.array(ths), flag)
 
 
 def batch_first_crossing(table: WallTable, x, y, dx, dy, prev=None):
@@ -348,18 +286,12 @@ def batch_first_crossing(table: WallTable, x, y, dx, dy, prev=None):
     out_u = np.empty(n)
     out_th = np.empty(n)
     out_flag = np.empty(n, dtype=np.int64)
-    if _PURE:
-        for a in range(0, n, BLOCK):
-            b = slice(a, a + BLOCK)
-            (out_j[b], out_t[b], out_u[b], out_th[b],
-             out_flag[b]) = _batch_step_numpy(x[b], y[b], dx[b], dy[b],
-                                              prev[b], table.cx, table.r,
-                                              table.s_lo, table.s_hi,
-                                              table.n_sign)
-    else:
-        _batch_step_loop(x, y, dx, dy, prev, table.cx, table.r, table.s_lo,
-                         table.s_hi, table.n_sign,
-                         out_j, out_t, out_u, out_th, out_flag)
+    for a in range(0, n, BLOCK):
+        b = slice(a, a + BLOCK)
+        (out_j[b], out_t[b], out_u[b], out_th[b],
+         out_flag[b]) = _batch_step_numpy(x[b], y[b], dx[b], dy[b], prev[b],
+                                          table.cx, table.r, table.s_lo,
+                                          table.s_hi, table.n_sign)
     return out_j, out_t, out_u, out_th, out_flag
 
 

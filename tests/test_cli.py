@@ -101,6 +101,13 @@ def test_validate_config_unknown_keys():
         validate_config({"bogus": 1})
     with pytest.raises(ValueError, match="pressure.'n_x'"):
         validate_config({"pressure": {"n_x": 3}})
+    # keys cmd_entropy never reads are unknown, not silently ignored
+    with pytest.raises(ValueError, match="growth.'max_depth'"):
+        validate_config({"growth": {"max_depth": 8}})
+    with pytest.raises(ValueError, match="unknown config key: 'orbits'"):
+        validate_config({"orbits": {"k_max": 30}})
+    with pytest.raises(ValueError, match="unknown config key: 'graph'"):
+        validate_config({"graph": "theta.json"})
     merged = validate_config({"pressure": {"k": 5}})
     assert merged["pressure"]["k"] == 5
     assert merged["pressure"]["n_u"] == 32

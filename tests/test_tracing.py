@@ -1,16 +1,15 @@
 import json
 import math
-import os
-import subprocess
-import sys
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from volent.hypgeom import regular_polygon
 from volent.measures import santalo_monte_carlo
-from volent.tracing import (BLOCK, OK, backend, batch_first_crossing,
-                            first_crossing, launch, trace)
+from volent.tracing import (BLOCK, OK, WallTable, backend,
+                            batch_first_crossing, launch, trace)
 
 
 def test_perpendicular_midpoint_crossing(pentagon_q1, table_q1):
@@ -19,15 +18,15 @@ def test_perpendicular_midpoint_crossing(pentagon_q1, table_q1):
     poly = pentagon_q1
     best = min(range(poly.p), key=lambda i: poly.side(i, poly.center))
     e = poly.edges[best]
-    j, t, u, th, flag, *_ = first_crossing(
+    j, t, u, th, flag = trace(
         table_q1, poly.center.x, poly.center.y,
-        *_dir_toward_wall(poly, e))
+        *_dir_toward_wall(poly, e), 1e6, max_steps=1)
     assert flag == OK
-    assert j == best
+    assert list(j) == [best]
     # tolerances limited by the ternary search locating the foot
-    assert t == pytest.approx(poly.inradius, abs=1e-6)
-    assert u == pytest.approx(poly.edge_length / 2, abs=1e-6)
-    assert th == pytest.approx(math.pi / 2, abs=1e-6)
+    assert t[0] == pytest.approx(poly.inradius, abs=1e-6)
+    assert u[0] == pytest.approx(poly.edge_length / 2, abs=1e-6)
+    assert th[0] == pytest.approx(math.pi / 2, abs=1e-6)
 
 
 def _dir_toward_wall(poly, e):
@@ -154,41 +153,64 @@ def test_santalo_memory_bounded(pentagon_q2):
     assert peak <= 64.0
 
 
-_WORKER = r"""
-import json, math, sys
-import numpy as np
-from volent.hypgeom import regular_polygon
-from volent.tracing import WallTable, backend, batch_first_crossing, trace
-poly = regular_polygon(5, 2, (2, 2, 2, 2, 2))
-tab = WallTable.from_polygon(poly)
-rng = np.random.default_rng(7)
-n = 300
-x = rng.uniform(-0.1, 0.1, n); y = rng.uniform(0.9, 1.1, n)
-a = rng.uniform(0, 2 * math.pi, n)
-j, t, u, th, fl = batch_first_crossing(tab, x, y, np.cos(a), np.sin(a))
-jj, tt, uu, thh, _ = trace(tab, 0.03, 1.0, 0.6, 0.8, 30.0)
-print(json.dumps({"backend": backend(),
-                  "batch": [j.tolist(), t.tolist(), u.tolist(), th.tolist()],
-                  "trace": [jj.tolist(), tt.tolist(), uu.tolist(), thh.tolist()]}))
-"""
+# Outputs of the seed-7 rays and the fixed trace below on the right-angled
+# pentagon, stored from the numpy path of commit f13c6a5, before tracing
+# was reduced to one backend; both step geometries must keep reproducing
+# them.
+_REFERENCE = pathlib.Path(__file__).parent / "data" / "tracing_reference.json"
 
 
-def _run_backend(pure):
-    env = dict(os.environ, VOLENT_PURE_NUMPY="1" if pure else "0")
-    out = subprocess.run([sys.executable, "-c", _WORKER], env=env,
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+def _assert_matches(out, ref):
+    j, t, u, th, flag = out
+    assert j.tolist() == ref["j"]
+    assert np.asarray(flag).tolist() == ref["flag"]
+    for got, key in ((t, "t"), (u, "u"), (th, "theta")):
+        assert got.shape == (len(ref[key]),)
+        assert np.allclose(got, ref[key], rtol=0.0, atol=1e-12)
 
 
-def test_backends_agree():
-    fast = _run_backend(False)
-    slow = _run_backend(True)
-    if fast["backend"] == slow["backend"]:
-        pytest.skip("numba unavailable, single backend only")
-    for key in ("batch", "trace"):
-        for a, b in zip(fast[key], slow[key]):
-            assert np.allclose(a, b, atol=1e-12)
+def test_matches_stored_reference():
+    ref = json.loads(_REFERENCE.read_text())
+    table = WallTable.from_polygon(regular_polygon(5, 2, (2, 2, 2, 2, 2)))
+    rng = np.random.default_rng(7)
+    n = 300
+    x = rng.uniform(-0.1, 0.1, n)
+    y = rng.uniform(0.9, 1.1, n)
+    a = rng.uniform(0, 2 * math.pi, n)
+    _assert_matches(batch_first_crossing(table, x, y, np.cos(a), np.sin(a)),
+                    ref["batch"])
+    _assert_matches(trace(table, 0.03, 1.0, 0.6, 0.8, 30.0), ref["trace"])
+
+
+@pytest.mark.parametrize("poly_args", [(5, 2, (2, 3, 2, 3, 4)),
+                                       (4, 3, (2, 2, 2, 2))])
+def test_single_ray_and_batch_geometries_agree(poly_args):
+    # trace's scalar step and the batch kernel are two copies of one
+    # geometry; their first crossings must agree ray by ray
+    poly = regular_polygon(*poly_args)
+    table = WallTable.from_polygon(poly)
+    n = 1200
+    rng = np.random.default_rng(17)
+    c = poly.center
+    x = c.x + c.y * rng.uniform(-0.05, 0.05, n)
+    y = c.y * np.exp(rng.uniform(-0.05, 0.05, n))
+    a = rng.uniform(0.0, 2.0 * math.pi, n)
+    dx, dy = np.cos(a), np.sin(a)
+    dx[:8] = 0.0
+    dy[:8] = np.where(np.arange(8) % 2, 1.0, -1.0)
+    bj, bt, bu, bth, bflag = batch_first_crossing(table, x, y, dx, dy)
+    assert np.all(bflag[:8] == OK)
+    for i in range(n):
+        j, t, u, th, flag = trace(table, x[i], y[i], dx[i], dy[i], 1e6,
+                                  max_steps=1)
+        assert flag == bflag[i]
+        if flag != OK:
+            continue
+        assert j[0] == bj[i]
+        assert abs(t[0] - bt[i]) <= 1e-12
+        assert abs(u[0] - bu[i]) <= 1e-12
+        assert abs(th[0] - bth[i]) <= 1e-12
 
 
 def test_backend_name_is_reported():
-    assert backend() in ("numba", "numpy")
+    assert backend() == "numpy"
