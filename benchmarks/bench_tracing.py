@@ -1,11 +1,15 @@
-"""Benchmark: the tracing kernels and the Santalo Monte Carlo.
+"""Benchmark: the tracing kernels, the Santalo Monte Carlo and the
+cross-section sampler.
 
-Times three tasks:
+Times four tasks:
 
 - batch: one `batch_first_crossing` over 1e6 seeded rays;
 - santalo: `santalo_monte_carlo` on the default polygon, 1e6 samples,
   seed 0;
-- traces: 2000 single-ray `trace` calls of T = 50.
+- traces: 2000 single-ray `trace` calls of T = 50;
+- cross_section: `build_cross_section` on the default polygon at
+  64x64, K = 3, seed 0 (the refinement grid of the default
+  `volent entropy`).
 
 Each repeat of each task runs in a fresh subprocess, so its peak RSS
 (from `os.wait4`) is that task's alone. A run records, per task, the
@@ -33,11 +37,12 @@ import sys
 import tempfile
 import time
 
-TASKS = ("batch", "santalo", "traces")
+TASKS = ("batch", "santalo", "traces", "cross_section")
 N_RAYS = 1_000_000
 N_SAMPLES = 1_000_000
 N_TRACES = 2000
 T_TRACE = 50.0
+GRID, K = (64, 64), 3
 
 
 def _rays(n: int):
@@ -53,6 +58,7 @@ def worker(task: str) -> dict:
     """Run one task once in this process; time only the measured call."""
     from volent.hypgeom import regular_polygon
     from volent.measures import santalo_monte_carlo
+    from volent.symbolic import build_cross_section
     from volent.tracing import WallTable, backend, batch_first_crossing, trace
 
     poly = regular_polygon(5, 2, (2, 2, 2, 2, 2))
@@ -72,6 +78,17 @@ def worker(task: str) -> dict:
         seconds = time.perf_counter() - t0
         digest.update(repr((r.monte_carlo, r.mc_stderr)).encode())
         counters = {"samples": r.samples, "resampled": r.resampled}
+    elif task == "cross_section":
+        t0 = time.perf_counter()
+        m = build_cross_section(poly, GRID, K, seed=0)
+        seconds = time.perf_counter() - t0
+        for arr in (m.states, m.src, m.dst, m.mass, m.mean_L):
+            digest.update(arr.tobytes())
+        d = m.diagnostics
+        counters = {"samples": d["total_samples"],
+                    "discarded": d["discarded_samples"],
+                    "scc_states": d["scc_states"],
+                    "transitions": int(m.src.size)}
     else:
         x, y, dx, dy = _rays(N_TRACES)
         t0 = time.perf_counter()
@@ -147,7 +164,7 @@ def main() -> None:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for t, r in run["tasks"].items():
-        print(f"{t:<8} [{r['backend']}]  median {r['median_s']:.3f} s  "
+        print(f"{t:<13} [{r['backend']}]  median {r['median_s']:.3f} s  "
               f"peak RSS {r['peak_rss_mb']:.0f} MB  digest {r['digest']}")
 
 

@@ -32,10 +32,13 @@ from .symbolic import (EntropyEstimate, build_cross_section, pressure_curve,
                        solve_entropy)
 
 # Every other VolentError is numerical and maps to exit 1.
-# RecursionError: json refuses arrays or objects nested too deep.
+# OSError: an input or output path that is missing, a directory, a file
+# or not writable. RecursionError: json refuses arrays or objects nested
+# too deep. MemoryError: numpy refuses an array sized by a huge sample
+# or row count.
 _INPUT_ERRORS = (ValueError, KeyError, NonHyperbolic, BadThickness,
-                 Degenerate, json.JSONDecodeError, FileNotFoundError,
-                 RecursionError)
+                 Degenerate, json.JSONDecodeError, OSError,
+                 RecursionError, MemoryError)
 
 _CONFIG_SCHEMA = {
     "polygon": {"p", "m", "q"},
@@ -127,10 +130,12 @@ def _check_fields(cfg) -> None:
         if not (isinstance(b, list) and len(b) == 2
                 and all(map(_is_finite, b)) and low < b[0] < b[1]):
             fail(key, f"two finite numbers {what}")
+    if not (cfg["output_dir"] is None or isinstance(cfg["output_dir"], str)):
+        fail("output_dir", "null or a string")
 
 
 def _out_dir(cfg: dict) -> str:
-    d = cfg.get("output_dir") or os.environ.get("VOLENT_OUTDIR") or "."
+    d = cfg["output_dir"] or "."
     os.makedirs(d, exist_ok=True)
     return d
 

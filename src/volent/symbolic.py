@@ -26,7 +26,6 @@ whatever the period of the transition graph.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -40,8 +39,6 @@ from .hypgeom import CoxeterPolygon, HGeodesic, HPoint
 from .perron import WarmPerron, bisect_root
 from .tracing import (LOST, NEAR_VERTEX, OK, WallTable, batch_first_crossing,
                       launch, trace)
-
-_MODEL_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -227,8 +224,8 @@ class UlamModel:
     largest strongly connected component of the observed transition
     graph. src/dst/mass/mean_L are parallel arrays of the observed
     transitions; mass is the empirical transition probability (rows sum
-    to one) and is kept for diagnostics, while the pressure matrix uses
-    only the transition indicator.
+    to one) and mean_L the mean return length. The pressure matrix
+    weights each transition by mass * q of its landing wall.
     """
 
     p: int
@@ -253,42 +250,6 @@ class UlamModel:
         qarr = np.asarray(self.q, dtype=float)
         return qarr[self.states[idx, 0]]
 
-    def to_json(self) -> str:
-        doc = {
-            "format": _MODEL_FORMAT,
-            "polygon": {"p": self.p, "m": self.m, "q": list(self.q)},
-            "grid": {"n_u": self.n_u, "n_theta": self.n_theta, "k": self.k},
-            "seed": self.seed,
-            "states": self.states.tolist(),
-            "transitions": {
-                "src": self.src.tolist(),
-                "dst": self.dst.tolist(),
-                "mass": self.mass.tolist(),
-                "mean_L": self.mean_L.tolist(),
-            },
-            "diagnostics": self.diagnostics,
-        }
-        return json.dumps(doc)
-
-    @staticmethod
-    def from_json(text: str) -> "UlamModel":
-        doc = json.loads(text)
-        if doc.get("format") != _MODEL_FORMAT:
-            raise ValueError(f"unsupported model format {doc.get('format')!r}")
-        tr = doc["transitions"]
-        return UlamModel(
-            p=doc["polygon"]["p"], m=doc["polygon"]["m"],
-            q=tuple(doc["polygon"]["q"]),
-            n_u=doc["grid"]["n_u"], n_theta=doc["grid"]["n_theta"],
-            k=doc["grid"]["k"], seed=doc["seed"],
-            states=np.asarray(doc["states"], dtype=np.int64),
-            src=np.asarray(tr["src"], dtype=np.int64),
-            dst=np.asarray(tr["dst"], dtype=np.int64),
-            mass=np.asarray(tr["mass"], dtype=float),
-            mean_L=np.asarray(tr["mean_L"], dtype=float),
-            diagnostics=doc["diagnostics"],
-        )
-
 
 _MAX_RETRIES = 8
 
@@ -299,13 +260,15 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
 
     Each cell launches K^2 stratified sample vectors from its wall and
     flows them to the next crossing; each sample deposits mass 1/K^2
-    into its landing cell along with the flight length. Samples flagged
-    as vertex-grazing are redrawn from the cell's own substream a
-    bounded number of times, then discarded with the cell mass
-    renormalized. With reverse=True the mirrored flow (incidence angle
-    theta -> pi - theta at launch and landing) is discretized instead;
-    it traverses the same geodesics backward, so return-length
-    statistics must match the forward model within sampling error.
+    into its landing cell along with the flight length. All samples come
+    from one stream seeded by seed, first draws in sample order. Samples
+    flagged as vertex-grazing are then redrawn in their own stratum, in
+    sample order, a bounded number of times, and finally discarded with
+    the cell mass renormalized. With reverse=True the mirrored flow
+    (incidence angle theta -> pi - theta at launch and landing) is
+    discretized instead; it traverses the same geodesics backward, so
+    return-length statistics must match the forward model within
+    sampling error.
     """
     n_u, n_th = grid
     if n_u < 4 or n_th < 4:
@@ -317,31 +280,19 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
     ell = table.edge_length
     n_states = p * n_u * n_th
     per_cell = K * K
+    rng = np.random.default_rng(seed)
 
-    def draw(cell: int, rng: np.random.Generator, which: np.ndarray):
-        # stratified offsets for the requested sample slots of one cell
-        e = cell // (n_u * n_th)
-        iu = (cell // n_th) % n_u
-        ith = cell % n_th
-        su = (which // K + rng.random(which.shape[0])) / K
-        st = (which % K + rng.random(which.shape[0])) / K
-        u = (iu + su) / n_u * ell
-        th = (ith + st) / n_th * math.pi
-        return np.full(which.shape[0], e), u, th
+    def draw(idx: np.ndarray):
+        # (edge, u, theta) of sample slot idx % K^2 of cell idx // K^2,
+        # stratified K x K within the cell
+        cell, slot = np.divmod(idx, per_cell)
+        su = (slot // K + rng.random(idx.size)) / K
+        st = (slot % K + rng.random(idx.size)) / K
+        u = ((cell // n_th) % n_u + su) / n_u * ell
+        th = (cell % n_th + st) / n_th * math.pi
+        return cell // (n_u * n_th), u, th
 
-    edges = np.empty(n_states * per_cell, dtype=np.int64)
-    us = np.empty(n_states * per_cell)
-    ths = np.empty(n_states * per_cell)
-    rngs = []
-    slots = np.arange(per_cell)
-    for cell in range(n_states):
-        rng = np.random.default_rng((seed, cell))
-        rngs.append(rng)
-        lo = cell * per_cell
-        e, u, th = draw(cell, rng, slots)
-        edges[lo:lo + per_cell] = e
-        us[lo:lo + per_cell] = u
-        ths[lo:lo + per_cell] = th
+    edges, us, ths = draw(np.arange(n_states * per_cell))
 
     def flow(edges, us, ths):
         th_launch = math.pi - ths if reverse else ths
@@ -353,23 +304,18 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
         return j, t, u2, th2, flag
 
     j, t, u2, th2, flag = flow(edges, us, ths)
-    discarded = 0
     for _ in range(_MAX_RETRIES):
         bad = np.nonzero(flag != OK)[0]
         if bad.size == 0:
             break
-        # redraw each bad sample from its cell substream, then reflow
-        for i in bad:
-            cell = int(i) // per_cell
-            e, u, th = draw(cell, rngs[cell], np.array([int(i) % per_cell]))
-            edges[i], us[i], ths[i] = e[0], u[0], th[0]
-        jj, tt, uu, tthh, ff = flow(edges[bad], us[bad], ths[bad])
-        j[bad], t[bad], u2[bad], th2[bad], flag[bad] = jj, tt, uu, tthh, ff
-    still_bad = flag != OK
-    discarded = int(still_bad.sum())
-    good = ~still_bad
+        # every first draw is made, so a redraw shifts no other sample
+        edges[bad], us[bad], ths[bad] = draw(bad)
+        j[bad], t[bad], u2[bad], th2[bad], flag[bad] = flow(
+            edges[bad], us[bad], ths[bad])
+    good = flag == OK
+    discarded = int(np.count_nonzero(~good))
 
-    src_cell = np.arange(n_states).repeat(per_cell)[good]
+    src_cell = np.nonzero(good)[0] // per_cell
     iu2 = np.clip((u2[good] / ell * n_u).astype(np.int64), 0, n_u - 1)
     ith2 = np.clip((th2[good] / math.pi * n_th).astype(np.int64), 0, n_th - 1)
     dst_cell = j[good] * (n_u * n_th) + iu2 * n_th + ith2

@@ -65,6 +65,12 @@ def test_graph_missing_file(capsys):
     assert code == 2
 
 
+def test_graph_file_is_a_directory(tmp_path, capsys):
+    code, _, err = run(capsys, "graph", "--file", str(tmp_path))
+    assert code == 2
+    assert "error (input)" in err
+
+
 def test_orbits_csv_and_svg(tmp_path, capsys):
     csv_path = tmp_path / "orb.csv"
     svg_path = tmp_path / "orb.svg"
@@ -93,6 +99,13 @@ def test_santalo_small(capsys):
     code, out, _ = run(capsys, "santalo", "--samples", "20000")
     assert code == 0
     assert "flux constant" in out
+
+
+def test_santalo_samples_too_large(capsys):
+    # 1e12 float64 samples (7.3 TiB) are refused at allocation
+    code, _, err = run(capsys, "santalo", "--samples", "1000000000000")
+    assert code == 2
+    assert "error (input)" in err
 
 
 def test_validate_config_unknown_keys():
@@ -165,6 +178,8 @@ def test_entropy_config_errors(tmp_path, capsys):
     ("x", "seed"),
     (-1, "seed"),
     (1.5, "seed"),
+    (5, "output_dir"),
+    (["out"], "output_dir"),
 ])
 def test_entropy_pressure_config_typed(tmp_path, capsys, pressure, key):
     # each case is the value of the top-level key that `key` starts with
@@ -215,6 +230,50 @@ def test_graph_json_fuzz_exits_cleanly(tmp_path, capsys, doc):
     assert "Traceback" not in err
 
 
+_json_value = st.one_of(_json_scalar, st.lists(_json_scalar, max_size=3),
+                       st.dictionaries(st.text(max_size=3), _json_scalar,
+                                       max_size=2))
+
+
+@st.composite
+def _config_docs(draw):
+    """A config document, from a random subset of valid fields, with at
+    most one field corrupted."""
+    valid = {
+        "polygon": {"p": 5, "m": 2, "q": [2, 3, 2, 3, 4]},
+        "pressure": {"n_u": 8, "n_theta": 8, "k": 2, "tol": 1e-3,
+                     "bracket": [0.5, 4.0]},
+        "growth": {"radius_cut": 8.0, "window": [2.0, 5.0], "rows": 8},
+        "santalo": {"samples": 20000, "seed": 1},
+        "seed": 3,
+        "output_dir": "out",
+    }
+    doc = {k: v for k, v in valid.items() if draw(st.booleans())}
+    fields = ["none", "doc"] + [
+        (k, sub) for k, v in doc.items()
+        for sub in ([None] + list(v) if isinstance(v, dict) else [None])]
+    where = draw(st.sampled_from(fields))
+    junk = draw(_json_value)
+    if where == "doc":
+        return junk
+    if where != "none":
+        key, sub = where
+        if sub is None:
+            doc[key] = junk
+        else:
+            doc[key][sub] = junk
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_config_docs())
+def test_config_fuzz_validates_or_rejects(doc):
+    try:
+        validate_config(doc)
+    except ValueError:
+        pass
+
+
 FAST_CFG = {
     "polygon": {"p": 5, "m": 2, "q": [2, 2, 2, 2, 2]},
     "pressure": {"n_u": 8, "n_theta": 8, "k": 2, "tol": 1e-3},
@@ -222,6 +281,27 @@ FAST_CFG = {
     "santalo": {"samples": 20000, "seed": 1},
     "seed": 3,
 }
+
+
+def test_entropy_growth_rows_too_large(tmp_path, capsys):
+    # 1e12 radius rows (7.3 TiB) are refused at allocation
+    cfg = dict(FAST_CFG, output_dir=str(tmp_path),
+               growth=dict(FAST_CFG["growth"], rows=10 ** 12))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "entropy", "--config", str(p))
+    assert code == 2
+    assert "error (input)" in err
+
+
+def test_entropy_output_dir_is_a_file(tmp_path, capsys):
+    blocker = tmp_path / "report"
+    blocker.write_text("")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST_CFG, output_dir=str(blocker))))
+    code, _, err = run(capsys, "entropy", "--config", str(p))
+    assert code == 2
+    assert "error (input)" in err
 
 
 def test_entropy_report_reproducible(tmp_path, capsys):

@@ -1,18 +1,21 @@
-import json
 import math
+import re
+from collections import deque
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from volent import symbolic
 from volent.errors import BracketFailed
 from volent.hypgeom import HPoint, geodesic_through, regular_polygon
-from volent.symbolic import (CuttingSequence, UlamModel, WallCrossing,
+from volent.symbolic import (CuttingSequence, WallCrossing,
                              birkhoff_f_integral, birkhoff_lq_integral,
                              build_cross_section, cutting_sequence, f_value,
                              lq_value, pressure_curve, pressure_log_radius,
                              solve_entropy, thickness_log_product,
                              _solve_root)
-from volent.tracing import WallTable, trace
+from volent.tracing import NEAR_VERTEX, WallTable, trace
 
 
 def _random_sequence(poly, rng, t0, t1):
@@ -191,16 +194,6 @@ def test_bracket_failure_reported(pentagon_q2):
         _solve_root(m, (3.0, 4.0), 1e-4)
 
 
-def test_serialization_round_trip(pentagon_q2):
-    m = build_cross_section(pentagon_q2, (8, 8), 2, seed=3)
-    m2 = UlamModel.from_json(m.to_json())
-    assert np.array_equal(m.states, m2.states)
-    assert np.array_equal(m.src, m2.src)
-    assert np.allclose(m.mass, m2.mass)
-    assert np.allclose(m.mean_L, m2.mean_L)
-    assert pressure_log_radius(m, 1.3) == pressure_log_radius(m2, 1.3)
-
-
 def test_build_determinism(pentagon_q2):
     a = build_cross_section(pentagon_q2, (8, 8), 2, seed=3)
     b = build_cross_section(pentagon_q2, (8, 8), 2, seed=3)
@@ -208,13 +201,119 @@ def test_build_determinism(pentagon_q2):
     assert np.array_equal(a.mean_L, b.mean_L)
 
 
-def test_period_stalled_pressure_model_solves(capsys):
+def _period(model) -> int:
+    """Period of the (strongly connected) transition graph: the gcd of
+    level(a) + 1 - level(b) over its edges a -> b, levels by BFS."""
+    out = [[] for _ in range(model.n_states)]
+    for a, b in zip(model.src.tolist(), model.dst.tolist()):
+        out[a].append(b)
+    level = {0: 0}
+    todo = deque([0])
+    while todo:
+        a = todo.popleft()
+        for b in out[a]:
+            if b not in level:
+                level[b] = level[a] + 1
+                todo.append(b)
+    g = 0
+    for a, b in zip(model.src.tolist(), model.dst.tolist()):
+        g = math.gcd(g, level[a] + 1 - level[b])
+    return g
+
+
+def _dense_root(model) -> float:
+    """Root of rho(B(h)) = 1 from dense eigenvalues."""
+    n = model.n_states
+    w = model.mass * model.q_of_state(model.dst)
+
+    def log_rho(h):
+        B = np.zeros((n, n))
+        B[model.src, model.dst] = w * np.exp((1.0 - h) * model.mean_L)
+        return math.log(np.abs(np.linalg.eigvals(B)).max())
+
+    return brentq(log_rho, 0.5, 4.0, xtol=1e-12)
+
+
+def test_period_stalled_pressure_model_solves(pentagon_q2, capsys):
     # a 4x4, K=1 model whose transition graph defeats two-step ratio
     # averaging; the shifted iteration solves it
     from volent.cli import main
     assert main(["pressure", "--n-u", "4", "--n-theta", "4", "--k", "1",
                  "--no-refine"]) == 0
-    assert "h = 1.84" in capsys.readouterr().out
+    h = float(re.search(r"h = ([0-9.]+)", capsys.readouterr().out).group(1))
+    model = build_cross_section(pentagon_q2, (4, 4), 1, 0)
+    assert _period(model) > 2
+    assert h == pytest.approx(_dense_root(model), abs=2e-4)
+
+
+def _flag_rays(monkeypatch, flag_later: bool) -> list:
+    """Record the launches of build_cross_section and mark every 97th
+    ray of the first crossing batch NEAR_VERTEX; with flag_later, also
+    every ray of each later batch. Returns the (edge, u, theta) list."""
+    launches = []
+    real_launch = symbolic.launch
+    real_cross = symbolic.batch_first_crossing
+
+    def launch(table, edges, us, ths):
+        launches.append((edges.copy(), us.copy(), ths.copy()))
+        return real_launch(table, edges, us, ths)
+
+    def cross(*args, **kwargs):
+        out = real_cross(*args, **kwargs)
+        if len(launches) == 1:
+            out[4][::97] = NEAR_VERTEX
+        elif flag_later:
+            out[4][:] = NEAR_VERTEX
+        return out
+
+    monkeypatch.setattr(symbolic, "launch", launch)
+    monkeypatch.setattr(symbolic, "batch_first_crossing", cross)
+    return launches
+
+
+def _stratum(model, poly, edges, us, ths):
+    k, n_u, n_th = model.k, model.n_u, model.n_theta
+    return (edges, np.floor(us / poly.edge_length * n_u * k).astype(int),
+            np.floor(ths / math.pi * n_th * k).astype(int))
+
+
+def test_grazing_samples_redrawn_in_their_stratum(pentagon_q2, monkeypatch):
+    launches = _flag_rays(monkeypatch, flag_later=False)
+    a = build_cross_section(pentagon_q2, (8, 8), 3, seed=0)
+    first, redraw = launches
+    flagged = np.arange(first[0].size)[::97]
+    assert flagged.size == 30 and redraw[0].size == 30
+    # the same 30 samples, in sample order, each within its own stratum
+    old = _stratum(a, pentagon_q2, *(arr[flagged] for arr in first))
+    new = _stratum(a, pentagon_q2, *redraw)
+    for x, y in zip(old, new):
+        assert np.array_equal(x, y)
+    assert not np.array_equal(first[1][flagged], redraw[1])
+    assert a.diagnostics["discarded_samples"] == 0
+
+    launches.clear()
+    b = build_cross_section(pentagon_q2, (8, 8), 3, seed=0)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst)
+    assert np.array_equal(a.mass, b.mass)
+    assert np.array_equal(a.mean_L, b.mean_L)
+
+    monkeypatch.undo()
+    c = build_cross_section(pentagon_q2, (8, 8), 3, seed=0)
+    assert not (np.array_equal(a.src, c.src)
+                and np.array_equal(a.dst, c.dst)
+                and np.array_equal(a.mean_L, c.mean_L))
+
+
+def test_samples_discarded_after_retries(pentagon_q2, monkeypatch):
+    launches = _flag_rays(monkeypatch, flag_later=True)
+    m = build_cross_section(pentagon_q2, (8, 8), 3, seed=0)
+    assert len(launches) == 1 + symbolic._MAX_RETRIES
+    assert all(edges.size == 30 for edges, _, _ in launches[1:])
+    assert m.diagnostics["discarded_samples"] == 30
+    assert m.diagnostics["total_samples"] == 2880
+    sums = np.bincount(m.src, weights=m.mass, minlength=m.n_states)
+    assert np.allclose(sums, 1.0, atol=1e-12)
 
 
 def test_root_solve_counters(pentagon_q2):
