@@ -1,7 +1,8 @@
-"""Benchmark: the tracing kernels, the Santalo Monte Carlo and the
-cross-section sampler.
+"""Benchmark: the tracing kernels, the Santalo Monte Carlo, the
+cross-section sampler, chamber enumeration and the default
+`volent entropy` run.
 
-Times four tasks:
+Times six tasks:
 
 - batch: one `batch_first_crossing` over 1e6 seeded rays;
 - santalo: `santalo_monte_carlo` on the default polygon, 1e6 samples,
@@ -9,7 +10,12 @@ Times four tasks:
 - traces: 2000 single-ray `trace` calls of T = 50;
 - cross_section: `build_cross_section` on the default polygon at
   64x64, K = 3, seed 0 (the refinement grid of the default
-  `volent entropy`).
+  `volent entropy`);
+- enumerate: `enumerate_chambers` on the default polygon with
+  radius_cut = 12.7 (the growth stage of the default `volent entropy`);
+- entropy: the default `volent entropy`, writing into a temporary
+  directory; its digest covers `report.json` without `timings` and
+  `output_dir`, and `curves.csv`.
 
 Each repeat of each task runs in a fresh subprocess, so its peak RSS
 (from `os.wait4`) is that task's alone. A run records, per task, the
@@ -27,7 +33,9 @@ other labels, so a before/after pair lands in one file.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -37,12 +45,14 @@ import sys
 import tempfile
 import time
 
-TASKS = ("batch", "santalo", "traces", "cross_section")
+TASKS = ("batch", "santalo", "traces", "cross_section", "enumerate",
+         "entropy")
 N_RAYS = 1_000_000
 N_SAMPLES = 1_000_000
 N_TRACES = 2000
 T_TRACE = 50.0
 GRID, K = (64, 64), 3
+RADIUS_CUT = 12.7
 
 
 def _rays(n: int):
@@ -56,6 +66,8 @@ def _rays(n: int):
 
 def worker(task: str) -> dict:
     """Run one task once in this process; time only the measured call."""
+    from volent import cli
+    from volent.coxeter import enumerate_chambers
     from volent.hypgeom import regular_polygon
     from volent.measures import santalo_monte_carlo
     from volent.symbolic import build_cross_section
@@ -89,6 +101,34 @@ def worker(task: str) -> dict:
                     "discarded": d["discarded_samples"],
                     "scc_states": d["scc_states"],
                     "transitions": int(m.src.size)}
+    elif task == "enumerate":
+        t0 = time.perf_counter()
+        cs = enumerate_chambers(poly, radius_cut=RADIUS_CUT)
+        seconds = time.perf_counter() - t0
+        for arr in (cs.matrices, cs.reversing, cs.centers, cs.radii,
+                    cs.depths, cs.log_mult):
+            digest.update(arr.tobytes())
+        counters = {"chambers": len(cs)}
+    elif task == "entropy":
+        with tempfile.TemporaryDirectory() as out:
+            cfg = os.path.join(out, "config.json")
+            with open(cfg, "w") as fh:
+                json.dump({"output_dir": out}, fh)
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["entropy", "--config", cfg])
+            seconds = time.perf_counter() - t0
+            if code != 0:
+                raise RuntimeError(f"volent entropy exited with {code}")
+            with open(os.path.join(out, "report.json")) as fh:
+                report = json.load(fh)
+            report.pop("timings")
+            report["config"].pop("output_dir")
+            digest.update(json.dumps(report, sort_keys=True).encode())
+            with open(os.path.join(out, "curves.csv"), "rb") as fh:
+                digest.update(fh.read())
+        counters = {"chambers": report["results"]["growth"]["diagnostics"][
+            "chambers"]}
     else:
         x, y, dx, dy = _rays(N_TRACES)
         t0 = time.perf_counter()

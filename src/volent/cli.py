@@ -98,11 +98,15 @@ def _is_finite(x) -> bool:
         return False
 
 
-# (key, least value) of every integer field cmd_entropy reads.
-_INT_FIELDS = (("polygon.p", 3), ("polygon.m", 2), ("pressure.n_u", 4),
-               ("pressure.n_theta", 4), ("pressure.k", 1),
-               ("growth.rows", 3), ("santalo.samples", 10_000),
-               ("santalo.seed", 0), ("seed", 0))
+# (key, least, greatest value) of every integer field cmd_entropy reads.
+# The greatest values refuse sizes no run could finish before any stage
+# starts: 1e7 Santalo samples take about 0.6 GB of per-sample arrays.
+_INT_FIELDS = (("polygon.p", 3, math.inf), ("polygon.m", 2, math.inf),
+               ("pressure.n_u", 4, math.inf),
+               ("pressure.n_theta", 4, math.inf), ("pressure.k", 1, math.inf),
+               ("growth.rows", 3, 10_000),
+               ("santalo.samples", 10_000, 10_000_000),
+               ("santalo.seed", 0, math.inf), ("seed", 0, math.inf))
 
 
 def _check_fields(cfg) -> None:
@@ -115,9 +119,10 @@ def _check_fields(cfg) -> None:
     def fail(key, what):
         raise ValueError(f"config key {key} must be {what}, got {get(key)!r}")
 
-    for key, low in _INT_FIELDS:
-        if not (_is_int(get(key)) and get(key) >= low):
-            fail(key, f"an integer >= {low}")
+    for key, low, high in _INT_FIELDS:
+        if not (_is_int(get(key)) and low <= get(key) <= high):
+            fail(key, f"an integer >= {low}" if high == math.inf
+                 else f"an integer in [{low}, {high}]")
     q = get("polygon.q")
     if not (isinstance(q, list) and all(_is_int(v) and v >= 1 for v in q)):
         fail("polygon.q", "a list of integers >= 1")
@@ -232,6 +237,21 @@ def cmd_orbits(args) -> int:
     return 0
 
 
+def _growth_estimate(poly, gc: dict) -> EntropyEstimate:
+    """Ball-growth slope of the entropy config's growth section. The
+    chambers and their growth table are freed on return, before the
+    Santalo stage runs."""
+    cs = enumerate_chambers(poly, radius_cut=gc["radius_cut"])
+    table = weighted_ball_growth(cs, gc["window"][0], gc["window"][1],
+                                 gc["rows"])
+    slope, serr = growth_slope(table, poly.diameter)
+    return EntropyEstimate(
+        value=slope, err=serr, method="ball_growth",
+        diagnostics={"chambers": len(cs),
+                     "chambers_per_depth": np.bincount(cs.depths).tolist(),
+                     "reach": cs.reach, "window": gc["window"]})
+
+
 def cmd_entropy(args) -> int:
     if args.config:
         with open(args.config) as fh:
@@ -265,14 +285,7 @@ def cmd_entropy(args) -> int:
 
     t0 = time.perf_counter()
     try:
-        gc = cfg["growth"]
-        cs = enumerate_chambers(poly, radius_cut=gc["radius_cut"])
-        table = weighted_ball_growth(cs, gc["window"][0], gc["window"][1],
-                                     gc["rows"])
-        slope, serr = growth_slope(table, poly.diameter)
-        growth = EntropyEstimate(value=slope, err=serr, method="ball_growth",
-                                 diagnostics={"chambers": len(cs),
-                                              "window": gc["window"]})
+        growth = _growth_estimate(poly, cfg["growth"])
         results["growth"] = _estimate_doc(growth)
     except VolentError as exc:
         failures.append(("growth", str(exc)))

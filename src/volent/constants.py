@@ -24,5 +24,8 @@ EPS_POWER = 1e-10
 # Default bisection tolerance for entropy solves.
 DEFAULT_H_TOL = 1e-4
 
-# Default cap on enumerated chambers (keeps memory around 1 GB).
+# Default cap on enumerated chambers. The outputs take 73 bytes per
+# chamber and enumeration peaks at about 105 bytes per chamber
+# (tracemalloc, right-angled pentagon with q = 2 cut at radius 11 and
+# 12.7), so the cap holds the peak near 0.5 GB.
 CHAMBER_CAP = 5_000_000

@@ -27,6 +27,7 @@ from scipy.special import logsumexp
 from .constants import CHAMBER_CAP
 from .errors import FrontierTooClose, ResourceLimit, WindowTooNarrow
 from .hypgeom import CoxeterPolygon, reflect
+from .tracing import BLOCK
 
 @dataclass(frozen=True)
 class ChamberSet:
@@ -74,6 +75,41 @@ def _hyp_dist(z: np.ndarray, w: complex) -> np.ndarray:
     return np.arccosh(1.0 + num / (2.0 * z.imag * w.imag))
 
 
+def _children(level, gen_mats, logq, walls, z0, limit):
+    """Yield the canonical children of one level, BLOCK candidates at a
+    time.
+
+    The candidates are the length-increasing children w*s (s not in
+    D_R(w)), generator-major. They are processed in consecutive slices of
+    BLOCK, so the (n, p) temporaries stay BLOCK rows long; each yield is
+    the kept children of one slice, in candidate order, as (matrices,
+    reversing, centers, radii, log_mult, desc).
+    """
+    level_mats, level_rev, _, _, level_logm, level_desc = level
+    wall_cx, wall_r, wall_sign = walls
+    gen, par = np.nonzero(~level_desc.T)
+    for a in range(0, gen.shape[0], BLOCK):
+        g = gen[a:a + BLOCK]
+        pa = par[a:a + BLOCK]
+        cand_m = level_mats[pa] @ gen_mats[g]
+        cand_rev = ~level_rev[pa]
+        cand_z = _apply_centers(cand_m, cand_rev, z0)
+        cand_r = _hyp_dist(cand_z, z0)
+        sel = np.flatnonzero(cand_r <= limit)
+
+        # D_R(v) for each child v: the base walls with v^-1(z0) on their
+        # outer side, v^-1 being the adjugate with the same reversing flag.
+        m = cand_m[sel]
+        inv = np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]],
+                       axis=1).reshape(-1, 2, 2)
+        u = _apply_centers(inv, cand_rev[sel], z0)
+        desc = wall_sign * (np.abs(u[:, None] - wall_cx) - wall_r) < 0.0
+        canonical = desc.argmax(axis=1) == g[sel]
+        sel = sel[canonical]
+        yield (cand_m[sel], cand_rev[sel], cand_z[sel], cand_r[sel],
+               level_logm[pa[sel]] + logq[g[sel]], desc[canonical])
+
+
 def enumerate_chambers(poly: CoxeterPolygon,
                        radius_cut: float | None = None,
                        max_depth: int | None = None,
@@ -94,6 +130,9 @@ def enumerate_chambers(poly: CoxeterPolygon,
     perpendicular bisector of v(z0) and v*t(z0), so every parent lies
     strictly closer to z0 than its child, and by induction the canonical
     parent of each chamber inside the cut was kept.
+
+    Beyond the outputs, the working set is one level and the
+    temporaries of one slice of BLOCK candidates.
     """
     if (radius_cut is None) == (max_depth is None):
         raise ValueError("give exactly one of radius_cut, max_depth")
@@ -101,64 +140,47 @@ def enumerate_chambers(poly: CoxeterPolygon,
     gen_mats = np.stack([reflect(e.geodesic).m for e in poly.edges])
     logq = np.log(np.asarray(poly.q, dtype=float))
     z0 = complex(poly.center.x, poly.center.y)
-    wall_cx = np.array([e.cx for e in poly.edges])
-    wall_r = np.array([e.r for e in poly.edges])
-    wall_sign = np.array([e.n_sign for e in poly.edges])
+    walls = (np.array([e.cx for e in poly.edges]),
+             np.array([e.r for e in poly.edges]),
+             np.array([e.n_sign for e in poly.edges]))
     limit = np.inf if radius_cut is None else radius_cut
 
-    mats = [np.eye(2)[None, :, :]]
-    rev = [np.zeros(1, dtype=bool)]
-    centers = [np.array([z0])]
-    radii = [np.zeros(1)]
-    depths = [np.zeros(1, dtype=np.int64)]
-    logm = [np.zeros(1)]
+    # A level is (matrices, reversing, centers, radii, log_mult, desc);
+    # parts holds the per-level pieces of its first five arrays and of
+    # the depths.
+    level = (np.eye(2)[None, :, :], np.zeros(1, dtype=bool), np.array([z0]),
+             np.zeros(1), np.zeros(1),
+             np.zeros((1, len(poly.edges)), dtype=bool))
+    parts = [[a] for a in level[:5]] + [[np.zeros(1, dtype=np.int64)]]
     total = 1
-
-    level_mats = mats[0]
-    level_rev = rev[0]
-    level_logm = logm[0]
-    level_desc = np.zeros((1, gen_mats.shape[0]), dtype=bool)
     depth = 0
 
-    while level_mats.shape[0] > 0:
+    while level[0].shape[0] > 0:
         if max_depth is not None and depth >= max_depth:
             break
         depth += 1
-        # Length-increasing children w*s (s not in D_R(w)), generator-major.
-        gen, par = np.nonzero(~level_desc.T)
-        cand_m = level_mats[par] @ gen_mats[gen]
-        cand_rev = ~level_rev[par]
-        cand_z = _apply_centers(cand_m, cand_rev, z0)
-        cand_r = _hyp_dist(cand_z, z0)
-        sel = np.flatnonzero(cand_r <= limit)
+        kept = []
+        for piece in _children(level, gen_mats, logq, walls, z0, limit):
+            # a level exceeds the cap iff some prefix of it does
+            total += piece[0].shape[0]
+            if total > cap:
+                raise ResourceLimit(
+                    f"chamber enumeration exceeded cap={cap} at depth {depth}")
+            kept.append(piece)
+        level = tuple(np.concatenate(f) for f in zip(*kept))
+        del kept
+        for out, new in zip(parts, level[:5]):
+            out.append(new)
+        parts[5].append(np.full(level[0].shape[0], depth, dtype=np.int64))
+    del level
 
-        # D_R(v) for each child v: the base walls with v^-1(z0) on their
-        # outer side, v^-1 being the adjugate with the same reversing flag.
-        m = cand_m[sel]
-        inv = np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]],
-                       axis=1).reshape(-1, 2, 2)
-        u = _apply_centers(inv, cand_rev[sel], z0)
-        desc = wall_sign * (np.abs(u[:, None] - wall_cx) - wall_r) < 0.0
-        canonical = desc.argmax(axis=1) == gen[sel]
-        sel = sel[canonical]
-
-        if total + sel.shape[0] > cap:
-            raise ResourceLimit(
-                f"chamber enumeration exceeded cap={cap} at depth {depth}")
-        level_mats = cand_m[sel]
-        level_rev = cand_rev[sel]
-        level_logm = level_logm[par[sel]] + logq[gen[sel]]
-        level_desc = desc[canonical]
-        mats.append(level_mats)
-        rev.append(level_rev)
-        centers.append(cand_z[sel])
-        radii.append(cand_r[sel])
-        depths.append(np.full(sel.shape[0], depth, dtype=np.int64))
-        logm.append(level_logm)
-        total += sel.shape[0]
-
-    all_r = np.concatenate(radii)
-    all_d = np.concatenate(depths)
+    # One field at a time, so the per-level parts and their
+    # concatenation are never all alive together.
+    fields = []
+    for out in parts:
+        fields.append(np.concatenate(out))
+        out.clear()
+    matrices, reversing, centers, all_r, log_mult, all_d = fields
     if radius_cut is not None:
         reach = radius_cut - poly.diameter
     else:
@@ -166,12 +188,12 @@ def enumerate_chambers(poly: CoxeterPolygon,
         reach = (float(frontier.min()) - poly.diameter
                  if frontier.size else float(all_r.max()))
     return ChamberSet(
-        matrices=np.concatenate(mats),
-        reversing=np.concatenate(rev),
-        centers=np.concatenate(centers),
+        matrices=matrices,
+        reversing=reversing,
+        centers=centers,
         radii=all_r,
         depths=all_d,
-        log_mult=np.concatenate(logm),
+        log_mult=log_mult,
         reach=reach,
         diameter=poly.diameter,
     )

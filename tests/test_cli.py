@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from volent.cli import main, validate_config
+from volent.hypgeom import regular_polygon
 
 
 def run(capsys, *argv):
@@ -180,6 +181,8 @@ def test_entropy_config_errors(tmp_path, capsys):
     (1.5, "seed"),
     (5, "output_dir"),
     (["out"], "output_dir"),
+    ({"rows": 10_001}, "growth.rows"),
+    ({"samples": 10_000_001}, "santalo.samples"),
 ])
 def test_entropy_pressure_config_typed(tmp_path, capsys, pressure, key):
     # each case is the value of the top-level key that `key` starts with
@@ -284,14 +287,16 @@ FAST_CFG = {
 
 
 def test_entropy_growth_rows_too_large(tmp_path, capsys):
-    # 1e12 radius rows (7.3 TiB) are refused at allocation
+    # 1e12 radius rows (7.3 TiB) are refused by validation, before the
+    # pressure stage writes anything
     cfg = dict(FAST_CFG, output_dir=str(tmp_path),
                growth=dict(FAST_CFG["growth"], rows=10 ** 12))
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     code, _, err = run(capsys, "entropy", "--config", str(p))
     assert code == 2
-    assert "error (input)" in err
+    assert "error (input)" in err and "growth.rows" in err
+    assert not (tmp_path / "curves.csv").exists()
 
 
 def test_entropy_output_dir_is_a_file(tmp_path, capsys):
@@ -320,6 +325,21 @@ def test_entropy_report_reproducible(tmp_path, capsys):
         docs.append(json.dumps(doc, sort_keys=True))
         assert (d / "curves.csv").exists()
     assert docs[0] == docs[1]
+
+
+def test_entropy_growth_counters(tmp_path, capsys):
+    cfg = dict(FAST_CFG, output_dir=str(tmp_path))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, _, _ = run(capsys, "entropy", "--config", str(p))
+    assert code == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    diag = doc["results"]["growth"]["diagnostics"]
+    per_depth = diag["chambers_per_depth"]
+    assert per_depth[:3] == [1, 5, 15]
+    assert sum(per_depth) == diag["chambers"]
+    poly = regular_polygon(5, 2, (2,) * 5)
+    assert diag["reach"] == FAST_CFG["growth"]["radius_cut"] - poly.diameter
 
 
 def test_report_render(tmp_path, capsys):

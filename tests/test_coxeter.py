@@ -1,13 +1,15 @@
 import collections
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from volent import coxeter
 from volent.coxeter import (ChamberSet, GrowthTable, enumerate_chambers,
                             growth_slope, weighted_ball_growth)
-from volent.errors import FrontierTooClose, WindowTooNarrow
+from volent.errors import FrontierTooClose, ResourceLimit, WindowTooNarrow
 from volent.hypgeom import regular_polygon
 
 
@@ -215,3 +217,40 @@ def test_radius_cut_matches_depth_enumeration(p, m, q, depth, cuts):
         assert cut <= full.reach
         cs = enumerate_chambers(poly, radius_cut=cut)
         assert rows(cs, slice(None)) == rows(full, full.radii <= cut)
+
+
+_FIELDS = ("matrices", "reversing", "centers", "radii", "depths", "log_mult")
+
+
+@pytest.mark.parametrize("kw", [{"radius_cut": 9.0}, {"max_depth": 6}])
+def test_block_size_invariance(monkeypatch, kw):
+    # slices of 7 candidates split every level many times over, and must
+    # keep each level in the order of the unsliced candidate list
+    poly = regular_polygon(5, 2, (2, 3, 2, 3, 4))
+    ref = enumerate_chambers(poly, **kw)
+    monkeypatch.setattr(coxeter, "BLOCK", 7)
+    cs = enumerate_chambers(poly, **kw)
+    for name in _FIELDS:
+        a, b = getattr(ref, name), getattr(cs, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (cs.reach, cs.diameter) == (ref.reach, ref.diameter)
+
+
+def test_cap_names_depth(pentagon_q2):
+    # 441 chambers up to depth 5 and 1161 up to depth 6, so depth 6
+    # crosses the cap
+    with pytest.raises(ResourceLimit, match="cap=1000 at depth 6"):
+        enumerate_chambers(pentagon_q2, max_depth=10, cap=1000)
+
+
+def test_enumeration_memory_bounded(pentagon_q2):
+    # the outputs take 8.8 MB; holding a whole level's candidates and
+    # every per-level piece beside the concatenation peaks near 33 MB
+    tracemalloc.start()
+    try:
+        cs = enumerate_chambers(pentagon_q2, radius_cut=11.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(getattr(cs, name).nbytes for name in _FIELDS)
+    assert peak <= 2 * out
