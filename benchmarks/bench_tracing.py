@@ -6,7 +6,8 @@ Times six tasks:
 
 - batch: one `batch_first_crossing` over 1e6 seeded rays;
 - santalo: `santalo_monte_carlo` on the default polygon, 1e6 samples,
-  seed 0;
+  seed 0; its digest covers the estimate, its standard error, the
+  resample count and the flux constant;
 - traces: 2000 single-ray `trace` calls of T = 50;
 - cross_section: `build_cross_section` on the default polygon at
   64x64, K = 3, seed 0 (the refinement grid of the default
@@ -88,7 +89,8 @@ def worker(task: str) -> dict:
         t0 = time.perf_counter()
         r = santalo_monte_carlo(poly, samples=N_SAMPLES, seed=0)
         seconds = time.perf_counter() - t0
-        digest.update(repr((r.monte_carlo, r.mc_stderr)).encode())
+        digest.update(repr((r.monte_carlo, r.mc_stderr, r.resampled,
+                            r.c_constant_used)).encode())
         counters = {"samples": r.samples, "resampled": r.resampled}
     elif task == "cross_section":
         t0 = time.perf_counter()

@@ -98,15 +98,36 @@ def _is_finite(x) -> bool:
         return False
 
 
+# The most samples one stage may draw, refused before any stage starts:
+# 1e7 Santalo samples take about 0.6 GB of per-sample arrays.
+_MAX_SAMPLES = 10_000_000
+
 # (key, least, greatest value) of every integer field cmd_entropy reads.
-# The greatest values refuse sizes no run could finish before any stage
-# starts: 1e7 Santalo samples take about 0.6 GB of per-sample arrays.
 _INT_FIELDS = (("polygon.p", 3, math.inf), ("polygon.m", 2, math.inf),
                ("pressure.n_u", 4, math.inf),
                ("pressure.n_theta", 4, math.inf), ("pressure.k", 1, math.inf),
                ("growth.rows", 3, 10_000),
-               ("santalo.samples", 10_000, 10_000_000),
+               ("santalo.samples", 10_000, _MAX_SAMPLES),
                ("santalo.seed", 0, math.inf), ("seed", 0, math.inf))
+
+
+def _check_int(name: str, value, low, high) -> None:
+    """Refuse, naming it, a value that is not an integer in [low, high]."""
+    if not (_is_int(value) and low <= value <= high):
+        what = (f"an integer >= {low}" if high == math.inf
+                else f"an integer in [{low}, {high}]")
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_pressure_grid(names: str, p: int, n_u: int, n_theta: int,
+                         k: int) -> None:
+    """Refuse a pressure grid whose refined build, on the doubled grid
+    solve_entropy adds, would draw more than _MAX_SAMPLES samples."""
+    n = p * (2 * n_u) * (2 * n_theta) * k * k
+    if n > _MAX_SAMPLES:
+        raise ValueError(
+            f"{names} give p*(2*n_u)*(2*n_theta)*k^2 = {n} samples on the "
+            f"refined pressure grid, more than {_MAX_SAMPLES}")
 
 
 def _check_fields(cfg) -> None:
@@ -120,9 +141,11 @@ def _check_fields(cfg) -> None:
         raise ValueError(f"config key {key} must be {what}, got {get(key)!r}")
 
     for key, low, high in _INT_FIELDS:
-        if not (_is_int(get(key)) and low <= get(key) <= high):
-            fail(key, f"an integer >= {low}" if high == math.inf
-                 else f"an integer in [{low}, {high}]")
+        _check_int(f"config key {key}", get(key), low, high)
+    pc = cfg["pressure"]
+    _check_pressure_grid("config keys polygon.p, pressure.n_u, "
+                         "pressure.n_theta and pressure.k", get("polygon.p"),
+                         pc["n_u"], pc["n_theta"], pc["k"])
     q = get("polygon.q")
     if not (isinstance(q, list) and all(_is_int(v) and v >= 1 for v in q)):
         fail("polygon.q", "a list of integers >= 1")
@@ -170,6 +193,7 @@ def cmd_polygon(args) -> int:
 
 
 def cmd_santalo(args) -> int:
+    _check_int("--samples", args.samples, 10_000, _MAX_SAMPLES)
     poly = regular_polygon(args.p, args.m, tuple(args.q or [2] * args.p))
     r = santalo_monte_carlo(poly, args.samples, args.seed)
     print(f"closed form   {r.closed_form:.6f}")
@@ -180,6 +204,12 @@ def cmd_santalo(args) -> int:
 
 
 def cmd_pressure(args) -> int:
+    for flag, value, low in (("--n-u", args.n_u, 4),
+                             ("--n-theta", args.n_theta, 4),
+                             ("--k", args.k, 1)):
+        _check_int(flag, value, low, math.inf)
+    _check_pressure_grid("--p, --n-u, --n-theta and --k", args.p, args.n_u,
+                         args.n_theta, args.k)
     poly = regular_polygon(args.p, args.m, tuple(args.q or [2] * args.p))
     model = build_cross_section(poly, (args.n_u, args.n_theta), args.k,
                                 args.seed)

@@ -13,11 +13,23 @@ follows a single ray with ``_step``, which works on plain Python floats;
 call shape. On a 2-CPU x86-64 host (numpy 2.4) one ``_step`` takes
 about 6 us and one kernel call on a single ray about 120 us, so the
 kernel would make single-ray traces many times slower; on a batch of
-2e5 rays the kernel takes about 0.7 us per ray. The kernel steps the
-rays in consecutive blocks of ``BLOCK``, so its working set stays fixed
-however many rays a call holds; every operation is per ray, so the
-outputs do not depend on the block size. ``benchmarks/bench_tracing.py``
-times the batch kernel, long traces and the Santalo Monte Carlo.
+2e5 rays the kernel takes about 0.7 us per ray.
+
+The kernel runs in three stages. ``_candidates`` finds where each ray's
+geodesic meets every wall circle, as signed distances along the
+geodesic; ``_pick`` selects the first crossing in one direction and
+flags it; the fold then reflects the direction in the crossed wall.
+Reversing a ray only negates the tangent component the candidate stage
+returns, so the Santalo Monte Carlo's ``_chords`` runs that stage once
+per chord and picks twice, forward and backward, with no fold: one
+geometry pass per chord instead of two full steps. Santalo does not
+call ``batch_first_crossing``.
+
+Both batch paths work in consecutive blocks of ``BLOCK`` rays, so their
+working set stays fixed however many rays a call holds; every operation
+is per ray, so the outputs do not depend on the block size.
+``benchmarks/bench_tracing.py`` times the batch kernel, long traces and
+the Santalo Monte Carlo.
 """
 
 from __future__ import annotations
@@ -153,34 +165,42 @@ def _step(x, y, dx, dy, prev, cx, rr, slo, nsign):
     return j, best_t, xs, ys, u, theta, dxr, dyr, OK
 
 
-def _batch_step_numpy(x, y, dx, dy, prev, cx, rr, slo, shi, nsign):
-    """Vectorized single-step kernel for batches of rays.
+def _candidates(x, y, dx, dy, cx, rr):
+    """Candidate stage of a batch step: every wall a ray's geodesic meets.
 
-    Returns (j, t, u, theta, flag) arrays. Its (n, p) temporaries make
-    it the caller's job to keep n small (see BLOCK).
+    Returns (a, xs, ys, proj, gcx, vertical). Each ray's geodesic is the
+    circle centered (gcx, 0) through its base point, or the vertical line
+    through it where vertical; s is its arclength parameter,
+    log tan(psi/2) on the circle and log y on the line. a is (n, p): the
+    signed parameter distance s(meeting point) - s(base point) to each
+    wall circle, nan where the two do not meet, with the meeting points
+    in xs, ys. proj is the direction's component along the tangent of
+    increasing s, so the flight time toward wall k is sig * a[:, k] with
+    sig = +1 where proj > 0 and -1 otherwise. Nothing here depends on
+    the ray's orientation beyond proj, which the reversed ray negates
+    exactly, so both directions of a chord share one candidate stage.
+    Its (n, p) temporaries make it the caller's job to keep n small (see
+    BLOCK).
     """
-    n = x.shape[0]
     vertical = np.abs(dx) < 1e-13
     safe_dx = np.where(vertical, 1.0, dx)
     gcx = x + y * dy / safe_dx
     gr = np.hypot(x - gcx, y)
     psi0 = np.arctan2(y, x - gcx)
     s0 = np.log(np.tan(0.5 * psi0))
-    sig = np.where(dx * (-np.sin(psi0)) + dy * np.cos(psi0) > 0.0, 1.0, -1.0)
+    proj = dx * (-np.sin(psi0)) + dy * np.cos(psi0)
 
     # circular-ray candidates, shape (n, p)
     denom = cx[None, :] - gcx[:, None]
     bad = np.abs(denom) < 1e-13
     denom = np.where(bad, 1.0, denom)
-    xs_c = (gr[:, None] ** 2 - rr[None, :] ** 2 + cx[None, :] ** 2
-            - gcx[:, None] ** 2) / (2.0 * denom)
-    h2_c = gr[:, None] ** 2 - (xs_c - gcx[:, None]) ** 2
-    ok_c = (~bad) & (h2_c > 0.0)
-    ys_c = np.sqrt(np.where(ok_c, h2_c, 1.0))
-    psis = np.arctan2(ys_c, xs_c - gcx[:, None])
-    t_c = sig[:, None] * (np.log(np.tan(0.5 * psis)) - s0[:, None])
-
-    t = np.where(ok_c & (t_c > EPS_STEP), t_c, np.inf)
+    xs = (gr[:, None] ** 2 - rr[None, :] ** 2 + cx[None, :] ** 2
+          - gcx[:, None] ** 2) / (2.0 * denom)
+    h2 = gr[:, None] ** 2 - (xs - gcx[:, None]) ** 2
+    ok = (~bad) & (h2 > 0.0)
+    ys = np.sqrt(np.where(ok, h2, 1.0))
+    psis = np.arctan2(ys, xs - gcx[:, None])
+    a = np.where(ok, np.log(np.tan(0.5 * psis)) - s0[:, None], np.nan)
 
     # vertical-ray candidates, only for the (rare) vertical rows
     iv = np.flatnonzero(vertical)
@@ -189,31 +209,61 @@ def _batch_step_numpy(x, y, dx, dy, prev, cx, rr, slo, shi, nsign):
         h2_v = rr[None, :] ** 2 - dxc ** 2
         ok_v = h2_v > 0.0
         ys_v = np.sqrt(np.where(ok_v, h2_v, 1.0))
-        t_v = (np.where(dy[iv, None] > 0, 1.0, -1.0)
-               * (np.log(ys_v) - np.log(y[iv, None])))
-        t[iv] = np.where(ok_v & (t_v > EPS_STEP), t_v, np.inf)
-        xs_c[iv] = x[iv, None]
-        ys_c[iv] = ys_v
-    has_prev = prev >= 0
-    t[np.where(has_prev)[0], np.where(has_prev, prev, 0)[has_prev]] = np.inf
+        a[iv] = np.where(ok_v, np.log(ys_v) - np.log(y[iv, None]), np.nan)
+        xs[iv] = x[iv, None]
+        ys[iv] = ys_v
+        proj[iv] = dy[iv]
+    return a, xs, ys, proj, gcx, vertical
 
-    j = np.argmin(t, axis=1)
-    idx = np.arange(n)
-    tbest = t[idx, j]
-    xb = xs_c[idx, j]
-    yb = ys_c[idx, j]
+
+def _pick(sig, a, xs, ys, prev, cx, slo, shi):
+    """Selection stage of a batch step: the first wall crossed along sig.
+
+    Takes the least flight time t = sig * a above EPS_STEP, skipping the
+    wall in prev where prev >= 0 (prev may be None). Returns (j, t, xb,
+    yb, psiw, u, flag): the wall (-1 and t = inf if LOST), the flight
+    time, the crossing point, its angle on the wall circle, the foot
+    position from the wall's s_lo end and the step flag.
+    """
+    t = sig[:, None] * a
+    t = np.where(t > EPS_STEP, t, np.inf)
+    if prev is not None:
+        has_prev = prev >= 0
+        t[np.flatnonzero(has_prev), prev[has_prev]] = np.inf
+    jj = np.argmin(t, axis=1)
+    idx = np.arange(t.shape[0])
+    tbest = t[idx, jj]
+    xb = xs[idx, jj]
+    yb = ys[idx, jj]
     lost = ~np.isfinite(tbest)
-    j = np.where(lost, -1, j)
-    jj = np.where(lost, 0, j)
+    psiw = np.arctan2(yb, xb - cx[jj])
+    u = np.log(np.tan(0.5 * psiw)) - slo[jj]
+    ell = shi[jj] - slo[jj]
+    flag = np.where(lost, LOST,
+                    np.where((u < EPS_VERTEX) | (u > ell - EPS_VERTEX),
+                             NEAR_VERTEX, OK))
+    return np.where(lost, -1, jj), tbest, xb, yb, psiw, u, flag
 
-    # Transport the direction along the ray to the crossing point.
+
+def _batch_step_numpy(x, y, dx, dy, prev, cx, rr, slo, shi, nsign):
+    """Vectorized single-step kernel for batches of rays: the candidate
+    stage, the selection along the ray's own direction, then the fold.
+
+    Returns (j, t, u, theta, flag) arrays.
+    """
+    a, xs, ys, proj, gcx, vertical = _candidates(x, y, dx, dy, cx, rr)
+    sig = np.where(proj > 0.0, 1.0, -1.0)
+    j, tbest, xb, yb, psiw, u, flag = _pick(sig, a, xs, ys, prev, cx, slo,
+                                            shi)
+    jj = np.where(j < 0, 0, j)
+
+    # Transport the direction along the ray to the crossing point; on a
+    # vertical ray sig is the sign of dy.
     psib = np.arctan2(yb, xb - gcx)
     da = np.where(vertical, 0.0, sig * (-np.sin(psib)))
-    db = np.where(vertical, np.where(dy > 0, 1.0, -1.0), sig * np.cos(psib))
+    db = np.where(vertical, sig, sig * np.cos(psib))
 
-    psiw = np.arctan2(yb, xb - cx[jj])
-    sw = np.log(np.tan(0.5 * psiw))
-    u = sw - slo[jj]
+    # Fold the direction across the wall and measure its incidence angle.
     c2 = np.cos(2.0 * psiw)
     s2 = np.sin(2.0 * psiw)
     dxr = -(c2 * da + s2 * db)
@@ -222,10 +272,6 @@ def _batch_step_numpy(x, y, dx, dy, prev, cx, rr, slo, shi, nsign):
     ny = nsign[jj] * np.sin(psiw)
     wx, wy = ny, -nx
     theta = np.arctan2(wx * dyr - wy * dxr, wx * dxr + wy * dyr)
-    ell = shi[jj] - slo[jj]
-    flag = np.where(lost, LOST,
-                    np.where((u < EPS_VERTEX) | (u > ell - EPS_VERTEX),
-                             NEAR_VERTEX, OK))
     return j.astype(np.int64), tbest, u, theta, flag.astype(np.int64)
 
 
@@ -293,6 +339,35 @@ def batch_first_crossing(table: WallTable, x, y, dx, dy, prev=None):
                                           table.cx, table.r, table.s_lo,
                                           table.s_hi, table.n_sign)
     return out_j, out_t, out_u, out_th, out_flag
+
+
+def _chords(table: WallTable, x, y, dx, dy):
+    """The wall-to-wall chord through each tangent vector, for Santalo.
+
+    Returns (entry, l, ok): the wall the chord enters through (the
+    first crossing backward along (-dx, -dy)), its length l = tf + tb
+    (forward plus backward flight time) and ok where both crossings are
+    OK. Per block of BLOCK rays the candidate stage runs once and is
+    selected in both directions; there is no fold. The results equal
+    two batch_first_crossing calls, along (dx, dy) and (-dx, -dy).
+    """
+    n = x.shape[0]
+    entry = np.empty(n, dtype=np.int64)
+    length = np.empty(n)
+    ok = np.empty(n, dtype=bool)
+    walls = (table.cx, table.s_lo, table.s_hi)
+    for a in range(0, n, BLOCK):
+        b = slice(a, a + BLOCK)
+        cand, xs, ys, proj, _, _ = _candidates(x[b], y[b], dx[b], dy[b],
+                                               table.cx, table.r)
+        _, tf, _, _, _, _, ff = _pick(np.where(proj > 0.0, 1.0, -1.0),
+                                      cand, xs, ys, None, *walls)
+        jb, tb, _, _, _, _, fb = _pick(np.where(-proj > 0.0, 1.0, -1.0),
+                                       cand, xs, ys, None, *walls)
+        entry[b] = jb
+        length[b] = tf + tb
+        ok[b] = (ff == OK) & (fb == OK)
+    return entry, length, ok
 
 
 def launch(table: WallTable, edge, u, theta):

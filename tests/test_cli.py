@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from volent import cli
 from volent.cli import main, validate_config
 from volent.hypgeom import regular_polygon
 
@@ -109,6 +110,42 @@ def test_santalo_samples_too_large(capsys):
     assert "error (input)" in err
 
 
+# The functions through which the CLI subcommands reach geometry,
+# sampling, tracing and enumeration.
+_STAGES = ("regular_polygon", "santalo_monte_carlo", "build_cross_section",
+           "enumerate_chambers")
+
+
+def _no_stage(*args, **kwargs):
+    raise AssertionError("a stage ran on a refused input")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["santalo", "--samples", "10000001"], "--samples"),
+    (["santalo", "--samples", "9999"], "--samples"),
+    (["pressure", "--n-u", "100000"], "--n-u"),
+    (["pressure", "--n-u", "3"], "--n-u"),
+    (["pressure", "--n-theta", "100000"], "--n-theta"),
+    (["pressure", "--k", "60"], "--k"),
+    (["pressure", "--k", "0"], "--k"),
+])
+def test_subcommand_sizes_checked(monkeypatch, capsys, argv, flag):
+    # refused by name before any geometry, sampling or tracing runs
+    for stage in _STAGES:
+        monkeypatch.setattr(cli, stage, _no_stage)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert flag in err and "Traceback" not in err
+
+
+def test_pressure_grid_bound_is_inclusive():
+    # p * (2 n_u) * (2 n_theta) * k^2 = 5 * 1000 * 2000 * 1 = 1e7
+    grid = {"n_u": 500, "n_theta": 1000, "k": 1}
+    assert validate_config({"pressure": grid})["pressure"]["n_u"] == 500
+    with pytest.raises(ValueError, match="pressure.n_theta"):
+        validate_config({"pressure": dict(grid, n_theta=1001)})
+
+
 def test_validate_config_unknown_keys():
     assert validate_config({})["seed"] == 0
     with pytest.raises(ValueError, match="bogus"):
@@ -183,9 +220,17 @@ def test_entropy_config_errors(tmp_path, capsys):
     (["out"], "output_dir"),
     ({"rows": 10_001}, "growth.rows"),
     ({"samples": 10_000_001}, "santalo.samples"),
+    ({"n_u": 10 ** 9}, "pressure.n_u"),
+    ({"n_theta": 1_000_000}, "pressure.n_theta"),
+    ({"k": 100}, "pressure.k"),
+    ({"p": 100_000}, "polygon.p"),
 ])
-def test_entropy_pressure_config_typed(tmp_path, capsys, pressure, key):
-    # each case is the value of the top-level key that `key` starts with
+def test_entropy_pressure_config_typed(monkeypatch, tmp_path, capsys,
+                                      pressure, key):
+    # each case is the value of the top-level key that `key` starts with;
+    # it is refused before any stage runs
+    for stage in _STAGES:
+        monkeypatch.setattr(cli, stage, _no_stage)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key.split(".")[0].strip("'"): pressure}))
     code, _, err = run(capsys, "entropy", "--config", str(cfg))

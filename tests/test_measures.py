@@ -49,6 +49,26 @@ def test_monte_carlo_ci_coverage(pentagon_q2):
     assert hits2 >= 17
 
 
+# Santalo estimates on the mixed-q pentagon at 20,000 samples, seed 3,
+# stored from commit 9e8a375, before both chord crossings came from one
+# candidate stage: as is (no sample grazes a vertex), and with the
+# vertex margin widened to 0.05 so that the redraw rounds run.
+@pytest.mark.parametrize("eps_vertex,monte_carlo,mc_stderr,resampled", [
+    (None, 10.672214440191938, 0.11123537827200489, 0),
+    (0.05, 10.328489800005523, 0.057035675794780825, 3201),
+])
+def test_monte_carlo_matches_stored_reference(monkeypatch, eps_vertex,
+                                              monte_carlo, mc_stderr,
+                                              resampled):
+    if eps_vertex is not None:
+        monkeypatch.setattr("volent.tracing.EPS_VERTEX", eps_vertex)
+    r = santalo_monte_carlo(regular_polygon(5, 2, (2, 3, 2, 3, 4)),
+                            samples=20_000, seed=3)
+    assert r.monte_carlo == monte_carlo
+    assert r.mc_stderr == mc_stderr
+    assert r.resampled == resampled
+
+
 def test_monte_carlo_sample_floor(pentagon_q2):
     with pytest.raises(ValueError):
         santalo_monte_carlo(pentagon_q2, samples=100)

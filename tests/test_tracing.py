@@ -8,7 +8,7 @@ import pytest
 
 from volent.hypgeom import regular_polygon
 from volent.measures import santalo_monte_carlo
-from volent.tracing import (BLOCK, OK, WallTable, backend,
+from volent.tracing import (BLOCK, OK, WallTable, _chords, backend,
                             batch_first_crossing, launch, trace)
 
 
@@ -127,6 +127,30 @@ def test_batch_block_boundaries(table_q2):
                                   dy[a:b], prev=prev[a:b])
              for a, b in zip(cuts, cuts[1:])]
     for k, arr in enumerate(whole):
+        assert np.array_equal(arr, np.concatenate([p[k] for p in parts]))
+
+
+def test_chords_equal_two_batch_steps(table_q2):
+    # the Santalo chord selects both directions from one candidate stage;
+    # it must reproduce the forward and backward batch steps bit for bit,
+    # exact vertical rays at the block edges included, however the rays
+    # are split
+    n = 3 * BLOCK + 17
+    x, y, dx, dy = _rays(n, 19)
+    vert = np.r_[0, 5, BLOCK - 1, BLOCK, 2 * BLOCK + 3, n - 1]
+    dx[vert] = 0.0
+    dy[vert] = np.where(np.arange(vert.size) % 2, 1.0, -1.0)
+    entry, length, ok = _chords(table_q2, x, y, dx, dy)
+    _, tf, _, _, ff = batch_first_crossing(table_q2, x, y, dx, dy)
+    jb, tb, _, _, fb = batch_first_crossing(table_q2, x, y, -dx, -dy)
+    assert np.array_equal(entry, jb)
+    assert np.array_equal(length, tf + tb)
+    assert np.array_equal(ok, (ff == OK) & (fb == OK))
+    assert np.all(ok[vert])
+    cuts = [0, 1, 8, BLOCK + 1, n]
+    parts = [_chords(table_q2, x[a:b], y[a:b], dx[a:b], dy[a:b])
+             for a, b in zip(cuts, cuts[1:])]
+    for k, arr in enumerate((entry, length, ok)):
         assert np.array_equal(arr, np.concatenate([p[k] for p in parts]))
 
 
