@@ -25,7 +25,8 @@ from .coxeter import enumerate_chambers, growth_slope, weighted_ball_growth
 from .errors import BadThickness, Degenerate, NonHyperbolic, VolentError
 from .graphs import MetricGraph, graph_entropy
 from .hypgeom import regular_polygon
-from .measures import lower_bound_2d, santalo_monte_carlo, strictness_report
+from .measures import (DEFAULT_SAMPLES, lower_bound_2d, santalo_monte_carlo,
+                       strictness_report)
 from .orbits import affine_deviation, family_rows, geodesic_lengths
 from .svg import orbit_svg, tessellation_svg
 from .symbolic import (EntropyEstimate, build_cross_section, pressure_curve,
@@ -54,7 +55,7 @@ _DEFAULT_CONFIG = {
     "pressure": {"n_u": 32, "n_theta": 32, "k": 3, "tol": 1e-4,
                  "bracket": [0.5, 4.0]},
     "growth": {"radius_cut": 12.7, "window": [4.0, 11.0], "rows": 24},
-    "santalo": {"samples": 1_000_000, "seed": 0},
+    "santalo": {"samples": DEFAULT_SAMPLES, "seed": 0},
     "seed": 0,
     "output_dir": None,
 }
@@ -99,7 +100,9 @@ def _is_finite(x) -> bool:
 
 
 # The most samples one stage may draw, refused before any stage starts:
-# 1e7 Santalo samples take about 0.6 GB of per-sample arrays.
+# the Santalo Monte Carlo peaks at about 64 bytes per sample
+# (tracemalloc), so 1e7 samples take about 0.6 GB (a fresh process on
+# the right-angled pentagon peaks at 675 MB RSS).
 _MAX_SAMPLES = 10_000_000
 
 # (key, least, greatest value) of every integer field cmd_entropy reads.
@@ -117,6 +120,14 @@ def _check_int(name: str, value, low, high) -> None:
         what = (f"an integer >= {low}" if high == math.inf
                 else f"an integer in [{low}, {high}]")
         raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_float(name: str, value, low: float = 0.0) -> None:
+    """Refuse, naming it, a value that is not a finite number > low (so
+    NaN is refused too)."""
+    if not (_is_finite(value) and value > low):
+        raise ValueError(f"{name} must be a finite number > {low:g}, "
+                         f"got {value!r}")
 
 
 def _check_pressure_grid(names: str, p: int, n_u: int, n_theta: int,
@@ -150,8 +161,7 @@ def _check_fields(cfg) -> None:
     if not (isinstance(q, list) and all(_is_int(v) and v >= 1 for v in q)):
         fail("polygon.q", "a list of integers >= 1")
     for key in ("pressure.tol", "growth.radius_cut"):
-        if not (_is_finite(get(key)) and get(key) > 0):
-            fail(key, "a finite number > 0")
+        _check_float(f"config key {key}", get(key))
     for key, what, low in (("pressure.bracket", "lo < hi", -math.inf),
                            ("growth.window", "0 < lo < hi", 0.0)):
         b = get(key)
@@ -200,6 +210,7 @@ def cmd_santalo(args) -> int:
     print(f"monte carlo   {r.monte_carlo:.6f} +/- {r.mc_stderr:.6f}")
     print(f"flux constant {r.c_constant_used:.6f}")
     print(f"samples {r.samples}  seed {r.seed}  resampled {r.resampled}")
+    print(f"vertex samples {r.vertex_samples}  max value {r.max_value:.6f}")
     return 0
 
 
@@ -210,6 +221,7 @@ def cmd_pressure(args) -> int:
         _check_int(flag, value, low, math.inf)
     _check_pressure_grid("--p, --n-u, --n-theta and --k", args.p, args.n_u,
                          args.n_theta, args.k)
+    _check_float("--tol", args.tol)
     poly = regular_polygon(args.p, args.m, tuple(args.q or [2] * args.p))
     model = build_cross_section(poly, (args.n_u, args.n_theta), args.k,
                                 args.seed)
@@ -227,6 +239,9 @@ def cmd_pressure(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    _check_float("--radius-cut", args.radius_cut)
+    for value in args.window:
+        _check_float("--window", value)
     poly = regular_polygon(args.p, args.m, tuple(args.q or [2] * args.p))
     cs = enumerate_chambers(poly, radius_cut=args.radius_cut)
     table = weighted_ball_growth(cs, args.window[0], args.window[1])
@@ -237,6 +252,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    _check_float("--tol", args.tol)
     with open(args.file) as fh:
         g = MetricGraph.from_json(fh.read())
     est = graph_entropy(g, tol=args.tol)
@@ -247,6 +263,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    _check_float("--lam", args.lam, 1.0)
     B = np.array(args.b, dtype=float).reshape(2, 2)
     fam = geodesic_lengths(args.lam, B, args.k_max)
     sec, mx = affine_deviation(fam)
@@ -330,7 +347,8 @@ def cmd_entropy(args) -> int:
             "closed_form": sr.closed_form, "monte_carlo": sr.monte_carlo,
             "mc_stderr": sr.mc_stderr, "c_constant_used": sr.c_constant_used,
             "samples": sr.samples, "seed": sr.seed,
-            "resampled": sr.resampled}
+            "resampled": sr.resampled, "vertex_samples": sr.vertex_samples,
+            "max_value": sr.max_value}
     except VolentError as exc:
         failures.append(("santalo", str(exc)))
     timings["santalo"] = time.perf_counter() - t0
@@ -389,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("santalo", help="Santalo integral, closed form + MC")
     _add_poly_args(sp)
-    sp.add_argument("--samples", type=int, default=1_000_000)
+    sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_santalo)
 

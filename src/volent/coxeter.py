@@ -208,7 +208,7 @@ def weighted_ball_growth(chambers: ChamberSet,
     Raises FrontierTooClose when the enumeration cannot certify
     completeness out to r_max.
     """
-    if r_max > chambers.reach:
+    if not r_max <= chambers.reach:
         raise FrontierTooClose(
             f"r_max={r_max:.3f} exceeds certified reach {chambers.reach:.3f}")
     if not (0.0 < r_min < r_max):

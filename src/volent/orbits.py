@@ -49,10 +49,11 @@ def geodesic_lengths(lam: float, B, k_max: int) -> OrbitFamily:
     tr/2 >= 1. The family is flagged degenerate (exactly affine
     lengths) when (a^2+b^2)(c^2+d^2) = 1, e.g. B = identity.
     """
-    if lam <= 1.0:
+    if not lam > 1.0:
         raise ValueError("need lambda > 1")
     B = np.asarray(B, dtype=float)
-    if B.shape != (2, 2) or abs(np.linalg.det(B) - 1.0) > 1e-12:
+    if (B.shape != (2, 2) or not np.isfinite(B).all()
+            or not abs(np.linalg.det(B) - 1.0) <= 1e-12):
         raise ValueError("B must be 2x2 with det 1")
     if k_max < 1:
         raise ValueError("need k_max >= 1")

@@ -11,6 +11,8 @@ and rho(B) + alpha as root, removes the oscillation of periodic B.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BracketFailed, PowerIterationStalled
@@ -79,8 +81,12 @@ def bisect_root(above, lo: float, hi: float, tol: float,
 
     BracketFailed unless above(lo). The upper end doubles, clamped at
     hi_cap, while above(hi); above(hi_cap) raises BracketFailed. Then
-    [lo, hi] is halved to width tol, or until no float lies between.
+    [lo, hi] is halved to width tol, or until no float lies between
+    (tol = 0 halves to float resolution). ValueError unless tol is finite
+    and >= 0, so a NaN or negative tol cannot pass as a width.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"need a finite tol >= 0, got {tol!r}")
     if not above(lo):
         raise BracketFailed(f"not above the root at the lower end h = {lo:g}")
     widened = 0

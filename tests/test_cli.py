@@ -101,6 +101,14 @@ def test_santalo_small(capsys):
     code, out, _ = run(capsys, "santalo", "--samples", "20000")
     assert code == 0
     assert "flux constant" in out
+    assert "vertex samples 6000  max value" in out
+
+
+def test_santalo_default_samples_shared():
+    # one default for `volent santalo --samples` and santalo.samples
+    args = cli.build_parser().parse_args(["santalo"])
+    assert args.samples == validate_config({})["santalo"]["samples"]
+    assert args.samples == 125_000
 
 
 def test_santalo_samples_too_large(capsys):
@@ -136,6 +144,36 @@ def test_subcommand_sizes_checked(monkeypatch, capsys, argv, flag):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["pressure", "--tol", "nan"], "--tol"),
+    (["pressure", "--tol", "-1"], "--tol"),
+    (["pressure", "--tol", "0"], "--tol"),
+    (["growth", "--radius-cut", "nan"], "--radius-cut"),
+    (["growth", "--radius-cut", "inf"], "--radius-cut"),
+    (["growth", "--window", "4", "nan"], "--window"),
+    (["orbits", "--lam", "nan"], "--lam"),
+    (["orbits", "--lam", "1"], "--lam"),
+])
+def test_float_flags_checked(monkeypatch, capsys, argv, flag):
+    # a NaN, infinite or out-of-range float exits 2 by name before any
+    # stage runs, instead of printing a NaN or negative error bar
+    for stage in _STAGES + ("geodesic_lengths",):
+        monkeypatch.setattr(cli, stage, _no_stage)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_graph_tol_checked(tmp_path, capsys, tol):
+    doc = {"vertices": 2, "edges": [{"src": 0, "dst": 1, "len": 1.0}] * 3}
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "graph", "--file", str(path), "--tol", tol)
+    assert code == 2
+    assert "--tol" in err and "Traceback" not in err
 
 
 def test_pressure_grid_bound_is_inclusive():
@@ -385,6 +423,20 @@ def test_entropy_growth_counters(tmp_path, capsys):
     assert sum(per_depth) == diag["chambers"]
     poly = regular_polygon(5, 2, (2,) * 5)
     assert diag["reach"] == FAST_CFG["growth"]["radius_cut"] - poly.diameter
+
+
+def test_entropy_santalo_counters(tmp_path, capsys):
+    cfg = dict(FAST_CFG, output_dir=str(tmp_path))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, _, _ = run(capsys, "entropy", "--config", str(p))
+    assert code == 0
+    santalo = json.loads((tmp_path / "report.json").read_text())[
+        "results"]["santalo"]
+    # 30% of 20,000 base points come from the vertex sectors, and the
+    # largest weighted sample stays near the mean of about 0.74
+    assert santalo["vertex_samples"] == 6000
+    assert 0.0 < santalo["max_value"] < 10.0
 
 
 def test_report_render(tmp_path, capsys):

@@ -104,6 +104,16 @@ def test_frontier_too_close(pentagon_q1):
         weighted_ball_growth(cs, 1.0, 7.5)
 
 
+def test_nan_radius_refused(pentagon_q1):
+    # a NaN radius cut leaves a NaN reach, which certifies nothing
+    cs = enumerate_chambers(pentagon_q1, radius_cut=8.0)
+    with pytest.raises(FrontierTooClose):
+        weighted_ball_growth(cs, 1.0, float("nan"))
+    cs = enumerate_chambers(pentagon_q1, radius_cut=float("nan"))
+    with pytest.raises(FrontierTooClose):
+        weighted_ball_growth(cs, 1.0, 6.0)
+
+
 def test_synthetic_exact_exponential(pentagon_q1):
     r = np.linspace(2.0, 8.0, 16)
     tab = GrowthTable(radii=r, log_weight=2.0 * r + 0.7)

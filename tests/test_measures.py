@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from volent.hypgeom import regular_polygon
-from volent.measures import (FLUX_CONSTANT_2D, lower_bound_2d,
+from volent.hypgeom import HPoint, dist, regular_polygon
+from volent.measures import (_VERTEX_SHARE, FLUX_CONSTANT_2D, _Sectors,
+                             _sample_in_polygon, lower_bound_2d,
                              lower_bound_plugin, santalo_closed_form,
                              santalo_monte_carlo, strictness_report)
+from volent.tracing import WallTable
 from volent.symbolic import EntropyEstimate
 
 
@@ -52,7 +54,8 @@ def test_monte_carlo_ci_coverage(pentagon_q2):
 # Santalo estimates on the mixed-q pentagon at 20,000 samples, seed 3,
 # stored from commit 9e8a375, before both chord crossings came from one
 # candidate stage: as is (no sample grazes a vertex), and with the
-# vertex margin widened to 0.05 so that the redraw rounds run.
+# vertex margin widened to 0.05 so that the redraw rounds run. With the
+# vertex share at 0 the mixture estimator is the uniform one bit for bit.
 @pytest.mark.parametrize("eps_vertex,monte_carlo,mc_stderr,resampled", [
     (None, 10.672214440191938, 0.11123537827200489, 0),
     (0.05, 10.328489800005523, 0.057035675794780825, 3201),
@@ -60,6 +63,7 @@ def test_monte_carlo_ci_coverage(pentagon_q2):
 def test_monte_carlo_matches_stored_reference(monkeypatch, eps_vertex,
                                               monte_carlo, mc_stderr,
                                               resampled):
+    monkeypatch.setattr("volent.measures._VERTEX_SHARE", 0.0)
     if eps_vertex is not None:
         monkeypatch.setattr("volent.tracing.EPS_VERTEX", eps_vertex)
     r = santalo_monte_carlo(regular_polygon(5, 2, (2, 3, 2, 3, 4)),
@@ -67,6 +71,80 @@ def test_monte_carlo_matches_stored_reference(monkeypatch, eps_vertex,
     assert r.monte_carlo == monte_carlo
     assert r.mc_stderr == mc_stderr
     assert r.resampled == resampled
+    assert r.vertex_samples == 0
+
+
+# The same runs with the defensive vertex mixture (share 0.3), stored
+# when it was introduced.
+@pytest.mark.parametrize("eps_vertex,monte_carlo,mc_stderr,resampled", [
+    (None, 10.556611675745653, 0.04532204389328732, 0),
+    (0.05, 11.009635480996646, 0.042076839051787746, 5629),
+])
+def test_mixture_matches_stored_reference(monkeypatch, eps_vertex,
+                                          monte_carlo, mc_stderr, resampled):
+    if eps_vertex is not None:
+        monkeypatch.setattr("volent.tracing.EPS_VERTEX", eps_vertex)
+    r = santalo_monte_carlo(regular_polygon(5, 2, (2, 3, 2, 3, 4)),
+                            samples=20_000, seed=3)
+    assert r.monte_carlo == monte_carlo
+    assert r.mc_stderr == mc_stderr
+    assert r.resampled == resampled
+    assert r.vertex_samples == 6000
+
+
+def test_mixture_density_normalised(pentagon_q2):
+    # over mixture base points, E[1 / (A g)] = (1/A) * area(P) = 1
+    # exactly when g integrates to 1 over P; every sector point lies in
+    # P and within r0 of its vertex
+    poly = pentagon_q2
+    sectors = _Sectors.from_polygon(poly)
+    rng = np.random.default_rng(11)
+    n = 200_000
+    n2 = round(_VERTEX_SHARE * n)
+    xu, yu = _sample_in_polygon(poly, WallTable.from_polygon(poly), n - n2,
+                                rng)
+    xv, yv = sectors.sample(n2, rng)
+    x, y = np.concatenate((xu, xv)), np.concatenate((yu, yv))
+    inv = 1.0 / ((n - n2) / n + n2 / n * poly.area * sectors.density(x, y))
+    assert abs(inv.mean() - 1.0) <= 4.0 * inv.std(ddof=1) / math.sqrt(n)
+    for a, b in zip(xv[:2000], yv[:2000]):
+        pt = HPoint(a, b)
+        assert poly.contains(pt)
+        assert min(dist(pt, v) for v in poly.vertices) < sectors.r0
+
+
+def test_mixture_tail_bounded(monkeypatch, pentagon_q2):
+    # the largest weighted sample stays within 10x the mean; uniform
+    # base points (vertex share 0) read far above it
+    mass = 2.0 * math.pi * pentagon_q2.area
+    r = santalo_monte_carlo(pentagon_q2, samples=200_000, seed=0)
+    assert r.max_value <= 10.0 * r.monte_carlo / mass
+    monkeypatch.setattr("volent.measures._VERTEX_SHARE", 0.0)
+    u = santalo_monte_carlo(pentagon_q2, samples=200_000, seed=0)
+    assert u.max_value > 50.0 * u.monte_carlo / mass
+
+
+@pytest.mark.parametrize("p,m", [(5, 2), (6, 2), (7, 2), (4, 3), (3, 7)])
+def test_sector_radius_meets_only_incident_walls(p, m):
+    # on the hyperbolic circle of radius r0 about each vertex, every
+    # point is strictly inside each wall not incident to the vertex, and
+    # the arc inside both incident walls is the interior wedge pi/m
+    poly = regular_polygon(p, m, (2,) * p)
+    sectors = _Sectors.from_polygon(poly)
+    r0 = sectors.r0
+    alpha = np.linspace(0.0, 2.0 * math.pi, 20_000, endpoint=False)
+    for k, v in enumerate(poly.vertices):
+        den = math.cosh(r0) - math.sinh(r0) * np.sin(alpha)
+        pts = [HPoint(v.x + v.y * math.sinh(r0) * math.cos(a) / d, v.y / d)
+               for a, d in zip(alpha, den)]
+        assert dist(pts[0], v) == pytest.approx(r0, rel=1e-9)
+        incident = {(k - 1) % p, k}
+        for j in range(p):
+            if j not in incident:
+                assert min(poly.side(j, pt) for pt in pts) > 0.0
+        inside = sum(all(poly.side(j, pt) > 0.0 for j in incident)
+                     for pt in pts)
+        assert inside / len(pts) == pytest.approx(1.0 / (2 * m), abs=1e-3)
 
 
 def test_monte_carlo_sample_floor(pentagon_q2):

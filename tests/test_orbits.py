@@ -109,3 +109,10 @@ def test_near_orthogonal_boundary():
 def test_formula_matches_products_generic(lam, k_max):
     fam = geodesic_lengths(lam, PIN_B, k_max)
     assert np.allclose(fam.length, fam.length_formula, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("lam,B", [(math.nan, PIN_B),
+                                   (2.0, [[math.nan, 1.0], [1.0, 2.0]])])
+def test_nan_inputs_refused(lam, B):
+    with pytest.raises(ValueError):
+        geodesic_lengths(lam, B, 5)

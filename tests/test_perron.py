@@ -78,3 +78,14 @@ def test_bisect_root_rules():
     # a tolerance below the float spacing still terminates
     h, _, _ = bisect_root(above, 0.0, 4.0, 0.0, hi_cap=50.0)
     assert h == pytest.approx(3.3, abs=1e-15)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_bisect_root_refuses_bad_tol(tol):
+    # hi - lo > nan is never true and hi - lo > -1 always is, so neither
+    # may pass as a width; no sign is evaluated first
+    def above(h):
+        raise AssertionError("evaluated with a refused tol")
+
+    with pytest.raises(ValueError, match="tol"):
+        bisect_root(above, 0.0, 1.0, tol, hi_cap=8.0)
