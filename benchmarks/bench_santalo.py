@@ -1,10 +1,12 @@
 """Benchmark: coverage of the Santalo Monte Carlo's error bar.
 
 Runs `santalo_monte_carlo` at its default sample count on seeds
-0 .. N-1 (100 by default) of four polygons: the right-angled pentagon
-and hexagon with q = 2, the pentagon with q = 3 and the pentagon with
-q = (2, 3, 2, 3, 4). For each seed z = (monte_carlo - closed_form) /
-mc_stderr; a valid error bar gives z close to a standard normal. Per
+0 .. N-1 (100 by default) of four polygons: the right-angled pentagon,
+hexagon and heptagon with q = 2 and the pentagon with
+q = (2, 3, 2, 3, 4). A uniform q only rescales every sample by ln q, so
+each row has a geometry or a q pattern of its own. For each seed
+z = (monte_carlo - closed_form) / mc_stderr; a valid error bar gives z
+close to a standard normal. Per
 polygon a run records the mean and sd of z, the share of seeds with
 |z| <= 2 and <= 3, the largest |z|, the largest ratio of the largest
 weighted sample to the mean (`max_value`, where the result has it),
@@ -33,7 +35,7 @@ import time
 
 POLYGONS = {"5,2,2^5": (5, 2, (2,) * 5),
             "6,2,2^6": (6, 2, (2,) * 6),
-            "5,2,3^5": (5, 2, (3,) * 5),
+            "7,2,2^7": (7, 2, (2,) * 7),
             "5,2,(2,3,2,3,4)": (5, 2, (2, 3, 2, 3, 4))}
 THRESHOLDS = {"abs_mean_z_max": 0.3, "cover_2sigma_min": 0.90,
               "cover_3sigma_min": 0.98}

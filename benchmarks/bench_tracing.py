@@ -1,8 +1,8 @@
 """Benchmark: the tracing kernels, the Santalo Monte Carlo, the
-cross-section sampler, chamber enumeration and the default
+cross-section sampler, chamber enumeration, ball growth and the default
 `volent entropy` run.
 
-Times six tasks:
+Times seven tasks:
 
 - batch: one `batch_first_crossing` over 1e6 seeded rays;
 - santalo: `santalo_monte_carlo` on the default polygon at the
@@ -14,7 +14,13 @@ Times six tasks:
   64x64, K = 3, seed 0 (the refinement grid of the default
   `volent entropy`);
 - enumerate: `enumerate_chambers` on the default polygon with
-  radius_cut = 12.7 (the growth stage of the default `volent entropy`);
+  radius_cut = 12.7, the `ChamberSet` that `svg` draws;
+- growth: the growth stage of the default `volent entropy`, the
+  weighted ball growth of the default polygon at radius_cut = 12.7 on
+  the window [4, 11] with 24 rows, by `ball_growth`, or by
+  `enumerate_chambers` and `weighted_ball_growth` in a checkout without
+  it; its digest covers the table, the chamber count, the count per
+  depth and the reach;
 - entropy: the default `volent entropy`, writing into a temporary
   directory; its digest covers `report.json` without `timings` and
   `output_dir`, and `curves.csv`.
@@ -28,10 +34,11 @@ against any checkout of the package: point PYTHONPATH at its `src/`.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_tracing.py --label change \\
-        [--repeats 5] [--out BENCH_tracing.json]
+        [--repeats 5] [--tasks growth,entropy] [--out BENCH_tracing.json]
 
 A run is stored under `runs[label]` of the output file, keeping the
-other labels, so a before/after pair lands in one file.
+other labels, so a before/after pair lands in one file. `--tasks`
+times a subset of the tasks (all by default).
 """
 
 import argparse
@@ -48,12 +55,13 @@ import tempfile
 import time
 
 TASKS = ("batch", "santalo", "traces", "cross_section", "enumerate",
-         "entropy")
+         "growth", "entropy")
 N_RAYS = 1_000_000
 N_TRACES = 2000
 T_TRACE = 50.0
 GRID, K = (64, 64), 3
 RADIUS_CUT = 12.7
+WINDOW, ROWS = (4.0, 11.0), 24
 
 
 def _rays(n: int):
@@ -112,6 +120,24 @@ def worker(task: str) -> dict:
                     cs.depths, cs.log_mult):
             digest.update(arr.tobytes())
         counters = {"chambers": len(cs)}
+    elif task == "growth":
+        from volent import coxeter
+        t0 = time.perf_counter()
+        if hasattr(coxeter, "ball_growth"):
+            bg = coxeter.ball_growth(poly, RADIUS_CUT, *WINDOW, ROWS)
+            table, per_depth = bg.table, bg.chambers_per_depth
+            chambers, reach = bg.chambers, bg.reach
+        else:
+            import numpy as np
+            cs = enumerate_chambers(poly, radius_cut=RADIUS_CUT)
+            table = coxeter.weighted_ball_growth(cs, *WINDOW, ROWS)
+            per_depth = np.bincount(cs.depths).tolist()
+            chambers, reach = len(cs), cs.reach
+        seconds = time.perf_counter() - t0
+        digest.update(table.radii.tobytes())
+        digest.update(table.log_weight.tobytes())
+        digest.update(repr((chambers, per_depth, reach)).encode())
+        counters = {"chambers": chambers, "reach": reach}
     elif task == "entropy":
         with tempfile.TemporaryDirectory() as out:
             cfg = os.path.join(out, "config.json")
@@ -187,6 +213,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label")
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--tasks", default=",".join(TASKS))
     ap.add_argument("--out", default="BENCH_tracing.json")
     ap.add_argument("--worker", choices=TASKS, help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -195,9 +222,12 @@ def main() -> None:
         return
     if not args.label:
         ap.error("--label is required")
+    tasks = args.tasks.split(",")
+    if not set(tasks) <= set(TASKS):
+        ap.error(f"--tasks: choose from {','.join(TASKS)}")
 
     run = {"machine": machine(), "repeats": args.repeats,
-           "tasks": {t: time_task(t, args.repeats) for t in TASKS}}
+           "tasks": {t: time_task(t, args.repeats) for t in tasks}}
     doc = {"script": "benchmarks/bench_tracing.py", "runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:

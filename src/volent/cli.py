@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .coxeter import enumerate_chambers, growth_slope, weighted_ball_growth
+from .coxeter import ball_growth, enumerate_chambers, growth_slope
 from .errors import BadThickness, Degenerate, NonHyperbolic, VolentError
 from .graphs import MetricGraph, graph_entropy
 from .hypgeom import regular_polygon
@@ -243,10 +243,9 @@ def cmd_growth(args) -> int:
     for value in args.window:
         _check_float("--window", value)
     poly = regular_polygon(args.p, args.m, tuple(args.q or [2] * args.p))
-    cs = enumerate_chambers(poly, radius_cut=args.radius_cut)
-    table = weighted_ball_growth(cs, args.window[0], args.window[1])
-    slope, err = growth_slope(table, poly.diameter)
-    print(f"chambers {len(cs)}  reach {cs.reach:.3f}")
+    bg = ball_growth(poly, args.radius_cut, args.window[0], args.window[1])
+    slope, err = growth_slope(bg.table, poly.diameter)
+    print(f"chambers {bg.chambers}  reach {bg.reach:.3f}")
     print(f"slope = {slope:.6f} +/- {err:.6f}")
     return 0
 
@@ -285,18 +284,15 @@ def cmd_orbits(args) -> int:
 
 
 def _growth_estimate(poly, gc: dict) -> EntropyEstimate:
-    """Ball-growth slope of the entropy config's growth section. The
-    chambers and their growth table are freed on return, before the
-    Santalo stage runs."""
-    cs = enumerate_chambers(poly, radius_cut=gc["radius_cut"])
-    table = weighted_ball_growth(cs, gc["window"][0], gc["window"][1],
-                                 gc["rows"])
-    slope, serr = growth_slope(table, poly.diameter)
+    """Ball-growth slope of the entropy config's growth section."""
+    bg = ball_growth(poly, gc["radius_cut"], gc["window"][0],
+                     gc["window"][1], gc["rows"])
+    slope, serr = growth_slope(bg.table, poly.diameter)
     return EntropyEstimate(
         value=slope, err=serr, method="ball_growth",
-        diagnostics={"chambers": len(cs),
-                     "chambers_per_depth": np.bincount(cs.depths).tolist(),
-                     "reach": cs.reach, "window": gc["window"]})
+        diagnostics={"chambers": bg.chambers,
+                     "chambers_per_depth": bg.chambers_per_depth,
+                     "reach": bg.reach, "window": gc["window"]})
 
 
 def cmd_entropy(args) -> int:

@@ -9,20 +9,29 @@ the set of base walls separating w^-1(z0) from the base chamber center
 z0, a sign test whose margin is at least the inradius. No chamber is
 ever compared with another, so no deduplication is needed.
 
+One point per chamber drives the walk: its orbit point u = w^-1(z0).
+The radius d(z0, w(z0)) = d(u, z0) and the descent set D_R(w) are both
+read off u, and the child w*s has (w*s)^-1(z0) = s(u), one inversion of
+u in the base wall s. So the walk needs no group matrices; the
+ChamberSet alone composes them, from each chamber's parent and
+generator, to place the chambers for drawing.
+
 Each chamber also carries a weight, the product of the branching
 parameters q_i over the letters of the word that reaches it. Summing
 these weights over a ball gives the ball volume upstairs in the building
 rather than in the bare tessellation, and the exponential growth rate of
 that sum is the quantity the spectral solver must reproduce.
+ball_growth folds each slice of the walk into those sums as it is
+generated, so the growth stage holds one level, never the whole ball.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constants import CHAMBER_CAP
 from .errors import FrontierTooClose, ResourceLimit, WindowTooNarrow
@@ -61,6 +70,18 @@ class GrowthTable:
     log_weight: np.ndarray
 
 
+@dataclass(frozen=True)
+class BallGrowth:
+    """A streamed growth table with the counters of the walk behind it:
+    the chambers within the radius cut, their count per depth, and the
+    radius out to which that count is certified complete."""
+
+    table: GrowthTable
+    chambers: int
+    chambers_per_depth: list
+    reach: float
+
+
 def _apply_centers(mats: np.ndarray, rev: np.ndarray, z0: complex) -> np.ndarray:
     zin = np.where(rev, np.conjugate(z0), z0)
     a = mats[:, 0, 0]
@@ -75,39 +96,125 @@ def _hyp_dist(z: np.ndarray, w: complex) -> np.ndarray:
     return np.arccosh(1.0 + num / (2.0 * z.imag * w.imag))
 
 
-def _children(level, gen_mats, logq, walls, z0, limit):
-    """Yield the canonical children of one level, BLOCK candidates at a
-    time.
+def _check_cut(radius_cut: float) -> None:
+    if not 0.0 < radius_cut < math.inf:
+        raise ValueError(
+            f"radius_cut must be positive and finite, got {radius_cut!r}")
 
-    The candidates are the length-increasing children w*s (s not in
-    D_R(w)), generator-major. They are processed in consecutive slices of
-    BLOCK, so the (n, p) temporaries stay BLOCK rows long; each yield is
-    the kept children of one slice, in candidate order, as (matrices,
-    reversing, centers, radii, log_mult, desc).
+
+def _walk(poly: CoxeterPolygon, limit: float, max_depth: int | None,
+          cap: int):
+    """Yield the chambers of the canonical-parent walk, level by level,
+    one slice at a time.
+
+    Level k holds the elements of length k whose orbit points lie within
+    limit of z0, each reached once, from its canonical parent: the child
+    w*s of a kept w is generated only if s is not in D_R(w), and kept
+    only if s = min D_R(ws). Candidates come generator-major, each
+    generator's in consecutive slices of BLOCK parents, so the (n, p)
+    temporaries stay BLOCK rows long. Each nonempty slice of kept
+    children is yielded as (depth, parent, s, radii, log_mult): parent
+    indexes the previous level, in the order its slices were yielded
+    (the base chamber alone for depth 1), and s is the wall of the last
+    letter.
+
+    The walk holds the orbit points, log weights and descent sets of one
+    level and the kept part of the next. Raises ResourceLimit, naming
+    the depth, once more than cap chambers (the base included) are kept.
     """
-    level_mats, level_rev, _, _, level_logm, level_desc = level
-    wall_cx, wall_r, wall_sign = walls
-    gen, par = np.nonzero(~level_desc.T)
-    for a in range(0, gen.shape[0], BLOCK):
-        g = gen[a:a + BLOCK]
-        pa = par[a:a + BLOCK]
-        cand_m = level_mats[pa] @ gen_mats[g]
-        cand_rev = ~level_rev[pa]
-        cand_z = _apply_centers(cand_m, cand_rev, z0)
-        cand_r = _hyp_dist(cand_z, z0)
-        sel = np.flatnonzero(cand_r <= limit)
+    wall_cx = np.array([e.cx for e in poly.edges])
+    wall_r = np.array([e.r for e in poly.edges])
+    wall_r2 = wall_r ** 2
+    wall_sign = np.array([e.n_sign for e in poly.edges])
+    logq = np.log(np.asarray(poly.q, dtype=float))
+    z0 = complex(poly.center.x, poly.center.y)
 
-        # D_R(v) for each child v: the base walls with v^-1(z0) on their
-        # outer side, v^-1 being the adjugate with the same reversing flag.
-        m = cand_m[sel]
-        inv = np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]],
-                       axis=1).reshape(-1, 2, 2)
-        u = _apply_centers(inv, cand_rev[sel], z0)
-        desc = wall_sign * (np.abs(u[:, None] - wall_cx) - wall_r) < 0.0
-        canonical = desc.argmax(axis=1) == g[sel]
-        sel = sel[canonical]
-        yield (cand_m[sel], cand_rev[sel], cand_z[sel], cand_r[sel],
-               level_logm[pa[sel]] + logq[g[sel]], desc[canonical])
+    u = np.array([z0])
+    log_mult = np.zeros(1)
+    desc = np.zeros((1, len(poly.edges)), dtype=bool)
+    total = 1
+    depth = 0
+    while max_depth is None or depth < max_depth:
+        depth += 1
+        kept = []
+        for s in range(len(poly.edges)):
+            parents = np.flatnonzero(~desc[:, s])
+            for a in range(0, parents.shape[0], BLOCK):
+                pa = parents[a:a + BLOCK]
+                # (w*s)^-1(z0) = s(w^-1(z0)): u inverted in base wall s
+                v = wall_cx[s] + wall_r2[s] / np.conjugate(u[pa] - wall_cx[s])
+                r = _hyp_dist(v, z0)
+                sel = np.flatnonzero(r <= limit)
+                pa, v, r = pa[sel], v[sel], r[sel]
+                # D_R(w*s): the base walls with v on their outer side
+                d = wall_sign * (np.abs(v[:, None] - wall_cx) - wall_r) < 0.0
+                sel = np.flatnonzero(d.argmax(axis=1) == s)
+                if not sel.size:
+                    continue
+                # a level exceeds the cap iff some prefix of it does
+                total += sel.shape[0]
+                if total > cap:
+                    raise ResourceLimit(
+                        f"chamber enumeration exceeded cap={cap} "
+                        f"at depth {depth}")
+                pa = pa[sel]
+                lm = log_mult[pa] + logq[s]
+                kept.append((v[sel], lm, d[sel]))
+                yield depth, pa, s, r[sel], lm
+        if not kept:
+            return
+        # one field at a time, each freeing its pieces as it goes
+        fields = [list(f) for f in zip(*kept)]
+        del kept
+        u, log_mult, desc = (_concat(f) for f in fields)
+
+
+def _concat(pieces: list) -> np.ndarray:
+    out = np.concatenate(pieces)
+    pieces.clear()
+    return out
+
+
+class _BallSums:
+    """Weighted chamber counts on a fixed radius grid, folded one batch
+    of chambers at a time.
+
+    sums[j] is the weight, scaled by exp(-shift), of the chambers whose
+    radius lies in (grid[j-1], grid[j]]; shift is the largest log weight
+    folded in so far, so no term overflows.
+    """
+
+    def __init__(self, grid: np.ndarray):
+        self.grid = grid
+        self.sums = np.zeros(grid.shape[0])
+        self.shift = -math.inf
+
+    def add(self, radii: np.ndarray, log_mult: np.ndarray) -> None:
+        row = np.searchsorted(self.grid, radii)
+        inside = row < self.grid.shape[0]
+        if not inside.any():
+            return
+        row, lm = row[inside], log_mult[inside]
+        top = float(lm.max())
+        if top > self.shift:
+            self.sums *= math.exp(self.shift - top)
+            self.shift = top
+        self.sums += np.bincount(row, weights=np.exp(lm - self.shift),
+                                 minlength=self.sums.shape[0])
+
+    def table(self) -> GrowthTable:
+        log_weight = self.shift + np.log(np.cumsum(self.sums))
+        return GrowthTable(radii=self.grid, log_weight=log_weight)
+
+
+def _growth_grid(reach: float, r_min: float, r_max: float,
+                 n_rows: int) -> np.ndarray:
+    if not r_max <= reach:
+        raise FrontierTooClose(
+            f"r_max={r_max:.3f} exceeds certified reach {reach:.3f}")
+    if not (0.0 < r_min < r_max):
+        raise ValueError("need 0 < r_min < r_max")
+    return np.linspace(r_min, r_max, n_rows)
 
 
 def enumerate_chambers(poly: CoxeterPolygon,
@@ -116,10 +223,9 @@ def enumerate_chambers(poly: CoxeterPolygon,
                        cap: int = CHAMBER_CAP) -> ChamberSet:
     """Breadth-first enumeration of chambers around the base chamber.
 
-    Exactly one of radius_cut and max_depth must be given. Level k holds
-    the elements of length k, each reached once, from its canonical
-    parent: the child w*s of a kept w is generated only if s is not in
-    D_R(w), and kept only if s = min D_R(ws).
+    Exactly one of radius_cut and max_depth must be given; a radius_cut
+    must be positive and finite. Level k holds the elements of length k
+    (see _walk).
 
     With a radius_cut, children whose centers land beyond the cut are
     pruned and the set is complete out to reach = radius_cut - diameter
@@ -131,62 +237,46 @@ def enumerate_chambers(poly: CoxeterPolygon,
     strictly closer to z0 than its child, and by induction the canonical
     parent of each chamber inside the cut was kept.
 
-    Beyond the outputs, the working set is one level and the
-    temporaries of one slice of BLOCK candidates.
+    Each chamber's matrix is its parent's times its generator's, and its
+    center is that matrix applied to z0.
     """
     if (radius_cut is None) == (max_depth is None):
         raise ValueError("give exactly one of radius_cut, max_depth")
+    if radius_cut is not None:
+        _check_cut(radius_cut)
 
     gen_mats = np.stack([reflect(e.geodesic).m for e in poly.edges])
-    logq = np.log(np.asarray(poly.q, dtype=float))
     z0 = complex(poly.center.x, poly.center.y)
-    walls = (np.array([e.cx for e in poly.edges]),
-             np.array([e.r for e in poly.edges]),
-             np.array([e.n_sign for e in poly.edges]))
-    limit = np.inf if radius_cut is None else radius_cut
+    limit = math.inf if radius_cut is None else radius_cut
 
-    # A level is (matrices, reversing, centers, radii, log_mult, desc);
-    # parts holds the per-level pieces of its first five arrays and of
-    # the depths.
-    level = (np.eye(2)[None, :, :], np.zeros(1, dtype=bool), np.array([z0]),
-             np.zeros(1), np.zeros(1),
-             np.zeros((1, len(poly.edges)), dtype=bool))
-    parts = [[a] for a in level[:5]] + [[np.zeros(1, dtype=np.int64)]]
-    total = 1
-    depth = 0
+    # per-level pieces of matrices, reversing, centers, radii, depths
+    # and log_mult, the base chamber first
+    parts = [[np.eye(2)[None, :, :]], [np.zeros(1, dtype=bool)],
+             [np.array([z0])], [np.zeros(1)], [np.zeros(1, dtype=np.int64)],
+             [np.zeros(1)]]
+    walk = _walk(poly, limit, max_depth, cap)
+    for depth, slices in itertools.groupby(walk, key=lambda sl: sl[0]):
+        prev = parts[0][-1]
+        level = [[] for _ in parts]
+        for _, parent, s, radii, log_mult in slices:
+            mats = prev[parent] @ gen_mats[s]
+            # every generator is a reflection, so parity decides
+            # orientation
+            rev = np.full(parent.shape[0], depth % 2 == 1)
+            new = (mats, rev, _apply_centers(mats, rev, z0), radii,
+                   np.full(parent.shape[0], depth, dtype=np.int64), log_mult)
+            for pieces, a in zip(level, new):
+                pieces.append(a)
+        for out, pieces in zip(parts, level):
+            out.append(_concat(pieces))
 
-    while level[0].shape[0] > 0:
-        if max_depth is not None and depth >= max_depth:
-            break
-        depth += 1
-        kept = []
-        for piece in _children(level, gen_mats, logq, walls, z0, limit):
-            # a level exceeds the cap iff some prefix of it does
-            total += piece[0].shape[0]
-            if total > cap:
-                raise ResourceLimit(
-                    f"chamber enumeration exceeded cap={cap} at depth {depth}")
-            kept.append(piece)
-        level = tuple(np.concatenate(f) for f in zip(*kept))
-        del kept
-        for out, new in zip(parts, level[:5]):
-            out.append(new)
-        parts[5].append(np.full(level[0].shape[0], depth, dtype=np.int64))
-    del level
-
-    # One field at a time, so the per-level parts and their
-    # concatenation are never all alive together.
-    fields = []
-    for out in parts:
-        fields.append(np.concatenate(out))
-        out.clear()
-    matrices, reversing, centers, all_r, log_mult, all_d = fields
+    matrices, reversing, centers, all_r, all_d, log_mult = (
+        _concat(out) for out in parts)
     if radius_cut is not None:
         reach = radius_cut - poly.diameter
     else:
         frontier = all_r[all_d == all_d.max()]
-        reach = (float(frontier.min()) - poly.diameter
-                 if frontier.size else float(all_r.max()))
+        reach = float(frontier.min()) - poly.diameter
     return ChamberSet(
         matrices=matrices,
         reversing=reversing,
@@ -199,27 +289,54 @@ def enumerate_chambers(poly: CoxeterPolygon,
     )
 
 
+def ball_growth(poly: CoxeterPolygon,
+                radius_cut: float,
+                r_min: float,
+                r_max: float,
+                n_rows: int = 24) -> BallGrowth:
+    """Weighted ball growth on a uniform radius grid, streamed from the
+    chamber walk.
+
+    Equals weighted_ball_growth(enumerate_chambers(poly, radius_cut),
+    r_min, r_max, n_rows) up to summation order, but folds each slice of
+    the walk into the row sums as it is generated, so it holds one level
+    at a time. Raises FrontierTooClose before any enumeration when reach
+    = radius_cut - diameter falls short of r_max.
+    """
+    _check_cut(radius_cut)
+    reach = radius_cut - poly.diameter
+    sums = _BallSums(_growth_grid(reach, r_min, r_max, n_rows))
+    sums.add(np.zeros(1), np.zeros(1))
+    per_depth = [1]
+    for depth, _, _, radii, log_mult in _walk(poly, radius_cut, None,
+                                              CHAMBER_CAP):
+        if depth == len(per_depth):
+            per_depth.append(0)
+        per_depth[depth] += radii.shape[0]
+        sums.add(radii, log_mult)
+    return BallGrowth(table=sums.table(), chambers=sum(per_depth),
+                      chambers_per_depth=per_depth, reach=reach)
+
+
 def weighted_ball_growth(chambers: ChamberSet,
                          r_min: float,
                          r_max: float,
                          n_rows: int = 24) -> GrowthTable:
     """Cumulative weighted chamber count on a uniform radius grid.
 
+    The reference for ball_growth, computed from the whole set at once:
+    radii sorted, weights shifted by their one maximum and summed as
+    prefixes, each row reading the prefix of radii <= its grid point.
     Raises FrontierTooClose when the enumeration cannot certify
     completeness out to r_max.
     """
-    if not r_max <= chambers.reach:
-        raise FrontierTooClose(
-            f"r_max={r_max:.3f} exceeds certified reach {chambers.reach:.3f}")
-    if not (0.0 < r_min < r_max):
-        raise ValueError("need 0 < r_min < r_max")
-    grid = np.linspace(r_min, r_max, n_rows)
+    grid = _growth_grid(chambers.reach, r_min, r_max, n_rows)
     order = np.argsort(chambers.radii)
-    r_sorted = chambers.radii[order]
-    lm_sorted = chambers.log_mult[order]
-    counts = np.searchsorted(r_sorted, grid, side="right")
-    logw = np.array([logsumexp(lm_sorted[:c]) for c in counts])
-    return GrowthTable(radii=grid, log_weight=logw)
+    lm = chambers.log_mult[order]
+    top = float(lm.max())
+    prefix = np.concatenate(([0.0], np.cumsum(np.exp(lm - top))))
+    counts = np.searchsorted(chambers.radii[order], grid, side="right")
+    return GrowthTable(radii=grid, log_weight=top + np.log(prefix[counts]))
 
 
 def growth_slope(table: GrowthTable, diameter: float) -> tuple[float, float]:

@@ -423,6 +423,11 @@ def _solve_root(model: UlamModel, bracket: tuple, tol: float) -> tuple:
                "power_iters": rho.steps, "bracket_width": rho.width}
 
 
+# build_cross_section counters that solve_entropy passes on.
+MODEL_COUNTERS = ("scc_states", "grid_states", "discarded_samples",
+                  "total_samples")
+
+
 def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
                   tol: float = DEFAULT_H_TOL,
                   refine: bool = True) -> EntropyEstimate:
@@ -430,14 +435,18 @@ def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
 
     The diagnostics count the root solve on this model: bisection_iters,
     bracket_widened, power_iters (kernel steps) and bracket_width (the
-    last Collatz-Wielandt bracket). With refine=True a second model on
-    the doubled grid is built and solved, and the difference enters the
-    error bar as the dominant discretization term.
+    last Collatz-Wielandt bracket). They also carry the model's own
+    counters (MODEL_COUNTERS: states kept and sampled, samples drawn and
+    discarded), so they reach the report. With refine=True a second
+    model on the doubled grid is built and solved, and the difference
+    enters the error bar as the dominant discretization term.
     """
     h, counters = _solve_root(model, bracket, tol)
     err = tol
     diagnostics = dict(counters, grid=[model.n_u, model.n_theta],
                        k=model.k, seed=model.seed)
+    diagnostics.update((key, model.diagnostics[key])
+                       for key in MODEL_COUNTERS)
     if refine:
         from .hypgeom import regular_polygon
         poly = regular_polygon(model.p, model.m, model.q)

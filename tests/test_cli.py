@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from volent import cli
 from volent.cli import main, validate_config
 from volent.hypgeom import regular_polygon
+from volent.symbolic import MODEL_COUNTERS, build_cross_section
 
 
 def run(capsys, *argv):
@@ -121,7 +122,7 @@ def test_santalo_samples_too_large(capsys):
 # The functions through which the CLI subcommands reach geometry,
 # sampling, tracing and enumeration.
 _STAGES = ("regular_polygon", "santalo_monte_carlo", "build_cross_section",
-           "enumerate_chambers")
+           "enumerate_chambers", "ball_growth")
 
 
 def _no_stage(*args, **kwargs):
@@ -423,6 +424,26 @@ def test_entropy_growth_counters(tmp_path, capsys):
     assert sum(per_depth) == diag["chambers"]
     poly = regular_polygon(5, 2, (2,) * 5)
     assert diag["reach"] == FAST_CFG["growth"]["radius_cut"] - poly.diameter
+
+
+def test_entropy_default_ulam_counters(tmp_path, capsys):
+    # the default run's report carries the coarse model's counters
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"output_dir": str(tmp_path)}))
+    code, _, _ = run(capsys, "entropy", "--config", str(p))
+    assert code in (0, 1)
+    diag = json.loads((tmp_path / "report.json").read_text())[
+        "results"]["ulam"]["diagnostics"]
+    cfg = validate_config({})
+    pc = cfg["pressure"]
+    model = build_cross_section(regular_polygon(5, 2, (2,) * 5),
+                                (pc["n_u"], pc["n_theta"]), pc["k"],
+                                cfg["seed"])
+    for key in MODEL_COUNTERS:
+        assert diag[key] == model.diagnostics[key], key
+    assert diag["grid_states"] == 5 * 32 * 32
+    assert diag["total_samples"] == diag["grid_states"] * 3 ** 2
+    assert 0 < diag["scc_states"] <= diag["grid_states"]
 
 
 def test_entropy_santalo_counters(tmp_path, capsys):

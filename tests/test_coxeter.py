@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from volent import coxeter
-from volent.coxeter import (ChamberSet, GrowthTable, enumerate_chambers,
-                            growth_slope, weighted_ball_growth)
+from volent.coxeter import (ChamberSet, GrowthTable, ball_growth,
+                            enumerate_chambers, growth_slope,
+                            weighted_ball_growth)
 from volent.errors import FrontierTooClose, ResourceLimit, WindowTooNarrow
 from volent.hypgeom import regular_polygon
 
@@ -109,9 +110,38 @@ def test_nan_radius_refused(pentagon_q1):
     cs = enumerate_chambers(pentagon_q1, radius_cut=8.0)
     with pytest.raises(FrontierTooClose):
         weighted_ball_growth(cs, 1.0, float("nan"))
-    cs = enumerate_chambers(pentagon_q1, radius_cut=float("nan"))
+    # a NaN, non-positive or infinite cut is refused by the enumeration
+    for cut in (float("nan"), -1.0, 0.0, math.inf):
+        with pytest.raises(ValueError, match="radius_cut"):
+            enumerate_chambers(pentagon_q1, radius_cut=cut)
+        with pytest.raises(ValueError, match="radius_cut"):
+            ball_growth(pentagon_q1, cut, 1.0, 6.0)
+
+
+def test_ball_growth_frontier_checked_first(pentagon_q1, monkeypatch):
+    # the reach is checked before the walk starts
+    def no_walk(*args):
+        pytest.fail("ball_growth walked before checking its window")
+    monkeypatch.setattr(coxeter, "_walk", no_walk)
     with pytest.raises(FrontierTooClose):
-        weighted_ball_growth(cs, 1.0, 6.0)
+        ball_growth(pentagon_q1, 50.0, 1.0, 60.0)
+    with pytest.raises(FrontierTooClose):
+        ball_growth(pentagon_q1, 8.0, 1.0, float("nan"))
+    with pytest.raises(ValueError, match="r_min"):
+        ball_growth(pentagon_q1, 8.0, 5.0, 4.0)
+
+
+def test_ball_sums_edges_and_rescale():
+    # a radius on a grid point counts in that row; each batch whose top
+    # weight exceeds the running shift rescales the sums, and exp(710)
+    # alone would overflow
+    sums = coxeter._BallSums(np.array([1.0, 2.0, 3.0]))
+    sums.add(np.array([1.0, 2.5, 3.5]), np.array([700.0, 700.0, 0.0]))
+    sums.add(np.array([2.0, 0.5]), np.array([710.0, 0.0]))
+    sums.add(np.array([4.0]), np.array([900.0]))
+    want = [700.0, 710.0 + math.log1p(math.exp(-10.0)),
+            710.0 + math.log1p(2.0 * math.exp(-10.0))]
+    assert np.allclose(sums.table().log_weight, want, rtol=0, atol=1e-12)
 
 
 def test_synthetic_exact_exponential(pentagon_q1):
@@ -264,3 +294,126 @@ def test_enumeration_memory_bounded(pentagon_q2):
         tracemalloc.stop()
     out = sum(getattr(cs, name).nbytes for name in _FIELDS)
     assert peak <= 2 * out
+
+
+def _reference_radii(poly, depth):
+    """Orbit-point radii d(w^-1(z0), z0) per word length, from a 50-digit
+    breadth-first walk over the float polygon's walls: each new point is
+    an earlier one inverted in a wall, and points reached before are
+    dropped."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    walls = [(mp.mpf(e.cx), mp.mpf(e.r) ** 2) for e in poly.edges]
+    z0 = mp.mpc(poly.center.x, poly.center.y)
+
+    def cell(z):
+        return (int(mp.floor(z.real * 10 ** 8)),
+                int(mp.floor(z.imag * 10 ** 8)))
+
+    def known(z):
+        # the float walls meet at their angles to about 1e-16, so two
+        # words for one element land up to about 1e-9 apart, while two
+        # chambers' points stay over 1e-4 apart out to depth 8
+        i, j = cell(z)
+        return any((i + di, j + dj) in seen
+                   for di in (-1, 0, 1) for dj in (-1, 0, 1))
+
+    def dist(z):
+        return mp.acosh(1 + abs(z - z0) ** 2 / (2 * z.imag * z0.imag))
+
+    seen = {cell(z0)}
+    level = [z0]
+    radii = [[0.0]]
+    for _ in range(depth):
+        nxt = []
+        for u in level:
+            for c, r2 in walls:
+                v = c + r2 / mp.conj(u - c)
+                if not known(v):
+                    seen.add(cell(v))
+                    nxt.append(v)
+        level = nxt
+        radii.append(sorted(float(dist(v)) for v in level))
+    return radii
+
+
+@pytest.mark.parametrize("p, m, q", [
+    (5, 2, (2, 3, 2, 3, 4)),
+    (5, 3, (2,) * 5),
+])
+def test_orbit_point_radii_match_reference(p, m, q):
+    poly = regular_polygon(p, m, q)
+    depth = 6
+    cs = enumerate_chambers(poly, max_depth=depth)
+    ref = _reference_radii(poly, depth)
+    for k in range(depth + 1):
+        got = np.sort(cs.radii[cs.depths == k])
+        assert got.shape[0] == len(ref[k])
+        assert np.max(np.abs(got - ref[k])) <= 1e-13, k
+
+
+_STREAM_CASES = [
+    (5, 2, (2,) * 5), (5, 2, (2, 3, 2, 3, 4)), (5, 3, (3,) * 5),
+    (6, 2, (2,) * 6), (6, 2, (2, 3) * 3), (6, 3, (2,) * 6),
+    (7, 2, (3,) * 7), (7, 2, (2, 3, 2, 3, 4, 2, 5)), (7, 3, (2,) * 7),
+]
+
+
+@pytest.mark.parametrize("p, m, q", _STREAM_CASES)
+def test_ball_growth_matches_chamber_set(p, m, q):
+    # weighted_ball_growth sorts the whole set and sums prefixes, so it
+    # checks the streamed fold's binning and rescaling
+    poly = regular_polygon(p, m, q)
+    cut = 9.0
+    cs = enumerate_chambers(poly, radius_cut=cut)
+    r_max = cs.reach
+    ref = weighted_ball_growth(cs, 1.0, r_max, 16)
+    bg = ball_growth(poly, cut, 1.0, r_max, 16)
+    assert np.array_equal(bg.table.radii, ref.radii)
+    assert np.max(np.abs(bg.table.log_weight - ref.log_weight)) <= 1e-13
+    assert bg.chambers_per_depth == np.bincount(cs.depths).tolist()
+    assert bg.chambers == len(cs)
+    assert bg.reach == cs.reach
+
+
+def test_ball_growth_radius_on_grid_point(pentagon_q1):
+    # with q = 1 each row is the count of chambers with radius <= its
+    # grid point; r_min and r_max are chamber radii, so both end rows
+    # hold a chamber exactly on the grid
+    cut = 8.0
+    cs = enumerate_chambers(pentagon_q1, radius_cut=cut)
+    r = np.unique(cs.radii)
+    r_min, r_max = r[r > 1.0][0], r[r <= cs.reach][-1]
+    bg = ball_growth(pentagon_q1, cut, r_min, r_max, 7)
+    ref = weighted_ball_growth(cs, r_min, r_max, 7)
+    assert bg.table.radii[0] == r_min and bg.table.radii[-1] == r_max
+    want = (cs.radii[:, None] <= bg.table.radii).sum(axis=0)
+    assert np.array_equal(np.rint(np.exp(bg.table.log_weight)), want)
+    assert np.array_equal(np.rint(np.exp(ref.log_weight)), want)
+    assert np.max(np.abs(bg.table.log_weight - ref.log_weight)) <= 1e-13
+
+
+def test_ball_growth_block_invariance(monkeypatch):
+    # slices of 7 fold the same chambers in more, smaller sums
+    poly = regular_polygon(5, 2, (2, 3, 2, 3, 4))
+    ref = ball_growth(poly, 9.0, 2.0, 7.0, 12)
+    monkeypatch.setattr(coxeter, "BLOCK", 7)
+    bg = ball_growth(poly, 9.0, 2.0, 7.0, 12)
+    assert np.max(np.abs(bg.table.log_weight - ref.table.log_weight)) <= 1e-13
+    assert bg.chambers_per_depth == ref.chambers_per_depth
+    assert (bg.chambers, bg.reach) == (ref.chambers, ref.reach)
+
+
+def test_ball_growth_memory_bounded(pentagon_q2):
+    # the default growth stage (655,371 chambers) holds one level of
+    # orbit points and the candidates of one slice, not the ball; the
+    # ChamberSet path peaks near 69 MB on the same input
+    tracemalloc.start()
+    try:
+        bg = ball_growth(pentagon_q2, 12.7, 4.0, 11.0, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bg.chambers == 655_371
+    assert peak <= 24 * 2 ** 20
