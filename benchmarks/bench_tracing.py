@@ -14,7 +14,11 @@ Times seven tasks:
   64x64, K = 3, seed 0 (the refinement grid of the default
   `volent entropy`);
 - enumerate: `enumerate_chambers` on the default polygon with
-  radius_cut = 12.7, the `ChamberSet` that `svg` draws;
+  radius_cut = 12.7, the `ChamberSet` that `svg` draws; its digest
+  covers the radii, depths and log weights, the fields that every
+  checkout's `ChamberSet` has (before the runs `parent-c2b39f6` and
+  `change-orbit-tree` it also covered the group matrices, orientations
+  and centers);
 - growth: the growth stage of the default `volent entropy`, the
   weighted ball growth of the default polygon at radius_cut = 12.7 on
   the window [4, 11] with 24 rows, by `ball_growth`, or by
@@ -116,8 +120,7 @@ def worker(task: str) -> dict:
         t0 = time.perf_counter()
         cs = enumerate_chambers(poly, radius_cut=RADIUS_CUT)
         seconds = time.perf_counter() - t0
-        for arr in (cs.matrices, cs.reversing, cs.centers, cs.radii,
-                    cs.depths, cs.log_mult):
+        for arr in (cs.radii, cs.depths, cs.log_mult):
             digest.update(arr.tobytes())
         counters = {"chambers": len(cs)}
     elif task == "growth":

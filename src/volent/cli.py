@@ -105,6 +105,11 @@ def _is_finite(x) -> bool:
 # the right-angled pentagon peaks at 675 MB RSS).
 _MAX_SAMPLES = 10_000_000
 
+# The most chambers `volent polygon --svg` draws, refused before drawing:
+# the default pentagon at depth 9 (20,901 chambers) takes about 8 s and
+# writes a 40 MB file.
+_SVG_CHAMBER_CAP = 25_000
+
 # (key, least, greatest value) of every integer field cmd_entropy reads.
 _INT_FIELDS = (("polygon.p", 3, math.inf), ("polygon.m", 2, math.inf),
                ("pressure.n_u", 4, math.inf),
@@ -189,6 +194,7 @@ def _estimate_doc(e: EntropyEstimate) -> dict:
 
 
 def cmd_polygon(args) -> int:
+    _check_int("--depth", args.depth, 0, math.inf)
     poly = regular_polygon(args.p, args.m, tuple(args.q or [1] * args.p))
     print(f"p = {poly.p}  m = {poly.m}  q = {list(poly.q)}")
     print(f"area        {poly.area:.6f}")
@@ -196,7 +202,8 @@ def cmd_polygon(args) -> int:
     print(f"inradius    {poly.inradius:.6f}")
     print(f"diameter    {poly.diameter:.6f}")
     if args.svg:
-        cs = enumerate_chambers(poly, max_depth=args.depth)
+        cs = enumerate_chambers(poly, max_depth=args.depth,
+                                cap=_SVG_CHAMBER_CAP)
         tessellation_svg(poly, cs).write(args.svg)
         print(f"wrote {args.svg}")
     return 0

@@ -8,7 +8,7 @@ guards sit at machine-noise scale.
 # Construction-time checks (polygon invariants: angles, edge lengths, area).
 EPS_CONSTRUCT = 1e-9
 
-# Geometric predicates (isometry round trips, point-on-geodesic checks).
+# Geometric predicates (point-on-geodesic and vertical-geodesic checks).
 EPS_GEOM = 1e-10
 
 # Rejection radius around tessellation vertices during tracing.
@@ -24,8 +24,8 @@ EPS_POWER = 1e-10
 # Default bisection tolerance for entropy solves.
 DEFAULT_H_TOL = 1e-4
 
-# Default cap on enumerated chambers. The outputs take 73 bytes per
-# chamber and enumeration peaks at about 105 bytes per chamber
+# Default cap on enumerated chambers. The outputs take 56 bytes per
+# chamber and enumeration peaks at about 73 bytes per chamber
 # (tracemalloc, right-angled pentagon with q = 2 cut at radius 11 and
-# 12.7), so the cap holds the peak near 0.5 GB.
+# 12.7), so the cap holds the peak near 0.37 GB.
 CHAMBER_CAP = 5_000_000

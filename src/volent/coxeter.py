@@ -12,9 +12,9 @@ ever compared with another, so no deduplication is needed.
 One point per chamber drives the walk: its orbit point u = w^-1(z0).
 The radius d(z0, w(z0)) = d(u, z0) and the descent set D_R(w) are both
 read off u, and the child w*s has (w*s)^-1(z0) = s(u), one inversion of
-u in the base wall s. So the walk needs no group matrices; the
-ChamberSet alone composes them, from each chamber's parent and
-generator, to place the chambers for drawing.
+u in the base wall s. The orbit point and the walk's own tree (each
+chamber's parent and last wall) are the whole chamber record: no group
+element is ever held as a matrix.
 
 Each chamber also carries a weight, the product of the branching
 parameters q_i over the letters of the word that reaches it. Summing
@@ -27,7 +27,6 @@ generated, so the growth stage holds one level, never the whole ball.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,23 +34,28 @@ import numpy as np
 
 from .constants import CHAMBER_CAP
 from .errors import FrontierTooClose, ResourceLimit, WindowTooNarrow
-from .hypgeom import CoxeterPolygon, reflect
+from .hypgeom import CoxeterPolygon, invert
 from .tracing import BLOCK
 
 @dataclass(frozen=True)
 class ChamberSet:
-    """Result of a breadth-first chamber enumeration.
+    """Result of a breadth-first chamber enumeration, one row per
+    element w, the base chamber first and each level after the last.
 
-    centers are upper half-plane points as complex numbers; radii are
-    hyperbolic distances from the base chamber center; log_mult is the
-    log of the branching weight (0 everywhere when q is identically 1).
-    reach is the radius up to which the enumeration is guaranteed
-    complete: every chamber whose center lies within reach is present.
+    parent and wall are the walk's tree: row i is w = parent's element
+    times the reflection in base wall wall[i] (-1 for the base row), and
+    parent indexes an earlier row. points are the orbit points w^-1(z0)
+    as complex numbers, so row i's point is its parent's inverted in base
+    wall wall[i]. radii are hyperbolic distances from the base chamber
+    center; log_mult is the log of the branching weight (0 everywhere
+    when q is identically 1). reach is the radius up to which the
+    enumeration is guaranteed complete: every chamber whose center lies
+    within reach is present.
     """
 
-    matrices: np.ndarray
-    reversing: np.ndarray
-    centers: np.ndarray
+    parent: np.ndarray
+    wall: np.ndarray
+    points: np.ndarray
     radii: np.ndarray
     depths: np.ndarray
     log_mult: np.ndarray
@@ -59,7 +63,7 @@ class ChamberSet:
     diameter: float
 
     def __len__(self) -> int:
-        return self.centers.shape[0]
+        return self.points.shape[0]
 
 
 @dataclass(frozen=True)
@@ -80,15 +84,6 @@ class BallGrowth:
     chambers: int
     chambers_per_depth: list
     reach: float
-
-
-def _apply_centers(mats: np.ndarray, rev: np.ndarray, z0: complex) -> np.ndarray:
-    zin = np.where(rev, np.conjugate(z0), z0)
-    a = mats[:, 0, 0]
-    b = mats[:, 0, 1]
-    c = mats[:, 1, 0]
-    d = mats[:, 1, 1]
-    return (a * zin + b) / (c * zin + d)
 
 
 def _hyp_dist(z: np.ndarray, w: complex) -> np.ndarray:
@@ -113,10 +108,10 @@ def _walk(poly: CoxeterPolygon, limit: float, max_depth: int | None,
     only if s = min D_R(ws). Candidates come generator-major, each
     generator's in consecutive slices of BLOCK parents, so the (n, p)
     temporaries stay BLOCK rows long. Each nonempty slice of kept
-    children is yielded as (depth, parent, s, radii, log_mult): parent
-    indexes the previous level, in the order its slices were yielded
-    (the base chamber alone for depth 1), and s is the wall of the last
-    letter.
+    children is yielded as (depth, parent, s, points, radii, log_mult):
+    parent indexes the previous level, in the order its slices were
+    yielded (the base chamber alone for depth 1), s is the wall of the
+    last letter and points are the children's orbit points.
 
     The walk holds the orbit points, log weights and descent sets of one
     level and the kept part of the next. Raises ResourceLimit, naming
@@ -124,7 +119,6 @@ def _walk(poly: CoxeterPolygon, limit: float, max_depth: int | None,
     """
     wall_cx = np.array([e.cx for e in poly.edges])
     wall_r = np.array([e.r for e in poly.edges])
-    wall_r2 = wall_r ** 2
     wall_sign = np.array([e.n_sign for e in poly.edges])
     logq = np.log(np.asarray(poly.q, dtype=float))
     z0 = complex(poly.center.x, poly.center.y)
@@ -142,7 +136,7 @@ def _walk(poly: CoxeterPolygon, limit: float, max_depth: int | None,
             for a in range(0, parents.shape[0], BLOCK):
                 pa = parents[a:a + BLOCK]
                 # (w*s)^-1(z0) = s(w^-1(z0)): u inverted in base wall s
-                v = wall_cx[s] + wall_r2[s] / np.conjugate(u[pa] - wall_cx[s])
+                v = invert(u[pa], wall_cx[s], wall_r[s])
                 r = _hyp_dist(v, z0)
                 sel = np.flatnonzero(r <= limit)
                 pa, v, r = pa[sel], v[sel], r[sel]
@@ -157,10 +151,10 @@ def _walk(poly: CoxeterPolygon, limit: float, max_depth: int | None,
                     raise ResourceLimit(
                         f"chamber enumeration exceeded cap={cap} "
                         f"at depth {depth}")
-                pa = pa[sel]
+                pa, v = pa[sel], v[sel]
                 lm = log_mult[pa] + logq[s]
-                kept.append((v[sel], lm, d[sel]))
-                yield depth, pa, s, r[sel], lm
+                kept.append((v, lm, d[sel]))
+                yield depth, pa, s, v, r[sel], lm
         if not kept:
             return
         # one field at a time, each freeing its pieces as it goes
@@ -237,56 +231,41 @@ def enumerate_chambers(poly: CoxeterPolygon,
     strictly closer to z0 than its child, and by induction the canonical
     parent of each chamber inside the cut was kept.
 
-    Each chamber's matrix is its parent's times its generator's, and its
-    center is that matrix applied to z0.
+    The rows are the walk's slices in the order it yields them.
     """
     if (radius_cut is None) == (max_depth is None):
         raise ValueError("give exactly one of radius_cut, max_depth")
     if radius_cut is not None:
         _check_cut(radius_cut)
 
-    gen_mats = np.stack([reflect(e.geodesic).m for e in poly.edges])
     z0 = complex(poly.center.x, poly.center.y)
     limit = math.inf if radius_cut is None else radius_cut
 
-    # per-level pieces of matrices, reversing, centers, radii, depths
-    # and log_mult, the base chamber first
-    parts = [[np.eye(2)[None, :, :]], [np.zeros(1, dtype=bool)],
-             [np.array([z0])], [np.zeros(1)], [np.zeros(1, dtype=np.int64)],
-             [np.zeros(1)]]
-    walk = _walk(poly, limit, max_depth, cap)
-    for depth, slices in itertools.groupby(walk, key=lambda sl: sl[0]):
-        prev = parts[0][-1]
-        level = [[] for _ in parts]
-        for _, parent, s, radii, log_mult in slices:
-            mats = prev[parent] @ gen_mats[s]
-            # every generator is a reflection, so parity decides
-            # orientation
-            rev = np.full(parent.shape[0], depth % 2 == 1)
-            new = (mats, rev, _apply_centers(mats, rev, z0), radii,
-                   np.full(parent.shape[0], depth, dtype=np.int64), log_mult)
-            for pieces, a in zip(level, new):
-                pieces.append(a)
-        for out, pieces in zip(parts, level):
-            out.append(_concat(pieces))
+    # per-slice pieces of parent, wall, points, radii, depths and
+    # log_mult, the base chamber first
+    parts = [[np.array([-1])], [np.array([-1])], [np.array([z0])],
+             [np.zeros(1)], [np.zeros(1, dtype=np.int64)], [np.zeros(1)]]
+    for depth, parent, s, points, radii, log_mult in _walk(
+            poly, limit, max_depth, cap):
+        n = parent.shape[0]
+        new = (parent, np.full(n, s), points, radii,
+               np.full(n, depth, dtype=np.int64), log_mult)
+        for pieces, x in zip(parts, new):
+            pieces.append(x)
 
-    matrices, reversing, centers, all_r, all_d, log_mult = (
-        _concat(out) for out in parts)
+    parent, wall, points, radii, depths, log_mult = (
+        _concat(pieces) for pieces in parts)
+    # the walk's parents index the level above; offset them to rows
+    level_start = np.searchsorted(depths, np.arange(depths[-1]))
+    parent[1:] += level_start[depths[1:] - 1]
     if radius_cut is not None:
         reach = radius_cut - poly.diameter
     else:
-        frontier = all_r[all_d == all_d.max()]
+        frontier = radii[depths == depths.max()]
         reach = float(frontier.min()) - poly.diameter
-    return ChamberSet(
-        matrices=matrices,
-        reversing=reversing,
-        centers=centers,
-        radii=all_r,
-        depths=all_d,
-        log_mult=log_mult,
-        reach=reach,
-        diameter=poly.diameter,
-    )
+    return ChamberSet(parent=parent, wall=wall, points=points, radii=radii,
+                      depths=depths, log_mult=log_mult, reach=reach,
+                      diameter=poly.diameter)
 
 
 def ball_growth(poly: CoxeterPolygon,
@@ -308,8 +287,8 @@ def ball_growth(poly: CoxeterPolygon,
     sums = _BallSums(_growth_grid(reach, r_min, r_max, n_rows))
     sums.add(np.zeros(1), np.zeros(1))
     per_depth = [1]
-    for depth, _, _, radii, log_mult in _walk(poly, radius_cut, None,
-                                              CHAMBER_CAP):
+    for depth, _, _, _, radii, log_mult in _walk(poly, radius_cut, None,
+                                                 CHAMBER_CAP):
         if depth == len(per_depth):
             per_depth.append(0)
         per_depth[depth] += radii.shape[0]

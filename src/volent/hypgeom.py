@@ -1,8 +1,9 @@
-"""Upper half-plane geometry: points, isometries, geodesics, Coxeter polygons.
+"""Upper half-plane geometry: points, geodesics, wall inversions,
+Coxeter polygons.
 
 All geodesics of the model are half-circles centered on the real axis or
-vertical lines; isometries are 2x2 real matrices acting by Mobius
-transformations (on the conjugate coordinate when orientation-reversing).
+vertical lines. The reflection in a wall is the inversion in its circle;
+the polygons built here have no vertical walls.
 """
 
 from __future__ import annotations
@@ -57,56 +58,6 @@ def dist(a: HPoint, b: HPoint) -> float:
     """Hyperbolic distance between two points."""
     dz2 = (a.x - b.x) ** 2 + (a.y - b.y) ** 2
     return math.acosh(1.0 + dz2 / (2.0 * a.y * b.y))
-
-
-@dataclass(frozen=True)
-class HIsometry:
-    """Isometry of the half-plane: z -> (az+b)/(cz+d), applied to conj(z)
-    when orientation-reversing. Matrix is normalized to |det| = 1."""
-
-    m: np.ndarray
-    reversing: bool = False
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) < 1e-300:
-            raise ValueError("singular matrix")
-        m = m / math.sqrt(abs(det))
-        if m[0, 0] < 0 or (m[0, 0] == 0 and m[1, 0] < 0):
-            m = -m
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
-
-    @property
-    def orientation(self) -> str:
-        return "reversing" if self.reversing else "preserving"
-
-    @staticmethod
-    def identity() -> "HIsometry":
-        return HIsometry(np.eye(2))
-
-    def apply_complex(self, z: complex) -> complex:
-        if self.reversing:
-            z = z.conjugate()
-        a, b, c, d = self.m.ravel()
-        return (a * z + b) / (c * z + d)
-
-    def apply(self, p: HPoint) -> HPoint:
-        return HPoint.from_complex(self.apply_complex(p.z))
-
-    def compose(self, other: "HIsometry") -> "HIsometry":
-        """self after other: (self @ other)(z) = self(other(z))."""
-        m2 = other.m.conj() if self.reversing else other.m  # real: conj is id
-        return HIsometry(self.m @ m2, self.reversing ^ other.reversing)
-
-    def __matmul__(self, other: "HIsometry") -> "HIsometry":
-        return self.compose(other)
-
-    def inverse(self) -> "HIsometry":
-        a, b, c, d = self.m.ravel()
-        inv = np.array([[d, -b], [-c, a]])
-        return HIsometry(inv, self.reversing)
 
 
 @dataclass(frozen=True)
@@ -186,15 +137,11 @@ def geodesic_through(a: HPoint, b: HPoint, basepoint: HPoint | None = None) -> H
     return HGeodesic(endpoints, bp)
 
 
-def reflect(edge: HGeodesic) -> HIsometry:
-    """Reflection of the plane across the given geodesic."""
-    if edge.is_vertical:
-        e0, e1 = edge.endpoints
-        c = e1 if e0 is INF else e0
-        return HIsometry(np.array([[-1.0, 2.0 * c], [0.0, 1.0]]), reversing=True)
-    c, r = edge.center_radius
-    # z -> c + r^2/(conj(z) - c), i.e. inversion in the circle.
-    return HIsometry(np.array([[c, r * r - c * c], [1.0, -c]]), reversing=True)
+def invert(z, cx, r):
+    """Inversion in the circle of center cx and radius r on the real
+    axis: the reflection of the half-plane in that wall. Vectorized over
+    numpy arrays of points, centers and radii."""
+    return cx + r * r / np.conjugate(z - cx)
 
 
 def _cayley_to_uhp(w: complex) -> complex:
@@ -211,7 +158,6 @@ class Edge:
     s in [s_lo, s_hi] and its length is s_hi - s_lo.
     """
 
-    geodesic: HGeodesic
     a: HPoint
     b: HPoint
     cx: float
@@ -338,8 +284,7 @@ def regular_polygon(p: int, m: int, q) -> CoxeterPolygon:
         # the polygon center iff interior is outside the circle.
         dc = math.hypot(center.x - cx, center.y) - r
         n_sign = 1.0 if dc > 0 else -1.0
-        geod = geodesic_through(va, vb)
-        edges.append(Edge(geod, va, vb, cx, r, s_lo, s_hi, n_sign))
+        edges.append(Edge(va, vb, cx, r, s_lo, s_hi, n_sign))
     edges = tuple(edges)
 
     # Construction-time checks: measured edge lengths and angles must match

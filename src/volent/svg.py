@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .hypgeom import invert
+
 
 class SvgCanvas:
     def __init__(self, width: int, height: int):
@@ -52,23 +54,39 @@ def _edge_arc_points(edge, n: int = 24) -> np.ndarray:
     return edge.cx + edge.r * np.exp(1j * psi)
 
 
+def _chamber_arcs(poly, chambers) -> np.ndarray:
+    """Wall arcs of every row of a ChamberSet, shape (rows, p, points).
+
+    The base chamber's arcs move along the walk's tree: row i's arcs are
+    its parent's, inverted in base wall wall[i], the same step that
+    carries orbit points. So row i holds the chamber w^-1(P) of its
+    element w, the chamber around its orbit point; the ball is closed
+    under inverses, so these are the chambers of the ball.
+    """
+    wall_cx = np.array([e.cx for e in poly.edges])
+    wall_r = np.array([e.r for e in poly.edges])
+    base = np.array([_edge_arc_points(e) for e in poly.edges])
+    arcs = np.empty((len(chambers),) + base.shape, dtype=complex)
+    arcs[0] = base
+    for depth in range(1, int(chambers.depths.max()) + 1):
+        rows = np.flatnonzero(chambers.depths == depth)
+        s = chambers.wall[rows, None, None]
+        arcs[rows] = invert(arcs[chambers.parent[rows]], wall_cx[s],
+                            wall_r[s])
+    return arcs
+
+
 def tessellation_svg(poly, chambers, size: int = 640) -> SvgCanvas:
-    """Chambers drawn in the unit-disk model, one path per chamber."""
+    """Chambers drawn in the unit-disk model, one path per wall of each."""
     z0 = complex(poly.center.x, poly.center.y)
     canvas = SvgCanvas(size, size)
     scale = 0.48 * size
     cx = cy = 0.5 * size
     canvas.circle(cx, cy, scale, stroke="#888")
-    arcs = [_edge_arc_points(e) for e in poly.edges]
-    mats = chambers.matrices
-    rev = chambers.reversing
-    for i in range(mats.shape[0]):
-        a, b = mats[i, 0, 0], mats[i, 0, 1]
-        c, d = mats[i, 1, 0], mats[i, 1, 1]
-        for arc in arcs:
-            z = np.conjugate(arc) if rev[i] else arc
-            z = (a * z + b) / (c * z + d)
-            w = (z - z0) / (z - np.conjugate(z0))
+    arcs = _chamber_arcs(poly, chambers)
+    disk = (arcs - z0) / (arcs - np.conjugate(z0))
+    for chamber in disk:
+        for w in chamber:
             pts = [(cx + scale * u.real, cy - scale * u.imag) for u in w]
             canvas.polyline(pts, stroke="#224", width=0.6)
     return canvas

@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .constants import DEFAULT_H_TOL, EPS_POWER
 from .errors import NotIrreducible, VertexHit
-from .hypgeom import CoxeterPolygon, HGeodesic, HPoint
+from .hypgeom import CoxeterPolygon, HGeodesic, HPoint, regular_polygon
 from .perron import WarmPerron, bisect_root
 from .tracing import (LOST, NEAR_VERTEX, OK, WallTable, batch_first_crossing,
                       launch, trace)
@@ -448,7 +448,6 @@ def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
     diagnostics.update((key, model.diagnostics[key])
                        for key in MODEL_COUNTERS)
     if refine:
-        from .hypgeom import regular_polygon
         poly = regular_polygon(model.p, model.m, model.q)
         fine = build_cross_section(poly, (2 * model.n_u, 2 * model.n_theta),
                                    model.k, model.seed)

@@ -36,7 +36,22 @@ def test_polygon_svg(tmp_path, capsys):
     assert code == 0
     text = svg.read_text()
     assert text.startswith("<svg")
-    assert "polyline" in text
+    # one polyline per wall of each of the 1 + 5 + 15 chambers
+    assert text.count("<polyline") == 5 * 21
+
+
+def test_polygon_svg_capped(tmp_path, capsys, monkeypatch):
+    # (8,4) has 1,085,905 chambers up to depth 7; the walk stops at the
+    # cap, before anything is drawn
+    def no_draw(*args):
+        raise AssertionError("drew past the chamber cap")
+    monkeypatch.setattr(cli, "tessellation_svg", no_draw)
+    svg = tmp_path / "tess.svg"
+    code, _, err = run(capsys, "polygon", "--p", "8", "--m", "4", "--svg",
+                       str(svg), "--depth", "7")
+    assert code == 1
+    assert f"cap={cli._SVG_CHAMBER_CAP}" in err
+    assert not svg.exists()
 
 
 def test_graph_subcommand(tmp_path, capsys):
@@ -137,6 +152,7 @@ def _no_stage(*args, **kwargs):
     (["pressure", "--n-theta", "100000"], "--n-theta"),
     (["pressure", "--k", "60"], "--k"),
     (["pressure", "--k", "0"], "--k"),
+    (["polygon", "--svg", "tess.svg", "--depth", "-3"], "--depth"),
 ])
 def test_subcommand_sizes_checked(monkeypatch, capsys, argv, flag):
     # refused by name before any geometry, sampling or tracing runs

@@ -6,12 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from volent import coxeter
+from volent import coxeter, svg
 from volent.coxeter import (ChamberSet, GrowthTable, ball_growth,
                             enumerate_chambers, growth_slope,
                             weighted_ball_growth)
 from volent.errors import FrontierTooClose, ResourceLimit, WindowTooNarrow
-from volent.hypgeom import regular_polygon
+from volent.hypgeom import invert, regular_polygon
 
 
 def _depth_counts(cs):
@@ -25,12 +25,15 @@ def test_depth_zero_and_one(pentagon_q1):
     assert _depth_counts(cs) == {0: 1, 1: 5}
 
 
-def _brute_force_count(poly, depth):
-    # all words over the reflections, deduplicated by matrix up to sign
-    from volent.hypgeom import reflect
-    gens = [reflect(e.geodesic).m for e in poly.edges]
-    seen = {}
-    frontier = [np.eye(2)]
+def _brute_force_ball(poly, depth):
+    """Every element of length <= depth as (matrix, length parity), from
+    all words over the reflections, deduplicated by matrix up to sign.
+
+    The reflection in the wall (cx, r) is z -> cx + r^2/(conj(z) - cx),
+    the matrix [[cx, r^2 - cx^2], [1, -cx]] acting on conj(z), scaled to
+    |det| = 1; a word of odd length acts on conj(z)."""
+    gens = [np.array([[e.cx, e.r ** 2 - e.cx ** 2], [1.0, -e.cx]]) / e.r
+            for e in poly.edges]
 
     def key(m):
         v = m.ravel()
@@ -39,31 +42,55 @@ def _brute_force_count(poly, depth):
             v = -v
         return tuple(np.round(v, 9))
 
-    seen[key(np.eye(2))] = True
-    for _ in range(depth):
+    seen = {key(np.eye(2)): (np.eye(2), 0)}
+    frontier = [np.eye(2)]
+    for k in range(1, depth + 1):
         nxt = []
         for mat in frontier:
             for g in gens:
                 child = mat @ g
-                k = key(child)
-                if k not in seen:
-                    seen[k] = True
+                if key(child) not in seen:
+                    seen[key(child)] = (child, k % 2)
                     nxt.append(child)
         frontier = nxt
-    return len(seen)
+    return list(seen.values())
 
 
 def test_depth_three_count_matches_brute_force(pentagon_q1):
     cs = enumerate_chambers(pentagon_q1, max_depth=3)
-    assert len(cs) == _brute_force_count(pentagon_q1, 3)
+    assert len(cs) == len(_brute_force_ball(pentagon_q1, 3))
     # the depth-2 shell: 25 words, 5 collapse to identity, 5 commuting
     # pairs coincide
     assert _depth_counts(cs)[2] == 15
 
 
+@pytest.mark.parametrize("p, m, q, n", [
+    (5, 2, (1,) * 5, 166),
+    (5, 3, (2,) * 5, 381),
+    (6, 2, (2, 3) * 3, 457),
+])
+def test_points_match_brute_force_centers(p, m, q, n):
+    # the ball is closed under inverses, so its orbit points w^-1(z0)
+    # are its chamber centers w(z0)
+    poly = regular_polygon(p, m, q)
+    cs = enumerate_chambers(poly, max_depth=4)
+    z0 = complex(poly.center.x, poly.center.y)
+    centers = []
+    for mat, odd in _brute_force_ball(poly, 4):
+        (a, b), (c, d) = mat
+        z = np.conjugate(z0) if odd else z0
+        centers.append((a * z + b) / (c * z + d))
+
+    def rounded(z):
+        return {(round(w.real, 8), round(w.imag, 8)) for w in z}
+
+    assert len(cs) == len(centers) == n
+    assert rounded(cs.points) == rounded(centers)
+
+
 def test_dedup_separation(pentagon_q1):
     cs = enumerate_chambers(pentagon_q1, max_depth=3)
-    z = cs.centers
+    z = cs.points
     d2 = np.abs(z[:, None] - z[None, :]) ** 2
     ch = 1.0 + d2 / (2.0 * np.outer(z.imag, z.imag))
     dist = np.arccosh(np.maximum(ch, 1.0))
@@ -89,7 +116,7 @@ def test_multiplicity_mixed_q():
 def test_determinism(pentagon_q2):
     a = enumerate_chambers(pentagon_q2, max_depth=4)
     b = enumerate_chambers(pentagon_q2, max_depth=4)
-    assert np.array_equal(a.centers, b.centers)
+    assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.log_mult, b.log_mult)
 
 
@@ -259,7 +286,7 @@ def test_radius_cut_matches_depth_enumeration(p, m, q, depth, cuts):
         assert rows(cs, slice(None)) == rows(full, full.radii <= cut)
 
 
-_FIELDS = ("matrices", "reversing", "centers", "radii", "depths", "log_mult")
+_FIELDS = ("parent", "wall", "points", "radii", "depths", "log_mult")
 
 
 @pytest.mark.parametrize("kw", [{"radius_cut": 9.0}, {"max_depth": 6}])
@@ -276,6 +303,36 @@ def test_block_size_invariance(monkeypatch, kw):
     assert (cs.reach, cs.diameter) == (ref.reach, ref.diameter)
 
 
+@pytest.mark.parametrize("kw", [{"radius_cut": 9.0}, {"max_depth": 6}])
+def test_rows_form_the_walk_tree(kw):
+    # row i is its parent's row one level up, its point the parent's
+    # inverted in base wall wall[i]: the step the walk takes and svg
+    # repeats on wall arcs
+    poly = regular_polygon(5, 2, (2, 3, 2, 3, 4))
+    cs = enumerate_chambers(poly, **kw)
+    assert (cs.parent[0], cs.wall[0], cs.depths[0]) == (-1, -1, 0)
+    child = np.arange(1, len(cs))
+    parent, wall = cs.parent[child], cs.wall[child]
+    assert np.all(parent < child)
+    assert np.array_equal(cs.depths[parent], cs.depths[child] - 1)
+    cx = np.array([e.cx for e in poly.edges])
+    r = np.array([e.r for e in poly.edges])
+    assert np.array_equal(invert(cs.points[parent], cx[wall], r[wall]),
+                          cs.points[child])
+
+
+def test_svg_arcs_surround_orbit_points():
+    # svg moves wall arcs along the same tree, so row i's arcs bound the
+    # chamber around its orbit point: every arc end is a vertex at the
+    # circumradius from that point
+    poly = regular_polygon(5, 3, (2,) * 5)
+    cs = enumerate_chambers(poly, max_depth=4)
+    ends = svg._chamber_arcs(poly, cs)[:, :, [0, -1]].reshape(len(cs), -1)
+    u = cs.points[:, None]
+    d = np.arccosh(1.0 + np.abs(ends - u) ** 2 / (2.0 * ends.imag * u.imag))
+    assert np.max(np.abs(d - poly.circumradius)) <= 1e-9
+
+
 def test_cap_names_depth(pentagon_q2):
     # 441 chambers up to depth 5 and 1161 up to depth 6, so depth 6
     # crosses the cap
@@ -284,8 +341,9 @@ def test_cap_names_depth(pentagon_q2):
 
 
 def test_enumeration_memory_bounded(pentagon_q2):
-    # the outputs take 8.8 MB; holding a whole level's candidates and
-    # every per-level piece beside the concatenation peaks near 33 MB
+    # the outputs take 6.7 MB; the walk's last two levels beside the
+    # slices, then each field's slices beside its concatenation, peak
+    # near 8.4 MiB
     tracemalloc.start()
     try:
         cs = enumerate_chambers(pentagon_q2, radius_cut=11.0)
@@ -408,7 +466,7 @@ def test_ball_growth_block_invariance(monkeypatch):
 def test_ball_growth_memory_bounded(pentagon_q2):
     # the default growth stage (655,371 chambers) holds one level of
     # orbit points and the candidates of one slice, not the ball; the
-    # ChamberSet path peaks near 69 MB on the same input
+    # ChamberSet path peaks near 55 MiB on the same input
     tracemalloc.start()
     try:
         bg = ball_growth(pentagon_q2, 12.7, 4.0, 11.0, 24)

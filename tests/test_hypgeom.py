@@ -1,13 +1,12 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volent.errors import BadThickness, NonHyperbolic
-from volent.hypgeom import (HIsometry, HPoint, dist, geodesic_through,
-                            reflect, regular_polygon)
+from volent.hypgeom import (HPoint, dist, geodesic_through, invert,
+                            regular_polygon)
 
 points = st.builds(HPoint,
                    st.floats(-5.0, 5.0),
@@ -29,33 +28,17 @@ def test_triangle_inequality(a, b, c):
     assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-9
 
 
-@given(points, points, st.floats(-3.0, 3.0), st.floats(0.1, 3.0))
-@settings(max_examples=60)
-def test_isometries_preserve_distance(a, b, tx, sc):
-    # horizontal translation composed with a dilation
-    g = HIsometry(np.array([[sc, tx], [0.0, 1.0]]))
-    assert dist(g.apply(a), g.apply(b)) == pytest.approx(dist(a, b), rel=1e-9)
-
-
-def test_compose_and_inverse_round_trip():
-    g = HIsometry(np.array([[2.0, 1.0], [0.5, 1.0]]))
-    # reversing isometries act on conj(z) and need det < 0
-    h = HIsometry(np.array([[-1.0, 3.0], [0.0, 1.0]]), reversing=True)
-    p = HPoint(0.3, 2.0)
-    assert (g @ h).apply(p).z == pytest.approx(g.apply(h.apply(p)).z)
-    back = (g @ g.inverse()).apply(p)
-    assert back.z == pytest.approx(p.z, abs=1e-12)
-
-
-def test_reflection_is_an_involution(pentagon_q1):
-    for e in pentagon_q1.edges:
-        r = reflect(e.geodesic)
-        assert r.reversing
-        p = HPoint(0.2, 1.3)
-        assert r.apply(r.apply(p)).z == pytest.approx(p.z, abs=1e-10)
-        # the topmost point of the wall circle is fixed
-        w = complex(e.cx, e.r)
-        assert r.apply_complex(w) == pytest.approx(w, abs=1e-10)
+@given(points, points, st.floats(-3.0, 3.0), st.floats(0.2, 3.0))
+@settings(max_examples=200)
+def test_reflection_is_an_involution(a, b, cx, r):
+    # the inversion in the wall circle (cx, r) is an isometry, its own
+    # inverse, and fixes the topmost point of the wall
+    fa, fb = (HPoint.from_complex(complex(invert(p.z, cx, r)))
+              for p in (a, b))
+    assert dist(fa, fb) == pytest.approx(dist(a, b), rel=1e-9, abs=1e-6)
+    assert complex(invert(fa.z, cx, r)) == pytest.approx(a.z, rel=1e-9)
+    top = complex(cx, r)
+    assert complex(invert(top, cx, r)) == pytest.approx(top, rel=1e-12)
 
 
 def test_geodesic_through_endpoints_on_curve():
