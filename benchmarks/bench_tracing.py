@@ -2,7 +2,7 @@
 cross-section sampler, chamber enumeration, ball growth and the default
 `volent entropy` run.
 
-Times seven tasks:
+Times eight tasks:
 
 - batch: one `batch_first_crossing` over 1e6 seeded rays;
 - santalo: `santalo_monte_carlo` on the default polygon at the
@@ -10,6 +10,13 @@ Times seven tasks:
   error, and its digest covers the estimate, its standard error, the
   resample count and the flux constant;
 - traces: 2000 single-ray `trace` calls of T = 50;
+- birkhoff: for 2000 seeded geodesics through the right-angled
+  pentagon with q = (2,3,2,3,4), `cutting_sequence` over (-3.5, 53.5)
+  and the four Birkhoff sums of the padded sandwich at T = 50, as the
+  perfbench birkhoff-traces workload runs them; its digest covers the
+  crossing count, times and edge labels, read from either record of a
+  `CuttingSequence`: a crossing array, or, in the run `parent-ead1053`,
+  a tuple of one object per crossing;
 - cross_section: `build_cross_section` on the default polygon at
   64x64, K = 3, seed 0 (the refinement grid of the default
   `volent entropy`);
@@ -58,14 +65,15 @@ import sys
 import tempfile
 import time
 
-TASKS = ("batch", "santalo", "traces", "cross_section", "enumerate",
-         "growth", "entropy")
+TASKS = ("batch", "santalo", "traces", "birkhoff", "cross_section",
+         "enumerate", "growth", "entropy")
 N_RAYS = 1_000_000
 N_TRACES = 2000
 T_TRACE = 50.0
 GRID, K = (64, 64), 3
 RADIUS_CUT = 12.7
 WINDOW, ROWS = (4.0, 11.0), 24
+BIRKHOFF_Q, SPAN = (2, 3, 2, 3, 4), (-3.5, T_TRACE + 3.5)
 
 
 def _rays(n: int):
@@ -75,6 +83,51 @@ def _rays(n: int):
     y = rng.uniform(0.9, 1.1, n)
     a = rng.uniform(0.0, 2.0 * math.pi, n)
     return x, y, np.cos(a), np.sin(a)
+
+
+def _birkhoff() -> tuple:
+    """(seconds, digest bytes, counters) of the birkhoff task."""
+    import numpy as np
+    from volent import symbolic
+    from volent.errors import VertexHit
+    from volent.hypgeom import HPoint, geodesic_through, regular_polygon
+
+    poly = regular_polygon(5, 2, BIRKHOFF_Q)
+    x, y, dx, dy = _rays(N_TRACES)
+    geos = [geodesic_through(HPoint(x[i], y[i]),
+                             HPoint(x[i] + 0.5 * dx[i], y[i] + 0.5 * dy[i]))
+            for i in range(N_TRACES)]
+    seqs, failed = [], 0
+    t0 = time.perf_counter()
+    for g in geos:
+        try:
+            seq = symbolic.cutting_sequence(g, SPAN, poly)
+        except VertexHit:
+            seqs.append(None)
+            failed += 1
+            continue
+        symbolic.birkhoff_f_integral(seq, 0.0, T_TRACE)
+        symbolic.thickness_log_product(seq, -1.0, T_TRACE + 1.0)
+        symbolic.birkhoff_f_integral(seq, -2.0, T_TRACE + 2.0)
+        symbolic.birkhoff_lq_integral(seq, T_TRACE)
+        seqs.append(seq)
+    seconds = time.perf_counter() - t0
+    chunks, crossings = [], 0
+    for seq in seqs:
+        if seq is None:
+            chunks.append(b"VertexHit")
+            continue
+        c = seq.crossings
+        if isinstance(c, tuple):
+            t = np.array([w.t for w in c], dtype=float)
+            j = np.array([w.edge_label for w in c], dtype=np.int64)
+        else:
+            t, j = c["t"], c["edge_label"]
+        crossings += len(t)
+        chunks.append(repr(len(t)).encode() + t.tobytes() + j.tobytes())
+    return seconds, b"".join(chunks), {"geodesics": N_TRACES,
+                                        "crossings": crossings,
+                                        "failed": failed}
 
 
 def worker(task: str) -> dict:
@@ -105,6 +158,9 @@ def worker(task: str) -> dict:
                             r.c_constant_used)).encode())
         counters = {"samples": r.samples, "resampled": r.resampled,
                     "mc_stderr": r.mc_stderr}
+    elif task == "birkhoff":
+        seconds, data, counters = _birkhoff()
+        digest.update(data)
     elif task == "cross_section":
         t0 = time.perf_counter()
         m = build_cross_section(poly, GRID, K, seed=0)

@@ -28,6 +28,7 @@ generated, so the growth stage holds one level, never the whole ball.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,8 +219,8 @@ def enumerate_chambers(poly: CoxeterPolygon,
     """Breadth-first enumeration of chambers around the base chamber.
 
     Exactly one of radius_cut and max_depth must be given; a radius_cut
-    must be positive and finite. Level k holds the elements of length k
-    (see _walk).
+    must be positive and finite, a max_depth a non-negative integer
+    (not a bool). Level k holds the elements of length k (see _walk).
 
     With a radius_cut, children whose centers land beyond the cut are
     pruned and the set is complete out to reach = radius_cut - diameter
@@ -237,6 +238,10 @@ def enumerate_chambers(poly: CoxeterPolygon,
         raise ValueError("give exactly one of radius_cut, max_depth")
     if radius_cut is not None:
         _check_cut(radius_cut)
+    elif (isinstance(max_depth, bool)
+          or not isinstance(max_depth, numbers.Integral) or max_depth < 0):
+        raise ValueError(
+            f"max_depth must be a non-negative integer, got {max_depth!r}")
 
     z0 = complex(poly.center.x, poly.center.y)
     limit = math.inf if radius_cut is None else radius_cut

@@ -94,10 +94,14 @@ class BoundReport:
     flag: str = ""
 
 
+def _log_q_length(poly: CoxeterPolygon) -> float:
+    """sum of ln(q_i) * ell_i over the polygon walls."""
+    return sum(math.log(q) * e.length for q, e in zip(poly.q, poly.edges))
+
+
 def santalo_closed_form(poly: CoxeterPolygon) -> float:
     """2 * sum of ln(q_i) * edge_length over the polygon walls."""
-    return FLUX_CONSTANT_2D * sum(
-        math.log(q) * e.length for q, e in zip(poly.q, poly.edges))
+    return FLUX_CONSTANT_2D * _log_q_length(poly)
 
 
 def _sample_in_polygon(poly: CoxeterPolygon, table: WallTable, n: int,
@@ -280,7 +284,7 @@ def santalo_monte_carlo(poly: CoxeterPolygon, samples: int = DEFAULT_SAMPLES,
     mass = 2.0 * math.pi * poly.area
     mc = float(vals.mean()) * mass
     stderr = float(vals.std(ddof=1)) / math.sqrt(samples) * mass
-    base = sum(math.log(q) * e.length for q, e in zip(poly.q, poly.edges))
+    base = _log_q_length(poly)
     c_used = mc / base if base > 0.0 else float("nan")
     return SantaloResult(
         closed_form=santalo_closed_form(poly), monte_carlo=mc,
@@ -297,7 +301,7 @@ def lower_bound_2d(poly: CoxeterPolygon) -> BoundReport:
     variational bound carrying the internally verified flux constant
     (integral / Liouville mass = 2 sum / (2 pi area)).
     """
-    s = sum(math.log(q) * e.length for q, e in zip(poly.q, poly.edges))
+    s = _log_q_length(poly)
     return BoundReport(
         paper_literal_bound=1.0 + s / poly.area,
         derived_constant_bound=1.0 + s / (math.pi * poly.area),

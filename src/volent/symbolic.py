@@ -2,10 +2,15 @@
 
 A geodesic in the quotient is coded by the ordered list of walls it
 crosses, with the flight length between consecutive crossings and the
-branching weight collected at each crossing. The first return map of
-the geodesic flow to the wall cross-section is discretized on a grid of
-(edge, position, incidence angle) cells (Ulam's method); the volume
-entropy is then the unique h at which the weighted transfer matrix
+branching weight collected at each crossing. A CuttingSequence holds
+that list as one CROSSING structured array, filled straight from the
+single-ray tracer's arrays, and the Birkhoff sums along it are numpy
+expressions over its columns.
+
+The first return map of the geodesic flow to the wall cross-section is
+discretized on a grid of (edge, position, incidence angle) cells
+(Ulam's method); the volume entropy is then the unique h at which the
+weighted transfer matrix
 
     B(h)[i -> j] = mass_ij * q(j) * exp((1 - h) * L_ij)
 
@@ -41,29 +46,23 @@ from .tracing import (LOST, NEAR_VERTEX, OK, WallTable, batch_first_crossing,
                       launch, trace)
 
 
-@dataclass(frozen=True)
-class WallCrossing:
-    """One wall crossing along a geodesic."""
-
-    t: float
-    edge_label: int
-    thickness_q: int
-    u: float
-    theta: float
+# One row per wall crossing: flow time, crossed wall of the base
+# polygon, its branching parameter, and the section coordinates (foot
+# position along the wall, incidence angle).
+CROSSING = np.dtype([("t", np.float64), ("edge_label", np.int64),
+                     ("thickness_q", np.int64), ("u", np.float64),
+                     ("theta", np.float64)])
 
 
 @dataclass(frozen=True)
 class CuttingSequence:
-    """Ordered wall crossings of one geodesic over a time span."""
+    """Ordered wall crossings of one geodesic over a time span.
 
-    crossings: tuple
+    crossings is a CROSSING structured array in time order.
+    """
+
+    crossings: np.ndarray
     t_span: tuple
-
-    def times(self) -> np.ndarray:
-        return np.array([c.t for c in self.crossings])
-
-    def log_thicknesses(self) -> np.ndarray:
-        return np.array([math.log(c.thickness_q) for c in self.crossings])
 
 
 def _state_of_geodesic(geo: HGeodesic):
@@ -72,28 +71,34 @@ def _state_of_geodesic(geo: HGeodesic):
     return p.x, p.y, dx, dy
 
 
-def _trace_span(table: WallTable, x, y, dx, dy, t0, t1):
-    """Crossings with t in (t0, t1], tracing backward when t0 < 0."""
-    rows = []
-    if t1 > 0.0:
-        j, t, u, th, flag = trace(table, x, y, dx, dy, t1)
-        if flag == NEAR_VERTEX:
-            raise VertexHit("geodesic passed near a tessellation vertex")
-        if flag == LOST:
-            raise VertexHit("degenerate geodesic geometry during tracing")
-        for k in range(len(j)):
-            if t[k] > t0:
-                rows.append((t[k], int(j[k]), u[k], th[k]))
+def _trace_checked(table: WallTable, x, y, dx, dy, t_max):
+    j, t, u, th, flag = trace(table, x, y, dx, dy, t_max)
+    if flag == NEAR_VERTEX:
+        raise VertexHit("geodesic passed near a tessellation vertex")
+    if flag == LOST:
+        raise VertexHit("degenerate geodesic geometry during tracing")
+    return j, t, u, th
+
+
+def _trace_span(table: WallTable, x, y, dx, dy, t0, t1) -> np.ndarray:
+    """CROSSING rows with t in (t0, t1], tracing backward when t0 < 0.
+
+    The backward crossings, reversed and negated, precede the forward
+    ones, so the rows are in time order without a sort.
+    """
+    parts = []
     if t0 < 0.0:
-        j, t, u, th, flag = trace(table, x, y, -dx, -dy, -t0)
-        if flag == NEAR_VERTEX:
-            raise VertexHit("geodesic passed near a tessellation vertex")
-        if flag == LOST:
-            raise VertexHit("degenerate geodesic geometry during tracing")
-        for k in range(len(j)):
-            if -t[k] <= t1:
-                rows.append((-t[k], int(j[k]), u[k], th[k]))
-    rows.sort()
+        j, t, u, th = _trace_checked(table, x, y, -dx, -dy, -t0)
+        k = np.flatnonzero(-t <= t1)[::-1]
+        parts.append((j[k], -t[k], u[k], th[k]))
+    if t1 > 0.0:
+        j, t, u, th = _trace_checked(table, x, y, dx, dy, t1)
+        k = t > t0
+        parts.append((j[k], t[k], u[k], th[k]))
+    j, t, u, th = (np.concatenate(col) for col in zip(*parts))
+    rows = np.empty(t.size, dtype=CROSSING)
+    rows["t"], rows["edge_label"], rows["thickness_q"] = t, j, table.q[j]
+    rows["u"], rows["theta"] = u, th
     return rows
 
 
@@ -111,21 +116,13 @@ def cutting_sequence(geodesic: HGeodesic, t_span: tuple,
     table = WallTable.from_polygon(poly)
     x, y, dx, dy = _state_of_geodesic(geodesic)
     rows = _trace_span(table, x, y, dx, dy, t0, t1)
-    cr = tuple(WallCrossing(t=t, edge_label=j, thickness_q=int(poly.q[j]),
-                            u=u, theta=th)
-               for (t, j, u, th) in rows)
-    return CuttingSequence(crossings=cr, t_span=(float(t0), float(t1)))
+    return CuttingSequence(crossings=rows, t_span=(float(t0), float(t1)))
 
 
-def _tent_antiderivative(x: float) -> float:
-    # integral of max(0, 1 - |s|) from -inf to x
-    if x <= -1.0:
-        return 0.0
-    if x <= 0.0:
-        return 0.5 * (x + 1.0) ** 2
-    if x <= 1.0:
-        return 1.0 - 0.5 * (1.0 - x) ** 2
-    return 1.0
+def _tent_antiderivative(x: np.ndarray) -> np.ndarray:
+    # integral of max(0, 1 - |s|) from -inf to x, elementwise
+    x = np.clip(x, -1.0, 1.0)
+    return np.where(x <= 0.0, 0.5 * (x + 1.0) ** 2, 1.0 - 0.5 * (1.0 - x) ** 2)
 
 
 def f_value(point: HPoint, angle: float, poly: CoxeterPolygon) -> float:
@@ -137,11 +134,9 @@ def f_value(point: HPoint, angle: float, poly: CoxeterPolygon) -> float:
     table = WallTable.from_polygon(poly)
     rows = _trace_span(table, point.x, point.y,
                        math.cos(angle), math.sin(angle), -1.0, 1.0)
-    total = 0.0
-    for (t, j, _, _) in rows:
-        if abs(t) < 1.0:
-            total += math.log(poly.q[j]) * (1.0 - abs(t))
-    return total
+    t = np.abs(rows["t"])
+    near = t < 1.0
+    return float(np.dot(np.log(rows["thickness_q"][near]), 1.0 - t[near]))
 
 
 def lq_value(point: HPoint, angle: float, poly: CoxeterPolygon) -> tuple:
@@ -171,19 +166,16 @@ def birkhoff_f_integral(seq: CuttingSequence, a: float, b: float) -> float:
     t0, t1 = seq.t_span
     if t0 > a - 1.0 or t1 < b + 1.0:
         raise ValueError("cutting sequence span too short for this integral")
-    total = 0.0
-    for c in seq.crossings:
-        w = math.log(c.thickness_q)
-        if w != 0.0:
-            total += w * (_tent_antiderivative(b - c.t)
-                          - _tent_antiderivative(a - c.t))
-    return total
+    t = seq.crossings["t"]
+    mass = _tent_antiderivative(b - t) - _tent_antiderivative(a - t)
+    return float(np.dot(np.log(seq.crossings["thickness_q"]), mass))
 
 
 def thickness_log_product(seq: CuttingSequence, a: float, b: float) -> float:
     """ln of the product of branching parameters crossed in [a, b]."""
-    return sum(math.log(c.thickness_q) for c in seq.crossings
-               if a <= c.t <= b)
+    t = seq.crossings["t"]
+    inside = (a <= t) & (t <= b)
+    return float(np.log(seq.crossings["thickness_q"][inside]).sum())
 
 
 def birkhoff_lq_integral(seq: CuttingSequence, T: float) -> float:
@@ -193,17 +185,13 @@ def birkhoff_lq_integral(seq: CuttingSequence, T: float) -> float:
     gap length and q the entry crossing's branching parameter. The
     sequence must contain a crossing at or before 0 and one beyond T.
     """
-    times = seq.times()
-    if len(times) < 2 or times[0] > 0.0 or times[-1] < T:
+    t = seq.crossings["t"]
+    if len(t) < 2 or t[0] > 0.0 or t[-1] < T:
         raise ValueError("cutting sequence does not bracket [0, T]")
-    total = 0.0
-    for i in range(len(times) - 1):
-        lo, hi = times[i], times[i + 1]
-        overlap = min(hi, T) - max(lo, 0.0)
-        if overlap > 0.0:
-            q = seq.crossings[i].thickness_q
-            total += math.log(q) / (hi - lo) * overlap
-    return total
+    lo, hi = t[:-1], t[1:]
+    overlap = np.maximum(np.minimum(hi, T) - np.maximum(lo, 0.0), 0.0)
+    lnq = np.log(seq.crossings["thickness_q"][:-1])
+    return float((lnq / (hi - lo) * overlap).sum())
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,10 @@ def test_nan_radius_refused(pentagon_q1):
             enumerate_chambers(pentagon_q1, radius_cut=cut)
         with pytest.raises(ValueError, match="radius_cut"):
             ball_growth(pentagon_q1, cut, 1.0, 6.0)
+    # so is a negative, fractional or bool depth
+    for depth in (-3, 2.5, True):
+        with pytest.raises(ValueError, match="max_depth"):
+            enumerate_chambers(pentagon_q1, max_depth=depth)
 
 
 def test_ball_growth_frontier_checked_first(pentagon_q1, monkeypatch):

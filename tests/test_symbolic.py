@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from volent import symbolic
 from volent.errors import BracketFailed
 from volent.hypgeom import HPoint, geodesic_through, regular_polygon
-from volent.symbolic import (CuttingSequence, WallCrossing,
+from volent.symbolic import (CROSSING, CuttingSequence,
                              birkhoff_f_integral, birkhoff_lq_integral,
                              build_cross_section, cutting_sequence, f_value,
                              lq_value, pressure_curve, pressure_log_radius,
@@ -18,7 +18,8 @@ from volent.symbolic import (CuttingSequence, WallCrossing,
 from volent.tracing import NEAR_VERTEX, WallTable, trace
 
 
-def _random_sequence(poly, rng, t0, t1):
+def _random_geodesic(poly, rng, t0, t1):
+    """(geodesic, its cutting sequence over (t0, t1])."""
     from volent.errors import VertexHit
     while True:
         ang = rng.uniform(0, 2 * math.pi)
@@ -26,21 +27,25 @@ def _random_sequence(poly, rng, t0, t1):
         target = HPoint(p.x + 0.5 * math.cos(ang), p.y + 0.5 * math.sin(ang))
         try:
             g = geodesic_through(p, target)
-            return cutting_sequence(g, (t0, t1), poly)
+            return g, cutting_sequence(g, (t0, t1), poly)
         except (VertexHit, ValueError):
             continue
+
+
+def _random_sequence(poly, rng, t0, t1):
+    return _random_geodesic(poly, rng, t0, t1)[1]
 
 
 def test_short_span_inside_one_chamber_is_empty(pentagon_q2):
     g = geodesic_through(HPoint(0.0, 1.0), HPoint(0.05, 1.02))
     seq = cutting_sequence(g, (0.0, 0.05), pentagon_q2)
-    assert seq.crossings == ()
+    assert seq.crossings.dtype == CROSSING and seq.crossings.size == 0
 
 
 def test_crossings_ordered_with_bounded_gaps(pentagon_q2):
     rng = np.random.default_rng(1)
     seq = _random_sequence(pentagon_q2, rng, -5.0, 25.0)
-    ts = seq.times()
+    ts = seq.crossings["t"]
     assert np.all(np.diff(ts) > 0)
     assert np.diff(ts).max() <= pentagon_q2.diameter + 1e-9
     n = len(ts)
@@ -113,9 +118,79 @@ def test_tent_integral_against_quadrature(pentagon_q2):
     ts = np.linspace(0.0, 6.0, 20001)
     dense = np.zeros_like(ts)
     for c in seq.crossings:
-        dense += math.log(c.thickness_q) * np.maximum(0.0, 1.0 - np.abs(ts - c.t))
+        dense += math.log(c["thickness_q"]) * np.maximum(
+            0.0, 1.0 - np.abs(ts - c["t"]))
     quad = np.trapezoid(dense, ts)
     assert birkhoff_f_integral(seq, 0.0, 6.0) == pytest.approx(quad, abs=1e-5)
+
+
+@pytest.fixture(scope="module")
+def pentagon_mixed():
+    # unequal q, so a row pairing a crossing with the wrong q shows
+    return regular_polygon(5, 2, (2, 3, 2, 3, 4))
+
+
+@pytest.mark.parametrize("span", [(-5.0, 20.0), (2.5, 20.0), (-6.0, -1.5)])
+def test_crossings_are_the_traced_arrays(pentagon_mixed, span):
+    # forward rows are trace's arrays with t > t0; backward rows are the
+    # reversed ray's arrays with -t <= t1, reversed, times negated
+    poly, (t0, t1) = pentagon_mixed, span
+    table = WallTable.from_polygon(poly)
+    g, seq = _random_geodesic(poly, np.random.default_rng(11), t0, t1)
+    x, y = g.basepoint.x, g.basepoint.y
+    dx, dy = g.tangent_at_basepoint()
+    cols = []
+    if t0 < 0.0:
+        j, t, u, th, _ = trace(table, x, y, -dx, -dy, -t0)
+        k = -t <= t1
+        cols.append((-t[k][::-1], j[k][::-1], u[k][::-1], th[k][::-1]))
+    if t1 > 0.0:
+        j, t, u, th, _ = trace(table, x, y, dx, dy, t1)
+        k = t > t0
+        cols.append((t[k], j[k], u[k], th[k]))
+    t, j, u, th = (np.concatenate(c) for c in zip(*cols))
+    rows = seq.crossings
+    assert isinstance(seq, CuttingSequence) and rows.dtype == CROSSING
+    assert rows.size >= 3
+    for name, want in (("t", t), ("edge_label", j), ("u", u), ("theta", th),
+                       ("thickness_q", np.array(poly.q)[j])):
+        assert rows[name].tobytes() == want.tobytes(), name
+
+
+def test_lq_integral_against_quadrature(pentagon_mixed):
+    # ln q / l is piecewise constant: on [t_i, t_i+1) it is ln q_i over
+    # the gap, with q_i the entry crossing's. The trapezoid rule misses
+    # at most half a grid step times each jump.
+    rng = np.random.default_rng(4)
+    for T in (6.0, 15.0):
+        seq = _random_sequence(pentagon_mixed, rng, -2.0, T + 2.0)
+        ts, dt = np.linspace(0.0, T, 400001, retstep=True)
+        dense = np.zeros_like(ts)
+        rows = seq.crossings
+        values = []
+        for lo, hi, q in zip(rows["t"][:-1], rows["t"][1:],
+                             rows["thickness_q"][:-1]):
+            values.append(math.log(q) / (hi - lo))
+            dense[(ts >= lo) & (ts < hi)] = values[-1]
+        quad = np.trapezoid(dense, ts)
+        jumps = np.abs(np.diff(values)).sum()
+        assert abs(birkhoff_lq_integral(seq, T) - quad) <= 0.5 * dt * jumps
+
+
+def test_log_product_against_direct_count(pentagon_mixed):
+    # count the crossings of each wall in [a, b], ends included
+    rng = np.random.default_rng(6)
+    seq = _random_sequence(pentagon_mixed, rng, -3.0, 20.0)
+    rows = seq.crossings
+    ts = rows["t"]
+    for a, b in ((-1.0, 12.0), (ts[3], ts[20]), (ts[7], ts[7]), (5.0, 4.0)):
+        count = [0] * pentagon_mixed.p
+        for c in rows:
+            if a <= c["t"] <= b:
+                count[c["edge_label"]] += 1
+        want = sum(n * math.log(q) for n, q in zip(count, pentagon_mixed.q))
+        assert thickness_log_product(seq, a, b) == pytest.approx(want,
+                                                                 abs=1e-12)
 
 
 def test_cohomology_gap_bounded_in_T(pentagon_q2):
