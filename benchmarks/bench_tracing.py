@@ -36,6 +36,11 @@ Times eight tasks:
   directory; its digest covers `report.json` without `timings` and
   `output_dir`, and `curves.csv`.
 
+The batch and traces tasks read the polygon's wall record,
+`poly.walls`, or build `tracing.WallTable.from_polygon(poly)` in a
+checkout whose polygon carries none (before the run
+`change-wall-record`).
+
 Each repeat of each task runs in a fresh subprocess, so its peak RSS
 (from `os.wait4`) is that task's alone. A run records, per task, the
 median of the in-process times, every time, the median peak RSS and a
@@ -137,15 +142,17 @@ def worker(task: str) -> dict:
     from volent.hypgeom import regular_polygon
     from volent.measures import santalo_monte_carlo
     from volent.symbolic import build_cross_section
-    from volent.tracing import WallTable, backend, batch_first_crossing, trace
+    from volent import tracing
+    from volent.tracing import backend, batch_first_crossing, trace
 
     poly = regular_polygon(5, 2, (2, 2, 2, 2, 2))
-    table = WallTable.from_polygon(poly)
+    walls = (poly.walls if hasattr(poly, "walls")
+             else tracing.WallTable.from_polygon(poly))
     digest = hashlib.sha256()
     if task == "batch":
         rays = _rays(N_RAYS)
         t0 = time.perf_counter()
-        out = batch_first_crossing(table, *rays)
+        out = batch_first_crossing(walls, *rays)
         seconds = time.perf_counter() - t0
         for arr in out:
             digest.update(arr.tobytes())
@@ -220,7 +227,7 @@ def worker(task: str) -> dict:
     else:
         x, y, dx, dy = _rays(N_TRACES)
         t0 = time.perf_counter()
-        outs = [trace(table, x[i], y[i], dx[i], dy[i], T_TRACE)
+        outs = [trace(walls, x[i], y[i], dx[i], dy[i], T_TRACE)
                 for i in range(N_TRACES)]
         seconds = time.perf_counter() - t0
         for out in outs:

@@ -6,8 +6,10 @@ the right. Each element is generated exactly once, from its canonical
 parent, chosen by right descent sets (Bjorner-Brenti, Combinatorics of
 Coxeter Groups, sections 1.6 and 7.1): the right descent set D_R(w) is
 the set of base walls separating w^-1(z0) from the base chamber center
-z0, a sign test whose margin is at least the inradius. No chamber is
-ever compared with another, so no deduplication is needed.
+z0, a sign test whose margin is at least the inradius. It is the
+polygon's one wall-side test, poly.walls.side, and the inversions read
+the same wall record. No chamber is ever compared with another, so no
+deduplication is needed.
 
 One point per chamber drives the walk: its orbit point u = w^-1(z0).
 The radius d(z0, w(z0)) = d(u, z0) and the descent set D_R(w) are both
@@ -118,31 +120,29 @@ def _walk(poly: CoxeterPolygon, limit: float, max_depth: int | None,
     level and the kept part of the next. Raises ResourceLimit, naming
     the depth, once more than cap chambers (the base included) are kept.
     """
-    wall_cx = np.array([e.cx for e in poly.edges])
-    wall_r = np.array([e.r for e in poly.edges])
-    wall_sign = np.array([e.n_sign for e in poly.edges])
+    walls = poly.walls
     logq = np.log(np.asarray(poly.q, dtype=float))
     z0 = complex(poly.center.x, poly.center.y)
 
     u = np.array([z0])
     log_mult = np.zeros(1)
-    desc = np.zeros((1, len(poly.edges)), dtype=bool)
+    desc = np.zeros((1, poly.p), dtype=bool)
     total = 1
     depth = 0
     while max_depth is None or depth < max_depth:
         depth += 1
         kept = []
-        for s in range(len(poly.edges)):
+        for s in range(poly.p):
             parents = np.flatnonzero(~desc[:, s])
             for a in range(0, parents.shape[0], BLOCK):
                 pa = parents[a:a + BLOCK]
                 # (w*s)^-1(z0) = s(w^-1(z0)): u inverted in base wall s
-                v = invert(u[pa], wall_cx[s], wall_r[s])
+                v = invert(u[pa], walls.cx[s], walls.r[s])
                 r = _hyp_dist(v, z0)
                 sel = np.flatnonzero(r <= limit)
                 pa, v, r = pa[sel], v[sel], r[sel]
                 # D_R(w*s): the base walls with v on their outer side
-                d = wall_sign * (np.abs(v[:, None] - wall_cx) - wall_r) < 0.0
+                d = walls.side(v) < 0.0
                 sel = np.flatnonzero(d.argmax(axis=1) == s)
                 if not sel.size:
                     continue

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import VertexHit
 from .hypgeom import CoxeterPolygon
-from .tracing import BLOCK, WallTable, _chords
+from .tracing import BLOCK, _chords
 
 FLUX_CONSTANT_2D = 2.0
 
@@ -96,7 +96,8 @@ class BoundReport:
 
 def _log_q_length(poly: CoxeterPolygon) -> float:
     """sum of ln(q_i) * ell_i over the polygon walls."""
-    return sum(math.log(q) * e.length for q, e in zip(poly.q, poly.edges))
+    ell = (poly.walls.s_hi - poly.walls.s_lo).tolist()
+    return sum(math.log(q) * e for q, e in zip(poly.q, ell))
 
 
 def santalo_closed_form(poly: CoxeterPolygon) -> float:
@@ -104,13 +105,13 @@ def santalo_closed_form(poly: CoxeterPolygon) -> float:
     return FLUX_CONSTANT_2D * _log_q_length(poly)
 
 
-def _sample_in_polygon(poly: CoxeterPolygon, table: WallTable, n: int,
+def _sample_in_polygon(poly: CoxeterPolygon, n: int,
                        rng: np.random.Generator):
     """n points uniform for hyperbolic area in P, by disk rejection.
 
-    Each round draws all its u and phi up front, then maps and tests
-    them in blocks of BLOCK, keeping the first accepted points in draw
-    order.
+    Each round draws all its u and phi up front, then maps them in
+    blocks of BLOCK and keeps, in draw order, the first points on the
+    inner side of every wall (poly.walls.side).
     """
     z0 = complex(poly.center.x, poly.center.y)
     R = poly.circumradius * (1.0 + 1e-9)
@@ -135,11 +136,7 @@ def _sample_in_polygon(poly: CoxeterPolygon, table: WallTable, n: int,
             # recentering the rotation from i to the polygon center is
             # the identity here since the polygon is built with center i
             z = z.real * z0.imag + z0.real + 1j * (z.imag * z0.imag)
-            inside = np.ones(z.shape[0], dtype=bool)
-            for j in range(table.cx.shape[0]):
-                dj = np.hypot(z.real - table.cx[j], z.imag) - table.r[j]
-                inside &= table.n_sign[j] * dj > 0.0
-            z = z[inside][: n - have]
+            z = z[np.all(poly.walls.side(z) > 0.0, axis=1)][: n - have]
             xs[have:have + z.shape[0]] = z.real
             ys[have:have + z.shape[0]] = z.imag
             have += z.shape[0]
@@ -164,24 +161,24 @@ class _Sectors:
         distance from a vertex to a wall not incident to it, so that each
         r0-disk meets P in exactly its wedge."""
         p = poly.p
+        cx, r = poly.walls.cx.tolist(), poly.walls.r.tolist()
         gap = math.inf
         start = np.empty(p)
         for k, v in enumerate(poly.vertices):
             # vertex k is where wall k-1 ends and wall k starts
             ends = {(k - 1) % p: poly.vertices[k - 1],
                     k: poly.vertices[(k + 1) % p]}
-            for j, e in enumerate(poly.edges):
+            for j in range(p):
                 if j not in ends:
                     # sinh of the distance from v to the wall's geodesic
-                    sinh_d = abs((v.x - e.cx) ** 2 + v.y ** 2 - e.r ** 2) / (
-                        2.0 * e.r * v.y)
+                    sinh_d = abs((v.x - cx[j]) ** 2 + v.y ** 2 - r[j] ** 2) / (
+                        2.0 * r[j] * v.y)
                     gap = min(gap, math.asinh(sinh_d))
             # the tangent of each incident wall at v, pointing along it
             # into P (toward the wall's other vertex)
             angles = []
             for j, far in ends.items():
-                e = poly.edges[j]
-                tx, ty = -v.y, v.x - e.cx
+                tx, ty = -v.y, v.x - cx[j]
                 if tx * (far.x - v.x) + ty * (far.y - v.y) < 0.0:
                     tx, ty = -tx, -ty
                 angles.append(math.atan2(ty, tx))
@@ -242,14 +239,14 @@ def santalo_monte_carlo(poly: CoxeterPolygon, samples: int = DEFAULT_SAMPLES,
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
-    table = WallTable.from_polygon(poly)
+    walls = poly.walls
     sectors = _Sectors.from_polygon(poly)
     rng = np.random.default_rng(seed)
     n2 = round(_VERTEX_SHARE * samples)
     n1 = samples - n2
 
     def base_points(n_uniform, n_vertex):
-        xu, yu = _sample_in_polygon(poly, table, n_uniform, rng)
+        xu, yu = _sample_in_polygon(poly, n_uniform, rng)
         xv, yv = sectors.sample(n_vertex, rng)
         return np.concatenate((xu, xv)), np.concatenate((yu, yv))
 
@@ -263,11 +260,11 @@ def santalo_monte_carlo(poly: CoxeterPolygon, samples: int = DEFAULT_SAMPLES,
         redo = []
         for k in range(0, todo.size, BLOCK):
             idx = todo[k:k + BLOCK]
-            entry, length, good = _chords(table, x[idx], y[idx], dx[idx],
+            entry, length, good = _chords(walls, x[idx], y[idx], dx[idx],
                                           dy[idx])
             weight = 1.0 / (n1 / samples + n2 / samples * poly.area
                             * sectors.density(x[idx], y[idx]))
-            lnq = np.log(table.q[entry[good]].astype(float))
+            lnq = np.log(walls.q[entry[good]].astype(float))
             vals[idx[good]] = lnq / length[good] * weight[good]
             redo.append(idx[~good])
         todo = np.concatenate(redo)

@@ -45,7 +45,8 @@ def geodesic_lengths(lam: float, B, k_max: int) -> OrbitFamily:
     """Lengths of g_k for k = 1 .. k_max, computed two independent ways.
 
     The direct way multiplies matrices; the closed form evaluates the
-    lambda-power expansion. Raises NonHyperbolic if any g_k fails
+    lambda-power expansion. Raises ValueError, naming k_max and lambda,
+    if either way overflows float, and NonHyperbolic if any g_k fails
     tr/2 >= 1. The family is flagged degenerate (exactly affine
     lengths) when (a^2+b^2)(c^2+d^2) = 1, e.g. B = identity.
     """
@@ -65,14 +66,21 @@ def geodesic_lengths(lam: float, B, k_max: int) -> OrbitFamily:
     A = np.array([[lam, 0.0], [0.0, 1.0 / lam]])
     traces = np.empty(k_max)
     M = B.copy()
-    for i in range(k_max):
-        M = A @ M
-        traces[i] = float(np.trace(M @ M.T))
+    # overflow is reported below, by k, rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k_max):
+            M = A @ M
+            traces[i] = float(np.trace(M @ M.T))
+        closed = (lam ** (2.0 * ks) * (a * a + b * b)
+                  + lam ** (-2.0 * ks) * (c * c + d * d))
+    bad = ~(np.isfinite(traces) & np.isfinite(closed))
+    if bad.any():
+        raise ValueError(
+            f"k_max = {k_max} with lambda = {lam:g}: tr(g_k g_k^t) "
+            f"overflows float from k = {ks[bad][0]}")
     if np.any(traces / 2.0 < 1.0 - 1e-12):
         raise NonHyperbolic("some g_k is not a hyperbolic element")
     length = np.arccosh(np.maximum(traces / 2.0, 1.0))
-    closed = (lam ** (2.0 * ks) * (a * a + b * b)
-              + lam ** (-2.0 * ks) * (c * c + d * d))
     length_formula = np.arccosh(np.maximum(closed / 2.0, 1.0))
     return OrbitFamily(lam=float(lam), B=B, k=ks, trace=traces,
                        length=length, length_formula=length_formula,

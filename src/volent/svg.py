@@ -6,8 +6,6 @@ polylines, circles, and text labels are all that is needed.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .hypgeom import invert
@@ -20,7 +18,10 @@ class SvgCanvas:
         self.parts = []
 
     def polyline(self, points, stroke="black", width=1.0, fill="none"):
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        """points is an (n, 2) array of canvas coordinates, formatted in
+        one pass."""
+        xy = np.asarray(points, dtype=float)
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         self.parts.append(
             f'<polyline points="{pts}" fill="{fill}" stroke="{stroke}" '
             f'stroke-width="{width}"/>')
@@ -46,14 +47,6 @@ class SvgCanvas:
             fh.write(self.to_string())
 
 
-def _edge_arc_points(edge, n: int = 24) -> np.ndarray:
-    """Sample points along a wall segment in the upper half-plane."""
-    psi_lo = 2.0 * np.arctan(np.exp(edge.s_lo))
-    psi_hi = 2.0 * np.arctan(np.exp(edge.s_hi))
-    psi = np.linspace(psi_lo, psi_hi, n)
-    return edge.cx + edge.r * np.exp(1j * psi)
-
-
 def _chamber_arcs(poly, chambers) -> np.ndarray:
     """Wall arcs of every row of a ChamberSet, shape (rows, p, points).
 
@@ -63,16 +56,18 @@ def _chamber_arcs(poly, chambers) -> np.ndarray:
     element w, the chamber around its orbit point; the ball is closed
     under inverses, so these are the chambers of the ball.
     """
-    wall_cx = np.array([e.cx for e in poly.edges])
-    wall_r = np.array([e.r for e in poly.edges])
-    base = np.array([_edge_arc_points(e) for e in poly.edges])
+    walls = poly.walls
+    # 24 points along each base wall segment, shape (p, 24)
+    psi = np.linspace(2.0 * np.arctan(np.exp(walls.s_lo)),
+                      2.0 * np.arctan(np.exp(walls.s_hi)), 24, axis=-1)
+    base = walls.cx[:, None] + walls.r[:, None] * np.exp(1j * psi)
     arcs = np.empty((len(chambers),) + base.shape, dtype=complex)
     arcs[0] = base
     for depth in range(1, int(chambers.depths.max()) + 1):
         rows = np.flatnonzero(chambers.depths == depth)
         s = chambers.wall[rows, None, None]
-        arcs[rows] = invert(arcs[chambers.parent[rows]], wall_cx[s],
-                            wall_r[s])
+        arcs[rows] = invert(arcs[chambers.parent[rows]], walls.cx[s],
+                            walls.r[s])
     return arcs
 
 
@@ -85,10 +80,13 @@ def tessellation_svg(poly, chambers, size: int = 640) -> SvgCanvas:
     canvas.circle(cx, cy, scale, stroke="#888")
     arcs = _chamber_arcs(poly, chambers)
     disk = (arcs - z0) / (arcs - np.conjugate(z0))
-    for chamber in disk:
-        for w in chamber:
-            pts = [(cx + scale * u.real, cy - scale * u.imag) for u in w]
-            canvas.polyline(pts, stroke="#224", width=0.6)
+    # each stage is freed once the next exists, so drawing peaks no
+    # higher than holding the arcs and their disk images did
+    del arcs
+    xy = np.stack((cx + scale * disk.real, cy - scale * disk.imag), axis=-1)
+    del disk
+    for arc in xy.reshape(-1, *xy.shape[-2:]):
+        canvas.polyline(arc, stroke="#224", width=0.6)
     return canvas
 
 
@@ -107,10 +105,10 @@ def orbit_svg(family, size: int = 640) -> SvgCanvas:
         return (pad + (k - ks[0]) * kx, size - pad - (v - ymin) * ky)
 
     canvas.polyline([to_xy(ks[0], 0), to_xy(ks[-1], 0)], stroke="#888")
-    canvas.polyline([to_xy(k, v) for k, v in zip(ks, asym)],
-                    stroke="#c33", width=1.0)
-    canvas.polyline([to_xy(k, v) for k, v in zip(ks, ls)],
-                    stroke="#236", width=1.5)
+    canvas.polyline(np.column_stack(to_xy(ks, asym)), stroke="#c33",
+                    width=1.0)
+    canvas.polyline(np.column_stack(to_xy(ks, ls)), stroke="#236",
+                    width=1.5)
     for k, v in zip(ks, ls):
         x, y = to_xy(k, v)
         canvas.circle(x, y, 2.5, fill="#236")

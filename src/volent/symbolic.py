@@ -40,10 +40,10 @@ from scipy.sparse.csgraph import connected_components
 
 from .constants import DEFAULT_H_TOL, EPS_POWER
 from .errors import NotIrreducible, VertexHit
-from .hypgeom import CoxeterPolygon, HGeodesic, HPoint, regular_polygon
+from .hypgeom import (CoxeterPolygon, HGeodesic, HPoint, WallTable,
+                      regular_polygon)
 from .perron import WarmPerron, bisect_root
-from .tracing import (LOST, NEAR_VERTEX, OK, WallTable, batch_first_crossing,
-                      launch, trace)
+from .tracing import LOST, NEAR_VERTEX, OK, batch_first_crossing, launch, trace
 
 
 # One row per wall crossing: flow time, crossed wall of the base
@@ -71,8 +71,8 @@ def _state_of_geodesic(geo: HGeodesic):
     return p.x, p.y, dx, dy
 
 
-def _trace_checked(table: WallTable, x, y, dx, dy, t_max):
-    j, t, u, th, flag = trace(table, x, y, dx, dy, t_max)
+def _trace_checked(walls: WallTable, x, y, dx, dy, t_max):
+    j, t, u, th, flag = trace(walls, x, y, dx, dy, t_max)
     if flag == NEAR_VERTEX:
         raise VertexHit("geodesic passed near a tessellation vertex")
     if flag == LOST:
@@ -80,7 +80,7 @@ def _trace_checked(table: WallTable, x, y, dx, dy, t_max):
     return j, t, u, th
 
 
-def _trace_span(table: WallTable, x, y, dx, dy, t0, t1) -> np.ndarray:
+def _trace_span(walls: WallTable, x, y, dx, dy, t0, t1) -> np.ndarray:
     """CROSSING rows with t in (t0, t1], tracing backward when t0 < 0.
 
     The backward crossings, reversed and negated, precede the forward
@@ -88,16 +88,16 @@ def _trace_span(table: WallTable, x, y, dx, dy, t0, t1) -> np.ndarray:
     """
     parts = []
     if t0 < 0.0:
-        j, t, u, th = _trace_checked(table, x, y, -dx, -dy, -t0)
+        j, t, u, th = _trace_checked(walls, x, y, -dx, -dy, -t0)
         k = np.flatnonzero(-t <= t1)[::-1]
         parts.append((j[k], -t[k], u[k], th[k]))
     if t1 > 0.0:
-        j, t, u, th = _trace_checked(table, x, y, dx, dy, t1)
+        j, t, u, th = _trace_checked(walls, x, y, dx, dy, t1)
         k = t > t0
         parts.append((j[k], t[k], u[k], th[k]))
     j, t, u, th = (np.concatenate(col) for col in zip(*parts))
     rows = np.empty(t.size, dtype=CROSSING)
-    rows["t"], rows["edge_label"], rows["thickness_q"] = t, j, table.q[j]
+    rows["t"], rows["edge_label"], rows["thickness_q"] = t, j, walls.q[j]
     rows["u"], rows["theta"] = u, th
     return rows
 
@@ -113,9 +113,8 @@ def cutting_sequence(geodesic: HGeodesic, t_span: tuple,
     t0, t1 = t_span
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    table = WallTable.from_polygon(poly)
     x, y, dx, dy = _state_of_geodesic(geodesic)
-    rows = _trace_span(table, x, y, dx, dy, t0, t1)
+    rows = _trace_span(poly.walls, x, y, dx, dy, t0, t1)
     return CuttingSequence(crossings=rows, t_span=(float(t0), float(t1)))
 
 
@@ -131,8 +130,7 @@ def f_value(point: HPoint, angle: float, poly: CoxeterPolygon) -> float:
     The vector is the unit tangent at the given point making the given
     angle with the horizontal.
     """
-    table = WallTable.from_polygon(poly)
-    rows = _trace_span(table, point.x, point.y,
+    rows = _trace_span(poly.walls, point.x, point.y,
                        math.cos(angle), math.sin(angle), -1.0, 1.0)
     t = np.abs(rows["t"])
     near = t < 1.0
@@ -143,12 +141,12 @@ def lq_value(point: HPoint, angle: float, poly: CoxeterPolygon) -> tuple:
     """(l, q) at the vector: l is the flight length of the wall-to-wall
     segment containing the base point, q the branching parameter of the
     segment's entry wall (the last crossing at or before time 0)."""
-    table = WallTable.from_polygon(poly)
+    walls = poly.walls
     dx, dy = math.cos(angle), math.sin(angle)
-    jf, tf, _, _, flag = trace(table, point.x, point.y, dx, dy, 1e6, max_steps=1)
+    jf, tf, _, _, flag = trace(walls, point.x, point.y, dx, dy, 1e6, max_steps=1)
     if flag != OK or len(tf) == 0:
         raise VertexHit("forward crossing not found")
-    jb, tb, _, _, flag = trace(table, point.x, point.y, -dx, -dy, 1e6, max_steps=1)
+    jb, tb, _, _, flag = trace(walls, point.x, point.y, -dx, -dy, 1e6, max_steps=1)
     if flag != OK or len(tb) == 0:
         raise VertexHit("backward crossing not found")
     l = float(tf[0] + tb[0])
@@ -263,9 +261,9 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
         raise ValueError("need N_u, N_theta >= 4")
     if K < 1:
         raise ValueError("need K >= 1")
-    table = WallTable.from_polygon(poly)
-    p = table.cx.shape[0]
-    ell = table.edge_length
+    walls = poly.walls
+    p = poly.p
+    ell = poly.edge_length
     n_states = p * n_u * n_th
     per_cell = K * K
     rng = np.random.default_rng(seed)
@@ -284,8 +282,8 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
 
     def flow(edges, us, ths):
         th_launch = math.pi - ths if reverse else ths
-        x, y, dx, dy = launch(table, edges, us, th_launch)
-        j, t, u2, th2, flag = batch_first_crossing(table, x, y, dx, dy,
+        x, y, dx, dy = launch(walls, edges, us, th_launch)
+        j, t, u2, th2, flag = batch_first_crossing(walls, x, y, dx, dy,
                                                    prev=edges)
         if reverse:
             th2 = math.pi - th2

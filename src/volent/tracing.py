@@ -6,6 +6,10 @@ reflection in that wall. The sequence of (wall, flight time, foot
 position, incidence angle) records is exactly the geodesic's cutting
 sequence after quotienting by the reflection group.
 
+Every entry point takes the polygon's one wall record, ``poly.walls``
+(a ``hypgeom.WallTable``, built once with the polygon), as its first
+argument; nothing here rebuilds wall arrays.
+
 The step geometry exists twice, one copy per call shape. ``trace``
 follows a single ray with ``_step``, which works on plain Python floats;
 ``batch_first_crossing`` steps many rays at once with the numpy kernel
@@ -35,45 +39,16 @@ the Santalo Monte Carlo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import EPS_STEP, EPS_VERTEX
-from .hypgeom import CoxeterPolygon
+from .hypgeom import WallTable
 
 
 def backend() -> str:
     """Name of the tracing backend; numpy is the only one."""
     return "numpy"
-
-
-@dataclass(frozen=True)
-class WallTable:
-    """Flat per-wall arrays consumed by the kernels."""
-
-    cx: np.ndarray      # wall circle center (on the real axis)
-    r: np.ndarray       # wall circle radius
-    s_lo: np.ndarray    # arclength parameter of one endpoint (s = log tan(psi/2))
-    s_hi: np.ndarray    # arclength parameter of the other endpoint
-    n_sign: np.ndarray  # inward normal = n_sign * radial unit vector
-    q: np.ndarray       # branching parameter per wall
-    edge_length: float
-    diameter: float
-
-    @staticmethod
-    def from_polygon(poly: CoxeterPolygon) -> "WallTable":
-        es = poly.edges
-        return WallTable(
-            cx=np.array([e.cx for e in es]),
-            r=np.array([e.r for e in es]),
-            s_lo=np.array([e.s_lo for e in es]),
-            s_hi=np.array([e.s_hi for e in es]),
-            n_sign=np.array([e.n_sign for e in es]),
-            q=np.array(poly.q, dtype=np.int64),
-            edge_length=poly.edge_length,
-            diameter=poly.diameter,
-        )
 
 
 # Rays per call of the numpy batch kernel, whose (BLOCK, p) float
@@ -275,7 +250,7 @@ def _batch_step_numpy(x, y, dx, dy, prev, cx, rr, slo, shi, nsign):
     return j.astype(np.int64), tbest, u, theta, flag.astype(np.int64)
 
 
-def trace(table: WallTable, x, y, dx, dy, t_max, max_steps=None):
+def trace(walls: WallTable, x, y, dx, dy, t_max, max_steps=None):
     """Trace a ray forward for hyperbolic time t_max.
 
     Returns (j, t, u, theta) arrays of crossings with 0 < t <= t_max, at
@@ -284,7 +259,7 @@ def trace(table: WallTable, x, y, dx, dy, t_max, max_steps=None):
     step finds no crossing, OK otherwise.
     """
     cx, rr, slo, shi, nsign = (a.tolist() for a in (
-        table.cx, table.r, table.s_lo, table.s_hi, table.n_sign))
+        walls.cx, walls.r, walls.s_lo, walls.s_hi, walls.n_sign))
     x, y, dx, dy, t_max = float(x), float(y), float(dx), float(dy), float(t_max)
     js, ts, us, ths = [], [], [], []
     t_acc = 0.0
@@ -311,7 +286,7 @@ def trace(table: WallTable, x, y, dx, dy, t_max, max_steps=None):
             np.array(ths), flag)
 
 
-def batch_first_crossing(table: WallTable, x, y, dx, dy, prev=None):
+def batch_first_crossing(walls: WallTable, x, y, dx, dy, prev=None):
     """Batched single step. Returns (j, t, u, theta, flag) arrays.
 
     prev, when given, holds the wall each ray just crossed; that wall is
@@ -336,12 +311,12 @@ def batch_first_crossing(table: WallTable, x, y, dx, dy, prev=None):
         b = slice(a, a + BLOCK)
         (out_j[b], out_t[b], out_u[b], out_th[b],
          out_flag[b]) = _batch_step_numpy(x[b], y[b], dx[b], dy[b], prev[b],
-                                          table.cx, table.r, table.s_lo,
-                                          table.s_hi, table.n_sign)
+                                          walls.cx, walls.r, walls.s_lo,
+                                          walls.s_hi, walls.n_sign)
     return out_j, out_t, out_u, out_th, out_flag
 
 
-def _chords(table: WallTable, x, y, dx, dy):
+def _chords(walls: WallTable, x, y, dx, dy):
     """The wall-to-wall chord through each tangent vector, for Santalo.
 
     Returns (entry, l, ok): the wall the chord enters through (the
@@ -355,22 +330,22 @@ def _chords(table: WallTable, x, y, dx, dy):
     entry = np.empty(n, dtype=np.int64)
     length = np.empty(n)
     ok = np.empty(n, dtype=bool)
-    walls = (table.cx, table.s_lo, table.s_hi)
+    cols = (walls.cx, walls.s_lo, walls.s_hi)
     for a in range(0, n, BLOCK):
         b = slice(a, a + BLOCK)
         cand, xs, ys, proj, _, _ = _candidates(x[b], y[b], dx[b], dy[b],
-                                               table.cx, table.r)
+                                               walls.cx, walls.r)
         _, tf, _, _, _, _, ff = _pick(np.where(proj > 0.0, 1.0, -1.0),
-                                      cand, xs, ys, None, *walls)
+                                      cand, xs, ys, None, *cols)
         jb, tb, _, _, _, _, fb = _pick(np.where(-proj > 0.0, 1.0, -1.0),
-                                       cand, xs, ys, None, *walls)
+                                       cand, xs, ys, None, *cols)
         entry[b] = jb
         length[b] = tf + tb
         ok[b] = (ff == OK) & (fb == OK)
     return entry, length, ok
 
 
-def launch(table: WallTable, edge, u, theta):
+def launch(walls: WallTable, edge, u, theta):
     """Base point and direction of a section state (edge, u, theta).
 
     u is arclength from the wall's s_lo endpoint, theta in (0, pi) is the
@@ -379,12 +354,12 @@ def launch(table: WallTable, edge, u, theta):
     edge = np.asarray(edge, dtype=np.int64)
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    sw = table.s_lo[edge] + u
+    sw = walls.s_lo[edge] + u
     psi = 2.0 * np.arctan(np.exp(sw))
-    x = table.cx[edge] + table.r[edge] * np.cos(psi)
-    y = table.r[edge] * np.sin(psi)
-    nx = table.n_sign[edge] * np.cos(psi)
-    ny = table.n_sign[edge] * np.sin(psi)
+    x = walls.cx[edge] + walls.r[edge] * np.cos(psi)
+    y = walls.r[edge] * np.sin(psi)
+    nx = walls.n_sign[edge] * np.cos(psi)
+    ny = walls.n_sign[edge] * np.sin(psi)
     wx, wy = ny, -nx
     dx = np.cos(theta) * wx + np.sin(theta) * nx
     dy = np.cos(theta) * wy + np.sin(theta) * ny

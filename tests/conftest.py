@@ -3,7 +3,6 @@ import sys
 import pytest
 
 from volent.hypgeom import regular_polygon
-from volent.tracing import WallTable
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -29,9 +28,9 @@ def pentagon_q2():
 
 @pytest.fixture(scope="session")
 def table_q1(pentagon_q1):
-    return WallTable.from_polygon(pentagon_q1)
+    return pentagon_q1.walls
 
 
 @pytest.fixture(scope="session")
 def table_q2(pentagon_q2):
-    return WallTable.from_polygon(pentagon_q2)
+    return pentagon_q2.walls

@@ -113,6 +113,23 @@ def test_orbits_too_few_lengths(capsys):
     assert "error (input)" in err
 
 
+@pytest.mark.parametrize("argv", [["--k-max", "600"],
+                                  ["--lam", "1e200", "--k-max", "3"]])
+def test_orbits_overflow_is_an_input_error(capsys, argv):
+    # lambda^(2k) leaves float range (from k = 512 at lambda = 2): exit 2
+    # naming k_max and lambda, not a table of inf or nan lengths
+    code, out, err = run(capsys, "orbits", *argv)
+    assert code == 2
+    assert "k_max" in err and "lambda" in err and "Traceback" not in err
+    assert "inf" not in out and "nan" not in out
+
+
+def test_orbits_largest_finite_family(capsys):
+    code, out, _ = run(capsys, "orbits", "--k-max", "500")
+    assert code == 0
+    assert "k=500" in out and "inf" not in out and "nan" not in out
+
+
 def test_santalo_small(capsys):
     code, out, _ = run(capsys, "santalo", "--samples", "20000")
     assert code == 0

@@ -32,8 +32,8 @@ def _brute_force_ball(poly, depth):
     The reflection in the wall (cx, r) is z -> cx + r^2/(conj(z) - cx),
     the matrix [[cx, r^2 - cx^2], [1, -cx]] acting on conj(z), scaled to
     |det| = 1; a word of odd length acts on conj(z)."""
-    gens = [np.array([[e.cx, e.r ** 2 - e.cx ** 2], [1.0, -e.cx]]) / e.r
-            for e in poly.edges]
+    gens = [np.array([[cx, r ** 2 - cx ** 2], [1.0, -cx]]) / r
+            for cx, r in zip(poly.walls.cx.tolist(), poly.walls.r.tolist())]
 
     def key(m):
         v = m.ravel()
@@ -319,8 +319,7 @@ def test_rows_form_the_walk_tree(kw):
     parent, wall = cs.parent[child], cs.wall[child]
     assert np.all(parent < child)
     assert np.array_equal(cs.depths[parent], cs.depths[child] - 1)
-    cx = np.array([e.cx for e in poly.edges])
-    r = np.array([e.r for e in poly.edges])
+    cx, r = poly.walls.cx, poly.walls.r
     assert np.array_equal(invert(cs.points[parent], cx[wall], r[wall]),
                           cs.points[child])
 
@@ -366,7 +365,8 @@ def _reference_radii(poly, depth):
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 50
-    walls = [(mp.mpf(e.cx), mp.mpf(e.r) ** 2) for e in poly.edges]
+    walls = [(mp.mpf(cx), mp.mpf(r) ** 2)
+             for cx, r in zip(poly.walls.cx.tolist(), poly.walls.r.tolist())]
     z0 = mp.mpc(poly.center.x, poly.center.y)
 
     def cell(z):

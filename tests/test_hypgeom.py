@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,9 +58,29 @@ def test_pentagon_closed_form_values(pentagon_q1):
     assert poly.diameter == pytest.approx(2 * 0.8424820815, abs=1e-8)
 
 
-def test_edge_lengths_match_wall_parameter(pentagon_q1):
-    for e in pentagon_q1.edges:
-        assert e.length == pytest.approx(dist(e.a, e.b), rel=1e-9)
+def test_edge_lengths_match_wall_parameter():
+    # wall k of the record runs from vertex k to vertex k+1: both lie on
+    # its circle, its arclength range is their distance and the edge
+    # length, the center is inside every wall and each vertex is on its
+    # two walls
+    for args in [(5, 2, (1,) * 5), (6, 2, (2, 3) * 3), (4, 3, (2,) * 4),
+                 (3, 7, (1, 2, 3))]:
+        poly = regular_polygon(*args)
+        w, p = poly.walls, poly.p
+        assert w.q.tolist() == list(poly.q)
+        center_side = w.side(poly.center.z)
+        assert center_side.shape == (p,) and np.all(center_side > 0.0)
+        vert_side = w.side(np.array([v.z for v in poly.vertices]))
+        for k in range(p):
+            a, b = poly.vertices[k], poly.vertices[(k + 1) % p]
+            for v in (a, b):
+                assert abs(math.hypot(v.x - w.cx[k], v.y) - w.r[k]) <= 1e-12
+            ell = w.s_hi[k] - w.s_lo[k]
+            assert ell == pytest.approx(dist(a, b), rel=1e-9)
+            assert ell == pytest.approx(poly.edge_length, rel=1e-9)
+            assert abs(vert_side[k, k]) <= 1e-12
+            assert abs(vert_side[k, (k - 1) % p]) <= 1e-12
+            assert poly.side(k, a) == vert_side[k, k]
 
 
 def test_polygon_contains_center_but_not_far_points(pentagon_q2):

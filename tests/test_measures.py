@@ -8,7 +8,6 @@ from volent.measures import (_VERTEX_SHARE, FLUX_CONSTANT_2D, _Sectors,
                              _sample_in_polygon, lower_bound_2d,
                              lower_bound_plugin, santalo_closed_form,
                              santalo_monte_carlo, strictness_report)
-from volent.tracing import WallTable
 from volent.symbolic import EntropyEstimate
 
 
@@ -101,8 +100,7 @@ def test_mixture_density_normalised(pentagon_q2):
     rng = np.random.default_rng(11)
     n = 200_000
     n2 = round(_VERTEX_SHARE * n)
-    xu, yu = _sample_in_polygon(poly, WallTable.from_polygon(poly), n - n2,
-                                rng)
+    xu, yu = _sample_in_polygon(poly, n - n2, rng)
     xv, yv = sectors.sample(n2, rng)
     x, y = np.concatenate((xu, xv)), np.concatenate((yu, yv))
     inv = 1.0 / ((n - n2) / n + n2 / n * poly.area * sectors.density(x, y))
@@ -165,7 +163,7 @@ def test_lower_bounds_values(pentagon_q2):
 def test_plugin_bound_examples():
     # hyperbolic n = 2 with the pentagon data reproduces lower_bound_2d
     poly = regular_polygon(5, 2, (2,) * 5)
-    faces = [(e.length, q) for e, q in zip(poly.edges, poly.q)]
+    faces = list(zip((poly.walls.s_hi - poly.walls.s_lo).tolist(), poly.q))
     v = lower_bound_plugin(2, poly.area, faces)
     assert v == pytest.approx(lower_bound_2d(poly).paper_literal_bound,
                               rel=1e-12)

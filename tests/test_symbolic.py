@@ -15,7 +15,7 @@ from volent.symbolic import (CROSSING, CuttingSequence,
                              lq_value, pressure_curve, pressure_log_radius,
                              solve_entropy, thickness_log_product,
                              _solve_root)
-from volent.tracing import NEAR_VERTEX, WallTable, trace
+from volent.tracing import NEAR_VERTEX, trace
 
 
 def _random_geodesic(poly, rng, t0, t1):
@@ -78,13 +78,13 @@ def test_lq_perpendicular_oracle(pentagon_q2):
     import tests.test_tracing as tt
     poly = pentagon_q2
     best = min(range(poly.p), key=lambda i: poly.side(i, poly.center))
-    dx, dy = tt._dir_toward_wall(poly, poly.edges[best])
+    dx, dy = tt._dir_toward_wall(poly, best)
     ang = math.atan2(dy, dx)
     l, q = lq_value(poly.center, ang, poly)
     assert q == 2
     # flight through the center meets the opposite wall, not at the
     # inradius: measure the two legs directly
-    tab = WallTable.from_polygon(poly)
+    tab = poly.walls
     _, tf, _, _, _ = trace(tab, poly.center.x, poly.center.y, dx, dy, 10.0,
                            max_steps=1)
     _, tb, _, _, _ = trace(tab, poly.center.x, poly.center.y, -dx, -dy, 10.0,
@@ -135,7 +135,7 @@ def test_crossings_are_the_traced_arrays(pentagon_mixed, span):
     # forward rows are trace's arrays with t > t0; backward rows are the
     # reversed ray's arrays with -t <= t1, reversed, times negated
     poly, (t0, t1) = pentagon_mixed, span
-    table = WallTable.from_polygon(poly)
+    table = poly.walls
     g, seq = _random_geodesic(poly, np.random.default_rng(11), t0, t1)
     x, y = g.basepoint.x, g.basepoint.y
     dx, dy = g.tangent_at_basepoint()

@@ -8,7 +8,7 @@ import pytest
 
 from volent.hypgeom import regular_polygon
 from volent.measures import santalo_monte_carlo
-from volent.tracing import (BLOCK, OK, WallTable, _chords, backend,
+from volent.tracing import (BLOCK, OK, _chords, backend,
                             batch_first_crossing, launch, trace)
 
 
@@ -17,10 +17,9 @@ def test_perpendicular_midpoint_crossing(pentagon_q1, table_q1):
     # perpendicularly
     poly = pentagon_q1
     best = min(range(poly.p), key=lambda i: poly.side(i, poly.center))
-    e = poly.edges[best]
     j, t, u, th, flag = trace(
         table_q1, poly.center.x, poly.center.y,
-        *_dir_toward_wall(poly, e), 1e6, max_steps=1)
+        *_dir_toward_wall(poly, best), 1e6, max_steps=1)
     assert flag == OK
     assert list(j) == [best]
     # tolerances limited by the ternary search locating the foot
@@ -29,16 +28,18 @@ def test_perpendicular_midpoint_crossing(pentagon_q1, table_q1):
     assert th[0] == pytest.approx(math.pi / 2, abs=1e-6)
 
 
-def _dir_toward_wall(poly, e):
-    # direction at the polygon center of the geodesic hitting wall e
+def _dir_toward_wall(poly, k):
+    # direction at the polygon center of the geodesic hitting wall k
     # perpendicularly: ternary search for the closest wall point
     from volent.hypgeom import HPoint, dist, geodesic_through
 
+    cx, r = float(poly.walls.cx[k]), float(poly.walls.r[k])
+
     def pt(s):
         psi = 2.0 * math.atan(math.exp(s))
-        return HPoint(e.cx + e.r * math.cos(psi), e.r * math.sin(psi))
+        return HPoint(cx + r * math.cos(psi), r * math.sin(psi))
 
-    lo, hi = e.s_lo, e.s_hi
+    lo, hi = float(poly.walls.s_lo[k]), float(poly.walls.s_hi[k])
     for _ in range(200):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
@@ -50,7 +51,7 @@ def _dir_toward_wall(poly, e):
     return g.tangent_at_basepoint()
 
 
-def test_trace_gaps_bounded_by_diameter(table_q2):
+def test_trace_gaps_bounded_by_diameter(pentagon_q2, table_q2):
     rng = np.random.default_rng(3)
     for _ in range(30):
         ang = rng.uniform(0, 2 * math.pi)
@@ -60,9 +61,9 @@ def test_trace_gaps_bounded_by_diameter(table_q2):
         assert flag == OK
         gaps = np.diff(t)
         assert gaps.min() > 0
-        assert gaps.max() <= table_q2.diameter + 1e-9
+        assert gaps.max() <= pentagon_q2.diameter + 1e-9
         assert np.all((th > 0) & (th < math.pi))
-        assert np.all((u >= 0) & (u <= table_q2.edge_length))
+        assert np.all((u >= 0) & (u <= pentagon_q2.edge_length))
 
 
 def test_crossing_count_in_measured_bounds(pentagon_q2, table_q2):
@@ -79,10 +80,10 @@ def test_crossing_count_in_measured_bounds(pentagon_q2, table_q2):
     assert n <= 50.0 / min_gap + 1
 
 
-def test_launch_round_trip(table_q2):
+def test_launch_round_trip(pentagon_q2, table_q2):
     rng = np.random.default_rng(5)
     edges = rng.integers(0, 5, 200)
-    us = rng.uniform(0.05, table_q2.edge_length - 0.05, 200)
+    us = rng.uniform(0.05, pentagon_q2.edge_length - 0.05, 200)
     ths = rng.uniform(0.2, math.pi - 0.2, 200)
     x, y, dx, dy = launch(table_q2, edges, us, ths)
     # launched vectors sit on their wall with the requested section
@@ -92,7 +93,7 @@ def test_launch_round_trip(table_q2):
     good = flag == OK
     assert good.mean() > 0.95
     assert np.all(t[good] > 0)
-    assert np.all(t[good] <= table_q2.diameter + 1e-9)
+    assert np.all(t[good] <= pentagon_q2.diameter + 1e-9)
 
 
 def test_determinism(table_q2):
@@ -195,7 +196,7 @@ def _assert_matches(out, ref):
 
 def test_matches_stored_reference():
     ref = json.loads(_REFERENCE.read_text())
-    table = WallTable.from_polygon(regular_polygon(5, 2, (2, 2, 2, 2, 2)))
+    table = regular_polygon(5, 2, (2, 2, 2, 2, 2)).walls
     rng = np.random.default_rng(7)
     n = 300
     x = rng.uniform(-0.1, 0.1, n)
@@ -212,7 +213,7 @@ def test_single_ray_and_batch_geometries_agree(poly_args):
     # trace's scalar step and the batch kernel are two copies of one
     # geometry; their first crossings must agree ray by ray
     poly = regular_polygon(*poly_args)
-    table = WallTable.from_polygon(poly)
+    table = poly.walls
     n = 1200
     rng = np.random.default_rng(17)
     c = poly.center
