@@ -328,6 +328,9 @@ def cmd_entropy(args) -> int:
             w = csv.writer(fh)
             w.writerow(["h", "pressure_log_radius"])
             w.writerows(curve)
+        results["curve"] = {"points": len(curve),
+                            "power_iters": curve.power_iters,
+                            "max_bracket_width": curve.max_bracket_width}
     except VolentError as exc:
         failures.append(("pressure", str(exc)))
         ulam = None

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -183,6 +184,14 @@ class WallTable:
         """
         z = np.asarray(z)[..., None]
         return self.n_sign * (np.abs(z - self.cx) - self.r)
+
+    @cached_property
+    def floats(self) -> tuple:
+        """(cx, r, s_lo, s_hi, n_sign) as tuples of Python floats, built
+        on first use: the scalar tracer indexes them once per wall and
+        step, which is cheaper than indexing numpy arrays."""
+        return tuple(tuple(a.tolist()) for a in (
+            self.cx, self.r, self.s_lo, self.s_hi, self.n_sign))
 
 
 @dataclass(frozen=True)

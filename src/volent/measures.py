@@ -161,7 +161,7 @@ class _Sectors:
         distance from a vertex to a wall not incident to it, so that each
         r0-disk meets P in exactly its wedge."""
         p = poly.p
-        cx, r = poly.walls.cx.tolist(), poly.walls.r.tolist()
+        cx, r = poly.walls.floats[:2]
         gap = math.inf
         start = np.empty(p)
         for k, v in enumerate(poly.vertices):

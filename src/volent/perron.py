@@ -5,8 +5,22 @@ Both look for the h at which a nonnegative irreducible matrix B(h),
 entrywise strictly decreasing in h, has spectral radius one. For any
 positive v the Collatz-Wielandt bracket min(Bv/v) <= rho(B) <= max(Bv/v)
 holds, so a sign of rho - 1 read once the bracket excludes 1 is
-certified. Iterating on B + alpha*I, which has the same Perron vector
-and rho(B) + alpha as root, removes the oscillation of periodic B.
+certified, and so is a value read once the bracket is narrow, whatever
+the start vector was.
+
+Iterating on B + alpha*I, which has the same Perron vector and
+rho(B) + alpha as root, removes the oscillation of periodic B: for
+period d and alpha = c*rho, the peripheral eigenvalue rho*e^(2 pi i/d)
+moves to modulus |e^(2 pi i/d) + c| / (1 + c) < 1 relative to the root,
+for every c > 0. A large shift slows the interior spectrum instead: a
+positive eigenvalue lambda < rho converges at the ratio
+(lambda + alpha) / (rho + alpha), which grows with alpha. So alpha is a
+quarter of the first bracket's midpoint, about rho/4.
+
+A value-mode evaluation of a curve h -> rho(B(h)) starts from the
+cubic Lagrange extrapolation, in h, of ln v over the last four
+evaluations: the Perron vector is smooth in h, so the start is close to
+the answer and the bracket narrows in far fewer steps.
 """
 
 from __future__ import annotations
@@ -23,8 +37,8 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
     """Collatz-Wielandt bracket (lo, hi, v, steps) of rho(B).
 
     B is a nonnegative square matrix, v an optional positive start
-    (e.g. the iterate returned for a nearby matrix). alpha is the
-    midpoint of the first bracket. Stops when hi - lo <= rtol * hi or,
+    (e.g. the iterate returned for a nearby matrix). alpha is a quarter
+    of the first bracket's midpoint. Stops when hi - lo <= rtol * hi or,
     given a target, once the bracket excludes it; lo + hi > 2 * target
     is then the sign of rho - target. An all-zero B gives (0, 0). If
     neither stop holds while lo is not positive (0 or NaN: rows of B
@@ -37,7 +51,7 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
         ratio = w / v
         lo, hi = float(ratio.min()), float(ratio.max())
         if step == 1:
-            alpha = 0.5 * (lo + hi)
+            alpha = 0.125 * (lo + hi)
         if (hi - lo <= rtol * hi
                 or target is not None and (lo > target or hi < target)):
             return lo, hi, v, step
@@ -51,23 +65,49 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
         f"spectral radius iteration did not converge in {max_iter} steps")
 
 
+# Value-mode iterates kept for the start extrapolation: four points,
+# a cubic in h.
+_HISTORY = 4
+
+
 class WarmPerron:
     """Brackets of rho(B(h)), B(h).data = weight * exp((shift - h) * length)
-    on the fixed pattern of B, each warm-started from the iterate of the
-    previous h. steps counts kernel steps; width is the last bracket's."""
+    on the fixed pattern of B. A sign (given a target) is warm-started
+    from the last iterate; a value (no target) from the extrapolation of
+    the last _HISTORY value-mode iterates to h. steps counts kernel
+    steps; width is the last bracket's."""
 
     def __init__(self, B, weight, length, shift: float, rtol: float,
                  max_iter: int):
         self.B, self.weight, self.length = B, weight, length
         self.shift, self.rtol, self.max_iter = shift, rtol, max_iter
         self.v, self.steps, self.width = None, 0, 0.0
+        self.history = []   # (h, ln v) of the last value-mode brackets
 
     def bracket(self, h: float, target=None) -> tuple:
         self.B.data = self.weight * np.exp((self.shift - h) * self.length)
-        lo, hi, self.v, n = perron_bracket(self.B, self.v, self.rtol, target,
+        v = self.v if target is not None else self._extrapolate(h)
+        lo, hi, self.v, n = perron_bracket(self.B, v, self.rtol, target,
                                            self.max_iter)
         self.steps, self.width = self.steps + n, hi - lo
+        if target is None:
+            # a repeated h replaces its older entry, so the nodes of the
+            # Lagrange weights stay distinct
+            kept = [(g, y) for g, y in self.history if g != h]
+            self.history = kept[1 - _HISTORY:] + [(h, np.log(self.v))]
         return lo, hi
+
+    def _extrapolate(self, h: float):
+        """exp of the Lagrange polynomial through the stored (h, ln v),
+        evaluated at h and scaled to max 1; the last iterate when fewer
+        than two are stored or the result is not positive and finite."""
+        if len(self.history) < 2:
+            return self.v
+        hs = [g for g, _ in self.history]
+        y = sum(math.prod((h - hk) / (hj - hk) for hk in hs if hk != hj) * yj
+                for hj, yj in self.history)
+        v = np.exp(y - y.max())
+        return v if np.all(v > 0.0) else self.v
 
     def above(self, h: float) -> bool:
         """Certified rho(B(h)) > 1."""

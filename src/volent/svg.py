@@ -36,15 +36,15 @@ class SvgCanvas:
             f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
             f'font-family="sans-serif">{s}</text>')
 
-    def to_string(self) -> str:
-        head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
-                f'width="{self.width}" height="{self.height}" '
-                f'viewBox="0 0 {self.width} {self.height}">')
-        return head + "".join(self.parts) + "</svg>"
-
     def write(self, path: str) -> None:
+        """Stream the document to path part by part; it is never joined
+        into one string."""
         with open(path, "w") as fh:
-            fh.write(self.to_string())
+            fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
+                     f'width="{self.width}" height="{self.height}" '
+                     f'viewBox="0 0 {self.width} {self.height}">')
+            fh.writelines(self.parts)
+            fh.write("</svg>")
 
 
 def _chamber_arcs(poly, chambers) -> np.ndarray:

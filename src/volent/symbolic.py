@@ -387,13 +387,30 @@ def pressure_log_radius(model: UlamModel, h: float,
     return _log_radius(_pressure_rho(model, max_iter), h)
 
 
-def pressure_curve(model: UlamModel, h_values) -> list:
+class PressureCurve(list):
+    """[(h, pressure_log_radius)] rows, for CSV export, with the counters
+    of their evaluation: power_iters (kernel steps over all points) and
+    max_bracket_width (the widest Collatz-Wielandt bracket)."""
+
+    power_iters = 0
+    max_bracket_width = 0.0
+
+
+def pressure_curve(model: UlamModel, h_values) -> PressureCurve:
     """[(h, pressure_log_radius)] rows, for CSV export.
 
-    Each point is warm-started from the previous one.
+    Each point starts from the extrapolation of the previous points'
+    Perron vectors (WarmPerron). It and a single pressure_log_radius call
+    are midpoints of brackets that both hold the spectral radius, so
+    they differ by at most half the sum of the two widths.
     """
     rho = _pressure_rho(model)
-    return [(float(h), _log_radius(rho, float(h))) for h in h_values]
+    curve = PressureCurve()
+    for h in h_values:
+        curve.append((float(h), _log_radius(rho, float(h))))
+        curve.max_bracket_width = max(curve.max_bracket_width, rho.width)
+    curve.power_iters = rho.steps
+    return curve
 
 
 def _solve_root(model: UlamModel, bracket: tuple, tol: float) -> tuple:

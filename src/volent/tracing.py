@@ -68,8 +68,8 @@ def _step(x, y, dx, dy, prev, cx, rr, slo, nsign):
     Returns (j, t, xs, ys, u, theta, dxr, dyr, flag): wall index, flight
     time, crossing point, foot position along the wall from its s_lo end,
     incidence angle of the folded (inward) direction, folded direction,
-    and a status flag. The wall columns cx, rr, slo, nsign are lists of
-    Python floats: indexing them is cheaper than indexing numpy arrays.
+    and a status flag. The wall columns cx, rr, slo, nsign are tuples of
+    Python floats (WallTable.floats).
     """
     best_t = 1e300
     best_j = -1
@@ -258,8 +258,7 @@ def trace(walls: WallTable, x, y, dx, dy, t_max, max_steps=None):
     crossing foot comes within EPS_VERTEX of a wall endpoint, LOST if a
     step finds no crossing, OK otherwise.
     """
-    cx, rr, slo, shi, nsign = (a.tolist() for a in (
-        walls.cx, walls.r, walls.s_lo, walls.s_hi, walls.n_sign))
+    cx, rr, slo, shi, nsign = walls.floats
     x, y, dx, dy, t_max = float(x), float(y), float(dx), float(dy), float(t_max)
     js, ts, us, ths = [], [], [], []
     t_acc = 0.0

@@ -440,7 +440,12 @@ def test_entropy_report_reproducible(tmp_path, capsys):
         doc.pop("timings")
         doc["config"].pop("output_dir")
         docs.append(json.dumps(doc, sort_keys=True))
-        assert (d / "curves.csv").exists()
+        # the curve's counters are part of the reproducible report
+        curve = doc["results"]["curve"]
+        rows = (d / "curves.csv").read_text().splitlines()[1:]
+        assert curve["points"] == len(rows) == 21
+        assert curve["power_iters"] >= curve["points"]
+        assert curve["max_bracket_width"] > 0.0
     assert docs[0] == docs[1]
 
 

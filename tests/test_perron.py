@@ -5,7 +5,7 @@ import pytest
 
 from volent.errors import BracketFailed, PowerIterationStalled
 from volent.graphs import MetricGraph, _nonbacktracking
-from volent.perron import bisect_root, perron_bracket
+from volent.perron import WarmPerron, bisect_root, perron_bracket
 
 
 def k4_operator(L, h):
@@ -41,6 +41,46 @@ def test_periodic_matrix_converges():
     rho = (2 * 3.0 * 0.5) ** (1.0 / 3.0)
     assert lo <= rho * (1 + 1e-15) and rho * (1 - 1e-15) <= hi
     assert hi - lo <= 1e-13 * hi
+
+
+def test_period_six_graph_certifies():
+    # a 7-cycle with chords 0-3 and 2-5, every edge split into 6 unit
+    # edges: all cycles of the split graph have lengths divisible by 6,
+    # the base's have gcd 1, so the edge graph has period 6. The shift of
+    # a quarter of rho leaves its peripheral ratio at
+    # |e^(i pi/3) + 1/4| / (5/4) ~ 0.92, so the value certifies to 1e-13
+    # in a few hundred steps, and rho is the sixth root of the base's
+    base = [(i, (i + 1) % 7, 1.0) for i in range(7)] + [(0, 3, 1.0),
+                                                        (2, 5, 1.0)]
+    split, n = [], 7
+    for a, b, _ in base:
+        chain = [a] + list(range(n, n + 5)) + [b]
+        split += [(u, w, 1.0) for u, w in zip(chain, chain[1:])]
+        n += 5
+    A = _nonbacktracking(MetricGraph.from_undirected(n, split))
+    lo, hi, _, steps = perron_bracket(A, rtol=1e-13, max_iter=2000)
+    assert hi - lo <= 1e-13 * hi and steps < 2000
+    blo, bhi, _, _ = perron_bracket(
+        _nonbacktracking(MetricGraph.from_undirected(7, base)), rtol=1e-13)
+    assert lo <= bhi ** (1 / 6) * (1 + 1e-15)
+    assert blo ** (1 / 6) * (1 - 1e-15) <= hi
+
+
+def test_warm_perron_extrapolated_start_falls_back():
+    # value-mode brackets start from the extrapolated iterate; a stored
+    # non-finite ln v makes that start unusable, so the last iterate is
+    # used and the bracket still certifies the exact radius 2 exp(-h)
+    A = k4_operator(1.0, 0.0)
+    length = A.data.copy()
+    rho = WarmPerron(A, 1.0, length, 0.0, rtol=1e-13, max_iter=10_000)
+    for h in (0.1, 0.2, 0.3, 0.3):
+        rho.bracket(h)
+    assert [g for g, _ in rho.history] == [0.1, 0.2, 0.3]
+    rho.history[-1] = (0.3, np.full(A.shape[0], np.nan))
+    lo, hi = rho.bracket(0.4)
+    assert lo <= 2.0 * math.exp(-0.4) * (1 + 1e-15)
+    assert 2.0 * math.exp(-0.4) * (1 - 1e-15) <= hi
+    assert np.all(np.isfinite(rho.v))
 
 
 def test_sign_mode_stops_once_target_excluded():

@@ -399,5 +399,46 @@ def test_root_solve_counters(pentagon_q2):
     assert d["bracket_width"] >= 0.0
     # the curve warm-starts point to point and agrees with single calls
     hs = np.linspace(est.value - 0.5, est.value + 0.5, 5)
-    for h, p in pressure_curve(m, hs):
-        assert p == pytest.approx(pressure_log_radius(m, h), abs=1e-9)
+    _assert_within_cold_brackets(m, pressure_curve(m, hs))
+
+
+def _assert_within_cold_brackets(m, curve):
+    """Each curve point's radius lies in the certified bracket of a cold
+    evaluation at its h, widened by half the curve's widest bracket: both
+    brackets hold the radius, and the point is its bracket's midpoint."""
+    assert curve.max_bracket_width > 0.0
+    slack = 0.5 * curve.max_bracket_width
+    for h, p in curve:
+        lo, hi = symbolic._pressure_rho(m).bracket(h)
+        assert (lo - slack) * (1 - 1e-14) <= math.exp(p)
+        assert math.exp(p) <= (hi + slack) * (1 + 1e-14)
+
+
+def test_pressure_curve_repeated_and_unordered_h(pentagon_q2):
+    # a repeated h would make a Lagrange node difference zero, and a
+    # non-monotone sequence extrapolates backwards; neither may give a
+    # NaN, a division by zero or a value outside the certified bracket
+    m = build_cross_section(pentagon_q2, (8, 8), 2, seed=3)
+    hs = [1.2, 1.5, 1.5, 1.0, 1.8, 1.5, 1.2, 1.2, 2.4, 0.7]
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        curve = pressure_curve(m, hs)
+    assert [h for h, _ in curve] == hs
+    assert all(math.isfinite(p) for _, p in curve)
+    _assert_within_cold_brackets(m, curve)
+
+
+def test_pressure_curve_fewer_steps_than_cold_starts():
+    # deterministic kernel-step counts on the default 32x32 model: the
+    # extrapolated starts need under half the steps of cold starts
+    # (706 against 1879 when this was written; a plain warm start from
+    # the previous point's iterate takes 1545)
+    m = build_cross_section(regular_polygon(5, 2, (2,) * 5), (32, 32), 3, 0)
+    hs = np.linspace(1.26, 2.26, 21)
+    cold = 0
+    for h in hs:
+        rho = symbolic._pressure_rho(m)
+        rho.bracket(h)
+        cold += rho.steps
+    curve = pressure_curve(m, hs)
+    assert len(curve) == 21
+    assert 0 < 2 * curve.power_iters < cold
