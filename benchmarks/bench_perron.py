@@ -170,8 +170,7 @@ def time_curve(repeats: int) -> list:
         delta = max(abs(p - pressure_log_radius(model, x)) for x, p in curve)
         rows.append({"grid": 32, "seed": seed, "states": model.n_states,
                      "points": len(curve), "power_iters": count.steps,
-                     "max_bracket_width": getattr(curve, "max_bracket_width",
-                                                  None),
+                     "max_bracket_width": curve.max_bracket_width,
                      "max_abs_delta_cold": delta,
                      "median_s": statistics.median(times), "runs_s": times})
     return rows

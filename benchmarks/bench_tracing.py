@@ -14,9 +14,7 @@ Times eight tasks:
   pentagon with q = (2,3,2,3,4), `cutting_sequence` over (-3.5, 53.5)
   and the four Birkhoff sums of the padded sandwich at T = 50, as the
   perfbench birkhoff-traces workload runs them; its digest covers the
-  crossing count, times and edge labels, read from either record of a
-  `CuttingSequence`: a crossing array, or, in the run `parent-ead1053`,
-  a tuple of one object per crossing;
+  crossing count, times and edge labels;
 - cross_section: `build_cross_section` on the default polygon at
   64x64, K = 3, seed 0 (the refinement grid of the default
   `volent entropy`);
@@ -28,18 +26,14 @@ Times eight tasks:
   and centers);
 - growth: the growth stage of the default `volent entropy`, the
   weighted ball growth of the default polygon at radius_cut = 12.7 on
-  the window [4, 11] with 24 rows, by `ball_growth`, or by
-  `enumerate_chambers` and `weighted_ball_growth` in a checkout without
-  it; its digest covers the table, the chamber count, the count per
-  depth and the reach;
+  the window [4, 11] with 24 rows, by `ball_growth`; its digest covers
+  the table, the chamber count, the count per depth and the reach;
 - entropy: the default `volent entropy`, writing into a temporary
   directory; its digest covers `report.json` without `timings` and
   `output_dir`, and `curves.csv`.
 
 The batch and traces tasks read the polygon's wall record,
-`poly.walls`, or build `tracing.WallTable.from_polygon(poly)` in a
-checkout whose polygon carries none (before the run
-`change-wall-record`).
+`poly.walls`.
 
 Each repeat of each task runs in a fresh subprocess, so its peak RSS
 (from `os.wait4`) is that task's alone. A run records, per task, the
@@ -92,7 +86,6 @@ def _rays(n: int):
 
 def _birkhoff() -> tuple:
     """(seconds, digest bytes, counters) of the birkhoff task."""
-    import numpy as np
     from volent import symbolic
     from volent.errors import VertexHit
     from volent.hypgeom import HPoint, geodesic_through, regular_polygon
@@ -122,12 +115,7 @@ def _birkhoff() -> tuple:
         if seq is None:
             chunks.append(b"VertexHit")
             continue
-        c = seq.crossings
-        if isinstance(c, tuple):
-            t = np.array([w.t for w in c], dtype=float)
-            j = np.array([w.edge_label for w in c], dtype=np.int64)
-        else:
-            t, j = c["t"], c["edge_label"]
+        t, j = seq.crossings["t"], seq.crossings["edge_label"]
         crossings += len(t)
         chunks.append(repr(len(t)).encode() + t.tobytes() + j.tobytes())
     return seconds, b"".join(chunks), {"geodesics": N_TRACES,
@@ -142,12 +130,10 @@ def worker(task: str) -> dict:
     from volent.hypgeom import regular_polygon
     from volent.measures import santalo_monte_carlo
     from volent.symbolic import build_cross_section
-    from volent import tracing
     from volent.tracing import backend, batch_first_crossing, trace
 
     poly = regular_polygon(5, 2, (2, 2, 2, 2, 2))
-    walls = (poly.walls if hasattr(poly, "walls")
-             else tracing.WallTable.from_polygon(poly))
+    walls = poly.walls
     digest = hashlib.sha256()
     if task == "batch":
         rays = _rays(N_RAYS)
@@ -189,21 +175,13 @@ def worker(task: str) -> dict:
     elif task == "growth":
         from volent import coxeter
         t0 = time.perf_counter()
-        if hasattr(coxeter, "ball_growth"):
-            bg = coxeter.ball_growth(poly, RADIUS_CUT, *WINDOW, ROWS)
-            table, per_depth = bg.table, bg.chambers_per_depth
-            chambers, reach = bg.chambers, bg.reach
-        else:
-            import numpy as np
-            cs = enumerate_chambers(poly, radius_cut=RADIUS_CUT)
-            table = coxeter.weighted_ball_growth(cs, *WINDOW, ROWS)
-            per_depth = np.bincount(cs.depths).tolist()
-            chambers, reach = len(cs), cs.reach
+        bg = coxeter.ball_growth(poly, RADIUS_CUT, *WINDOW, ROWS)
         seconds = time.perf_counter() - t0
-        digest.update(table.radii.tobytes())
-        digest.update(table.log_weight.tobytes())
-        digest.update(repr((chambers, per_depth, reach)).encode())
-        counters = {"chambers": chambers, "reach": reach}
+        digest.update(bg.table.radii.tobytes())
+        digest.update(bg.table.log_weight.tobytes())
+        digest.update(repr((bg.chambers, bg.chambers_per_depth,
+                            bg.reach)).encode())
+        counters = {"chambers": bg.chambers, "reach": bg.reach}
     elif task == "entropy":
         with tempfile.TemporaryDirectory() as out:
             cfg = os.path.join(out, "config.json")

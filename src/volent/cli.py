@@ -135,6 +135,15 @@ def _check_float(name: str, value, low: float = 0.0) -> None:
                          f"got {value!r}")
 
 
+def _check_thickness(name: str, m: int, q) -> None:
+    """Refuse, naming it, unequal q for odd m: the two walls at a vertex
+    of angle pi/m with m odd are conjugate, so a building gives every
+    wall of the polygon the same thickness."""
+    if m % 2 and len(set(q)) > 1:
+        raise ValueError(f"{name} must be equal on every wall for odd m "
+                         f"(adjacent walls are conjugate), got {list(q)}")
+
+
 def _check_pressure_grid(names: str, p: int, n_u: int, n_theta: int,
                          k: int) -> None:
     """Refuse a pressure grid whose refined build, on the doubled grid
@@ -165,6 +174,7 @@ def _check_fields(cfg) -> None:
     q = get("polygon.q")
     if not (isinstance(q, list) and all(_is_int(v) and v >= 1 for v in q)):
         fail("polygon.q", "a list of integers >= 1")
+    _check_thickness("config key polygon.q", get("polygon.m"), q)
     for key in ("pressure.tol", "growth.radius_cut"):
         _check_float(f"config key {key}", get(key))
     for key, what, low in (("pressure.bracket", "lo < hi", -math.inf),
@@ -188,6 +198,12 @@ def _poly_from_cfg(cfg: dict):
     return regular_polygon(pc["p"], pc["m"], tuple(pc["q"]))
 
 
+def _poly_from_args(args, default_q: int = 2):
+    q = args.q or [default_q] * args.p
+    _check_thickness("--q", args.m, q)
+    return regular_polygon(args.p, args.m, tuple(q))
+
+
 def _estimate_doc(e: EntropyEstimate) -> dict:
     return {"value": e.value, "err": e.err, "method": e.method,
             "diagnostics": e.diagnostics}
@@ -195,7 +211,7 @@ def _estimate_doc(e: EntropyEstimate) -> dict:
 
 def cmd_polygon(args) -> int:
     _check_int("--depth", args.depth, 0, math.inf)
-    poly = regular_polygon(args.p, args.m, tuple(args.q or [1] * args.p))
+    poly = _poly_from_args(args, default_q=1)
     print(f"p = {poly.p}  m = {poly.m}  q = {list(poly.q)}")
     print(f"area        {poly.area:.6f}")
     print(f"edge length {poly.edge_length:.6f}")
@@ -211,7 +227,7 @@ def cmd_polygon(args) -> int:
 
 def cmd_santalo(args) -> int:
     _check_int("--samples", args.samples, 10_000, _MAX_SAMPLES)
-    poly = regular_polygon(args.p, args.m, tuple(args.q or [2] * args.p))
+    poly = _poly_from_args(args)
     r = santalo_monte_carlo(poly, args.samples, args.seed)
     print(f"closed form   {r.closed_form:.6f}")
     print(f"monte carlo   {r.monte_carlo:.6f} +/- {r.mc_stderr:.6f}")
@@ -229,7 +245,7 @@ def cmd_pressure(args) -> int:
     _check_pressure_grid("--p, --n-u, --n-theta and --k", args.p, args.n_u,
                          args.n_theta, args.k)
     _check_float("--tol", args.tol)
-    poly = regular_polygon(args.p, args.m, tuple(args.q or [2] * args.p))
+    poly = _poly_from_args(args)
     model = build_cross_section(poly, (args.n_u, args.n_theta), args.k,
                                 args.seed)
     est = solve_entropy(model, tol=args.tol, refine=not args.no_refine)
@@ -249,7 +265,7 @@ def cmd_growth(args) -> int:
     _check_float("--radius-cut", args.radius_cut)
     for value in args.window:
         _check_float("--window", value)
-    poly = regular_polygon(args.p, args.m, tuple(args.q or [2] * args.p))
+    poly = _poly_from_args(args)
     bg = ball_growth(poly, args.radius_cut, args.window[0], args.window[1])
     slope, err = growth_slope(bg.table, poly.diameter)
     print(f"chambers {bg.chambers}  reach {bg.reach:.3f}")

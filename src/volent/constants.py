@@ -8,7 +8,7 @@ guards sit at machine-noise scale.
 # Construction-time checks (polygon invariants: angles, edge lengths, area).
 EPS_CONSTRUCT = 1e-9
 
-# Geometric predicates (point-on-geodesic and vertical-geodesic checks).
+# Geometric predicates (the vertical-geodesic test of geodesic_through).
 EPS_GEOM = 1e-10
 
 # Rejection radius around tessellation vertices during tracing.

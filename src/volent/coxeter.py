@@ -121,7 +121,6 @@ def _walk(poly: CoxeterPolygon, limit: float, max_depth: int | None,
     the depth, once more than cap chambers (the base included) are kept.
     """
     walls = poly.walls
-    logq = np.log(np.asarray(poly.q, dtype=float))
     z0 = complex(poly.center.x, poly.center.y)
 
     u = np.array([z0])
@@ -153,7 +152,7 @@ def _walk(poly: CoxeterPolygon, limit: float, max_depth: int | None,
                         f"chamber enumeration exceeded cap={cap} "
                         f"at depth {depth}")
                 pa, v = pa[sel], v[sel]
-                lm = log_mult[pa] + logq[s]
+                lm = log_mult[pa] + walls.log_q[s]
                 kept.append((v, lm, d[sel]))
                 yield depth, pa, s, v, r[sel], lm
         if not kept:

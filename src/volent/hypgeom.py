@@ -3,17 +3,21 @@ Coxeter polygons.
 
 All geodesics of the model are half-circles centered on the real axis or
 vertical lines. The reflection in a wall is the inversion in its circle;
-the polygons built here have no vertical walls.
+the polygons built here have no vertical walls. A geodesic is held as
+the flow holds it, a basepoint and a unit tangent there.
 
 A polygon's walls are built once, by regular_polygon, into one record:
 poly.walls, a WallTable of per-wall arrays (circle, arclength range,
-inward sign, branching parameter). Every consumer reads that record, and
-"which side of wall k is z on" is computed in one place, WallTable.side.
+inward sign, ln of the branching parameter). Every consumer reads that
+record, and "which side of wall k is z on" is computed in one place,
+WallTable.side.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,23 +25,6 @@ import numpy as np
 
 from .constants import EPS_CONSTRUCT, EPS_GEOM
 from .errors import BadThickness, NonHyperbolic
-
-
-class _Infinity:
-    """Tagged boundary point at infinity (not a float sentinel)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = _Infinity()
 
 
 @dataclass(frozen=True)
@@ -68,79 +55,30 @@ def dist(a: HPoint, b: HPoint) -> float:
 
 @dataclass(frozen=True)
 class HGeodesic:
-    """Complete geodesic with ordered ideal endpoints, a basepoint on it,
-    and a direction sign (+1 means flowing from endpoints[0] toward
-    endpoints[1])."""
+    """Oriented geodesic as the flow's state: a basepoint on it and the
+    unit Euclidean tangent (dx, dy) of the flow direction there."""
 
-    endpoints: tuple  # (float | INF, float | INF), distinct
     basepoint: HPoint
-    direction: int = 1
-
-    def __post_init__(self):
-        e0, e1 = self.endpoints
-        if e0 is e1 or (e0 is not INF and e1 is not INF and e0 == e1):
-            raise ValueError("geodesic endpoints must be distinct")
-        if self.direction not in (-1, 1):
-            raise ValueError("direction must be +1 or -1")
-        if self._off_curve() > EPS_GEOM:
-            raise ValueError("basepoint does not lie on the geodesic")
-
-    def _off_curve(self) -> float:
-        e0, e1 = self.endpoints
-        p = self.basepoint
-        if e0 is INF or e1 is INF:
-            x0 = e1 if e0 is INF else e0
-            return abs(p.x - x0)
-        c = 0.5 * (e0 + e1)
-        r = 0.5 * abs(e1 - e0)
-        return abs(math.hypot(p.x - c, p.y) - r)
-
-    @property
-    def is_vertical(self) -> bool:
-        e0, e1 = self.endpoints
-        return e0 is INF or e1 is INF
-
-    @property
-    def center_radius(self) -> tuple:
-        """(center, radius) of the half-circle; raises for vertical lines."""
-        e0, e1 = self.endpoints
-        if self.is_vertical:
-            raise ValueError("vertical geodesic has no circle form")
-        return 0.5 * (e0 + e1), 0.5 * abs(e1 - e0)
-
-    def tangent_at_basepoint(self) -> tuple:
-        """Unit Euclidean tangent of the flow direction at the basepoint."""
-        e0, e1 = self.endpoints
-        p = self.basepoint
-        if self.is_vertical:
-            up = 1.0 if e1 is INF else -1.0
-            s = up * self.direction
-            return (0.0, s)
-        c, r = self.center_radius
-        # Increasing-psi tangent; psi decreases when flowing toward a larger
-        # real endpoint.
-        tx, ty = -p.y / r, (p.x - c) / r
-        toward = e1 if self.direction == 1 else e0
-        sgn = 1.0 if toward < c else -1.0
-        return (sgn * tx, sgn * ty)
+    tangent: tuple
 
 
-def geodesic_through(a: HPoint, b: HPoint, basepoint: HPoint | None = None) -> HGeodesic:
-    """The geodesic through two distinct points, oriented from a toward b."""
-    bp = basepoint if basepoint is not None else a
+def geodesic_through(a: HPoint, b: HPoint) -> HGeodesic:
+    """The geodesic through two distinct points, based at a and oriented
+    from a toward b."""
     if abs(a.x - b.x) < EPS_GEOM * max(1.0, abs(a.x), abs(b.x)):
-        endpoints = (a.x, INF) if b.y > a.y else (INF, a.x)
-        return HGeodesic(endpoints, bp)
+        return HGeodesic(a, (0.0, 1.0 if b.y > a.y else -1.0))
     c = (a.x**2 + a.y**2 - b.x**2 - b.y**2) / (2.0 * (a.x - b.x))
     r = math.hypot(a.x - c, a.y)
-    psi_a = math.atan2(a.y, a.x - c)
-    psi_b = math.atan2(b.y, b.x - c)
-    # psi decreases toward the endpoint c + r.
-    if psi_b < psi_a:
-        endpoints = (c - r, c + r)
-    else:
-        endpoints = (c + r, c - r)
-    return HGeodesic(endpoints, bp)
+    # psi decreases toward the endpoint c + r, and the increasing-psi
+    # tangent is (-y, x - c) / r.
+    sgn = -1.0 if math.atan2(b.y, b.x - c) < math.atan2(a.y, a.x - c) else 1.0
+    # Round the circle through its ideal endpoints c -/+ r. The recorded
+    # cutting sequences and benchmark digests come from this rounding:
+    # without it about half of all tangents change in their last bits,
+    # and tracing is chaotic, so long sequences would not reproduce.
+    lo, hi = c - r, c + r
+    c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return HGeodesic(a, (sgn * (-a.y / r), sgn * ((a.x - c) / r)))
 
 
 def invert(z, cx, r):
@@ -171,7 +109,7 @@ class WallTable:
     s_lo: np.ndarray    # arclength parameter of one endpoint
     s_hi: np.ndarray    # arclength parameter of the other endpoint
     n_sign: np.ndarray  # inward normal = n_sign * radial unit vector
-    q: np.ndarray       # branching parameter per wall
+    log_q: np.ndarray   # ln of the branching parameter per wall
 
     def side(self, z) -> np.ndarray:
         """Signed distances n_sign * (|z - cx| - r) of the points z (any
@@ -198,7 +136,8 @@ class WallTable:
 class CoxeterPolygon:
     """Regular hyperbolic polygon with p edges, interior angles pi/m, and a
     per-edge branching parameter q_i (each wall of the building carries
-    q_i + 1 chambers)."""
+    q_i + 1 chambers). q is the caller's tuple; walls.log_q holds its
+    logs."""
 
     p: int
     m: int
@@ -214,14 +153,6 @@ class CoxeterPolygon:
     @property
     def diameter(self) -> float:
         return 2.0 * self.circumradius
-
-    def side(self, i: int, pt: HPoint) -> float:
-        """Signed interior-side indicator for wall i (positive inside)."""
-        return float(self.walls.side(pt.z)[i])
-
-    def contains(self, pt: HPoint, slack: float = 0.0) -> bool:
-        """True if the point lies on the polygon side of every wall."""
-        return bool(np.all(self.walls.side(pt.z) >= -slack))
 
 
 def _interior_angle(walls: WallTable, j: int, k: int, v: HPoint) -> float:
@@ -240,7 +171,8 @@ def _interior_angle(walls: WallTable, j: int, k: int, v: HPoint) -> float:
 
 def regular_polygon(p: int, m: int, q) -> CoxeterPolygon:
     """Construct the regular p-gon with interior angles pi/m, centered at i,
-    carrying per-edge branching parameters q (length-p list of ints >= 1).
+    carrying per-edge branching parameters q (length-p sequence of finite
+    real numbers >= 1; a building needs integers, which the CLI checks).
 
     Raises NonHyperbolic unless m(p-2) > p, BadThickness for bad q.
     """
@@ -250,11 +182,14 @@ def regular_polygon(p: int, m: int, q) -> CoxeterPolygon:
         raise NonHyperbolic(
             f"angle condition m(p-2) > p fails for p={p}, m={m}: polygon is not hyperbolic"
         )
-    q = tuple(int(v) for v in q)
+    q = tuple(q)
     if len(q) != p:
         raise BadThickness(f"expected {p} thickness parameters, got {len(q)}")
-    if any(v < 1 for v in q):
-        raise BadThickness(f"all q_i must be >= 1, got {q}")
+    # the upper bound refuses inf, and ints too large for a float
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and 1 <= v <= sys.float_info.max for v in q):
+        raise BadThickness(f"all q_i must be finite real numbers >= 1, "
+                           f"got {q}")
 
     A = math.pi / p          # central half-angle
     B = math.pi / (2 * m)    # half interior angle
@@ -302,8 +237,10 @@ def regular_polygon(p: int, m: int, q) -> CoxeterPolygon:
         dc = math.hypot(center.x - cx, center.y) - r
         n_sign = 1.0 if dc > 0 else -1.0
         rows.append((cx, r, s_lo, s_hi, n_sign))
-    # one record shared by every consumer, so it is read-only
-    cols = [np.array(c) for c in zip(*rows)] + [np.array(q, dtype=np.int64)]
+    # one record shared by every consumer, so it is read-only; ln q is
+    # taken here and nowhere else
+    cols = [np.array(c) for c in zip(*rows)] + [
+        np.array([math.log(v) for v in q])]
     for c in cols:
         c.flags.writeable = False
     walls = WallTable(*cols)

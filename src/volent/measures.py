@@ -96,8 +96,9 @@ class BoundReport:
 
 def _log_q_length(poly: CoxeterPolygon) -> float:
     """sum of ln(q_i) * ell_i over the polygon walls."""
-    ell = (poly.walls.s_hi - poly.walls.s_lo).tolist()
-    return sum(math.log(q) * e for q, e in zip(poly.q, ell))
+    walls = poly.walls
+    ell = (walls.s_hi - walls.s_lo).tolist()
+    return sum(lq * e for lq, e in zip(walls.log_q.tolist(), ell))
 
 
 def santalo_closed_form(poly: CoxeterPolygon) -> float:
@@ -264,7 +265,7 @@ def santalo_monte_carlo(poly: CoxeterPolygon, samples: int = DEFAULT_SAMPLES,
                                           dy[idx])
             weight = 1.0 / (n1 / samples + n2 / samples * poly.area
                             * sectors.density(x[idx], y[idx]))
-            lnq = np.log(walls.q[entry[good]].astype(float))
+            lnq = walls.log_q[entry[good]]
             vals[idx[good]] = lnq / length[good] * weight[good]
             redo.append(idx[~good])
         todo = np.concatenate(redo)

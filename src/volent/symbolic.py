@@ -2,10 +2,12 @@
 
 A geodesic in the quotient is coded by the ordered list of walls it
 crosses, with the flight length between consecutive crossings and the
-branching weight collected at each crossing. A CuttingSequence holds
-that list as one CROSSING structured array, filled straight from the
-single-ray tracer's arrays, and the Birkhoff sums along it are numpy
-expressions over its columns.
+weight ln q collected at each crossing. A CuttingSequence holds that
+list as one CROSSING structured array, filled straight from the
+single-ray tracer's arrays and the polygon's log_q column, and the
+Birkhoff sums along it are numpy expressions over its columns. The
+geodesic itself is the tracer's state: hypgeom.HGeodesic is a basepoint
+and a unit tangent.
 
 The first return map of the geodesic flow to the wall cross-section is
 discretized on a grid of (edge, position, incidence angle) cells
@@ -40,17 +42,16 @@ from scipy.sparse.csgraph import connected_components
 
 from .constants import DEFAULT_H_TOL, EPS_POWER
 from .errors import NotIrreducible, VertexHit
-from .hypgeom import (CoxeterPolygon, HGeodesic, HPoint, WallTable,
-                      regular_polygon)
+from .hypgeom import CoxeterPolygon, HGeodesic, HPoint, WallTable
 from .perron import WarmPerron, bisect_root
 from .tracing import LOST, NEAR_VERTEX, OK, batch_first_crossing, launch, trace
 
 
 # One row per wall crossing: flow time, crossed wall of the base
-# polygon, its branching parameter, and the section coordinates (foot
-# position along the wall, incidence angle).
+# polygon, ln of its branching parameter, and the section coordinates
+# (foot position along the wall, incidence angle).
 CROSSING = np.dtype([("t", np.float64), ("edge_label", np.int64),
-                     ("thickness_q", np.int64), ("u", np.float64),
+                     ("log_q", np.float64), ("u", np.float64),
                      ("theta", np.float64)])
 
 
@@ -63,12 +64,6 @@ class CuttingSequence:
 
     crossings: np.ndarray
     t_span: tuple
-
-
-def _state_of_geodesic(geo: HGeodesic):
-    p = geo.basepoint
-    dx, dy = geo.tangent_at_basepoint()
-    return p.x, p.y, dx, dy
 
 
 def _trace_checked(walls: WallTable, x, y, dx, dy, t_max):
@@ -97,7 +92,7 @@ def _trace_span(walls: WallTable, x, y, dx, dy, t0, t1) -> np.ndarray:
         parts.append((j[k], t[k], u[k], th[k]))
     j, t, u, th = (np.concatenate(col) for col in zip(*parts))
     rows = np.empty(t.size, dtype=CROSSING)
-    rows["t"], rows["edge_label"], rows["thickness_q"] = t, j, walls.q[j]
+    rows["t"], rows["edge_label"], rows["log_q"] = t, j, walls.log_q[j]
     rows["u"], rows["theta"] = u, th
     return rows
 
@@ -113,8 +108,8 @@ def cutting_sequence(geodesic: HGeodesic, t_span: tuple,
     t0, t1 = t_span
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    x, y, dx, dy = _state_of_geodesic(geodesic)
-    rows = _trace_span(poly.walls, x, y, dx, dy, t0, t1)
+    p = geodesic.basepoint
+    rows = _trace_span(poly.walls, p.x, p.y, *geodesic.tangent, t0, t1)
     return CuttingSequence(crossings=rows, t_span=(float(t0), float(t1)))
 
 
@@ -134,7 +129,7 @@ def f_value(point: HPoint, angle: float, poly: CoxeterPolygon) -> float:
                        math.cos(angle), math.sin(angle), -1.0, 1.0)
     t = np.abs(rows["t"])
     near = t < 1.0
-    return float(np.dot(np.log(rows["thickness_q"][near]), 1.0 - t[near]))
+    return float(np.dot(rows["log_q"][near], 1.0 - t[near]))
 
 
 def lq_value(point: HPoint, angle: float, poly: CoxeterPolygon) -> tuple:
@@ -150,8 +145,7 @@ def lq_value(point: HPoint, angle: float, poly: CoxeterPolygon) -> tuple:
     if flag != OK or len(tb) == 0:
         raise VertexHit("backward crossing not found")
     l = float(tf[0] + tb[0])
-    q = int(poly.q[int(jb[0])])
-    return l, q
+    return l, poly.q[int(jb[0])]
 
 
 def birkhoff_f_integral(seq: CuttingSequence, a: float, b: float) -> float:
@@ -166,14 +160,14 @@ def birkhoff_f_integral(seq: CuttingSequence, a: float, b: float) -> float:
         raise ValueError("cutting sequence span too short for this integral")
     t = seq.crossings["t"]
     mass = _tent_antiderivative(b - t) - _tent_antiderivative(a - t)
-    return float(np.dot(np.log(seq.crossings["thickness_q"]), mass))
+    return float(np.dot(seq.crossings["log_q"], mass))
 
 
 def thickness_log_product(seq: CuttingSequence, a: float, b: float) -> float:
     """ln of the product of branching parameters crossed in [a, b]."""
     t = seq.crossings["t"]
     inside = (a <= t) & (t <= b)
-    return float(np.log(seq.crossings["thickness_q"][inside]).sum())
+    return float(seq.crossings["log_q"][inside].sum())
 
 
 def birkhoff_lq_integral(seq: CuttingSequence, T: float) -> float:
@@ -188,7 +182,7 @@ def birkhoff_lq_integral(seq: CuttingSequence, T: float) -> float:
         raise ValueError("cutting sequence does not bracket [0, T]")
     lo, hi = t[:-1], t[1:]
     overlap = np.maximum(np.minimum(hi, T) - np.maximum(lo, 0.0), 0.0)
-    lnq = np.log(seq.crossings["thickness_q"][:-1])
+    lnq = seq.crossings["log_q"][:-1]
     return float((lnq / (hi - lo) * overlap).sum())
 
 
@@ -211,12 +205,11 @@ class UlamModel:
     graph. src/dst/mass/mean_L are parallel arrays of the observed
     transitions; mass is the empirical transition probability (rows sum
     to one) and mean_L the mean return length. The pressure matrix
-    weights each transition by mass * q of its landing wall.
+    weights each transition by mass * q of its landing wall. poly is the
+    polygon the model was sampled on; the refinement resamples it.
     """
 
-    p: int
-    m: int
-    q: tuple
+    poly: CoxeterPolygon
     n_u: int
     n_theta: int
     k: int
@@ -233,7 +226,8 @@ class UlamModel:
         return self.states.shape[0]
 
     def q_of_state(self, idx: np.ndarray) -> np.ndarray:
-        qarr = np.asarray(self.q, dtype=float)
+        # the caller's q as floats: exp(log_q) would not round-trip
+        qarr = np.asarray(self.poly.q, dtype=float)
         return qarr[self.states[idx, 0]]
 
 
@@ -351,8 +345,7 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
         "reverse": bool(reverse),
     }
     return UlamModel(
-        p=p, m=poly.m, q=tuple(int(v) for v in poly.q),
-        n_u=n_u, n_theta=n_th, k=K, seed=seed,
+        poly=poly, n_u=n_u, n_theta=n_th, k=K, seed=seed,
         states=states, src=tr_src2, dst=tr_dst2,
         mass=mass2, mean_L=mean_L[keep_tr], diagnostics=diagnostics)
 
@@ -451,8 +444,8 @@ def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
     diagnostics.update((key, model.diagnostics[key])
                        for key in MODEL_COUNTERS)
     if refine:
-        poly = regular_polygon(model.p, model.m, model.q)
-        fine = build_cross_section(poly, (2 * model.n_u, 2 * model.n_theta),
+        fine = build_cross_section(model.poly,
+                                   (2 * model.n_u, 2 * model.n_theta),
                                    model.k, model.seed)
         h_fine, _ = _solve_root(fine, bracket, tol)
         err = tol + abs(h_fine - h)

@@ -170,6 +170,11 @@ def _no_stage(*args, **kwargs):
     (["pressure", "--k", "60"], "--k"),
     (["pressure", "--k", "0"], "--k"),
     (["polygon", "--svg", "tess.svg", "--depth", "-3"], "--depth"),
+    # odd m: adjacent walls are conjugate, so a building has one q
+    (["pressure", "--p", "5", "--m", "3", "--q", "2,3,2,3,4"], "--q"),
+    (["polygon", "--p", "5", "--m", "3", "--q", "1,1,1,1,2"], "--q"),
+    (["growth", "--p", "3", "--m", "7", "--q", "1,2,3"], "--q"),
+    (["santalo", "--p", "4", "--m", "5", "--q", "2,2,3,2"], "--q"),
 ])
 def test_subcommand_sizes_checked(monkeypatch, capsys, argv, flag):
     # refused by name before any geometry, sampling or tracing runs
@@ -208,6 +213,14 @@ def test_graph_tol_checked(tmp_path, capsys, tol):
     code, _, err = run(capsys, "graph", "--file", str(path), "--tol", tol)
     assert code == 2
     assert "--tol" in err and "Traceback" not in err
+
+
+def test_thickness_pattern_accepted_for_even_m():
+    # a q pattern is a building's thickness for even m; odd m needs one q
+    cfg = validate_config({"polygon": {"p": 4, "m": 4, "q": [1, 2, 1, 2]}})
+    assert cfg["polygon"]["q"] == [1, 2, 1, 2]
+    cfg = validate_config({"polygon": {"p": 4, "m": 3, "q": [2, 2, 2, 2]}})
+    assert cfg["polygon"]["q"] == [2, 2, 2, 2]
 
 
 def test_pressure_grid_bound_is_inclusive():
@@ -296,6 +309,7 @@ def test_entropy_config_errors(tmp_path, capsys):
     ({"n_theta": 1_000_000}, "pressure.n_theta"),
     ({"k": 100}, "pressure.k"),
     ({"p": 100_000}, "polygon.p"),
+    ({"p": 3, "m": 7, "q": [1, 2, 3]}, "polygon.q"),
 ])
 def test_entropy_pressure_config_typed(monkeypatch, tmp_path, capsys,
                                       pressure, key):

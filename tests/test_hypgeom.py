@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from volent.errors import BadThickness, NonHyperbolic
 from volent.hypgeom import (HPoint, dist, geodesic_through, invert,
                             regular_polygon)
+from volent.measures import lower_bound_2d, santalo_closed_form
 
 points = st.builds(HPoint,
                    st.floats(-5.0, 5.0),
@@ -43,11 +44,24 @@ def test_reflection_is_an_involution(a, b, cx, r):
 
 
 def test_geodesic_through_endpoints_on_curve():
-    a, b = HPoint(-1.0, 1.0), HPoint(2.0, 0.5)
-    g = geodesic_through(a, b)
-    c, r = g.center_radius
-    assert math.hypot(a.x - c, a.y) == pytest.approx(r, rel=1e-12)
-    assert math.hypot(b.x - c, b.y) == pytest.approx(r, rel=1e-12)
+    # based at a with a unit tangent; the circle (or vertical line) that
+    # tangent defines passes through b, and a short step along it gets
+    # closer to b
+    c1, c2 = HPoint(-1.0, 1.0), HPoint(2.0, 0.5)
+    v1, v2 = HPoint(0.3, 1.0), HPoint(0.3, 2.5)
+    for a, b in ((c1, c2), (c2, c1), (v1, v2), (v2, v1)):
+        g = geodesic_through(a, b)
+        dx, dy = g.tangent
+        assert g.basepoint == a
+        assert math.hypot(dx, dy) == pytest.approx(1.0, abs=1e-15)
+        if a.x == b.x:
+            assert (dx, dy) == (0.0, 1.0 if b.y > a.y else -1.0)
+        else:
+            c = a.x + a.y * dy / dx
+            assert math.hypot(b.x - c, b.y) == pytest.approx(
+                math.hypot(a.x - c, a.y), rel=1e-12)
+        step = HPoint(a.x + 1e-3 * dx, a.y + 1e-3 * dy)
+        assert dist(step, b) < dist(a, b)
 
 
 def test_pentagon_closed_form_values(pentagon_q1):
@@ -67,7 +81,8 @@ def test_edge_lengths_match_wall_parameter():
                  (3, 7, (1, 2, 3))]:
         poly = regular_polygon(*args)
         w, p = poly.walls, poly.p
-        assert w.q.tolist() == list(poly.q)
+        assert w.log_q.tolist() == [math.log(v) for v in poly.q]
+        assert not w.log_q.flags.writeable
         center_side = w.side(poly.center.z)
         assert center_side.shape == (p,) and np.all(center_side > 0.0)
         vert_side = w.side(np.array([v.z for v in poly.vertices]))
@@ -80,14 +95,14 @@ def test_edge_lengths_match_wall_parameter():
             assert ell == pytest.approx(poly.edge_length, rel=1e-9)
             assert abs(vert_side[k, k]) <= 1e-12
             assert abs(vert_side[k, (k - 1) % p]) <= 1e-12
-            assert poly.side(k, a) == vert_side[k, k]
 
 
 def test_polygon_contains_center_but_not_far_points(pentagon_q2):
-    assert pentagon_q2.contains(pentagon_q2.center)
-    assert not pentagon_q2.contains(HPoint(0.0, 8.0))
-    for v in pentagon_q2.vertices:
-        assert pentagon_q2.contains(v, slack=1e-9)
+    side = pentagon_q2.walls.side
+    assert np.all(side(pentagon_q2.center.z) >= 0.0)
+    assert not np.all(side(HPoint(0.0, 8.0).z) >= 0.0)
+    verts = np.array([v.z for v in pentagon_q2.vertices])
+    assert np.all(side(verts) >= -1e-9)
 
 
 def test_hexagon_and_m3_construct():
@@ -105,3 +120,22 @@ def test_bad_thickness_rejected():
         regular_polygon(5, 2, (1, 1, 0, 1, 1))
     with pytest.raises(BadThickness):
         regular_polygon(5, 2, (1, 1, 1))
+    # each q_i is a finite real number >= 1, not a bool or a string
+    for bad in (float("nan"), float("inf"), 10 ** 400, 0.5, True, "2"):
+        with pytest.raises(BadThickness):
+            regular_polygon(5, 2, (2, 2, bad, 2, 2))
+
+
+def test_real_thickness_keeps_its_log():
+    # q is a real >= 1, never truncated: q = 1.001 gives a bound above
+    # the thin building's 1, and q = 2.5 weighs its walls by ln 2.5
+    near_thin = regular_polygon(5, 2, (1.001,) * 5)
+    assert near_thin.q == (1.001,) * 5
+    assert near_thin.walls.log_q.tolist() == [math.log(1.001)] * 5
+    assert lower_bound_2d(near_thin).derived_constant_bound > 1.0
+    poly = regular_polygon(5, 2, (2.5, 2, 2, 2, 2))
+    assert poly.q == (2.5, 2, 2, 2, 2)
+    assert poly.walls.log_q[0] == math.log(2.5)
+    assert santalo_closed_form(poly) == pytest.approx(
+        2.0 * (math.log(2.5) + 4 * math.log(2)) * poly.edge_length,
+        rel=1e-12)

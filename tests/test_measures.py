@@ -105,9 +105,9 @@ def test_mixture_density_normalised(pentagon_q2):
     x, y = np.concatenate((xu, xv)), np.concatenate((yu, yv))
     inv = 1.0 / ((n - n2) / n + n2 / n * poly.area * sectors.density(x, y))
     assert abs(inv.mean() - 1.0) <= 4.0 * inv.std(ddof=1) / math.sqrt(n)
+    assert np.all(poly.walls.side(xv[:2000] + 1j * yv[:2000]) >= 0.0)
     for a, b in zip(xv[:2000], yv[:2000]):
         pt = HPoint(a, b)
-        assert poly.contains(pt)
         assert min(dist(pt, v) for v in poly.vertices) < sectors.r0
 
 
@@ -133,15 +133,16 @@ def test_sector_radius_meets_only_incident_walls(p, m):
     alpha = np.linspace(0.0, 2.0 * math.pi, 20_000, endpoint=False)
     for k, v in enumerate(poly.vertices):
         den = math.cosh(r0) - math.sinh(r0) * np.sin(alpha)
-        pts = [HPoint(v.x + v.y * math.sinh(r0) * math.cos(a) / d, v.y / d)
-               for a, d in zip(alpha, den)]
-        assert dist(pts[0], v) == pytest.approx(r0, rel=1e-9)
-        incident = {(k - 1) % p, k}
+        pts = (v.x + v.y * math.sinh(r0) * np.cos(alpha) / den
+               + 1j * (v.y / den))
+        assert dist(HPoint.from_complex(pts[0]), v) == pytest.approx(
+            r0, rel=1e-9)
+        side = poly.walls.side(pts)
+        incident = [(k - 1) % p, k]
         for j in range(p):
             if j not in incident:
-                assert min(poly.side(j, pt) for pt in pts) > 0.0
-        inside = sum(all(poly.side(j, pt) > 0.0 for j in incident)
-                     for pt in pts)
+                assert side[:, j].min() > 0.0
+        inside = np.count_nonzero(np.all(side[:, incident] > 0.0, axis=1))
         assert inside / len(pts) == pytest.approx(1.0 / (2 * m), abs=1e-3)
 
 

@@ -77,7 +77,7 @@ def test_lq_perpendicular_oracle(pentagon_q2):
     # of the center-to-wall distance along a perpendicular
     import tests.test_tracing as tt
     poly = pentagon_q2
-    best = min(range(poly.p), key=lambda i: poly.side(i, poly.center))
+    best = int(np.argmin(poly.walls.side(poly.center.z)))
     dx, dy = tt._dir_toward_wall(poly, best)
     ang = math.atan2(dy, dx)
     l, q = lq_value(poly.center, ang, poly)
@@ -118,7 +118,7 @@ def test_tent_integral_against_quadrature(pentagon_q2):
     ts = np.linspace(0.0, 6.0, 20001)
     dense = np.zeros_like(ts)
     for c in seq.crossings:
-        dense += math.log(c["thickness_q"]) * np.maximum(
+        dense += math.log(pentagon_q2.q[c["edge_label"]]) * np.maximum(
             0.0, 1.0 - np.abs(ts - c["t"]))
     quad = np.trapezoid(dense, ts)
     assert birkhoff_f_integral(seq, 0.0, 6.0) == pytest.approx(quad, abs=1e-5)
@@ -138,7 +138,7 @@ def test_crossings_are_the_traced_arrays(pentagon_mixed, span):
     table = poly.walls
     g, seq = _random_geodesic(poly, np.random.default_rng(11), t0, t1)
     x, y = g.basepoint.x, g.basepoint.y
-    dx, dy = g.tangent_at_basepoint()
+    dx, dy = g.tangent
     cols = []
     if t0 < 0.0:
         j, t, u, th, _ = trace(table, x, y, -dx, -dy, -t0)
@@ -153,7 +153,7 @@ def test_crossings_are_the_traced_arrays(pentagon_mixed, span):
     assert isinstance(seq, CuttingSequence) and rows.dtype == CROSSING
     assert rows.size >= 3
     for name, want in (("t", t), ("edge_label", j), ("u", u), ("theta", th),
-                       ("thickness_q", np.array(poly.q)[j])):
+                       ("log_q", table.log_q[j])):
         assert rows[name].tobytes() == want.tobytes(), name
 
 
@@ -168,9 +168,9 @@ def test_lq_integral_against_quadrature(pentagon_mixed):
         dense = np.zeros_like(ts)
         rows = seq.crossings
         values = []
-        for lo, hi, q in zip(rows["t"][:-1], rows["t"][1:],
-                             rows["thickness_q"][:-1]):
-            values.append(math.log(q) / (hi - lo))
+        for lo, hi, j in zip(rows["t"][:-1], rows["t"][1:],
+                             rows["edge_label"][:-1]):
+            values.append(math.log(pentagon_mixed.q[j]) / (hi - lo))
             dense[(ts >= lo) & (ts < hi)] = values[-1]
         quad = np.trapezoid(dense, ts)
         jumps = np.abs(np.diff(values)).sum()

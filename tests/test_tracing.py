@@ -16,7 +16,7 @@ def test_perpendicular_midpoint_crossing(pentagon_q1, table_q1):
     # straight down the inradius: hits the bottom wall at its midpoint,
     # perpendicularly
     poly = pentagon_q1
-    best = min(range(poly.p), key=lambda i: poly.side(i, poly.center))
+    best = int(np.argmin(poly.walls.side(poly.center.z)))
     j, t, u, th, flag = trace(
         table_q1, poly.center.x, poly.center.y,
         *_dir_toward_wall(poly, best), 1e6, max_steps=1)
@@ -48,7 +48,7 @@ def _dir_toward_wall(poly, k):
         else:
             lo = m1
     g = geodesic_through(poly.center, pt(0.5 * (lo + hi)))
-    return g.tangent_at_basepoint()
+    return g.tangent
 
 
 def test_trace_gaps_bounded_by_diameter(pentagon_q2, table_q2):
