@@ -1,9 +1,12 @@
 """Command-line frontend.
 
 Subcommands wire the geometry, pressure, growth, Santalo, graph, and
-orbit modules into seeded, reproducible experiments. Reports are JSON
-with a separate timings block: every field outside that block is
-reproducible bit-for-bit for a fixed config and package version.
+orbit modules into seeded, reproducible experiments. `volent entropy`
+runs the pressure, growth and Santalo stages on a JSON config; `volent
+pressure`, `growth` and `santalo` each run one of them on the config
+their flags give. Each input is one `_INPUTS` row (config key, flag,
+default, check). Reports are JSON with a separate timings block: every
+field outside it is reproducible for a fixed config and version.
 
 Exit codes: 0 success, 1 numerical non-convergence, 2 input error.
 """
@@ -17,6 +20,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,49 +45,16 @@ _INPUT_ERRORS = (ValueError, KeyError, NonHyperbolic, BadThickness,
                  Degenerate, json.JSONDecodeError, OSError,
                  RecursionError, MemoryError)
 
-_CONFIG_SCHEMA = {
-    "polygon": {"p", "m", "q"},
-    "pressure": {"n_u", "n_theta", "k", "tol", "bracket"},
-    "growth": {"radius_cut", "window", "rows"},
-    "santalo": {"samples", "seed"},
-    "seed": None,
-    "output_dir": None,
-}
+# The most samples one stage may draw, refused before any stage starts:
+# the Santalo Monte Carlo peaks at about 64 bytes per sample
+# (tracemalloc), so 1e7 samples take about 0.6 GB (a fresh process on
+# the right-angled pentagon peaks at 675 MB RSS).
+_MAX_SAMPLES = 10_000_000
 
-_DEFAULT_CONFIG = {
-    "polygon": {"p": 5, "m": 2, "q": [2, 2, 2, 2, 2]},
-    "pressure": {"n_u": 32, "n_theta": 32, "k": 3, "tol": 1e-4,
-                 "bracket": [0.5, 4.0]},
-    "growth": {"radius_cut": 12.7, "window": [4.0, 11.0], "rows": 24},
-    "santalo": {"samples": DEFAULT_SAMPLES, "seed": 0},
-    "seed": 0,
-    "output_dir": None,
-}
-
-
-def validate_config(cfg: dict) -> dict:
-    """Merge over defaults, rejecting unknown keys and badly typed or
-    out-of-range values by name."""
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
-    for key in cfg:
-        if key not in _CONFIG_SCHEMA:
-            raise ValueError(f"unknown config key: {key!r}")
-        sub = _CONFIG_SCHEMA[key]
-        if sub is not None:
-            if not isinstance(cfg[key], dict):
-                raise ValueError(f"config key {key!r} must be an object")
-            for k2 in cfg[key]:
-                if k2 not in sub:
-                    raise ValueError(f"unknown config key: {key}.{k2!r}")
-    merged = json.loads(json.dumps(_DEFAULT_CONFIG))
-    for key, val in cfg.items():
-        if isinstance(val, dict) and isinstance(merged.get(key), dict):
-            merged[key].update(val)
-        else:
-            merged[key] = val
-    _check_fields(merged)
-    return merged
+# The most chambers `volent polygon --svg` draws, refused before drawing:
+# the default pentagon at depth 9 (20,901 chambers) takes about 8 s and
+# writes a 40 MB file.
+_SVG_CHAMBER_CAP = 25_000
 
 
 def _is_int(x) -> bool:
@@ -99,119 +70,197 @@ def _is_finite(x) -> bool:
         return False
 
 
-# The most samples one stage may draw, refused before any stage starts:
-# the Santalo Monte Carlo peaks at about 64 bytes per sample
-# (tracemalloc), so 1e7 samples take about 0.6 GB (a fresh process on
-# the right-angled pentagon peaks at 675 MB RSS).
-_MAX_SAMPLES = 10_000_000
-
-# The most chambers `volent polygon --svg` draws, refused before drawing:
-# the default pentagon at depth 9 (20,901 chambers) takes about 8 s and
-# writes a 40 MB file.
-_SVG_CHAMBER_CAP = 25_000
-
-# (key, least, greatest value) of every integer field cmd_entropy reads.
-_INT_FIELDS = (("polygon.p", 3, math.inf), ("polygon.m", 2, math.inf),
-               ("pressure.n_u", 4, math.inf),
-               ("pressure.n_theta", 4, math.inf), ("pressure.k", 1, math.inf),
-               ("growth.rows", 3, 10_000),
-               ("santalo.samples", 10_000, _MAX_SAMPLES),
-               ("santalo.seed", 0, math.inf), ("seed", 0, math.inf))
-
-
-def _check_int(name: str, value, low, high) -> None:
-    """Refuse, naming it, a value that is not an integer in [low, high]."""
-    if not (_is_int(value) and low <= value <= high):
-        what = (f"an integer >= {low}" if high == math.inf
-                else f"an integer in [{low}, {high}]")
+def _require(name: str, value, ok, what: str) -> None:
+    """Refuse, naming it, a value that fails ok."""
+    if not ok(value):
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
-def _check_float(name: str, value, low: float = 0.0) -> None:
-    """Refuse, naming it, a value that is not a finite number > low (so
-    NaN is refused too)."""
-    if not (_is_finite(value) and value > low):
-        raise ValueError(f"{name} must be a finite number > {low:g}, "
-                         f"got {value!r}")
+def _int(low: int, high=math.inf) -> tuple:
+    return (lambda v: _is_int(v) and low <= v <= high,
+            f"an integer >= {low}" if high == math.inf
+            else f"an integer in [{low}, {high}]")
 
 
-def _check_thickness(name: str, m: int, q) -> None:
-    """Refuse, naming it, unequal q for odd m: the two walls at a vertex
-    of angle pi/m with m odd are conjugate, so a building gives every
-    wall of the polygon the same thickness."""
-    if m % 2 and len(set(q)) > 1:
-        raise ValueError(f"{name} must be equal on every wall for odd m "
-                         f"(adjacent walls are conjugate), got {list(q)}")
+def _above(low: float = 0.0) -> tuple:
+    return lambda v: _is_finite(v) and v > low, f"a finite number > {low:g}"
 
 
-def _check_pressure_grid(names: str, p: int, n_u: int, n_theta: int,
-                         k: int) -> None:
-    """Refuse a pressure grid whose refined build, on the doubled grid
-    solve_entropy adds, would draw more than _MAX_SAMPLES samples."""
-    n = p * (2 * n_u) * (2 * n_theta) * k * k
-    if n > _MAX_SAMPLES:
-        raise ValueError(
-            f"{names} give p*(2*n_u)*(2*n_theta)*k^2 = {n} samples on the "
-            f"refined pressure grid, more than {_MAX_SAMPLES}")
+def _interval(low: float, what: str) -> tuple:
+    return (lambda b: isinstance(b, list) and len(b) == 2
+            and all(map(_is_finite, b)) and low < b[0] < b[1],
+            f"two finite numbers {what}")
 
 
-def _check_fields(cfg) -> None:
-    """Type and range of every field cmd_entropy reads, naming the bad
-    key."""
-    def get(key):
-        sec, _, sub = key.partition(".")
-        return cfg[sec][sub] if sub else cfg[sec]
+@dataclass(frozen=True)
+class _Input:
+    """One input: config key ("section.name" or top-level), the flag that
+    also sets it (None: config only), default, test and test in words."""
 
-    def fail(key, what):
-        raise ValueError(f"config key {key} must be {what}, got {get(key)!r}")
+    key: str
+    flag: str | None
+    default: object
+    ok: object
+    what: str
 
-    for key, low, high in _INT_FIELDS:
-        _check_int(f"config key {key}", get(key), low, high)
+
+_INPUTS = (
+    _Input("polygon.p", "--p", 5, *_int(3)),
+    _Input("polygon.m", "--m", 2, *_int(2)),
+    _Input("polygon.q", "--q", [2] * 5, lambda q: isinstance(q, list) and all(
+        _is_int(v) and v >= 1 for v in q), "a list of integers >= 1"),
+    _Input("pressure.n_u", "--n-u", 32, *_int(4)),
+    _Input("pressure.n_theta", "--n-theta", 32, *_int(4)),
+    _Input("pressure.k", "--k", 3, *_int(1)),
+    _Input("pressure.tol", "--tol", 1e-4, *_above()),
+    _Input("pressure.bracket", None, [0.5, 4.0],
+           *_interval(-math.inf, "lo < hi")),
+    _Input("growth.radius_cut", "--radius-cut", 12.7, *_above()),
+    _Input("growth.window", "--window", [4.0, 11.0],
+           *_interval(0.0, "0 < lo < hi")),
+    _Input("growth.rows", None, 24, *_int(3, 10_000)),
+    _Input("santalo.samples", "--samples", DEFAULT_SAMPLES,
+           *_int(10_000, _MAX_SAMPLES)),
+    _Input("santalo.seed", "--seed", 0, *_int(0)),
+    _Input("seed", "--seed", 0, *_int(0)),     # the pressure stage's seed
+    _Input("output_dir", None, None, lambda v: v is None or isinstance(v, str),
+           "null or a string"),
+)
+
+# The config key prefixes each subcommand with flags reads (entropy: "").
+_READS = {"polygon": ("polygon.",), "growth": ("polygon.", "growth."),
+          "pressure": ("polygon.", "pressure.", "seed"),
+          "santalo": ("polygon.", "santalo.")}
+_FLAGS = {row.key: row.flag for row in _INPUTS}
+
+
+def _slot(cfg: dict, key: str) -> tuple:
+    """The dict that holds config key `key`, and the key's name in it."""
+    sec, _, sub = key.partition(".")
+    return (cfg.setdefault(sec, {}), sub) if sub else (cfg, sec)
+
+
+def _defaults() -> dict:
+    cfg: dict = {}
+    for row in _INPUTS:
+        d, k = _slot(cfg, row.key)
+        d[k] = json.loads(json.dumps(row.default))   # a fresh list
+    return cfg
+
+
+def _name(by_flag: bool, *keys: str) -> str:
+    """The inputs `keys` as an error names them: by flag or config key."""
+    names = [_FLAGS[k] if by_flag else k for k in keys]
+    listed = " and ".join(filter(None, (", ".join(names[:-1]), names[-1])))
+    return listed if by_flag else f"config key{'s' * (len(keys) > 1)} {listed}"
+
+
+def _check(cfg: dict, reads: tuple, by_flag: bool) -> None:
+    """Check every input of cfg that `reads` names, then the rules across
+    them, naming a bad input by its flag or by its config key."""
+    for row in _INPUTS:
+        if row.key.startswith(reads) and (row.flag or not by_flag):
+            d, k = _slot(cfg, row.key)
+            _require(_name(by_flag, row.key), d[k], row.ok, row.what)
+    p, m, q = (cfg["polygon"][k] for k in "pmq")
     pc = cfg["pressure"]
-    _check_pressure_grid("config keys polygon.p, pressure.n_u, "
-                         "pressure.n_theta and pressure.k", get("polygon.p"),
-                         pc["n_u"], pc["n_theta"], pc["k"])
-    q = get("polygon.q")
-    if not (isinstance(q, list) and all(_is_int(v) and v >= 1 for v in q)):
-        fail("polygon.q", "a list of integers >= 1")
-    _check_thickness("config key polygon.q", get("polygon.m"), q)
-    for key in ("pressure.tol", "growth.radius_cut"):
-        _check_float(f"config key {key}", get(key))
-    for key, what, low in (("pressure.bracket", "lo < hi", -math.inf),
-                           ("growth.window", "0 < lo < hi", 0.0)):
-        b = get(key)
-        if not (isinstance(b, list) and len(b) == 2
-                and all(map(_is_finite, b)) and low < b[0] < b[1]):
-            fail(key, f"two finite numbers {what}")
-    if not (cfg["output_dir"] is None or isinstance(cfg["output_dir"], str)):
-        fail("output_dir", "null or a string")
+    # the refined build, on the doubled grid solve_entropy adds
+    n = p * (2 * pc["n_u"]) * (2 * pc["n_theta"]) * pc["k"] ** 2
+    if "pressure.k".startswith(reads) and n > _MAX_SAMPLES:
+        keys = ("polygon.p", "pressure.n_u", "pressure.n_theta", "pressure.k")
+        raise ValueError(f"{_name(by_flag, *keys)} give p*(2*n_u)*(2*n_theta)"
+                         f"*k^2 = {n} samples on the refined pressure grid, "
+                         f"more than {_MAX_SAMPLES}")
+    if len(q) != p:
+        raise ValueError(f"{_name(by_flag, 'polygon.q')} must have one "
+                         f"entry per wall, got {len(q)} for "
+                         f"{_name(by_flag, 'polygon.p')} = {p}")
+    # the two walls at a vertex of angle pi/m with m odd are conjugate,
+    # so a building gives every wall of the polygon the same thickness
+    if m % 2 and len(set(q)) > 1:
+        raise ValueError(f"{_name(by_flag, 'polygon.q')} must be equal on "
+                         f"every wall for odd m (adjacent walls are "
+                         f"conjugate), got {q}")
 
 
-def _out_dir(cfg: dict) -> str:
-    d = cfg["output_dir"] or "."
-    os.makedirs(d, exist_ok=True)
-    return d
+def validate_config(cfg: dict) -> dict:
+    """Merge over the defaults, rejecting unknown keys and badly typed or
+    out-of-range values by config key."""
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    merged = _defaults()
+    for key, val in cfg.items():
+        if key not in merged:
+            raise ValueError(f"unknown config key: {key!r}")
+        if isinstance(merged[key], dict):
+            if not isinstance(val, dict):
+                raise ValueError(f"config key {key!r} must be an object")
+            for sub in val:
+                if sub not in merged[key]:
+                    raise ValueError(f"unknown config key: {key}.{sub!r}")
+            merged[key].update(val)
+        else:
+            merged[key] = val
+    _check(merged, ("",), by_flag=False)
+    return merged
 
 
-def _poly_from_cfg(cfg: dict):
+def _flag_config(args) -> dict:
+    """The defaults with the inputs a subcommand reads set from its flags,
+    checked by flag."""
+    cfg = _defaults()
+    for row in _INPUTS:
+        if row.flag and row.key.startswith(_READS[args.cmd]):
+            d, k = _slot(cfg, row.key)
+            d[k] = getattr(args, row.flag[2:].replace("-", "_"))
+    pc = cfg["polygon"]
+    if _is_int(pc["q"]):     # --q defaults to one thickness on every wall
+        pc["q"] = [pc["q"]] * pc["p"]
+    _check(cfg, _READS[args.cmd], by_flag=True)
+    return cfg
+
+
+def _polygon(cfg: dict):
     pc = cfg["polygon"]
     return regular_polygon(pc["p"], pc["m"], tuple(pc["q"]))
 
 
-def _poly_from_args(args, default_q: int = 2):
-    q = args.q or [default_q] * args.p
-    _check_thickness("--q", args.m, q)
-    return regular_polygon(args.p, args.m, tuple(q))
+def _write_csv(path: str, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
-def _estimate_doc(e: EntropyEstimate) -> dict:
-    return {"value": e.value, "err": e.err, "method": e.method,
-            "diagnostics": e.diagnostics}
+def _pressure_stage(poly, cfg: dict, refine: bool = True) -> tuple:
+    """The cross-section model of the config and its entropy root."""
+    pc = cfg["pressure"]
+    model = build_cross_section(poly, (pc["n_u"], pc["n_theta"]), pc["k"],
+                                cfg["seed"])
+    return model, solve_entropy(model, bracket=tuple(pc["bracket"]),
+                                tol=pc["tol"], refine=refine)
+
+
+def _write_curve(path: str, model, h: float):
+    """The pressure curve at 21 points of [h - 0.5, h + 0.5], as CSV."""
+    curve = pressure_curve(model, np.linspace(h - 0.5, h + 0.5, 21))
+    _write_csv(path, ["h", "pressure_log_radius"], curve)
+    return curve
+
+
+def _growth_stage(poly, cfg: dict) -> EntropyEstimate:
+    """Ball-growth slope of the config's growth section."""
+    gc = cfg["growth"]
+    bg = ball_growth(poly, gc["radius_cut"], *gc["window"], gc["rows"])
+    slope, serr = growth_slope(bg.table, poly.diameter)
+    return EntropyEstimate(
+        value=slope, err=serr, method="ball_growth",
+        diagnostics={"chambers": bg.chambers,
+                     "chambers_per_depth": bg.chambers_per_depth,
+                     "reach": bg.reach, "window": gc["window"]})
 
 
 def cmd_polygon(args) -> int:
-    _check_int("--depth", args.depth, 0, math.inf)
-    poly = _poly_from_args(args, default_q=1)
+    _require("--depth", args.depth, *_int(0))
+    poly = _polygon(_flag_config(args))
     print(f"p = {poly.p}  m = {poly.m}  q = {list(poly.q)}")
     print(f"area        {poly.area:.6f}")
     print(f"edge length {poly.edge_length:.6f}")
@@ -226,9 +275,8 @@ def cmd_polygon(args) -> int:
 
 
 def cmd_santalo(args) -> int:
-    _check_int("--samples", args.samples, 10_000, _MAX_SAMPLES)
-    poly = _poly_from_args(args)
-    r = santalo_monte_carlo(poly, args.samples, args.seed)
+    cfg = _flag_config(args)
+    r = santalo_monte_carlo(_polygon(cfg), **cfg["santalo"])
     print(f"closed form   {r.closed_form:.6f}")
     print(f"monte carlo   {r.monte_carlo:.6f} +/- {r.mc_stderr:.6f}")
     print(f"flux constant {r.c_constant_used:.6f}")
@@ -238,43 +286,26 @@ def cmd_santalo(args) -> int:
 
 
 def cmd_pressure(args) -> int:
-    for flag, value, low in (("--n-u", args.n_u, 4),
-                             ("--n-theta", args.n_theta, 4),
-                             ("--k", args.k, 1)):
-        _check_int(flag, value, low, math.inf)
-    _check_pressure_grid("--p, --n-u, --n-theta and --k", args.p, args.n_u,
-                         args.n_theta, args.k)
-    _check_float("--tol", args.tol)
-    poly = _poly_from_args(args)
-    model = build_cross_section(poly, (args.n_u, args.n_theta), args.k,
-                                args.seed)
-    est = solve_entropy(model, tol=args.tol, refine=not args.no_refine)
+    cfg = _flag_config(args)
+    model, est = _pressure_stage(_polygon(cfg), cfg, not args.no_refine)
     print(f"h = {est.value:.6f} +/- {est.err:.6f}  ({est.method})")
     if args.curve:
-        lo, hi, n = est.value - 0.5, est.value + 0.5, 21
-        rows = pressure_curve(model, np.linspace(lo, hi, n))
-        with open(args.curve, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["h", "pressure_log_radius"])
-            w.writerows(rows)
+        _write_curve(args.curve, model, est.value)
         print(f"wrote {args.curve}")
     return 0
 
 
 def cmd_growth(args) -> int:
-    _check_float("--radius-cut", args.radius_cut)
-    for value in args.window:
-        _check_float("--window", value)
-    poly = _poly_from_args(args)
-    bg = ball_growth(poly, args.radius_cut, args.window[0], args.window[1])
-    slope, err = growth_slope(bg.table, poly.diameter)
-    print(f"chambers {bg.chambers}  reach {bg.reach:.3f}")
-    print(f"slope = {slope:.6f} +/- {err:.6f}")
+    cfg = _flag_config(args)
+    est = _growth_stage(_polygon(cfg), cfg)
+    print(f"chambers {est.diagnostics['chambers']}  "
+          f"reach {est.diagnostics['reach']:.3f}")
+    print(f"slope = {est.value:.6f} +/- {est.err:.6f}")
     return 0
 
 
 def cmd_graph(args) -> int:
-    _check_float("--tol", args.tol)
+    _require("--tol", args.tol, *_above())
     with open(args.file) as fh:
         g = MetricGraph.from_json(fh.read())
     est = graph_entropy(g, tol=args.tol)
@@ -285,16 +316,14 @@ def cmd_graph(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    _check_float("--lam", args.lam, 1.0)
+    _require("--lam", args.lam, *_above(1.0))
     B = np.array(args.b, dtype=float).reshape(2, 2)
     fam = geodesic_lengths(args.lam, B, args.k_max)
     sec, mx = affine_deviation(fam)
     rows = family_rows(fam)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "length", "length_formula", "asymptote_gap"])
-            w.writerows(rows)
+        _write_csv(args.csv, ["k", "length", "length_formula",
+                              "asymptote_gap"], rows)
         print(f"wrote {args.csv}")
     if args.svg:
         orbit_svg(fam).write(args.svg)
@@ -306,74 +335,43 @@ def cmd_orbits(args) -> int:
     return 0
 
 
-def _growth_estimate(poly, gc: dict) -> EntropyEstimate:
-    """Ball-growth slope of the entropy config's growth section."""
-    bg = ball_growth(poly, gc["radius_cut"], gc["window"][0],
-                     gc["window"][1], gc["rows"])
-    slope, serr = growth_slope(bg.table, poly.diameter)
-    return EntropyEstimate(
-        value=slope, err=serr, method="ball_growth",
-        diagnostics={"chambers": bg.chambers,
-                     "chambers_per_depth": bg.chambers_per_depth,
-                     "reach": bg.reach, "window": gc["window"]})
-
-
 def cmd_entropy(args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = validate_config(json.load(fh))
     else:
         cfg = validate_config({})
-    out = _out_dir(cfg)
-    poly = _poly_from_cfg(cfg)
-    results: dict = {}
-    timings: dict = {}
-    failures = []
+    out = cfg["output_dir"] or "."
+    os.makedirs(out, exist_ok=True)
+    poly = _polygon(cfg)
+    results, timings, failures = {}, {}, []
 
-    t0 = time.perf_counter()
-    try:
-        pc = cfg["pressure"]
-        model = build_cross_section(poly, (pc["n_u"], pc["n_theta"]),
-                                    pc["k"], cfg["seed"])
-        ulam = solve_entropy(model, bracket=tuple(pc["bracket"]),
-                             tol=pc["tol"])
-        results["ulam"] = _estimate_doc(ulam)
-        curve = pressure_curve(model, np.linspace(ulam.value - 0.5,
-                                                  ulam.value + 0.5, 21))
-        with open(os.path.join(out, "curves.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["h", "pressure_log_radius"])
-            w.writerows(curve)
+    def stage(name: str, run):
+        """run(), timed; a VolentError fails the stage, not the run."""
+        t0 = time.perf_counter()
+        try:
+            return run()
+        except VolentError as exc:
+            failures.append((name, str(exc)))
+        finally:
+            timings[name] = time.perf_counter() - t0
+
+    def pressure():
+        model, ulam = _pressure_stage(poly, cfg)
+        results["ulam"] = asdict(ulam)
+        curve = _write_curve(os.path.join(out, "curves.csv"), model,
+                             ulam.value)
         results["curve"] = {"points": len(curve),
                             "power_iters": curve.power_iters,
                             "max_bracket_width": curve.max_bracket_width}
-    except VolentError as exc:
-        failures.append(("pressure", str(exc)))
-        ulam = None
-    timings["pressure"] = time.perf_counter() - t0
+        return ulam
 
-    t0 = time.perf_counter()
-    try:
-        growth = _growth_estimate(poly, cfg["growth"])
-        results["growth"] = _estimate_doc(growth)
-    except VolentError as exc:
-        failures.append(("growth", str(exc)))
-        growth = None
-    timings["growth"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        sc = cfg["santalo"]
-        sr = santalo_monte_carlo(poly, sc["samples"], sc["seed"])
-        results["santalo"] = {
-            "closed_form": sr.closed_form, "monte_carlo": sr.monte_carlo,
-            "mc_stderr": sr.mc_stderr, "c_constant_used": sr.c_constant_used,
-            "samples": sr.samples, "seed": sr.seed,
-            "resampled": sr.resampled, "vertex_samples": sr.vertex_samples,
-            "max_value": sr.max_value}
-    except VolentError as exc:
-        failures.append(("santalo", str(exc)))
-    timings["santalo"] = time.perf_counter() - t0
+    ulam = stage("pressure", pressure)
+    growth = stage("growth", lambda: _growth_stage(poly, cfg))
+    santalo = stage("santalo",
+                    lambda: santalo_monte_carlo(poly, **cfg["santalo"]))
+    results.update({key: asdict(doc) for key, doc in (
+        ("growth", growth), ("santalo", santalo)) if doc is not None})
 
     bounds = lower_bound_2d(poly)
     estimates = [e for e in (ulam, growth) if e is not None]
@@ -396,7 +394,11 @@ def cmd_entropy(args) -> int:
 def cmd_report(args) -> int:
     with open(args.file) as fh:
         report = json.load(fh)
-    res = report.get("results", {})
+    res = report.get("results", {}) if isinstance(report, dict) else None
+    if not (isinstance(res, dict)
+            and all(isinstance(doc, dict) for doc in res.values())):
+        raise ValueError("a report must be a JSON object whose \"results\" "
+                         "maps each name to an object")
     print(f"version {report.get('version')}")
     for name, doc in res.items():
         print(f"[{name}]")
@@ -405,13 +407,25 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_poly_args(sp, default_q=2):
-    sp.add_argument("--p", type=int, default=5)
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--q", type=lambda s: [int(x) for x in s.split(",")],
-                    default=None,
-                    help="comma-separated q per edge (default uniform "
-                         f"{default_q})")
+def _add_stage(sub, cmd: str, fn, text: str):
+    """A subcommand whose flags are those of the _INPUTS it reads."""
+    sp = sub.add_parser(cmd, help=text)
+    sp.set_defaults(fn=fn)
+    for row in _INPUTS:
+        if row.flag and row.key.startswith(_READS[cmd]):
+            kw = {"type": type(row.default), "default": row.default}
+            if row.key == "polygon.q":
+                # one thickness on each of the --p walls: the config's, or
+                # q = 1 (a thin building) for `volent polygon`
+                kw["default"] = 1 if cmd == "polygon" else row.default[0]
+                kw.update(type=lambda s: [int(x) for x in s.split(",")],
+                          help=f"comma-separated q per edge (default "
+                               f"uniform {kw['default']})")
+            elif isinstance(row.default, list):
+                kw.update(type=float, nargs=len(row.default),
+                          default=list(row.default))
+            sp.add_argument(row.flag, **kw)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,35 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "metric graphs")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("polygon", help="polygon geometry and tessellation")
-    _add_poly_args(sp, default_q=1)
+    sp = _add_stage(sub, "polygon", cmd_polygon,
+                    "polygon geometry and tessellation")
     sp.add_argument("--svg", default=None)
     sp.add_argument("--depth", type=int, default=3)
-    sp.set_defaults(fn=cmd_polygon)
-
-    sp = sub.add_parser("santalo", help="Santalo integral, closed form + MC")
-    _add_poly_args(sp)
-    sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=cmd_santalo)
-
-    sp = sub.add_parser("pressure", help="cross-section pressure solver")
-    _add_poly_args(sp)
-    sp.add_argument("--n-u", type=int, default=32)
-    sp.add_argument("--n-theta", type=int, default=32)
-    sp.add_argument("--k", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-4)
+    _add_stage(sub, "santalo", cmd_santalo,
+               "Santalo integral, closed form + MC")
+    sp = _add_stage(sub, "pressure", cmd_pressure,
+                    "cross-section pressure solver")
     sp.add_argument("--no-refine", action="store_true")
     sp.add_argument("--curve", default=None, help="CSV path for the "
                     "(h, pressure) curve")
-    sp.set_defaults(fn=cmd_pressure)
-
-    sp = sub.add_parser("growth", help="weighted chamber ball growth")
-    _add_poly_args(sp)
-    sp.add_argument("--radius-cut", type=float, default=12.7)
-    sp.add_argument("--window", type=float, nargs=2, default=[4.0, 11.0])
-    sp.set_defaults(fn=cmd_growth)
+    _add_stage(sub, "growth", cmd_growth, "weighted chamber ball growth")
 
     sp = sub.add_parser("graph", help="metric graph entropy")
     sp.add_argument("--file", required=True)

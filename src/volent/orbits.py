@@ -71,6 +71,8 @@ def geodesic_lengths(lam: float, B, k_max: int) -> OrbitFamily:
         for i in range(k_max):
             M = A @ M
             traces[i] = float(np.trace(M @ M.T))
+            if not math.isfinite(traces[i]):   # so is every later trace
+                break
         closed = (lam ** (2.0 * ks) * (a * a + b * b)
                   + lam ** (-2.0 * ks) * (c * c + d * d))
     bad = ~(np.isfinite(traces) & np.isfinite(closed))

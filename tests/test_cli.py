@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -114,11 +115,15 @@ def test_orbits_too_few_lengths(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--k-max", "600"],
+                                  ["--k-max", "2000000"],
                                   ["--lam", "1e200", "--k-max", "3"]])
 def test_orbits_overflow_is_an_input_error(capsys, argv):
     # lambda^(2k) leaves float range (from k = 512 at lambda = 2): exit 2
-    # naming k_max and lambda, not a table of inf or nan lengths
+    # naming k_max and lambda, not a table of inf or nan lengths, and
+    # without multiplying on up to k_max
+    t0 = time.perf_counter()
     code, out, err = run(capsys, "orbits", *argv)
+    assert time.perf_counter() - t0 < 2.0
     assert code == 2
     assert "k_max" in err and "lambda" in err and "Traceback" not in err
     assert "inf" not in out and "nan" not in out
@@ -137,11 +142,29 @@ def test_santalo_small(capsys):
     assert "vertex samples 6000  max value" in out
 
 
-def test_santalo_default_samples_shared():
-    # one default for `volent santalo --samples` and santalo.samples
+def test_flag_defaults_are_config_defaults():
+    # each input has one default, in its cli._INPUTS row: a subcommand
+    # parsed with no flags reads validate_config({})'s value for every
+    # flag. The one exception is `volent polygon`'s uniform q = 1 (a thin
+    # building) where the stages read the config's q = 2.
+    defaults = validate_config({})
+    seen = set()
+    for cmd, reads in cli._READS.items():
+        args = cli.build_parser().parse_args([cmd])
+        for row in cli._INPUTS:
+            if not (row.flag and row.key.startswith(reads)):
+                continue
+            seen.add(row.key)
+            value = getattr(args, row.flag[2:].replace("-", "_"))
+            sec, _, sub = row.key.partition(".")
+            want = defaults[sec][sub] if sub else defaults[sec]
+            if row.key == "polygon.q":   # one thickness on each wall
+                value = [value] * args.p
+                want = [1] * 5 if cmd == "polygon" else want
+            assert value == want, (cmd, row.flag)
+    assert seen == {row.key for row in cli._INPUTS if row.flag}
     args = cli.build_parser().parse_args(["santalo"])
-    assert args.samples == validate_config({})["santalo"]["samples"]
-    assert args.samples == 125_000
+    assert args.samples == defaults["santalo"]["samples"] == 125_000
 
 
 def test_santalo_samples_too_large(capsys):
@@ -175,6 +198,11 @@ def _no_stage(*args, **kwargs):
     (["polygon", "--p", "5", "--m", "3", "--q", "1,1,1,1,2"], "--q"),
     (["growth", "--p", "3", "--m", "7", "--q", "1,2,3"], "--q"),
     (["santalo", "--p", "4", "--m", "5", "--q", "2,2,3,2"], "--q"),
+    (["santalo", "--seed", "-1"], "--seed"),
+    (["pressure", "--seed", "-1"], "--seed"),
+    (["growth", "--window", "11", "4"], "--window"),
+    (["pressure", "--p", "2"], "--p"),
+    (["pressure", "--m", "1"], "--m"),
 ])
 def test_subcommand_sizes_checked(monkeypatch, capsys, argv, flag):
     # refused by name before any geometry, sampling or tracing runs
@@ -310,6 +338,8 @@ def test_entropy_config_errors(tmp_path, capsys):
     ({"k": 100}, "pressure.k"),
     ({"p": 100_000}, "polygon.p"),
     ({"p": 3, "m": 7, "q": [1, 2, 3]}, "polygon.q"),
+    # q has one entry per wall: the default q has 5
+    ({"p": 6}, "polygon.q"),
 ])
 def test_entropy_pressure_config_typed(monkeypatch, tmp_path, capsys,
                                       pressure, key):
@@ -522,3 +552,14 @@ def test_report_render(tmp_path, capsys):
                        str(tmp_path / "report.json"))
     assert code == 0
     assert "[ulam]" in out and "[santalo]" in out
+
+
+@pytest.mark.parametrize("doc", [[1, 2], {"results": [1]},
+                                 {"results": {"ulam": 5}}])
+def test_report_refuses_other_json(tmp_path, capsys, doc):
+    # JSON that is not a report exits 2 naming the shape it should have
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "report", "--file", str(path))
+    assert code == 2
+    assert "results" in err and "Traceback" not in err
