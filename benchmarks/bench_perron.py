@@ -9,25 +9,23 @@ Four tasks:
   1, 2;
 - curve: the 21-point `pressure_curve` that `volent entropy` writes to
   `curves.csv`, on the 32x32 model for seeds 0, 1, 2, over
-  h_root +- 0.5. It records the kernel steps (counted by wrapping
-  `volent.perron.perron_bracket`, so a checkout without curve counters
-  is counted the same way) and the largest |difference| from a cold
-  single `pressure_log_radius` call at each point;
+  h_root +- 0.5. It records the curve's kernel steps (`power_iters`)
+  and the largest |difference| from a cold single
+  `pressure_log_radius` call at each point;
 - sweep: kernel-step counts of the shift alpha = c * (lo + hi) / 2 of
   the first bracket and of the order of the value-mode start
   extrapolation (0: the previous point's iterate, k: the degree-k
-  Lagrange polynomial through the last k+1 ln v), from this script's
-  own copy of the iteration: the curve on the seed-0 32x32 model, the
-  two root solves of the default run (32x32 and 64x64, seed 0) and the
-  graphs task's graph set (its edge graphs built by
-  `volent.graphs._nonbacktracking`). At the shipped c = 1/4 and order
-  3 its counts equal the checkout's own in the curve, ulam_root and
-  graphs tasks.
+  Lagrange polynomial through the last k+1 ln v), by setting
+  `volent.perron._SHIFT` = c and `volent.perron._HISTORY` = k + 1 for
+  the shipped iteration and restoring both afterwards: the curve on the
+  seed-0 32x32 model, the two root solves of the default run (32x32 and
+  64x64, seed 0) and the graphs task's graph set. The shipped c = 1/4
+  and order 3 are the curve, ulam_root and graphs tasks' own counts.
 
 Each timing is the median over repeats; every result value, the solver
 counters found in `diagnostics` and the machine are recorded. Apart
-from the sweep, only public functions are called, so the script runs
-against any checkout of the package: point PYTHONPATH at its `src/`.
+from the sweep's two settings, only public functions are called: point
+PYTHONPATH at the `src/` of the checkout to measure.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_perron.py --label change \\
@@ -48,14 +46,12 @@ import time
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 import volent
 import volent.perron
 from volent.errors import VolentError
 from volent.graphs import MetricGraph, graph_entropy
 from volent.hypgeom import regular_polygon
-from volent.perron import bisect_root
 from volent.symbolic import (build_cross_section, pressure_curve,
                              pressure_log_radius, solve_entropy)
 
@@ -136,25 +132,6 @@ def time_ulam(repeats: int) -> list:
     return rows
 
 
-class StepCounter:
-    """Counts the kernel steps of every perron_bracket call while
-    active, by wrapping the module function WarmPerron calls."""
-
-    def __enter__(self):
-        self.steps, self._inner = 0, volent.perron.perron_bracket
-
-        def counted(*args, **kwargs):
-            out = self._inner(*args, **kwargs)
-            self.steps += out[3]
-            return out
-
-        volent.perron.perron_bracket = counted
-        return self
-
-    def __exit__(self, *exc):
-        volent.perron.perron_bracket = self._inner
-
-
 def time_curve(repeats: int) -> list:
     rows = []
     for seed in (0, 1, 2):
@@ -163,110 +140,48 @@ def time_curve(repeats: int) -> list:
         hs = np.linspace(h - 0.5, h + 0.5, 21)
         times = []
         for _ in range(repeats):
-            with StepCounter() as count:
-                t0 = time.perf_counter()
-                curve = pressure_curve(model, hs)
-                times.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            curve = pressure_curve(model, hs)
+            times.append(time.perf_counter() - t0)
         delta = max(abs(p - pressure_log_radius(model, x)) for x, p in curve)
         rows.append({"grid": 32, "seed": seed, "states": model.n_states,
-                     "points": len(curve), "power_iters": count.steps,
+                     "points": len(curve), "power_iters": curve.power_iters,
                      "max_bracket_width": curve.max_bracket_width,
                      "max_abs_delta_cold": delta,
                      "median_s": statistics.median(times), "runs_s": times})
     return rows
 
 
-class SweepPerron:
-    """This script's copy of WarmPerron with the shift fraction c and
-    the extrapolation order as parameters; steps counts kernel steps."""
-
-    def __init__(self, B, weight, length, shift, rtol, c, order):
-        self.B, self.weight, self.length, self.shift = B, weight, length, shift
-        self.rtol, self.c, self.order = rtol, c, order
-        self.v, self.history, self.steps = None, [], 0
-
-    def _start(self, h):
-        if self.order == 0 or len(self.history) < 2:
-            return self.v
-        y = sum(np.prod([(h - hk) / (hj - hk) for hk, _ in self.history
-                         if hk != hj]) * yj for hj, yj in self.history)
-        v = np.exp(y - y.max())
-        return v if np.all(v > 0.0) else self.v
-
-    def bracket(self, h, target=None):
-        self.B.data = self.weight * np.exp((self.shift - h) * self.length)
-        v = self.v if target is not None else self._start(h)
-        if v is None:
-            v = np.ones(self.B.shape[0])
-        for step in range(1, 200_001):
-            w = self.B @ v
-            ratio = w / v
-            lo, hi = float(ratio.min()), float(ratio.max())
-            if step == 1:
-                alpha = self.c * 0.5 * (lo + hi)
-            if (hi - lo <= self.rtol * hi
-                    or target is not None and (lo > target or hi < target)):
-                break
-            v = w + alpha * v
-            v /= v.max()
-        else:
-            raise RuntimeError("no certified bracket in 200000 steps")
-        self.v, self.steps = v, self.steps + step
-        if target is None:
-            kept = [(g, y) for g, y in self.history if g != h]
-            self.history = kept[max(0, len(kept) - self.order):] + [
-                (h, np.log(v))]
-        return lo, hi
-
-    def above(self, h):
-        lo, hi = self.bracket(h, target=1.0)
-        return lo + hi > 2.0
-
-
-def ulam_sweeper(model, c, order):
-    ij, shape = (model.src, model.dst), (model.n_states,) * 2
-    B = sp.csr_matrix((model.mean_L, ij), shape=shape)
-    W = sp.csr_matrix((model.mass * model.q_of_state(model.dst), ij),
-                      shape=shape)
-    return SweepPerron(B, W.data, B.data.copy(), 1.0, 1e-10, c, order)
-
-
 def sweep() -> dict:
-    from volent.graphs import _nonbacktracking
-
     coarse, fine = default_model(32, 0), default_model(64, 0)
     h = solve_entropy(coarse, refine=False).value
     hs = np.linspace(h - 0.5, h + 0.5, 21)
-    # each edge graph with its lengths: a bracket overwrites A.data
-    edge_graphs = [(A, A.data.copy()) for A in (
-        _nonbacktracking(g) for group in graph_set().values()
-        for _, g in group)]
+    graphs = [g for group in graph_set().values() for _, g in group]
+    saved = volent.perron._SHIFT, volent.perron._HISTORY
 
-    def curve_steps(c, order):
-        rho = ulam_sweeper(coarse, c, order)
-        for x in hs:
-            rho.bracket(float(x))
-        return rho.steps
+    def steps(c, order, solve, *args):
+        volent.perron._SHIFT, volent.perron._HISTORY = c, order + 1
+        try:
+            return solve(*args)
+        finally:
+            volent.perron._SHIFT, volent.perron._HISTORY = saved
 
-    def root_steps(model, c):
-        rho = ulam_sweeper(model, c, 0)
-        bisect_root(rho.above, 0.5, 4.0, 1e-4, hi_cap=50.0)
-        return rho.steps
+    def curve():
+        return pressure_curve(coarse, hs).power_iters
 
-    def graph_steps(c):
-        total = 0
-        for A, length in edge_graphs:
-            rho = SweepPerron(A, 1.0, length, 0.0, 1e-13, c, 0)
-            bisect_root(rho.above, 0.0, 1.0, 1e-10, hi_cap=2.0 ** 19)
-            total += rho.steps
-        return total
+    def root(model):
+        return solve_entropy(model, refine=False).diagnostics["power_iters"]
 
-    shifts = [{"c": c, "curve_plain_warm": curve_steps(c, 0),
-               "root_32": root_steps(coarse, c),
-               "root_64": root_steps(fine, c),
-               "graphs": graph_steps(c)}
+    def graph_steps():
+        return sum(graph_entropy(g, tol=1e-10).diagnostics["power_iters"]
+                   for g in graphs)
+
+    shifts = [{"c": c, "curve_plain_warm": steps(c, 0, curve),
+               "root_32": steps(c, 0, root, coarse),
+               "root_64": steps(c, 0, root, fine),
+               "graphs": steps(c, 0, graph_steps)}
               for c in (1.0, 0.5, 0.25, 0.125)]
-    orders = [{"c": 0.25, "order": k, "curve": curve_steps(0.25, k)}
+    orders = [{"c": 0.25, "order": k, "curve": steps(0.25, k, curve)}
               for k in range(7)]
     return {"shifts": shifts, "orders": orders}
 

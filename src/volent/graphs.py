@@ -118,8 +118,8 @@ class MetricGraph:
 
 def scale_lengths(g: MetricGraph, alpha: float) -> MetricGraph:
     """Scale the metric tensor by alpha, i.e. lengths by sqrt(alpha)."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     return MetricGraph(n_vertices=g.n_vertices, src=g.src, dst=g.dst,
                        length=g.length * math.sqrt(alpha), rev=g.rev)
 
@@ -160,8 +160,7 @@ def graph_entropy(g: MetricGraph, tol: float = 1e-10) -> EntropyEstimate:
     if n_comp != 1:
         raise NotStronglyConnected(
             f"directed edge graph has {n_comp} strong components")
-    rho = WarmPerron(A, 1.0, A.data.copy(), 0.0, rtol=1e-13,
-                     max_iter=200_000)
+    rho = WarmPerron(A, 1.0, 0.0, rtol=1e-13, max_iter=200_000)
     # doubling from 1 stops at 2**19, the last upper end below the
     # runaway cap 1e6
     h, iters, _ = bisect_root(rho.above, 0.0, 1.0, tol, hi_cap=2.0 ** 19)

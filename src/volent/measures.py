@@ -77,7 +77,7 @@ class SantaloResult:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Lower bounds next to entropy estimates, with a strictness verdict.
+    """Lower bounds and the strictness verdict of entropy estimates.
 
     paper_literal_bound keeps the constant exactly as printed in the
     source corollary; derived_constant_bound uses the internally
@@ -89,7 +89,6 @@ class BoundReport:
 
     paper_literal_bound: float
     derived_constant_bound: float
-    entropy_estimates: tuple = ()
     strictness_margin: float = float("nan")
     flag: str = ""
 
@@ -312,12 +311,14 @@ def lower_bound_plugin(n: int, vol_P: float, faces, euclidean: bool = False) -> 
     faces is a list of (vol_F, q) pairs; returns
     (n - 1 if hyperbolic else 0) + (1/vol_P) * sum ln(q) vol_F.
     """
-    if vol_P <= 0.0:
-        raise ValueError("vol_P must be positive")
+    if not (math.isfinite(vol_P) and vol_P > 0.0):
+        raise ValueError(f"vol_P must be finite and positive, got {vol_P!r}")
     s = 0.0
     for vol_F, q in faces:
-        if vol_F <= 0.0 or q < 1:
-            raise ValueError("need vol_F > 0 and q >= 1")
+        if not (math.isfinite(vol_F) and math.isfinite(q)
+                and vol_F > 0.0 and q >= 1):
+            raise ValueError(f"need finite vol_F > 0 and q >= 1, got "
+                             f"({vol_F!r}, {q!r})")
         s += math.log(q) * vol_F
     return (0.0 if euclidean else float(n - 1)) + s / vol_P
 
@@ -326,7 +327,7 @@ _EQUALITY_TOL = 0.05
 
 
 def strictness_report(poly: CoxeterPolygon, estimates) -> BoundReport:
-    """Assemble bounds, estimates, and the strictness verdict."""
+    """Assemble the bounds and the strictness verdict of estimates."""
     if not estimates:
         raise ValueError("need at least one entropy estimate")
     base = lower_bound_2d(poly)
@@ -339,7 +340,6 @@ def strictness_report(poly: CoxeterPolygon, estimates) -> BoundReport:
     return BoundReport(
         paper_literal_bound=base.paper_literal_bound,
         derived_constant_bound=base.derived_constant_bound,
-        entropy_estimates=tuple(estimates),
         strictness_margin=margin,
         flag=flag,
     )

@@ -14,11 +14,11 @@ period d and alpha = c*rho, the peripheral eigenvalue rho*e^(2 pi i/d)
 moves to modulus |e^(2 pi i/d) + c| / (1 + c) < 1 relative to the root,
 for every c > 0. A large shift slows the interior spectrum instead: a
 positive eigenvalue lambda < rho converges at the ratio
-(lambda + alpha) / (rho + alpha), which grows with alpha. So alpha is a
-quarter of the first bracket's midpoint, about rho/4.
+(lambda + alpha) / (rho + alpha), which grows with alpha. So alpha is
+_SHIFT = 1/4 of the first bracket's midpoint, about rho/4.
 
 A value-mode evaluation of a curve h -> rho(B(h)) starts from the
-cubic Lagrange extrapolation, in h, of ln v over the last four
+cubic Lagrange extrapolation, in h, of ln v over the last _HISTORY = 4
 evaluations: the Perron vector is smooth in h, so the start is close to
 the answer and the bracket narrows in far fewer steps.
 """
@@ -31,16 +31,22 @@ import numpy as np
 
 from .errors import BracketFailed, PowerIterationStalled
 
+# alpha as a fraction of the first bracket's midpoint.
+_SHIFT = 0.25
+# Value-mode iterates kept for the start extrapolation: four points,
+# a cubic in h.
+_HISTORY = 4
+
 
 def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
                    max_iter: int = 200_000) -> tuple:
     """Collatz-Wielandt bracket (lo, hi, v, steps) of rho(B).
 
     B is a nonnegative square matrix, v an optional positive start
-    (e.g. the iterate returned for a nearby matrix). alpha is a quarter
-    of the first bracket's midpoint. Stops when hi - lo <= rtol * hi or,
-    given a target, once the bracket excludes it; lo + hi > 2 * target
-    is then the sign of rho - target. An all-zero B gives (0, 0). If
+    (e.g. the iterate returned for a nearby matrix). alpha is _SHIFT
+    times the first bracket's midpoint. Stops when hi - lo <= rtol * hi
+    or, given a target, once the bracket excludes it; lo + hi > 2 *
+    target is then the sign of rho - target. An all-zero B gives (0, 0). If
     neither stop holds while lo is not positive (0 or NaN: rows of B
     underflowed to zero) and hi > 0, PowerIterationStalled is raised at
     once instead of after max_iter steps, since a zero row keeps lo at 0.
@@ -51,7 +57,7 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
         ratio = w / v
         lo, hi = float(ratio.min()), float(ratio.max())
         if step == 1:
-            alpha = 0.125 * (lo + hi)
+            alpha = _SHIFT * 0.5 * (lo + hi)
         if (hi - lo <= rtol * hi
                 or target is not None and (lo > target or hi < target)):
             return lo, hi, v, step
@@ -65,21 +71,16 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
         f"spectral radius iteration did not converge in {max_iter} steps")
 
 
-# Value-mode iterates kept for the start extrapolation: four points,
-# a cubic in h.
-_HISTORY = 4
-
-
 class WarmPerron:
     """Brackets of rho(B(h)), B(h).data = weight * exp((shift - h) * length)
-    on the fixed pattern of B. A sign (given a target) is warm-started
-    from the last iterate; a value (no target) from the extrapolation of
-    the last _HISTORY value-mode iterates to h. steps counts kernel
-    steps; width is the last bracket's."""
+    on the fixed pattern of B, with length the data B is built with. A
+    sign (given a target) is warm-started from the last iterate; a value
+    (no target) from the extrapolation of the last _HISTORY value-mode
+    iterates to h. steps counts kernel steps; width is the last
+    bracket's."""
 
-    def __init__(self, B, weight, length, shift: float, rtol: float,
-                 max_iter: int):
-        self.B, self.weight, self.length = B, weight, length
+    def __init__(self, B, weight, shift: float, rtol: float, max_iter: int):
+        self.B, self.weight, self.length = B, weight, B.data.copy()
         self.shift, self.rtol, self.max_iter = shift, rtol, max_iter
         self.v, self.steps, self.width = None, 0, 0.0
         self.history = []   # (h, ln v) of the last value-mode brackets
@@ -94,7 +95,7 @@ class WarmPerron:
             # a repeated h replaces its older entry, so the nodes of the
             # Lagrange weights stay distinct
             kept = [(g, y) for g, y in self.history if g != h]
-            self.history = kept[1 - _HISTORY:] + [(h, np.log(self.v))]
+            self.history = (kept + [(h, np.log(self.v))])[-_HISTORY:]
         return lo, hi
 
     def _extrapolate(self, h: float):

@@ -350,16 +350,17 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
         mass=mass2, mean_L=mean_L[keep_tr], diagnostics=diagnostics)
 
 
-def _pressure_rho(model: UlamModel, max_iter: int = 20000) -> WarmPerron:
+def _pressure_rho(model: UlamModel) -> WarmPerron:
     """Warm-started brackets of rho(B(h)) on the model's transitions."""
     if model.n_states == 0:
         raise NotIrreducible("empty model")
-    # same coordinates, so both matrices store their data in one order
-    ij, shape = (model.src, model.dst), (model.n_states,) * 2
-    B = sp.csr_matrix((model.mean_L, ij), shape=shape)
-    W = sp.csr_matrix((model.mass * model.q_of_state(model.dst), ij),
-                      shape=shape)
-    return WarmPerron(B, W.data, B.data.copy(), 1.0, EPS_POWER, max_iter)
+    # the (src, dst) pairs are unique and row-major (np.unique of
+    # src * n + dst, renumbered monotonically), so the CSR data keeps
+    # the order of the model's arrays and the weight lines up with it
+    B = sp.csr_matrix((model.mean_L, (model.src, model.dst)),
+                      shape=(model.n_states,) * 2)
+    return WarmPerron(B, model.mass * model.q_of_state(model.dst),
+                      shift=1.0, rtol=EPS_POWER, max_iter=20000)
 
 
 def _log_radius(rho: WarmPerron, h: float) -> float:
@@ -369,15 +370,14 @@ def _log_radius(rho: WarmPerron, h: float) -> float:
     return math.log(0.5 * (lo + hi))
 
 
-def pressure_log_radius(model: UlamModel, h: float,
-                        max_iter: int = 20000) -> float:
+def pressure_log_radius(model: UlamModel, h: float) -> float:
     """ln spectral radius of the weighted transition matrix at h.
 
     Strictly decreasing in h; its root is the entropy estimate. The
     value is the midpoint of a Collatz-Wielandt bracket of relative
     width EPS_POWER.
     """
-    return _log_radius(_pressure_rho(model, max_iter), h)
+    return _log_radius(_pressure_rho(model), h)
 
 
 class PressureCurve(list):

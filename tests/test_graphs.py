@@ -66,6 +66,11 @@ def test_homogeneity():
         hs = graph_entropy(scale_lengths(g, alpha), tol=1e-10).value
         assert hs == pytest.approx(h / math.sqrt(alpha), abs=2e-10)
     assert np.allclose(scale_lengths(g, 1.0).length, g.length)
+    # a non-finite or non-positive alpha would give lengths that
+    # from_undirected refuses, and a solve that stalls instead of failing
+    for alpha in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            scale_lengths(g, alpha)
 
 
 def test_single_cycle_is_degenerate():

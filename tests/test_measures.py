@@ -175,6 +175,12 @@ def test_plugin_bound_examples():
         lower_bound_plugin(2, 0.0, faces)
     with pytest.raises(ValueError):
         lower_bound_plugin(2, 1.0, [(1.0, 0)])
+    # non-finite data gave nan (or 1.0 for vol_P = inf) instead of an error
+    for vol_P, bad in ((math.nan, faces), (math.inf, faces),
+                       (1.0, [(math.nan, 2)]), (1.0, [(math.inf, 2)]),
+                       (1.0, [(1.0, math.nan)]), (1.0, [(1.0, math.inf)])):
+        with pytest.raises(ValueError):
+            lower_bound_plugin(2, vol_P, bad)
 
 
 def test_strictness_pass(pentagon_q2):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import volent.perron
 from volent.errors import BracketFailed, PowerIterationStalled
 from volent.graphs import MetricGraph, _nonbacktracking
 from volent.perron import WarmPerron, bisect_root, perron_bracket
@@ -71,8 +72,7 @@ def test_warm_perron_extrapolated_start_falls_back():
     # non-finite ln v makes that start unusable, so the last iterate is
     # used and the bracket still certifies the exact radius 2 exp(-h)
     A = k4_operator(1.0, 0.0)
-    length = A.data.copy()
-    rho = WarmPerron(A, 1.0, length, 0.0, rtol=1e-13, max_iter=10_000)
+    rho = WarmPerron(A, 1.0, 0.0, rtol=1e-13, max_iter=10_000)
     for h in (0.1, 0.2, 0.3, 0.3):
         rho.bracket(h)
     assert [g for g, _ in rho.history] == [0.1, 0.2, 0.3]
@@ -81,6 +81,19 @@ def test_warm_perron_extrapolated_start_falls_back():
     assert lo <= 2.0 * math.exp(-0.4) * (1 + 1e-15)
     assert 2.0 * math.exp(-0.4) * (1 - 1e-15) <= hi
     assert np.all(np.isfinite(rho.v))
+
+
+@pytest.mark.parametrize("history", [1, 2, 3, 4])
+def test_warm_perron_keeps_history_entries(monkeypatch, history):
+    # order k of the start extrapolation is _HISTORY = k + 1 stored
+    # iterates; _HISTORY = 1 is the plain warm start from the last one
+    monkeypatch.setattr(volent.perron, "_HISTORY", history)
+    rho = WarmPerron(k4_operator(1.0, 0.0), 1.0, 0.0, rtol=1e-13,
+                     max_iter=10_000)
+    hs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+    for i, h in enumerate(hs):
+        rho.bracket(h)
+        assert [g for g, _ in rho.history] == hs[max(0, i + 1 - history):i + 1]
 
 
 def test_sign_mode_stops_once_target_excluded():

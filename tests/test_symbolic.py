@@ -414,6 +414,20 @@ def _assert_within_cold_brackets(m, curve):
         assert math.exp(p) <= (hi + slack) * (1 + 1e-14)
 
 
+@pytest.mark.parametrize("p,m,q", [(5, 2, (2,) * 5), (4, 3, (3,) * 4)])
+def test_pressure_matrix_in_model_order(p, m, q):
+    # B is built once from mean_L and the weight is passed in the model's
+    # transition order: that holds because the CSR pattern is (src, dst)
+    # entry by entry
+    model = build_cross_section(regular_polygon(p, m, q), (16, 16), 2, 0)
+    rho = symbolic._pressure_rho(model)
+    assert rho.length.tobytes() == model.mean_L.tobytes()
+    assert np.array_equal(rho.B.indices, model.dst)
+    assert np.array_equal(
+        np.repeat(np.arange(model.n_states), np.diff(rho.B.indptr)),
+        model.src)
+
+
 def test_pressure_curve_repeated_and_unordered_h(pentagon_q2):
     # a repeated h would make a Lagrange node difference zero, and a
     # non-monotone sequence extrapolates backwards; neither may give a
