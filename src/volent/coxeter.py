@@ -63,7 +63,6 @@ class ChamberSet:
     depths: np.ndarray
     log_mult: np.ndarray
     reach: float
-    diameter: float
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -268,8 +267,7 @@ def enumerate_chambers(poly: CoxeterPolygon,
         frontier = radii[depths == depths.max()]
         reach = float(frontier.min()) - poly.diameter
     return ChamberSet(parent=parent, wall=wall, points=points, radii=radii,
-                      depths=depths, log_mult=log_mult, reach=reach,
-                      diameter=poly.diameter)
+                      depths=depths, log_mult=log_mult, reach=reach)
 
 
 def ball_growth(poly: CoxeterPolygon,

@@ -29,14 +29,16 @@ from .errors import BadThickness, NonHyperbolic
 
 @dataclass(frozen=True)
 class HPoint:
-    """Point of the upper half-plane (y > 0)."""
+    """Point of the upper half-plane (finite x, finite y > 0)."""
 
     x: float
     y: float
 
     def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError(f"HPoint requires y > 0, got y={self.y}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)
+                and self.y > 0):
+            raise ValueError(f"HPoint requires finite x and finite y > 0, "
+                             f"got ({self.x}, {self.y})")
 
     @property
     def z(self) -> complex:

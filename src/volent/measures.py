@@ -26,16 +26,17 @@ heuristic), which cancels the 1/l blow-up near a vertex: every
 weighted sample is bounded. With w = 0 the weights are exactly 1 and
 the estimator is the uniform one bit for bit.
 
-The random draws are made up front, each round at full length, and the
-geometry on them is evaluated in blocks of ``tracing.BLOCK`` samples,
-so the random stream and the estimate do not depend on the block size.
-Each sample's chord, its entry wall and its length, comes from
-``tracing._chords``: one candidate pass selected forward and backward.
+The random draws are made up front, each round at full length; the
+geometry on them runs in blocks of ``tracing.BLOCK`` samples, the only
+block loop over chords, so the stream and the estimate do not depend on
+the block size. ``tracing._chords`` gives each sample's entry wall and
+chord length in one candidate pass per call, selected both ways.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,7 +114,6 @@ def _sample_in_polygon(poly: CoxeterPolygon, n: int,
     blocks of BLOCK and keeps, in draw order, the first points on the
     inner side of every wall (poly.walls.side).
     """
-    z0 = complex(poly.center.x, poly.center.y)
     R = poly.circumradius * (1.0 + 1e-9)
     xs = np.empty(n)
     ys = np.empty(n)
@@ -128,14 +128,11 @@ def _sample_in_polygon(poly: CoxeterPolygon, n: int,
             u = u_all[a:a + BLOCK]
             d = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
             phi = phi_all[a:a + BLOCK] * (2.0 * math.pi)
-            # rotate z -> about the center, then push distance d up the
-            # vertical geodesic through it
+            # push distance d up the vertical geodesic through the
+            # center i, then rotate by phi about it
             c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
             zt = 1j * np.exp(d)
             z = (c * zt + s) / (-s * zt + c)
-            # recentering the rotation from i to the polygon center is
-            # the identity here since the polygon is built with center i
-            z = z.real * z0.imag + z0.real + 1j * (z.imag * z0.imag)
             z = z[np.all(poly.walls.side(z) > 0.0, axis=1)][: n - have]
             xs[have:have + z.shape[0]] = z.real
             ys[have:have + z.shape[0]] = z.imag
@@ -308,9 +305,11 @@ def lower_bound_2d(poly: CoxeterPolygon) -> BoundReport:
 def lower_bound_plugin(n: int, vol_P: float, faces, euclidean: bool = False) -> float:
     """Literal bound arithmetic for user-supplied n-dimensional data.
 
-    faces is a list of (vol_F, q) pairs; returns
+    n is an integer >= 1 and faces a list of (vol_F, q) pairs; returns
     (n - 1 if hyperbolic else 0) + (1/vol_P) * sum ln(q) vol_F.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not (math.isfinite(vol_P) and vol_P > 0.0):
         raise ValueError(f"vol_P must be finite and positive, got {vol_P!r}")
     s = 0.0

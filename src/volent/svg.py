@@ -10,6 +10,8 @@ import numpy as np
 
 from .hypgeom import invert
 
+SIZE = 640  # width and height of both figures, in pixels
+
 
 class SvgCanvas:
     def __init__(self, width: int, height: int):
@@ -71,12 +73,12 @@ def _chamber_arcs(poly, chambers) -> np.ndarray:
     return arcs
 
 
-def tessellation_svg(poly, chambers, size: int = 640) -> SvgCanvas:
+def tessellation_svg(poly, chambers) -> SvgCanvas:
     """Chambers drawn in the unit-disk model, one path per wall of each."""
     z0 = complex(poly.center.x, poly.center.y)
-    canvas = SvgCanvas(size, size)
-    scale = 0.48 * size
-    cx = cy = 0.5 * size
+    canvas = SvgCanvas(SIZE, SIZE)
+    scale = 0.48 * SIZE
+    cx = cy = 0.5 * SIZE
     canvas.circle(cx, cy, scale, stroke="#888")
     arcs = _chamber_arcs(poly, chambers)
     disk = (arcs - z0) / (arcs - np.conjugate(z0))
@@ -90,19 +92,19 @@ def tessellation_svg(poly, chambers, size: int = 640) -> SvgCanvas:
     return canvas
 
 
-def orbit_svg(family, size: int = 640) -> SvgCanvas:
+def orbit_svg(family) -> SvgCanvas:
     """l(g_k) against k with the affine asymptote overlaid."""
-    canvas = SvgCanvas(size, size)
+    canvas = SvgCanvas(SIZE, SIZE)
     ks = family.k.astype(float)
     ls = family.length
     asym = family.asymptote()
     pad = 50.0
-    kx = (size - 2 * pad) / (ks[-1] - ks[0] if ks[-1] > ks[0] else 1.0)
+    kx = (SIZE - 2 * pad) / (ks[-1] - ks[0] if ks[-1] > ks[0] else 1.0)
     ymin, ymax = 0.0, float(max(ls.max(), asym.max()))
-    ky = (size - 2 * pad) / (ymax - ymin)
+    ky = (SIZE - 2 * pad) / (ymax - ymin)
 
     def to_xy(k, v):
-        return (pad + (k - ks[0]) * kx, size - pad - (v - ymin) * ky)
+        return (pad + (k - ks[0]) * kx, SIZE - pad - (v - ymin) * ky)
 
     canvas.polyline([to_xy(ks[0], 0), to_xy(ks[-1], 0)], stroke="#888")
     canvas.polyline(np.column_stack(to_xy(ks, asym)), stroke="#c33",

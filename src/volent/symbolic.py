@@ -132,22 +132,6 @@ def f_value(point: HPoint, angle: float, poly: CoxeterPolygon) -> float:
     return float(np.dot(rows["log_q"][near], 1.0 - t[near]))
 
 
-def lq_value(point: HPoint, angle: float, poly: CoxeterPolygon) -> tuple:
-    """(l, q) at the vector: l is the flight length of the wall-to-wall
-    segment containing the base point, q the branching parameter of the
-    segment's entry wall (the last crossing at or before time 0)."""
-    walls = poly.walls
-    dx, dy = math.cos(angle), math.sin(angle)
-    jf, tf, _, _, flag = trace(walls, point.x, point.y, dx, dy, 1e6, max_steps=1)
-    if flag != OK or len(tf) == 0:
-        raise VertexHit("forward crossing not found")
-    jb, tb, _, _, flag = trace(walls, point.x, point.y, -dx, -dy, 1e6, max_steps=1)
-    if flag != OK or len(tb) == 0:
-        raise VertexHit("backward crossing not found")
-    l = float(tf[0] + tb[0])
-    return l, poly.q[int(jb[0])]
-
-
 def birkhoff_f_integral(seq: CuttingSequence, a: float, b: float) -> float:
     """Integral over [a, b] of f along the flow.
 
@@ -235,7 +219,7 @@ _MAX_RETRIES = 8
 
 
 def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
-                        seed: int, reverse: bool = False) -> UlamModel:
+                        seed: int) -> UlamModel:
     """Discretize the wall-crossing return map on an (N_u, N_theta) grid.
 
     Each cell launches K^2 stratified sample vectors from its wall and
@@ -244,11 +228,7 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
     from one stream seeded by seed, first draws in sample order. Samples
     flagged as vertex-grazing are then redrawn in their own stratum, in
     sample order, a bounded number of times, and finally discarded with
-    the cell mass renormalized. With reverse=True the mirrored flow
-    (incidence angle theta -> pi - theta at launch and landing) is
-    discretized instead; it traverses the same geodesics backward, so
-    return-length statistics must match the forward model within
-    sampling error.
+    the cell mass renormalized.
     """
     n_u, n_th = grid
     if n_u < 4 or n_th < 4:
@@ -275,13 +255,8 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
     edges, us, ths = draw(np.arange(n_states * per_cell))
 
     def flow(edges, us, ths):
-        th_launch = math.pi - ths if reverse else ths
-        x, y, dx, dy = launch(walls, edges, us, th_launch)
-        j, t, u2, th2, flag = batch_first_crossing(walls, x, y, dx, dy,
-                                                   prev=edges)
-        if reverse:
-            th2 = math.pi - th2
-        return j, t, u2, th2, flag
+        x, y, dx, dy = launch(walls, edges, us, ths)
+        return batch_first_crossing(walls, x, y, dx, dy, prev=edges)
 
     j, t, u2, th2, flag = flow(edges, us, ths)
     for _ in range(_MAX_RETRIES):
@@ -342,7 +317,6 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
         "scc_states": int(sizes[big]),
         "grid_states": int(n_states),
         "n_components": int(n_comp),
-        "reverse": bool(reverse),
     }
     return UlamModel(
         poly=poly, n_u=n_u, n_theta=n_th, k=K, seed=seed,

@@ -29,11 +29,12 @@ per chord and picks twice, forward and backward, with no fold: one
 geometry pass per chord instead of two full steps. Santalo does not
 call ``batch_first_crossing``.
 
-Both batch paths work in consecutive blocks of ``BLOCK`` rays, so their
-working set stays fixed however many rays a call holds; every operation
-is per ray, so the outputs do not depend on the block size.
-``benchmarks/bench_tracing.py`` times the batch kernel, long traces and
-the Santalo Monte Carlo.
+``batch_first_crossing`` works in blocks of ``BLOCK`` rays, so its
+working set stays fixed; every operation is per ray, so the outputs do
+not depend on the block size. ``_chords`` is one pass per call, and
+Santalo's loop over ``BLOCK`` samples is the only block loop over
+chords. ``benchmarks/bench_tracing.py`` times the batch kernel, long
+traces and the Santalo Monte Carlo.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _step(x, y, dx, dy, prev, cx, rr, slo, nsign):
     return j, best_t, xs, ys, u, theta, dxr, dyr, OK
 
 
-def _candidates(x, y, dx, dy, cx, rr):
+def _candidates(walls: WallTable, x, y, dx, dy):
     """Candidate stage of a batch step: every wall a ray's geodesic meets.
 
     Returns (a, xs, ys, proj, gcx, vertical). Each ray's geodesic is the
@@ -157,6 +158,7 @@ def _candidates(x, y, dx, dy, cx, rr):
     Its (n, p) temporaries make it the caller's job to keep n small (see
     BLOCK).
     """
+    cx, rr = walls.cx, walls.r
     vertical = np.abs(dx) < 1e-13
     safe_dx = np.where(vertical, 1.0, dx)
     gcx = x + y * dy / safe_dx
@@ -191,7 +193,7 @@ def _candidates(x, y, dx, dy, cx, rr):
     return a, xs, ys, proj, gcx, vertical
 
 
-def _pick(sig, a, xs, ys, prev, cx, slo, shi):
+def _pick(walls: WallTable, sig, a, xs, ys, prev):
     """Selection stage of a batch step: the first wall crossed along sig.
 
     Takes the least flight time t = sig * a above EPS_STEP, skipping the
@@ -211,25 +213,24 @@ def _pick(sig, a, xs, ys, prev, cx, slo, shi):
     xb = xs[idx, jj]
     yb = ys[idx, jj]
     lost = ~np.isfinite(tbest)
-    psiw = np.arctan2(yb, xb - cx[jj])
-    u = np.log(np.tan(0.5 * psiw)) - slo[jj]
-    ell = shi[jj] - slo[jj]
+    psiw = np.arctan2(yb, xb - walls.cx[jj])
+    u = np.log(np.tan(0.5 * psiw)) - walls.s_lo[jj]
+    ell = walls.s_hi[jj] - walls.s_lo[jj]
     flag = np.where(lost, LOST,
                     np.where((u < EPS_VERTEX) | (u > ell - EPS_VERTEX),
                              NEAR_VERTEX, OK))
     return np.where(lost, -1, jj), tbest, xb, yb, psiw, u, flag
 
 
-def _batch_step_numpy(x, y, dx, dy, prev, cx, rr, slo, shi, nsign):
+def _batch_step_numpy(walls: WallTable, x, y, dx, dy, prev):
     """Vectorized single-step kernel for batches of rays: the candidate
     stage, the selection along the ray's own direction, then the fold.
 
     Returns (j, t, u, theta, flag) arrays.
     """
-    a, xs, ys, proj, gcx, vertical = _candidates(x, y, dx, dy, cx, rr)
+    a, xs, ys, proj, gcx, vertical = _candidates(walls, x, y, dx, dy)
     sig = np.where(proj > 0.0, 1.0, -1.0)
-    j, tbest, xb, yb, psiw, u, flag = _pick(sig, a, xs, ys, prev, cx, slo,
-                                            shi)
+    j, tbest, xb, yb, psiw, u, flag = _pick(walls, sig, a, xs, ys, prev)
     jj = np.where(j < 0, 0, j)
 
     # Transport the direction along the ray to the crossing point; on a
@@ -243,8 +244,8 @@ def _batch_step_numpy(x, y, dx, dy, prev, cx, rr, slo, shi, nsign):
     s2 = np.sin(2.0 * psiw)
     dxr = -(c2 * da + s2 * db)
     dyr = -(s2 * da - c2 * db)
-    nx = nsign[jj] * np.cos(psiw)
-    ny = nsign[jj] * np.sin(psiw)
+    nx = walls.n_sign[jj] * np.cos(psiw)
+    ny = walls.n_sign[jj] * np.sin(psiw)
     wx, wy = ny, -nx
     theta = np.arctan2(wx * dyr - wy * dxr, wx * dxr + wy * dyr)
     return j.astype(np.int64), tbest, u, theta, flag.astype(np.int64)
@@ -309,9 +310,8 @@ def batch_first_crossing(walls: WallTable, x, y, dx, dy, prev=None):
     for a in range(0, n, BLOCK):
         b = slice(a, a + BLOCK)
         (out_j[b], out_t[b], out_u[b], out_th[b],
-         out_flag[b]) = _batch_step_numpy(x[b], y[b], dx[b], dy[b], prev[b],
-                                          walls.cx, walls.r, walls.s_lo,
-                                          walls.s_hi, walls.n_sign)
+         out_flag[b]) = _batch_step_numpy(walls, x[b], y[b], dx[b], dy[b],
+                                          prev[b])
     return out_j, out_t, out_u, out_th, out_flag
 
 
@@ -321,27 +321,17 @@ def _chords(walls: WallTable, x, y, dx, dy):
     Returns (entry, l, ok): the wall the chord enters through (the
     first crossing backward along (-dx, -dy)), its length l = tf + tb
     (forward plus backward flight time) and ok where both crossings are
-    OK. Per block of BLOCK rays the candidate stage runs once and is
-    selected in both directions; there is no fold. The results equal
-    two batch_first_crossing calls, along (dx, dy) and (-dx, -dy).
+    OK. One candidate pass over all n rays, selected in both directions,
+    with no fold and no block loop: the caller keeps n to about BLOCK.
+    The results equal two batch_first_crossing calls, along (dx, dy) and
+    (-dx, -dy).
     """
-    n = x.shape[0]
-    entry = np.empty(n, dtype=np.int64)
-    length = np.empty(n)
-    ok = np.empty(n, dtype=bool)
-    cols = (walls.cx, walls.s_lo, walls.s_hi)
-    for a in range(0, n, BLOCK):
-        b = slice(a, a + BLOCK)
-        cand, xs, ys, proj, _, _ = _candidates(x[b], y[b], dx[b], dy[b],
-                                               walls.cx, walls.r)
-        _, tf, _, _, _, _, ff = _pick(np.where(proj > 0.0, 1.0, -1.0),
-                                      cand, xs, ys, None, *cols)
-        jb, tb, _, _, _, _, fb = _pick(np.where(-proj > 0.0, 1.0, -1.0),
-                                       cand, xs, ys, None, *cols)
-        entry[b] = jb
-        length[b] = tf + tb
-        ok[b] = (ff == OK) & (fb == OK)
-    return entry, length, ok
+    cand, xs, ys, proj, _, _ = _candidates(walls, x, y, dx, dy)
+    _, tf, _, _, _, _, ff = _pick(walls, np.where(proj > 0.0, 1.0, -1.0),
+                                  cand, xs, ys, None)
+    jb, tb, _, _, _, _, fb = _pick(walls, np.where(-proj > 0.0, 1.0, -1.0),
+                                   cand, xs, ys, None)
+    return jb, tf + tb, (ff == OK) & (fb == OK)
 
 
 def launch(walls: WallTable, edge, u, theta):

@@ -15,6 +15,16 @@ points = st.builds(HPoint,
                    st.floats(0.05, 20.0))
 
 
+@pytest.mark.parametrize("x, y", [(math.nan, 1.0), (math.inf, 1.0),
+                                  (0.0, math.inf), (0.0, math.nan),
+                                  (0.0, 0.0), (0.0, -1.0)])
+def test_point_refuses_bad_coordinates(x, y):
+    # a non-finite point would reach the tracer, which reports it as a
+    # numerical VertexHit, not as the input error it is
+    with pytest.raises(ValueError):
+        HPoint(x, y)
+
+
 def test_vertical_distance_is_log_ratio():
     assert dist(HPoint(0, 1), HPoint(0, math.e)) == pytest.approx(1.0)
 

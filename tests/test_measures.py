@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from volent import measures
 from volent.hypgeom import HPoint, dist, regular_polygon
 from volent.measures import (_VERTEX_SHARE, FLUX_CONSTANT_2D, _Sectors,
                              _sample_in_polygon, lower_bound_2d,
@@ -181,6 +182,22 @@ def test_plugin_bound_examples():
                        (1.0, [(1.0, math.nan)]), (1.0, [(1.0, math.inf)])):
         with pytest.raises(ValueError):
             lower_bound_plugin(2, vol_P, bad)
+    # a dimension that is not an integer >= 1 gave -0.307, -3.307, 2.193
+    # and 0.693 instead of an error
+    for n in (0, -3, 2.5, True):
+        with pytest.raises(ValueError):
+            lower_bound_plugin(n, poly.area, faces)
+
+
+@pytest.mark.parametrize("block", [997, 3 * 4096])
+def test_santalo_independent_of_block_size(monkeypatch, block):
+    # the draws are made at full length and every operation on them is
+    # per sample, so the block size cannot move the estimate
+    poly = regular_polygon(5, 2, (2, 3, 2, 3, 4))
+    ref = [santalo_monte_carlo(poly, samples=20_000, seed=s) for s in (0, 3)]
+    monkeypatch.setattr(measures, "BLOCK", block)
+    got = [santalo_monte_carlo(poly, samples=20_000, seed=s) for s in (0, 3)]
+    assert list(map(repr, got)) == list(map(repr, ref))
 
 
 def test_strictness_pass(pentagon_q2):

@@ -12,10 +12,11 @@ from volent.hypgeom import HPoint, geodesic_through, regular_polygon
 from volent.symbolic import (CROSSING, CuttingSequence,
                              birkhoff_f_integral, birkhoff_lq_integral,
                              build_cross_section, cutting_sequence, f_value,
-                             lq_value, pressure_curve, pressure_log_radius,
+                             pressure_curve, pressure_log_radius,
                              solve_entropy, thickness_log_product,
                              _solve_root)
-from volent.tracing import NEAR_VERTEX, trace
+from volent.tracing import (NEAR_VERTEX, OK, batch_first_crossing, launch,
+                            trace)
 
 
 def _random_geodesic(poly, rng, t0, t1):
@@ -70,32 +71,6 @@ def test_f_value_single_tent(pentagon_q2, table_q2):
     expected = sum(math.log(2) * (1 - t) for t in t_f if t < 1)
     expected += sum(math.log(2) * (1 - t) for t in t_b if t < 1)
     assert val == pytest.approx(expected, abs=1e-12)
-
-
-def test_lq_perpendicular_oracle(pentagon_q2):
-    # through the origin of the cross-section the flight is the double
-    # of the center-to-wall distance along a perpendicular
-    import tests.test_tracing as tt
-    poly = pentagon_q2
-    best = int(np.argmin(poly.walls.side(poly.center.z)))
-    dx, dy = tt._dir_toward_wall(poly, best)
-    ang = math.atan2(dy, dx)
-    l, q = lq_value(poly.center, ang, poly)
-    assert q == 2
-    # flight through the center meets the opposite wall, not at the
-    # inradius: measure the two legs directly
-    tab = poly.walls
-    _, tf, _, _, _ = trace(tab, poly.center.x, poly.center.y, dx, dy, 10.0,
-                           max_steps=1)
-    _, tb, _, _, _ = trace(tab, poly.center.x, poly.center.y, -dx, -dy, 10.0,
-                           max_steps=1)
-    assert l == pytest.approx(tf[0] + tb[0], abs=1e-12)
-    assert min(tf[0], tb[0]) == pytest.approx(poly.inradius, abs=1e-6)
-
-
-def test_lq_thin_polygon_weight_vanishes(pentagon_q1):
-    l, q = lq_value(HPoint(0.02, 1.0), 1.1, pentagon_q1)
-    assert q == 1 and math.log(q) / l == 0.0
 
 
 def test_padded_sandwich_holds_everywhere(pentagon_q2):
@@ -217,20 +192,31 @@ def test_model_masses_are_stochastic(pentagon_q2):
     assert np.all(m.mean_L <= pentagon_q2.diameter + 1e-9)
 
 
-def test_reversed_model_return_lengths_agree(pentagon_q2):
-    fwd = build_cross_section(pentagon_q2, (12, 12), 3, seed=9)
-    rev = build_cross_section(pentagon_q2, (12, 12), 3, seed=10,
-                              reverse=True)
-
-    def length_hist(m):
-        w = np.bincount(m.src, weights=m.mass, minlength=m.n_states)
-        # mass-weighted histogram of mean return lengths
-        h, _ = np.histogram(m.mean_L, bins=np.linspace(0, 1.8, 10),
-                            weights=m.mass)
-        return h / h.sum()
-
-    hf, hr = length_hist(fwd), length_hist(rev)
-    assert np.abs(hf - hr).max() < 0.05
+def test_return_map_reverses_exactly():
+    # time reversal of the wall-to-wall map that build_cross_section
+    # samples: a vector launched at (j0, u, theta) that lands at
+    # (j, u2, theta2), relaunched from (j, u2, pi - theta2), lands back on
+    # j0 at (u, pi - theta) after the same flight time
+    rng = np.random.default_rng(23)
+    n = 20_000
+    for args in ((5, 2, (2,) * 5), (4, 3, (2,) * 4)):
+        poly = regular_polygon(*args)
+        walls = poly.walls
+        edge = rng.integers(0, poly.p, n)
+        u = rng.random(n) * poly.edge_length
+        th = rng.random(n) * math.pi
+        j, t, u2, th2, flag = batch_first_crossing(
+            walls, *launch(walls, edge, u, th), prev=edge)
+        ok = flag == OK
+        assert np.count_nonzero(ok) > 0.99 * n
+        jr, tr, ur, thr, fr = batch_first_crossing(
+            walls, *launch(walls, j[ok], u2[ok], math.pi - th2[ok]),
+            prev=j[ok])
+        assert np.all(fr == OK)
+        assert np.array_equal(jr, edge[ok])
+        assert np.abs(tr - t[ok]).max() <= 1e-5
+        assert np.abs(ur - u[ok]).max() <= 1e-5
+        assert np.abs(thr - (math.pi - th[ok])).max() <= 1e-5
 
 
 def test_pressure_monotone_in_h(pentagon_q2):

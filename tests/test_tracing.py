@@ -155,6 +155,35 @@ def test_chords_equal_two_batch_steps(table_q2):
         assert np.array_equal(arr, np.concatenate([p[k] for p in parts]))
 
 
+def _chord(walls, *ray):
+    # _chords on the one ray (x, y, dx, dy)
+    entry, length, ok = _chords(walls, *(np.array([v]) for v in ray))
+    return entry[0], length[0], ok[0]
+
+
+def test_chord_through_center_oracle(pentagon_q2):
+    # the chord through the center toward the nearest wall is the two
+    # scalar first legs end to end, and the shorter leg, which meets that
+    # wall perpendicularly, is the inradius
+    poly = pentagon_q2
+    tab, c = poly.walls, poly.center
+    best = int(np.argmin(tab.side(c.z)))
+    dx, dy = _dir_toward_wall(poly, best)
+    entry, length, ok = _chord(tab, c.x, c.y, dx, dy)
+    _, tf, _, _, _ = trace(tab, c.x, c.y, dx, dy, 10.0, max_steps=1)
+    jb, tb, _, _, _ = trace(tab, c.x, c.y, -dx, -dy, 10.0, max_steps=1)
+    assert ok and entry == jb[0]
+    assert tab.log_q[entry] == math.log(2)
+    assert length == pytest.approx(tf[0] + tb[0], abs=1e-12)
+    assert min(tf[0], tb[0]) == pytest.approx(poly.inradius, abs=1e-6)
+
+
+def test_chord_thin_polygon_weight_vanishes(table_q1):
+    entry, length, ok = _chord(table_q1, 0.02, 1.0, math.cos(1.1),
+                               math.sin(1.1))
+    assert ok and table_q1.log_q[entry] == 0.0 and length > 0.0
+
+
 def _traced_peak_mb(fn):
     tracemalloc.start()
     try:
