@@ -26,15 +26,16 @@ import numpy as np
 
 from . import __version__
 from .coxeter import ball_growth, enumerate_chambers, growth_slope
-from .errors import BadThickness, Degenerate, NonHyperbolic, VolentError
+from .errors import (BadThickness, Degenerate, NonHyperbolic, VolentError,
+                     _above, _int, _is_finite, _is_int, _require)
 from .graphs import MetricGraph, graph_entropy
 from .hypgeom import regular_polygon
 from .measures import (DEFAULT_SAMPLES, lower_bound_2d, santalo_monte_carlo,
                        strictness_report)
 from .orbits import affine_deviation, family_rows, geodesic_lengths
 from .svg import orbit_svg, tessellation_svg
-from .symbolic import (EntropyEstimate, build_cross_section, pressure_curve,
-                       solve_entropy)
+from .symbolic import (REFINE, EntropyEstimate, build_cross_section,
+                       pressure_curve, solve_entropy)
 
 # Every other VolentError is numerical and maps to exit 1.
 # OSError: an input or output path that is missing, a directory, a file
@@ -57,38 +58,10 @@ _MAX_SAMPLES = 10_000_000
 _SVG_CHAMBER_CAP = 25_000
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_finite(x) -> bool:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:   # an int beyond the float range
-        return False
-
-
-def _require(name: str, value, ok, what: str) -> None:
-    """Refuse, naming it, a value that fails ok."""
-    if not ok(value):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-
-
-def _int(low: int, high=math.inf) -> tuple:
-    return (lambda v: _is_int(v) and low <= v <= high,
-            f"an integer >= {low}" if high == math.inf
-            else f"an integer in [{low}, {high}]")
-
-
-def _above(low: float = 0.0) -> tuple:
-    return lambda v: _is_finite(v) and v > low, f"a finite number > {low:g}"
-
-
 def _interval(low: float, what: str) -> tuple:
+    # hi > 0: a bisection from lo clamped at 0 cannot grow hi <= 0
     return (lambda b: isinstance(b, list) and len(b) == 2
-            and all(map(_is_finite, b)) and low < b[0] < b[1],
+            and all(map(_is_finite, b)) and low < b[0] < b[1] and b[1] > 0,
             f"two finite numbers {what}")
 
 
@@ -114,7 +87,7 @@ _INPUTS = (
     _Input("pressure.k", "--k", 3, *_int(1)),
     _Input("pressure.tol", "--tol", 1e-4, *_above()),
     _Input("pressure.bracket", None, [0.5, 4.0],
-           *_interval(-math.inf, "lo < hi")),
+           *_interval(-math.inf, "lo < hi, hi > 0")),
     _Input("growth.radius_cut", "--radius-cut", 12.7, *_above()),
     _Input("growth.window", "--window", [4.0, 11.0],
            *_interval(0.0, "0 < lo < hi")),
@@ -164,13 +137,13 @@ def _check(cfg: dict, reads: tuple, by_flag: bool) -> None:
             _require(_name(by_flag, row.key), d[k], row.ok, row.what)
     p, m, q = (cfg["polygon"][k] for k in "pmq")
     pc = cfg["pressure"]
-    # the refined build, on the doubled grid solve_entropy adds
-    n = p * (2 * pc["n_u"]) * (2 * pc["n_theta"]) * pc["k"] ** 2
+    # the refined build, on the grid solve_entropy refines to
+    n = p * (REFINE * pc["n_u"]) * (REFINE * pc["n_theta"]) * pc["k"] ** 2
     if "pressure.k".startswith(reads) and n > _MAX_SAMPLES:
         keys = ("polygon.p", "pressure.n_u", "pressure.n_theta", "pressure.k")
-        raise ValueError(f"{_name(by_flag, *keys)} give p*(2*n_u)*(2*n_theta)"
-                         f"*k^2 = {n} samples on the refined pressure grid, "
-                         f"more than {_MAX_SAMPLES}")
+        raise ValueError(f"{_name(by_flag, *keys)} give p*({REFINE}*n_u)*("
+                         f"{REFINE}*n_theta)*k^2 = {n} samples on the refined "
+                         f"pressure grid, more than {_MAX_SAMPLES}")
     if len(q) != p:
         raise ValueError(f"{_name(by_flag, 'polygon.q')} must have one "
                          f"entry per wall, got {len(q)} for "

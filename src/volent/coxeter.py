@@ -30,13 +30,13 @@ generated, so the growth stage holds one level, never the whole ball.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import CHAMBER_CAP
-from .errors import FrontierTooClose, ResourceLimit, WindowTooNarrow
+from .errors import (FrontierTooClose, ResourceLimit, WindowTooNarrow,
+                     _above, _int, _require)
 from .hypgeom import CoxeterPolygon, invert
 from .tracing import BLOCK
 
@@ -91,12 +91,6 @@ class BallGrowth:
 def _hyp_dist(z: np.ndarray, w: complex) -> np.ndarray:
     num = np.abs(z - w) ** 2
     return np.arccosh(1.0 + num / (2.0 * z.imag * w.imag))
-
-
-def _check_cut(radius_cut: float) -> None:
-    if not 0.0 < radius_cut < math.inf:
-        raise ValueError(
-            f"radius_cut must be positive and finite, got {radius_cut!r}")
 
 
 def _walk(poly: CoxeterPolygon, limit: float, max_depth: int | None,
@@ -207,6 +201,7 @@ def _growth_grid(reach: float, r_min: float, r_max: float,
             f"r_max={r_max:.3f} exceeds certified reach {reach:.3f}")
     if not (0.0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
+    _require("n_rows", n_rows, *_int(1))
     return np.linspace(r_min, r_max, n_rows)
 
 
@@ -235,11 +230,9 @@ def enumerate_chambers(poly: CoxeterPolygon,
     if (radius_cut is None) == (max_depth is None):
         raise ValueError("give exactly one of radius_cut, max_depth")
     if radius_cut is not None:
-        _check_cut(radius_cut)
-    elif (isinstance(max_depth, bool)
-          or not isinstance(max_depth, numbers.Integral) or max_depth < 0):
-        raise ValueError(
-            f"max_depth must be a non-negative integer, got {max_depth!r}")
+        _require("radius_cut", radius_cut, *_above())
+    else:
+        _require("max_depth", max_depth, *_int(0))
 
     z0 = complex(poly.center.x, poly.center.y)
     limit = math.inf if radius_cut is None else radius_cut
@@ -284,7 +277,7 @@ def ball_growth(poly: CoxeterPolygon,
     at a time. Raises FrontierTooClose before any enumeration when reach
     = radius_cut - diameter falls short of r_max.
     """
-    _check_cut(radius_cut)
+    _require("radius_cut", radius_cut, *_above())
     reach = radius_cut - poly.diameter
     sums = _BallSums(_growth_grid(reach, r_min, r_max, n_rows))
     sums.add(np.zeros(1), np.zeros(1))

@@ -16,32 +16,16 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import NotStronglyConnected
+from .errors import (NotStronglyConnected, _above, _int, _is_finite, _is_int,
+                     _require)
 from .perron import WarmPerron, bisect_root
 from .symbolic import EntropyEstimate
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _edge_length(ln) -> float:
-    """ln as a float; ValueError unless a finite positive number."""
-    if isinstance(ln, numbers.Real) and not isinstance(ln, bool) and ln > 0:
-        try:
-            x = float(ln)
-        except OverflowError:
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise ValueError(f"edge length {ln!r} is not a finite positive number")
 
 
 @dataclass(frozen=True)
@@ -68,20 +52,20 @@ class MetricGraph:
         positive numbers and no vertex is terminal.
         """
         edges = list(edges)
-        if not _is_int(n_vertices) or n_vertices < 1:
-            raise ValueError(f"vertex count {n_vertices!r} is not a "
-                             "positive integer")
+        _require("vertex count", n_vertices, *_int(1))
         if n_vertices > len(edges):
             # degrees sum to 2 * len(edges), so some degree is below 2
             raise ValueError("terminal vertex (undirected degree < 2)")
         src, dst, length, rev = [], [], [], []
         for (a, b, ln) in edges:
-            if not (_is_int(a) and _is_int(b)):
-                raise ValueError(f"vertex index is not an integer in edge "
-                                 f"{(a, b)!r}")
-            if not (0 <= a < n_vertices and 0 <= b < n_vertices):
-                raise ValueError(f"vertex index out of range in edge {(a, b)}")
-            ln = _edge_length(ln)
+            if not (_is_int(a) and _is_int(b)
+                    and 0 <= a < n_vertices and 0 <= b < n_vertices):
+                raise ValueError(f"vertex index is not an integer in [0, "
+                                 f"{n_vertices}) in edge {(a, b)!r}")
+            if not (_is_finite(ln) and ln > 0):
+                raise ValueError(f"edge length {ln!r} is not a finite "
+                                 "positive number")
+            ln = float(ln)
             k = len(src)
             src += [a, b]
             dst += [b, a]
@@ -118,8 +102,7 @@ class MetricGraph:
 
 def scale_lengths(g: MetricGraph, alpha: float) -> MetricGraph:
     """Scale the metric tensor by alpha, i.e. lengths by sqrt(alpha)."""
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+    _require("alpha", alpha, *_above())
     return MetricGraph(n_vertices=g.n_vertices, src=g.src, dst=g.dst,
                        length=g.length * math.sqrt(alpha), rev=g.rev)
 

@@ -16,15 +16,14 @@ WallTable.side.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .constants import EPS_CONSTRUCT, EPS_GEOM
-from .errors import BadThickness, NonHyperbolic
+from .errors import (BadThickness, NonHyperbolic, _above, _is_finite,
+                     _is_int, _require)
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,8 @@ class HPoint:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)
-                and self.y > 0):
-            raise ValueError(f"HPoint requires finite x and finite y > 0, "
-                             f"got ({self.x}, {self.y})")
+        _require("x", self.x, _is_finite, "a finite number")
+        _require("y", self.y, *_above())
 
     @property
     def z(self) -> complex:
@@ -176,8 +173,12 @@ def regular_polygon(p: int, m: int, q) -> CoxeterPolygon:
     carrying per-edge branching parameters q (length-p sequence of finite
     real numbers >= 1; a building needs integers, which the CLI checks).
 
-    Raises NonHyperbolic unless m(p-2) > p, BadThickness for bad q.
+    Raises ValueError, naming it, unless p and m are integers (numpy
+    ints count, bools do not); NonHyperbolic unless p >= 3, m >= 2 and
+    m(p-2) > p; BadThickness for bad q.
     """
+    _require("p", p, _is_int, "an integer")
+    _require("m", m, _is_int, "an integer")
     if p < 3 or m < 2:
         raise NonHyperbolic(f"need p >= 3 and m >= 2, got p={p}, m={m}")
     if m * (p - 2) <= p:
@@ -187,9 +188,7 @@ def regular_polygon(p: int, m: int, q) -> CoxeterPolygon:
     q = tuple(q)
     if len(q) != p:
         raise BadThickness(f"expected {p} thickness parameters, got {len(q)}")
-    # the upper bound refuses inf, and ints too large for a float
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-               and 1 <= v <= sys.float_info.max for v in q):
+    if not all(_is_finite(v) and v >= 1 for v in q):
         raise BadThickness(f"all q_i must be finite real numbers >= 1, "
                            f"got {q}")
 

@@ -36,12 +36,11 @@ chord length in one candidate pass per call, selected both ways.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import VertexHit
+from .errors import VertexHit, _above, _at_least, _int, _require
 from .hypgeom import CoxeterPolygon
 from .tracing import BLOCK, _chords
 
@@ -233,9 +232,12 @@ def santalo_monte_carlo(poly: CoxeterPolygon, samples: int = DEFAULT_SAMPLES,
     estimator bit for bit. The chords and weighted values are evaluated
     in blocks of BLOCK samples, so the working set beyond the per-sample
     arrays does not grow with the sample count.
+
+    ValueError, naming it, unless samples >= 1e4 and seed >= 0 are
+    integers (numpy ints count, bools do not).
     """
-    if samples < 10_000:
-        raise ValueError("need at least 1e4 samples")
+    _require("samples", samples, *_int(10_000))
+    _require("seed", seed, *_int(0))
     walls = poly.walls
     sectors = _Sectors.from_polygon(poly)
     rng = np.random.default_rng(seed)
@@ -308,16 +310,12 @@ def lower_bound_plugin(n: int, vol_P: float, faces, euclidean: bool = False) -> 
     n is an integer >= 1 and faces a list of (vol_F, q) pairs; returns
     (n - 1 if hyperbolic else 0) + (1/vol_P) * sum ln(q) vol_F.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not (math.isfinite(vol_P) and vol_P > 0.0):
-        raise ValueError(f"vol_P must be finite and positive, got {vol_P!r}")
+    _require("n", n, *_int(1))
+    _require("vol_P", vol_P, *_above())
     s = 0.0
     for vol_F, q in faces:
-        if not (math.isfinite(vol_F) and math.isfinite(q)
-                and vol_F > 0.0 and q >= 1):
-            raise ValueError(f"need finite vol_F > 0 and q >= 1, got "
-                             f"({vol_F!r}, {q!r})")
+        _require("vol_F", vol_F, *_above())
+        _require("q", q, *_at_least(1.0))
         s += math.log(q) * vol_F
     return (0.0 if euclidean else float(n - 1)) + s / vol_P
 

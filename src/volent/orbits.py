@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, NonHyperbolic
+from .errors import Degenerate, NonHyperbolic, _above, _int, _require
 
 _DEG_TOL = 1e-12
 
@@ -45,19 +45,19 @@ def geodesic_lengths(lam: float, B, k_max: int) -> OrbitFamily:
     """Lengths of g_k for k = 1 .. k_max, computed two independent ways.
 
     The direct way multiplies matrices; the closed form evaluates the
-    lambda-power expansion. Raises ValueError, naming k_max and lambda,
-    if either way overflows float, and NonHyperbolic if any g_k fails
-    tr/2 >= 1. The family is flagged degenerate (exactly affine
-    lengths) when (a^2+b^2)(c^2+d^2) = 1, e.g. B = identity.
+    lambda-power expansion. Raises ValueError, naming it, unless lam > 1
+    is finite, B is 2x2 with det 1 and k_max >= 1 an integer (not a
+    bool), or naming k_max and lambda if either way overflows float;
+    NonHyperbolic if any g_k fails tr/2 >= 1. The family is flagged
+    degenerate (exactly affine lengths) when (a^2+b^2)(c^2+d^2) = 1,
+    e.g. B = identity.
     """
-    if not lam > 1.0:
-        raise ValueError("need lambda > 1")
+    _require("lam", lam, *_above(1.0))
     B = np.asarray(B, dtype=float)
     if (B.shape != (2, 2) or not np.isfinite(B).all()
             or not abs(np.linalg.det(B) - 1.0) <= 1e-12):
         raise ValueError("B must be 2x2 with det 1")
-    if k_max < 1:
-        raise ValueError("need k_max >= 1")
+    _require("k_max", k_max, *_int(1))
     a, b = B[0, 0], B[0, 1]
     c, d = B[1, 0], B[1, 1]
     degenerate = abs((a * a + b * b) * (c * c + d * d) - 1.0) <= _DEG_TOL

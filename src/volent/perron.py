@@ -29,7 +29,8 @@ import math
 
 import numpy as np
 
-from .errors import BracketFailed, PowerIterationStalled
+from .errors import (BracketFailed, PowerIterationStalled, _at_least,
+                     _is_finite, _require)
 
 # alpha as a fraction of the first bracket's midpoint.
 _SHIFT = 0.25
@@ -123,11 +124,15 @@ def bisect_root(above, lo: float, hi: float, tol: float,
     BracketFailed unless above(lo). The upper end doubles, clamped at
     hi_cap, while above(hi); above(hi_cap) raises BracketFailed. Then
     [lo, hi] is halved to width tol, or until no float lies between
-    (tol = 0 halves to float resolution). ValueError unless tol is finite
-    and >= 0, so a NaN or negative tol cannot pass as a width.
+    (tol = 0 halves to float resolution). ValueError, before any sign is
+    read, unless tol is a finite number >= 0, so a NaN or negative tol
+    cannot pass as a width, and unless lo < hi are finite with hi > 0,
+    since an upper end <= 0 never grows by doubling.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"need a finite tol >= 0, got {tol!r}")
+    _require("tol", tol, *_at_least(0.0))
+    if not (_is_finite(lo) and _is_finite(hi) and lo < hi and hi > 0.0):
+        raise ValueError(f"need finite lo < hi with hi > 0, got lo = {lo!r}, "
+                         f"hi = {hi!r}")
     if not above(lo):
         raise BracketFailed(f"not above the root at the lower end h = {lo:g}")
     widened = 0

@@ -13,29 +13,26 @@ from .hypgeom import invert
 SIZE = 640  # width and height of both figures, in pixels
 
 
-class SvgCanvas:
-    def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
-        self.parts = []
+class SvgCanvas(list):
+    """The parts of a SIZE x SIZE document, in order."""
 
-    def polyline(self, points, stroke="black", width=1.0, fill="none"):
+    def polyline(self, points, stroke="black", width=1.0):
         """points is an (n, 2) array of canvas coordinates, formatted in
         one pass."""
         xy = np.asarray(points, dtype=float)
         pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
-        self.parts.append(
-            f'<polyline points="{pts}" fill="{fill}" stroke="{stroke}" '
+        self.append(
+            f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="{width}"/>')
 
-    def circle(self, cx, cy, r, stroke="black", width=1.0, fill="none"):
-        self.parts.append(
+    def circle(self, cx, cy, r, stroke="black", fill="none"):
+        self.append(
             f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{width}"/>')
+            f'fill="{fill}" stroke="{stroke}" stroke-width="1.0"/>')
 
-    def text(self, x, y, s, size=12):
-        self.parts.append(
-            f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
+    def text(self, x, y, s):
+        self.append(
+            f'<text x="{x:.2f}" y="{y:.2f}" font-size="12" '
             f'font-family="sans-serif">{s}</text>')
 
     def write(self, path: str) -> None:
@@ -43,9 +40,9 @@ class SvgCanvas:
         into one string."""
         with open(path, "w") as fh:
             fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
-                     f'width="{self.width}" height="{self.height}" '
-                     f'viewBox="0 0 {self.width} {self.height}">')
-            fh.writelines(self.parts)
+                     f'width="{SIZE}" height="{SIZE}" '
+                     f'viewBox="0 0 {SIZE} {SIZE}">')
+            fh.writelines(self)
             fh.write("</svg>")
 
 
@@ -76,7 +73,7 @@ def _chamber_arcs(poly, chambers) -> np.ndarray:
 def tessellation_svg(poly, chambers) -> SvgCanvas:
     """Chambers drawn in the unit-disk model, one path per wall of each."""
     z0 = complex(poly.center.x, poly.center.y)
-    canvas = SvgCanvas(SIZE, SIZE)
+    canvas = SvgCanvas()
     scale = 0.48 * SIZE
     cx = cy = 0.5 * SIZE
     canvas.circle(cx, cy, scale, stroke="#888")
@@ -94,7 +91,7 @@ def tessellation_svg(poly, chambers) -> SvgCanvas:
 
 def orbit_svg(family) -> SvgCanvas:
     """l(g_k) against k with the affine asymptote overlaid."""
-    canvas = SvgCanvas(SIZE, SIZE)
+    canvas = SvgCanvas()
     ks = family.k.astype(float)
     ls = family.length
     asym = family.asymptote()
@@ -107,8 +104,7 @@ def orbit_svg(family) -> SvgCanvas:
         return (pad + (k - ks[0]) * kx, SIZE - pad - (v - ymin) * ky)
 
     canvas.polyline([to_xy(ks[0], 0), to_xy(ks[-1], 0)], stroke="#888")
-    canvas.polyline(np.column_stack(to_xy(ks, asym)), stroke="#c33",
-                    width=1.0)
+    canvas.polyline(np.column_stack(to_xy(ks, asym)), stroke="#c33")
     canvas.polyline(np.column_stack(to_xy(ks, ls)), stroke="#236",
                     width=1.5)
     for k, v in zip(ks, ls):

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .constants import DEFAULT_H_TOL, EPS_POWER
-from .errors import NotIrreducible, VertexHit
+from .errors import NotIrreducible, VertexHit, _int, _require
 from .hypgeom import CoxeterPolygon, HGeodesic, HPoint, WallTable
 from .perron import WarmPerron, bisect_root
 from .tracing import LOST, NEAR_VERTEX, OK, batch_first_crossing, launch, trace
@@ -229,12 +229,15 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
     flagged as vertex-grazing are then redrawn in their own stratum, in
     sample order, a bounded number of times, and finally discarded with
     the cell mass renormalized.
+
+    ValueError, naming it, unless N_u, N_theta >= 4, K >= 1 and seed >= 0
+    are integers (numpy ints count, bools do not).
     """
     n_u, n_th = grid
-    if n_u < 4 or n_th < 4:
-        raise ValueError("need N_u, N_theta >= 4")
-    if K < 1:
-        raise ValueError("need K >= 1")
+    for name, n in (("grid N_u", n_u), ("grid N_theta", n_th)):
+        _require(name, n, *_int(4))
+    _require("K", K, *_int(1))
+    _require("seed", seed, *_int(0))
     walls = poly.walls
     p = poly.p
     ell = poly.edge_length
@@ -393,6 +396,9 @@ def _solve_root(model: UlamModel, bracket: tuple, tol: float) -> tuple:
                "power_iters": rho.steps, "bracket_width": rho.width}
 
 
+# solve_entropy's refinement multiplies each grid side by REFINE.
+REFINE = 2
+
 # build_cross_section counters that solve_entropy passes on.
 MODEL_COUNTERS = ("scc_states", "grid_states", "discarded_samples",
                   "total_samples")
@@ -408,8 +414,9 @@ def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
     last Collatz-Wielandt bracket). They also carry the model's own
     counters (MODEL_COUNTERS: states kept and sampled, samples drawn and
     discarded), so they reach the report. With refine=True a second
-    model on the doubled grid is built and solved, and the difference
-    enters the error bar as the dominant discretization term.
+    model, on a grid REFINE times finer per side, is built and solved,
+    and the difference enters the error bar as the dominant
+    discretization term.
     """
     h, counters = _solve_root(model, bracket, tol)
     err = tol
@@ -418,8 +425,8 @@ def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
     diagnostics.update((key, model.diagnostics[key])
                        for key in MODEL_COUNTERS)
     if refine:
-        fine = build_cross_section(model.poly,
-                                   (2 * model.n_u, 2 * model.n_theta),
+        fine = build_cross_section(model.poly, (REFINE * model.n_u,
+                                                REFINE * model.n_theta),
                                    model.k, model.seed)
         h_fine, _ = _solve_root(fine, bracket, tol)
         err = tol + abs(h_fine - h)

@@ -340,6 +340,9 @@ def test_entropy_config_errors(tmp_path, capsys):
     ({"p": 3, "m": 7, "q": [1, 2, 3]}, "polygon.q"),
     # q has one entry per wall: the default q has 5
     ({"p": 6}, "polygon.q"),
+    # an upper end <= 0 never grows, so the root solve would not end
+    ({"bracket": [-5.0, -1.0]}, "pressure.bracket"),
+    ({"bracket": [-5.0, 0.0]}, "pressure.bracket"),
 ])
 def test_entropy_pressure_config_typed(monkeypatch, tmp_path, capsys,
                                       pressure, key):

@@ -138,11 +138,16 @@ def test_nan_radius_refused(pentagon_q1):
     with pytest.raises(FrontierTooClose):
         weighted_ball_growth(cs, 1.0, float("nan"))
     # a NaN, non-positive or infinite cut is refused by the enumeration
-    for cut in (float("nan"), -1.0, 0.0, math.inf):
+    for cut in (float("nan"), -1.0, 0.0, math.inf, 10 ** 400):
         with pytest.raises(ValueError, match="radius_cut"):
             enumerate_chambers(pentagon_q1, radius_cut=cut)
         with pytest.raises(ValueError, match="radius_cut"):
             ball_growth(pentagon_q1, cut, 1.0, 6.0)
+    # and a fractional or bool row count, which once gave a TypeError or
+    # a one-row table
+    for rows in (2.5, True):
+        with pytest.raises(ValueError, match="n_rows"):
+            ball_growth(pentagon_q1, 8.0, 1.0, 6.0, rows)
     # so is a negative, fractional or bool depth
     for depth in (-3, 2.5, True):
         with pytest.raises(ValueError, match="max_depth"):

@@ -68,9 +68,12 @@ def test_homogeneity():
     assert np.allclose(scale_lengths(g, 1.0).length, g.length)
     # a non-finite or non-positive alpha would give lengths that
     # from_undirected refuses, and a solve that stalls instead of failing
-    for alpha in (math.nan, math.inf, 0.0, -1.0):
+    for alpha in (math.nan, math.inf, 0.0, -1.0, 10 ** 400):
         with pytest.raises(ValueError):
             scale_lengths(g, alpha)
+    # so is a tol beyond the float range, which bisect_root refuses
+    with pytest.raises(ValueError, match="tol"):
+        graph_entropy(g, tol=10 ** 400)
 
 
 def test_single_cycle_is_degenerate():

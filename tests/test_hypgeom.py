@@ -17,7 +17,9 @@ points = st.builds(HPoint,
 
 @pytest.mark.parametrize("x, y", [(math.nan, 1.0), (math.inf, 1.0),
                                   (0.0, math.inf), (0.0, math.nan),
-                                  (0.0, 0.0), (0.0, -1.0)])
+                                  (0.0, 0.0), (0.0, -1.0),
+                                  pytest.param(10 ** 400, 1.0,
+                                               id="int-beyond-float")])
 def test_point_refuses_bad_coordinates(x, y):
     # a non-finite point would reach the tracer, which reports it as a
     # numerical VertexHit, not as the input error it is
@@ -123,6 +125,13 @@ def test_hexagon_and_m3_construct():
 def test_non_hyperbolic_rejected():
     with pytest.raises(NonHyperbolic):
         regular_polygon(4, 2, (1, 1, 1, 1))
+    for p, m in ((2, 3), (6, 1)):
+        with pytest.raises(NonHyperbolic):
+            regular_polygon(p, m, (1,) * p)
+    # p and m are integers: no building has an angle pi/2.5
+    for p, m, name in ((5, 2.5, "m"), (5.0, 2, "p"), (5, True, "m")):
+        with pytest.raises(ValueError, match=name):
+            regular_polygon(p, m, (2,) * 5)
 
 
 def test_bad_thickness_rejected():

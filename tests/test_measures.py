@@ -150,6 +150,11 @@ def test_sector_radius_meets_only_incident_walls(p, m):
 def test_monte_carlo_sample_floor(pentagon_q2):
     with pytest.raises(ValueError):
         santalo_monte_carlo(pentagon_q2, samples=100)
+    # a float count or seed is refused by name, not by numpy
+    with pytest.raises(ValueError, match="samples"):
+        santalo_monte_carlo(pentagon_q2, samples=2e4)
+    with pytest.raises(ValueError, match="seed"):
+        santalo_monte_carlo(pentagon_q2, samples=20_000, seed=1.5)
 
 
 def test_lower_bounds_values(pentagon_q2):
@@ -179,7 +184,8 @@ def test_plugin_bound_examples():
     # non-finite data gave nan (or 1.0 for vol_P = inf) instead of an error
     for vol_P, bad in ((math.nan, faces), (math.inf, faces),
                        (1.0, [(math.nan, 2)]), (1.0, [(math.inf, 2)]),
-                       (1.0, [(1.0, math.nan)]), (1.0, [(1.0, math.inf)])):
+                       (1.0, [(1.0, math.nan)]), (1.0, [(1.0, math.inf)]),
+                       (10 ** 400, faces), (1.0, [(10 ** 400, 2)])):
         with pytest.raises(ValueError):
             lower_bound_plugin(2, vol_P, bad)
     # a dimension that is not an integer >= 1 gave -0.307, -3.307, 2.193

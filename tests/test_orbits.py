@@ -90,6 +90,10 @@ def test_input_validation():
         geodesic_lengths(2.0, [[1.0, 0.0], [0.0, 2.0]], 5)  # det != 1
     with pytest.raises(ValueError):
         geodesic_lengths(2.0, PIN_B, 0)
+    with pytest.raises(ValueError, match="k_max"):
+        geodesic_lengths(2.0, np.eye(2), 3.5)
+    with pytest.raises(ValueError, match="lam"):
+        geodesic_lengths(10 ** 400, PIN_B, 5)
     with pytest.raises(Degenerate):
         affine_deviation(geodesic_lengths(2.0, PIN_B, 2))
 

@@ -133,7 +133,8 @@ def test_bisect_root_rules():
     assert h == pytest.approx(3.3, abs=1e-15)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, pytest.param(
+    10 ** 400, id="int-beyond-float")])
 def test_bisect_root_refuses_bad_tol(tol):
     # hi - lo > nan is never true and hi - lo > -1 always is, so neither
     # may pass as a width; no sign is evaluated first
@@ -142,3 +143,21 @@ def test_bisect_root_refuses_bad_tol(tol):
 
     with pytest.raises(ValueError, match="tol"):
         bisect_root(above, 0.0, 1.0, tol, hi_cap=8.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, -1.0), (0.0, 0.0), (0.0, math.inf),
+                                   (math.nan, 1.0)])
+def test_bisect_root_refuses_bad_bracket(lo, hi):
+    # an upper end <= 0 never grows by doubling, so the widening loop
+    # would never end; this sign raises instead of hanging
+    calls = []
+
+    def above(h):
+        calls.append(h)
+        if len(calls) > 1000:
+            raise AssertionError("the upper end never grew")
+        return True
+
+    with pytest.raises(ValueError, match="lo < hi"):
+        bisect_root(above, lo, hi, 1e-9, hi_cap=8.0)
+    assert calls == []

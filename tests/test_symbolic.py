@@ -262,6 +262,25 @@ def test_build_determinism(pentagon_q2):
     assert np.array_equal(a.mean_L, b.mean_L)
 
 
+def test_cross_section_refuses_bad_counts(pentagon_q2):
+    # K = 1.5 once ran, with 1.5^2 samples per cell, and K = True as K = 1
+    for grid, K, name in (((8, 8), 1.5, "K"), ((8, 8), True, "K"),
+                          ((8.0, 8.0), 2, "grid"), ((8, 3), 2, "grid")):
+        with pytest.raises(ValueError, match=name):
+            build_cross_section(pentagon_q2, grid, K, seed=3)
+    with pytest.raises(ValueError, match="seed"):
+        build_cross_section(pentagon_q2, (8, 8), 2, seed=1.5)
+    # numpy ints are integers: the model is the one of Python ints
+    a = build_cross_section(pentagon_q2, (np.int64(8),) * 2, np.int64(2), 3)
+    b = build_cross_section(pentagon_q2, (8, 8), 2, seed=3)
+    assert np.array_equal(a.src, b.src) and np.array_equal(a.mass, b.mass)
+    # the root solve refuses a tol or bracket end beyond the float range
+    with pytest.raises(ValueError, match="tol"):
+        solve_entropy(b, tol=10 ** 400, refine=False)
+    with pytest.raises(ValueError, match="lo < hi"):
+        solve_entropy(b, bracket=(0.5, 10 ** 400), refine=False)
+
+
 def _period(model) -> int:
     """Period of the (strongly connected) transition graph: the gcd of
     level(a) + 1 - level(b) over its edges a -> b, levels by BFS."""
