@@ -2,8 +2,11 @@
 cross-section sampler, chamber enumeration, ball growth and the default
 `volent entropy` run.
 
-Times eight tasks:
+Times nine tasks:
 
+- import: a fresh `import volent.cli`, the start-up every `volent`
+  command pays; scipy_loaded counts the scipy modules it loaded, and
+  its digest covers the names of the volent modules loaded;
 - batch: one `batch_first_crossing` over 1e6 seeded rays;
 - santalo: `santalo_monte_carlo` on the default polygon at the
   checkout's default sample count, seed 0; it records the standard
@@ -64,8 +67,8 @@ import sys
 import tempfile
 import time
 
-TASKS = ("batch", "santalo", "traces", "birkhoff", "cross_section",
-         "enumerate", "growth", "entropy")
+TASKS = ("import", "batch", "santalo", "traces", "birkhoff",
+         "cross_section", "enumerate", "growth", "entropy")
 N_RAYS = 1_000_000
 N_TRACES = 2000
 T_TRACE = 50.0
@@ -125,6 +128,17 @@ def _birkhoff() -> tuple:
 
 def worker(task: str) -> dict:
     """Run one task once in this process; time only the measured call."""
+    if task == "import":
+        t0 = time.perf_counter()
+        import volent.cli  # noqa: F401
+        seconds = time.perf_counter() - t0
+        loaded = sorted(sys.modules)
+        digest = hashlib.sha256(repr(
+            [m for m in loaded if m.partition(".")[0] == "volent"]).encode())
+        return {"backend": volent.tracing.backend(), "seconds": seconds,
+                "digest": digest.hexdigest()[:16],
+                "scipy_loaded": sum(m.partition(".")[0] == "scipy"
+                                    for m in loaded)}
     from volent import cli
     from volent.coxeter import enumerate_chambers
     from volent.hypgeom import regular_polygon

@@ -36,7 +36,7 @@ import numpy as np
 
 from .constants import CHAMBER_CAP
 from .errors import (FrontierTooClose, ResourceLimit, WindowTooNarrow,
-                     _above, _int, _require)
+                     _above, _int, _is_finite, _require)
 from .hypgeom import CoxeterPolygon, invert
 from .tracing import BLOCK
 
@@ -196,11 +196,14 @@ class _BallSums:
 
 def _growth_grid(reach: float, r_min: float, r_max: float,
                  n_rows: int) -> np.ndarray:
+    # first, so that NaN, like any r_max beyond the reach, certifies
+    # nothing: FrontierTooClose
     if not r_max <= reach:
         raise FrontierTooClose(
-            f"r_max={r_max:.3f} exceeds certified reach {reach:.3f}")
-    if not (0.0 < r_min < r_max):
-        raise ValueError("need 0 < r_min < r_max")
+            f"r_max={r_max!r} exceeds certified reach {reach:.3f}")
+    _require("r_min", r_min, *_above())
+    _require("r_max", r_max, lambda v: _is_finite(v) and v > r_min,
+             "a finite number > r_min")
     _require("n_rows", n_rows, *_int(1))
     return np.linspace(r_min, r_max, n_rows)
 

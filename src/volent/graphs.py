@@ -9,7 +9,8 @@ pattern is built once; each bisection step only rewrites the weights
 and reads a certified sign of rho - 1 from the shifted power iteration
 of volent.perron, so periodic edge graphs solve too. A graph whose
 vertices all have degree 2 (a union of circuits) grows linearly and
-gets entropy 0 with a degenerate flag instead.
+gets entropy 0 with a degenerate flag instead. scipy is imported by
+the two functions that use it, on the first graph solved.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (NotStronglyConnected, _above, _int, _is_finite, _is_int,
                      _require)
@@ -113,6 +112,8 @@ def _nonbacktracking(g: MetricGraph) -> sp.csr_matrix:
     Row e holds every edge f leaving dst[e] except rev[e], so its
     length is deg(dst[e]) - 1; columns come out sorted.
     """
+    import scipy.sparse as sp
+
     m = g.n_edges
     out = np.argsort(g.src, kind="stable")          # edges grouped by source
     deg = np.bincount(g.src, minlength=g.n_vertices)
@@ -134,6 +135,8 @@ def graph_entropy(g: MetricGraph, tol: float = 1e-10) -> EntropyEstimate:
     Returns 0 with a degenerate flag when every vertex has degree 2 (a
     union of circuits: rho = 1 at h = 0, linear growth).
     """
+    from scipy.sparse.csgraph import connected_components
+
     A = _nonbacktracking(g)
     if np.diff(A.indptr).max() <= 1:
         return EntropyEstimate(value=0.0, err=0.0, method="graph_spectral",

@@ -29,6 +29,10 @@ solver recovers the hyperbolic-plane entropy exactly there. The root is
 bisected on signs of rho - 1 certified by the Collatz-Wielandt brackets
 of the shifted power iteration in volent.perron, which converges
 whatever the period of the transition graph.
+
+scipy is imported inside the functions that build a sparse matrix
+(build_cross_section, _pressure_rho), so a process that only traces
+geodesics and sums along them never loads it.
 """
 
 from __future__ import annotations
@@ -37,11 +41,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .constants import DEFAULT_H_TOL, EPS_POWER
-from .errors import NotIrreducible, VertexHit, _int, _require
+from .errors import NotIrreducible, VertexHit, _int, _is_finite, _require
 from .hypgeom import CoxeterPolygon, HGeodesic, HPoint, WallTable
 from .perron import WarmPerron, bisect_root
 from .tracing import LOST, NEAR_VERTEX, OK, batch_first_crossing, launch, trace
@@ -103,9 +105,12 @@ def cutting_sequence(geodesic: HGeodesic, t_span: tuple,
 
     Edge labels refer to walls of the base polygon after folding by the
     reflection group. Backward crossings (t < 0) store the section
-    coordinates seen by the reversed flow.
+    coordinates seen by the reversed flow. ValueError, naming t_span,
+    unless t0 < t1 are finite numbers.
     """
     t0, t1 = t_span
+    for end in (t0, t1):
+        _require("t_span", end, _is_finite, "a finite number at each end")
     if not t1 > t0:
         raise ValueError("need t1 > t0")
     p = geodesic.basepoint
@@ -291,6 +296,9 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
     mass = cnt / out_per_src[tr_src]
 
     # restrict to the largest strongly connected component
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     adj = sp.csr_matrix((np.ones_like(cnt), (tr_src, tr_dst)),
                         shape=(n_states, n_states))
     n_comp, labels = connected_components(adj, directed=True,
@@ -329,6 +337,8 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
 
 def _pressure_rho(model: UlamModel) -> WarmPerron:
     """Warm-started brackets of rho(B(h)) on the model's transitions."""
+    import scipy.sparse as sp
+
     if model.n_states == 0:
         raise NotIrreducible("empty model")
     # the (src, dst) pairs are unique and row-major (np.unique of
@@ -352,8 +362,9 @@ def pressure_log_radius(model: UlamModel, h: float) -> float:
 
     Strictly decreasing in h; its root is the entropy estimate. The
     value is the midpoint of a Collatz-Wielandt bracket of relative
-    width EPS_POWER.
+    width EPS_POWER. ValueError unless h is a finite number.
     """
+    _require("h", h, _is_finite, "a finite number")
     return _log_radius(_pressure_rho(model), h)
 
 
@@ -372,11 +383,13 @@ def pressure_curve(model: UlamModel, h_values) -> PressureCurve:
     Each point starts from the extrapolation of the previous points'
     Perron vectors (WarmPerron). It and a single pressure_log_radius call
     are midpoints of brackets that both hold the spectral radius, so
-    they differ by at most half the sum of the two widths.
+    they differ by at most half the sum of the two widths. ValueError
+    unless every h is a finite number.
     """
     rho = _pressure_rho(model)
     curve = PressureCurve()
     for h in h_values:
+        _require("h", h, _is_finite, "a finite number")
         curve.append((float(h), _log_radius(rho, float(h))))
         curve.max_bracket_width = max(curve.max_bracket_width, rho.width)
     curve.power_iters = rho.steps

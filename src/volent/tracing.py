@@ -11,13 +11,13 @@ Every entry point takes the polygon's one wall record, ``poly.walls``
 argument; nothing here rebuilds wall arrays.
 
 The step geometry exists twice, one copy per call shape. ``trace``
-follows a single ray with ``_step``, which works on plain Python floats;
+steps a single ray in its own loop, on plain Python floats;
 ``batch_first_crossing`` steps many rays at once with the numpy kernel
 ``_batch_step_numpy``. Both stay because each is the cheap one for its
-call shape. On a 2-CPU x86-64 host (numpy 2.4) one ``_step`` takes
-about 6 us and one kernel call on a single ray about 120 us, so the
-kernel would make single-ray traces many times slower; on a batch of
-2e5 rays the kernel takes about 0.7 us per ray.
+call shape. On a 2-CPU x86-64 host (Python 3.11, numpy 2.4) one step of
+``trace`` takes about 3.2 us and one kernel call on a single ray about
+90 us, so the kernel would make single-ray traces many times slower; on
+a batch of 2e5 rays the kernel takes about 0.6 us per ray.
 
 The kernel runs in three stages. ``_candidates`` finds where each ray's
 geodesic meets every wall circle, as signed distances along the
@@ -44,6 +44,7 @@ import math
 import numpy as np
 
 from .constants import EPS_STEP, EPS_VERTEX
+from .errors import _above, _require
 from .hypgeom import WallTable
 
 
@@ -61,84 +62,6 @@ BLOCK = 4096
 OK = 0
 NEAR_VERTEX = 1
 LOST = 2  # no forward crossing found (should not happen from the interior)
-
-
-def _step(x, y, dx, dy, prev, cx, rr, slo, nsign):
-    """Advance a ray to its first wall crossing and fold it back inward.
-
-    Returns (j, t, xs, ys, u, theta, dxr, dyr, flag): wall index, flight
-    time, crossing point, foot position along the wall from its s_lo end,
-    incidence angle of the folded (inward) direction, folded direction,
-    and a status flag. The wall columns cx, rr, slo, nsign are tuples of
-    Python floats (WallTable.floats).
-    """
-    best_t = 1e300
-    best_j = -1
-    best_x = 0.0
-    best_y = 0.0
-    vertical = abs(dx) < 1e-13
-    if not vertical:
-        gcx = x + y * dy / dx
-        gr = math.hypot(x - gcx, y)
-        psi0 = math.atan2(y, x - gcx)
-        s0 = math.log(math.tan(0.5 * psi0))
-        sig = 1.0 if (dx * (-math.sin(psi0)) + dy * math.cos(psi0)) > 0.0 else -1.0
-    for j in range(len(cx)):
-        if j == prev:
-            continue
-        if vertical:
-            dxc = x - cx[j]
-            h2 = rr[j] * rr[j] - dxc * dxc
-            if h2 <= 0.0:
-                continue
-            ys = math.sqrt(h2)
-            t = (math.log(ys) - math.log(y)) * (1.0 if dy > 0 else -1.0)
-            xs = x
-        else:
-            denom = cx[j] - gcx
-            if abs(denom) < 1e-13:
-                continue
-            xs = (gr * gr - rr[j] * rr[j] + cx[j] * cx[j] - gcx * gcx) / (2.0 * denom)
-            h2 = gr * gr - (xs - gcx) * (xs - gcx)
-            if h2 <= 0.0:
-                continue
-            ys = math.sqrt(h2)
-            psis = math.atan2(ys, xs - gcx)
-            t = sig * (math.log(math.tan(0.5 * psis)) - s0)
-        if EPS_STEP < t < best_t:
-            best_t = t
-            best_j = j
-            best_x = xs
-            best_y = ys
-    if best_j < 0:
-        return -1, 0.0, x, y, 0.0, 0.0, dx, dy, LOST
-    j = best_j
-    xs = best_x
-    ys = best_y
-    # Transport the direction along the ray to the crossing point.
-    if vertical:
-        da = 0.0
-        db = 1.0 if dy > 0 else -1.0
-    else:
-        psib = math.atan2(ys, xs - gcx)
-        da = sig * (-math.sin(psib))
-        db = sig * math.cos(psib)
-    psiw = math.atan2(ys, xs - cx[j])
-    sw = math.log(math.tan(0.5 * psiw))
-    u = sw - slo[j]
-    # Fold the direction: reflection across the wall circle.
-    c2 = math.cos(2.0 * psiw)
-    s2 = math.sin(2.0 * psiw)
-    # v' = -e^{2 i psi} * conj(v)
-    dxr = -(c2 * da + s2 * db)
-    dyr = -(s2 * da - c2 * db)
-    # Incidence angle of the inward direction relative to the wall tangent.
-    nx = nsign[j] * math.cos(psiw)
-    ny = nsign[j] * math.sin(psiw)
-    wx = ny
-    wy = -nx
-    theta = math.atan2(wx * dyr - wy * dxr, wx * dxr + wy * dyr)
-    return j, best_t, xs, ys, u, theta, dxr, dyr, OK
 
 
 def _candidates(walls: WallTable, x, y, dx, dy):
@@ -257,31 +180,103 @@ def trace(walls: WallTable, x, y, dx, dy, t_max, max_steps=None):
     Returns (j, t, u, theta) arrays of crossings with 0 < t <= t_max, at
     most max_steps of them, and a status flag: NEAR_VERTEX as soon as a
     crossing foot comes within EPS_VERTEX of a wall endpoint, LOST if a
-    step finds no crossing, OK otherwise.
+    step finds no crossing, OK otherwise. ValueError unless t_max is a
+    finite number > 0.
+
+    Each step is the scalar copy of the batch kernel's geometry on
+    Python floats: the first wall crossed (least flight time above
+    EPS_STEP, skipping the wall just crossed), the direction transported
+    to the crossing point, then folded back inward by the reflection in
+    that wall. The wall columns are the tuples WallTable.floats.
     """
+    _require("t_max", t_max, *_above())
     cx, rr, slo, shi, nsign = walls.floats
-    x, y, dx, dy, t_max = float(x), float(y), float(dx), float(dy), float(t_max)
+    rr2 = tuple(r * r for r in rr)
+    cx2 = tuple(c * c for c in cx)
+    wall_ids = range(len(cx))
+    x, y, dx, dy = float(x), float(y), float(dx), float(dy)
+    t_max = float(t_max)
     js, ts, us, ths = [], [], [], []
     t_acc = 0.0
     flag = OK
     prev = -1
     while max_steps is None or len(js) < max_steps:
-        j, t, xs, ys, u, th, dxr, dyr, f = _step(x, y, dx, dy, prev,
-                                                 cx, rr, slo, nsign)
-        if f == LOST:
+        best_t = 1e300
+        best_j = -1
+        if abs(dx) < 1e-13:
+            # vertical geodesic: arclength is log y
+            ly = math.log(y)
+            up = 1.0 if dy > 0 else -1.0
+            for j in wall_ids:
+                if j == prev:
+                    continue
+                dxc = x - cx[j]
+                h2 = rr2[j] - dxc * dxc
+                if h2 <= 0.0:
+                    continue
+                ys = math.sqrt(h2)
+                t = (math.log(ys) - ly) * up
+                if EPS_STEP < t < best_t:
+                    best_t, best_j, best_y = t, j, ys
+            best_x = x
+            da, db = 0.0, up
+        else:
+            # geodesic circle centered (gcx, 0); arclength log tan(psi/2)
+            gcx = x + y * dy / dx
+            gr = math.hypot(x - gcx, y)
+            gr2 = gr * gr
+            gcx2 = gcx * gcx
+            psi0 = math.atan2(y, x - gcx)
+            s0 = math.log(math.tan(0.5 * psi0))
+            sig = (1.0 if (dx * (-math.sin(psi0)) + dy * math.cos(psi0)) > 0.0
+                   else -1.0)
+            for j in wall_ids:
+                if j == prev:
+                    continue
+                denom = cx[j] - gcx
+                if abs(denom) < 1e-13:
+                    continue
+                xs = (gr2 - rr2[j] + cx2[j] - gcx2) / (2.0 * denom)
+                h2 = gr2 - (xs - gcx) * (xs - gcx)
+                if h2 <= 0.0:
+                    continue
+                ys = math.sqrt(h2)
+                psis = math.atan2(ys, xs - gcx)
+                t = sig * (math.log(math.tan(0.5 * psis)) - s0)
+                if EPS_STEP < t < best_t:
+                    best_t, best_j, best_psi = t, j, psis
+                    best_x, best_y = xs, ys
+            if best_j >= 0:
+                # the direction transported to the crossing point
+                da = sig * (-math.sin(best_psi))
+                db = sig * math.cos(best_psi)
+        if best_j < 0:
             flag = LOST
             break
-        t_acc += t
+        j = best_j
+        t_acc += best_t
         if t_acc > t_max:
             break
+        psiw = math.atan2(best_y, best_x - cx[j])
+        u = math.log(math.tan(0.5 * psiw)) - slo[j]
         if u < EPS_VERTEX or u > shi[j] - slo[j] - EPS_VERTEX:
             flag = NEAR_VERTEX
             break
+        # fold by the reflection in the wall circle: v' = -e^{2 i psiw}
+        # conj(v); theta is the angle of v' from the wall tangent
+        c2 = math.cos(2.0 * psiw)
+        s2 = math.sin(2.0 * psiw)
+        dxr = -(c2 * da + s2 * db)
+        dyr = -(s2 * da - c2 * db)
+        nx = nsign[j] * math.cos(psiw)
+        ny = nsign[j] * math.sin(psiw)
+        wx = ny
+        wy = -nx
         js.append(j)
         ts.append(t_acc)
         us.append(u)
-        ths.append(th)
-        x, y, dx, dy, prev = xs, ys, dxr, dyr, j
+        ths.append(math.atan2(wx * dyr - wy * dxr, wx * dxr + wy * dyr))
+        x, y, dx, dy, prev = best_x, best_y, dxr, dyr, j
     return (np.array(js, dtype=np.int64), np.array(ts), np.array(us),
             np.array(ths), flag)
 

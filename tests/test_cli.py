@@ -1,5 +1,8 @@
 import json
 import math
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -566,3 +569,38 @@ def test_report_refuses_other_json(tmp_path, capsys, doc):
     code, _, err = run(capsys, "report", "--file", str(path))
     assert code == 2
     assert "results" in err and "Traceback" not in err
+
+
+_SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, SRC)
+import volent.cli
+from volent import coxeter, measures, symbolic
+from volent.graphs import MetricGraph, graph_entropy
+from volent.hypgeom import HPoint, geodesic_through, regular_polygon
+
+poly = regular_polygon(5, 2, (2, 3, 2, 3, 4))
+g = geodesic_through(HPoint(0.01, 1.0), HPoint(0.3, 1.2))
+symbolic.cutting_sequence(g, (-1.0, 20.0), poly)
+measures.santalo_monte_carlo(poly, samples=20_000, seed=0)
+coxeter.ball_growth(poly, 8.0, 1.0, 6.0)
+before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+k4 = MetricGraph.from_undirected(
+    4, [(a, b, 1.0) for a in range(4) for b in range(a + 1, 4)])
+print(json.dumps({"before": before, "h": graph_entropy(k4).value,
+                  "sparse": "scipy.sparse" in sys.modules}))
+"""
+
+
+def test_scipy_loaded_only_by_sparse_work():
+    # the CLI, tracing, Santalo and ball growth load no scipy; the first
+    # graph solve does (K4 with unit lengths: h = ln 2)
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-I", "-c",
+         _SCIPY_PROBE.replace("SRC", repr(src), 1)],
+        capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(done.stdout)
+    assert got["before"] == []
+    assert abs(got["h"] - math.log(2.0)) <= 1e-9
+    assert got["sparse"]

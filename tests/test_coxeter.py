@@ -152,6 +152,20 @@ def test_nan_radius_refused(pentagon_q1):
     for depth in (-3, 2.5, True):
         with pytest.raises(ValueError, match="max_depth"):
             enumerate_chambers(pentagon_q1, max_depth=depth)
+    # a bool radius, which once ran as 1.0 or 0.0 (here r_max = True with
+    # r_min = 0.5); r_max = 10**400, beyond every reach like inf, once
+    # raised OverflowError formatting that message
+    with pytest.raises(ValueError, match="r_min"):
+        ball_growth(pentagon_q1, 8.0, True, 6.0)
+    with pytest.raises(ValueError, match="r_max"):
+        ball_growth(pentagon_q1, 8.0, 0.5, True)
+    with pytest.raises(FrontierTooClose, match="r_max"):
+        ball_growth(pentagon_q1, 8.0, 1.0, 10 ** 400)
+    cs = enumerate_chambers(pentagon_q1, radius_cut=8.0)
+    with pytest.raises(ValueError, match="r_min"):
+        weighted_ball_growth(cs, True, 6.0)
+    with pytest.raises(FrontierTooClose, match="r_max"):
+        weighted_ball_growth(cs, 1.0, 10 ** 400)
 
 
 def test_ball_growth_frontier_checked_first(pentagon_q1, monkeypatch):

@@ -279,6 +279,27 @@ def test_cross_section_refuses_bad_counts(pentagon_q2):
         solve_entropy(b, tol=10 ** 400, refine=False)
     with pytest.raises(ValueError, match="lo < hi"):
         solve_entropy(b, bracket=(0.5, 10 ** 400), refine=False)
+    # h = NaN once ran 20,000 power steps into PowerIterationStalled, and
+    # h = 10**400 raised OverflowError
+    for h in (10 ** 400, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="h must"):
+            pressure_log_radius(b, h)
+        with pytest.raises(ValueError, match="h must"):
+            pressure_curve(b, [1.0, h])
+
+
+def test_span_refuses_bad_ends(pentagon_q2):
+    # an infinite span once traced until killed, (0, 10**400) raised
+    # OverflowError and (True, 5) ran as (1, 5); the cases that ran are
+    # first, so the unchecked code fails here instead of hanging
+    g = geodesic_through(HPoint(0.01, 1.0), HPoint(0.3, 1.2))
+    for span in ((True, 5.0), (0.0, 10 ** 400), (math.nan, 1.0),
+                 (-math.inf, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="t_span"):
+            cutting_sequence(g, span, pentagon_q2)
+    for t_max in (0.0, True, -1.0, 10 ** 400, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_max"):
+            trace(pentagon_q2.walls, 0.01, 1.0, 0.6, 0.8, t_max)
 
 
 def _period(model) -> int:
