@@ -27,10 +27,12 @@ Times nine tasks:
   checkout's `ChamberSet` has (before the runs `parent-c2b39f6` and
   `change-orbit-tree` it also covered the group matrices, orientations
   and centers);
-- growth: the growth stage of the default `volent entropy`, the
-  weighted ball growth of the default polygon at radius_cut = 12.7 on
-  the window [4, 11] with 24 rows, by `ball_growth`; its digest covers
-  the table, the chamber count, the count per depth and the reach;
+- growth: `volent growth` with its defaults, the growth stage of the
+  default `volent entropy` (the default polygon on the window [4, 11]
+  with 24 rows); its digest covers the printed slope line, and its
+  chamber count is the printed one (before the runs `parent-cddd230`
+  and `change-window-walk` it timed `coxeter.ball_growth` alone and
+  digested the table, the counts per depth and the reach);
 - entropy: the default `volent entropy`, writing into a temporary
   directory; its digest covers `report.json` without `timings` and
   `output_dir`, and `curves.csv`.
@@ -74,7 +76,6 @@ N_TRACES = 2000
 T_TRACE = 50.0
 GRID, K = (64, 64), 3
 RADIUS_CUT = 12.7
-WINDOW, ROWS = (4.0, 11.0), 24
 BIRKHOFF_Q, SPAN = (2, 3, 2, 3, 4), (-3.5, T_TRACE + 3.5)
 
 
@@ -187,15 +188,18 @@ def worker(task: str) -> dict:
             digest.update(arr.tobytes())
         counters = {"chambers": len(cs)}
     elif task == "growth":
-        from volent import coxeter
+        printed = io.StringIO()
         t0 = time.perf_counter()
-        bg = coxeter.ball_growth(poly, RADIUS_CUT, *WINDOW, ROWS)
+        with contextlib.redirect_stdout(printed):
+            code = cli.main(["growth"])
         seconds = time.perf_counter() - t0
-        digest.update(bg.table.radii.tobytes())
-        digest.update(bg.table.log_weight.tobytes())
-        digest.update(repr((bg.chambers, bg.chambers_per_depth,
-                            bg.reach)).encode())
-        counters = {"chambers": bg.chambers, "reach": bg.reach}
+        if code != 0:
+            raise RuntimeError(f"volent growth exited with {code}")
+        # "chambers N ..." then "slope = ... +/- ..."
+        lines = printed.getvalue().splitlines()
+        digest.update(next(ln for ln in lines
+                           if ln.startswith("slope")).encode())
+        counters = {"chambers": int(lines[0].split()[1])}
     elif task == "entropy":
         with tempfile.TemporaryDirectory() as out:
             cfg = os.path.join(out, "config.json")

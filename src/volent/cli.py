@@ -88,7 +88,6 @@ _INPUTS = (
     _Input("pressure.tol", "--tol", 1e-4, *_above()),
     _Input("pressure.bracket", None, [0.5, 4.0],
            *_interval(-math.inf, "lo < hi, hi > 0")),
-    _Input("growth.radius_cut", "--radius-cut", 12.7, *_above()),
     _Input("growth.window", "--window", [4.0, 11.0],
            *_interval(0.0, "0 < lo < hi")),
     _Input("growth.rows", None, 24, *_int(3, 10_000)),
@@ -222,13 +221,13 @@ def _write_curve(path: str, model, h: float):
 def _growth_stage(poly, cfg: dict) -> EntropyEstimate:
     """Ball-growth slope of the config's growth section."""
     gc = cfg["growth"]
-    bg = ball_growth(poly, gc["radius_cut"], *gc["window"], gc["rows"])
+    bg = ball_growth(poly, *gc["window"], gc["rows"])
     slope, serr = growth_slope(bg.table, poly.diameter)
     return EntropyEstimate(
         value=slope, err=serr, method="ball_growth",
         diagnostics={"chambers": bg.chambers,
                      "chambers_per_depth": bg.chambers_per_depth,
-                     "reach": bg.reach, "window": gc["window"]})
+                     "window": gc["window"]})
 
 
 def cmd_polygon(args) -> int:
@@ -271,8 +270,7 @@ def cmd_pressure(args) -> int:
 def cmd_growth(args) -> int:
     cfg = _flag_config(args)
     est = _growth_stage(_polygon(cfg), cfg)
-    print(f"chambers {est.diagnostics['chambers']}  "
-          f"reach {est.diagnostics['reach']:.3f}")
+    print(f"chambers {est.diagnostics['chambers']}")
     print(f"slope = {est.value:.6f} +/- {est.err:.6f}")
     return 0
 

@@ -79,13 +79,11 @@ class GrowthTable:
 @dataclass(frozen=True)
 class BallGrowth:
     """A streamed growth table with the counters of the walk behind it:
-    the chambers within the radius cut, their count per depth, and the
-    radius out to which that count is certified complete."""
+    the chambers within the window top and their count per depth."""
 
     table: GrowthTable
     chambers: int
     chambers_per_depth: list
-    reach: float
 
 
 def _hyp_dist(z: np.ndarray, w: complex) -> np.ndarray:
@@ -194,13 +192,7 @@ class _BallSums:
         return GrowthTable(radii=self.grid, log_weight=log_weight)
 
 
-def _growth_grid(reach: float, r_min: float, r_max: float,
-                 n_rows: int) -> np.ndarray:
-    # first, so that NaN, like any r_max beyond the reach, certifies
-    # nothing: FrontierTooClose
-    if not r_max <= reach:
-        raise FrontierTooClose(
-            f"r_max={r_max!r} exceeds certified reach {reach:.3f}")
+def _growth_grid(r_min: float, r_max: float, n_rows: int) -> np.ndarray:
     _require("r_min", r_min, *_above())
     _require("r_max", r_max, lambda v: _is_finite(v) and v > r_min,
              "a finite number > r_min")
@@ -219,14 +211,13 @@ def enumerate_chambers(poly: CoxeterPolygon,
     (not a bool). Level k holds the elements of length k (see _walk).
 
     With a radius_cut, children whose centers land beyond the cut are
-    pruned and the set is complete out to reach = radius_cut - diameter
-    (any missing chamber is linked to the base by a gallery of chambers
-    whose centers all stay within one diameter of the connecting
-    geodesic). Pruning loses no chamber inside the cut: for t in D_R(v)
-    the wall between v and v*t separates v(z0) from z0 and is the
-    perpendicular bisector of v(z0) and v*t(z0), so every parent lies
-    strictly closer to z0 than its child, and by induction the canonical
-    parent of each chamber inside the cut was kept.
+    pruned, and the set is every chamber within the cut: reach =
+    radius_cut. Pruning loses none of them. The canonical parent of v is
+    v*t with t = min D_R(v); the wall between v and v*t separates v(z0)
+    from z0 and is the perpendicular bisector of v(z0) and v*t(z0), so
+    the parent lies strictly closer to z0 than its child. By induction
+    on length, every ancestor of a chamber inside the cut lies inside it
+    and was kept.
 
     The rows are the walk's slices in the order it yields them.
     """
@@ -258,7 +249,7 @@ def enumerate_chambers(poly: CoxeterPolygon,
     level_start = np.searchsorted(depths, np.arange(depths[-1]))
     parent[1:] += level_start[depths[1:] - 1]
     if radius_cut is not None:
-        reach = radius_cut - poly.diameter
+        reach = radius_cut
     else:
         frontier = radii[depths == depths.max()]
         reach = float(frontier.min()) - poly.diameter
@@ -267,32 +258,31 @@ def enumerate_chambers(poly: CoxeterPolygon,
 
 
 def ball_growth(poly: CoxeterPolygon,
-                radius_cut: float,
                 r_min: float,
                 r_max: float,
                 n_rows: int = 24) -> BallGrowth:
     """Weighted ball growth on a uniform radius grid, streamed from the
     chamber walk.
 
-    Equals weighted_ball_growth(enumerate_chambers(poly, radius_cut),
+    The walk is pruned at the window top r_max, which makes it the whole
+    ball of radius r_max (see enumerate_chambers). Equals
+    weighted_ball_growth(enumerate_chambers(poly, radius_cut=r_max),
     r_min, r_max, n_rows) up to summation order, but folds each slice of
     the walk into the row sums as it is generated, so it holds one level
-    at a time. Raises FrontierTooClose before any enumeration when reach
-    = radius_cut - diameter falls short of r_max.
+    at a time. The window is checked before the walk starts; the walk
+    raises ResourceLimit past CHAMBER_CAP chambers.
     """
-    _require("radius_cut", radius_cut, *_above())
-    reach = radius_cut - poly.diameter
-    sums = _BallSums(_growth_grid(reach, r_min, r_max, n_rows))
+    sums = _BallSums(_growth_grid(r_min, r_max, n_rows))
     sums.add(np.zeros(1), np.zeros(1))
     per_depth = [1]
-    for depth, _, _, _, radii, log_mult in _walk(poly, radius_cut, None,
+    for depth, _, _, _, radii, log_mult in _walk(poly, r_max, None,
                                                  CHAMBER_CAP):
         if depth == len(per_depth):
             per_depth.append(0)
         per_depth[depth] += radii.shape[0]
         sums.add(radii, log_mult)
     return BallGrowth(table=sums.table(), chambers=sum(per_depth),
-                      chambers_per_depth=per_depth, reach=reach)
+                      chambers_per_depth=per_depth)
 
 
 def weighted_ball_growth(chambers: ChamberSet,
@@ -307,7 +297,12 @@ def weighted_ball_growth(chambers: ChamberSet,
     Raises FrontierTooClose when the enumeration cannot certify
     completeness out to r_max.
     """
-    grid = _growth_grid(chambers.reach, r_min, r_max, n_rows)
+    # first, so that NaN, like any r_max beyond the reach, certifies
+    # nothing: FrontierTooClose
+    if not r_max <= chambers.reach:
+        raise FrontierTooClose(
+            f"r_max={r_max!r} exceeds certified reach {chambers.reach:.3f}")
+    grid = _growth_grid(r_min, r_max, n_rows)
     order = np.argsort(chambers.radii)
     lm = chambers.log_mult[order]
     top = float(lm.max())

@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .constants import EPS_STEP, EPS_VERTEX
-from .errors import _above, _require
+from .errors import _above, _int, _require
 from .hypgeom import WallTable
 
 
@@ -181,7 +181,7 @@ def trace(walls: WallTable, x, y, dx, dy, t_max, max_steps=None):
     most max_steps of them, and a status flag: NEAR_VERTEX as soon as a
     crossing foot comes within EPS_VERTEX of a wall endpoint, LOST if a
     step finds no crossing, OK otherwise. ValueError unless t_max is a
-    finite number > 0.
+    finite number > 0 and max_steps is None or an integer >= 0.
 
     Each step is the scalar copy of the batch kernel's geometry on
     Python floats: the first wall crossed (least flight time above
@@ -190,6 +190,8 @@ def trace(walls: WallTable, x, y, dx, dy, t_max, max_steps=None):
     that wall. The wall columns are the tuples WallTable.floats.
     """
     _require("t_max", t_max, *_above())
+    if max_steps is not None:
+        _require("max_steps", max_steps, *_int(0))
     cx, rr, slo, shi, nsign = walls.floats
     rr2 = tuple(r * r for r in rr)
     cx2 = tuple(c * c for c in cx)

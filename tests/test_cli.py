@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from volent import cli
+from volent import cli, coxeter
 from volent.cli import main, validate_config
+from volent.coxeter import enumerate_chambers
 from volent.hypgeom import regular_polygon
 from volent.symbolic import MODEL_COUNTERS, build_cross_section
 
@@ -220,8 +221,8 @@ def test_subcommand_sizes_checked(monkeypatch, capsys, argv, flag):
     (["pressure", "--tol", "nan"], "--tol"),
     (["pressure", "--tol", "-1"], "--tol"),
     (["pressure", "--tol", "0"], "--tol"),
-    (["growth", "--radius-cut", "nan"], "--radius-cut"),
-    (["growth", "--radius-cut", "inf"], "--radius-cut"),
+    (["growth", "--window", "4", "inf"], "--window"),
+    (["growth", "--window", "-1", "11"], "--window"),
     (["growth", "--window", "4", "nan"], "--window"),
     (["orbits", "--lam", "nan"], "--lam"),
     (["orbits", "--lam", "1"], "--lam"),
@@ -280,6 +281,31 @@ def test_validate_config_unknown_keys():
     assert merged["pressure"]["n_u"] == 32
 
 
+def test_radius_cut_config_key_unknown(tmp_path, capsys):
+    # the growth walk stops at the window top, so a config that still
+    # sets the old radius cut is refused, not run with the key ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"growth": {"radius_cut": 12.7}}))
+    code, _, err = run(capsys, "entropy", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config key: growth.'radius_cut'" in err
+
+
+def test_radius_cut_flag_unknown(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["growth", "--radius-cut", "12.7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --radius-cut" in capsys.readouterr().err
+
+
+def test_growth_window_top_capped(monkeypatch, capsys):
+    # the window top alone sets the walk, so the chamber cap bounds it
+    monkeypatch.setattr(coxeter, "CHAMBER_CAP", 1000)
+    code, _, err = run(capsys, "growth", "--window", "4", "40")
+    assert code == 1
+    assert "cap=1000" in err
+
+
 def test_entropy_config_errors(tmp_path, capsys):
     bad = tmp_path / "cfg.json"
     bad.write_text(json.dumps({"bogus": 1}))
@@ -316,9 +342,10 @@ def test_entropy_config_errors(tmp_path, capsys):
     ({"q": "2"}, "polygon.q"),
     ({"q": [2, 2, 2, 2, 0]}, "polygon.q"),
     ({"q": [2, 2.5, 2, 2, 2]}, "polygon.q"),
-    ({"radius_cut": "x"}, "growth.radius_cut"),
-    ({"radius_cut": 0}, "growth.radius_cut"),
-    ({"radius_cut": float("nan")}, "growth.radius_cut"),
+    # the window top alone sets how far the growth walk goes
+    ({"window": [4.0, float("inf")]}, "growth.window"),
+    ({"window": [4.0, 10 ** 400]}, "growth.window"),
+    ({"window": [True, 11.0]}, "growth.window"),
     ({"window": [11.0, 4.0]}, "growth.window"),
     ({"window": [0.0, 4.0]}, "growth.window"),
     ({"window": "x"}, "growth.window"),
@@ -413,7 +440,7 @@ def _config_docs(draw):
         "polygon": {"p": 5, "m": 2, "q": [2, 3, 2, 3, 4]},
         "pressure": {"n_u": 8, "n_theta": 8, "k": 2, "tol": 1e-3,
                      "bracket": [0.5, 4.0]},
-        "growth": {"radius_cut": 8.0, "window": [2.0, 5.0], "rows": 8},
+        "growth": {"window": [2.0, 5.0], "rows": 8},
         "santalo": {"samples": 20000, "seed": 1},
         "seed": 3,
         "output_dir": "out",
@@ -447,7 +474,7 @@ def test_config_fuzz_validates_or_rejects(doc):
 FAST_CFG = {
     "polygon": {"p": 5, "m": 2, "q": [2, 2, 2, 2, 2]},
     "pressure": {"n_u": 8, "n_theta": 8, "k": 2, "tol": 1e-3},
-    "growth": {"radius_cut": 8.0, "window": [2.0, 5.0], "rows": 8},
+    "growth": {"window": [2.0, 5.0], "rows": 8},
     "santalo": {"samples": 20000, "seed": 1},
     "seed": 3,
 }
@@ -510,8 +537,10 @@ def test_entropy_growth_counters(tmp_path, capsys):
     per_depth = diag["chambers_per_depth"]
     assert per_depth[:3] == [1, 5, 15]
     assert sum(per_depth) == diag["chambers"]
+    # the walk to the window top is the whole ball of that radius
     poly = regular_polygon(5, 2, (2,) * 5)
-    assert diag["reach"] == FAST_CFG["growth"]["radius_cut"] - poly.diameter
+    assert "reach" not in diag
+    assert diag["chambers"] == len(enumerate_chambers(poly, radius_cut=5.0))
 
 
 def test_entropy_default_ulam_counters(tmp_path, capsys):
@@ -583,7 +612,7 @@ poly = regular_polygon(5, 2, (2, 3, 2, 3, 4))
 g = geodesic_through(HPoint(0.01, 1.0), HPoint(0.3, 1.2))
 symbolic.cutting_sequence(g, (-1.0, 20.0), poly)
 measures.santalo_monte_carlo(poly, samples=20_000, seed=0)
-coxeter.ball_growth(poly, 8.0, 1.0, 6.0)
+coxeter.ball_growth(poly, 1.0, 6.0)
 before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 k4 = MetricGraph.from_undirected(
     4, [(a, b, 1.0) for a in range(4) for b in range(a + 1, 4)])

@@ -127,9 +127,12 @@ def test_growth_table_monotone(pentagon_q1):
 
 
 def test_frontier_too_close(pentagon_q1):
+    # a radius cut is its own reach, so a window top past it is refused
     cs = enumerate_chambers(pentagon_q1, radius_cut=8.0)
+    assert cs.reach == 8.0
+    weighted_ball_growth(cs, 1.0, 8.0)
     with pytest.raises(FrontierTooClose):
-        weighted_ball_growth(cs, 1.0, 7.5)
+        weighted_ball_growth(cs, 1.0, 8.5)
 
 
 def test_nan_radius_refused(pentagon_q1):
@@ -137,30 +140,30 @@ def test_nan_radius_refused(pentagon_q1):
     cs = enumerate_chambers(pentagon_q1, radius_cut=8.0)
     with pytest.raises(FrontierTooClose):
         weighted_ball_growth(cs, 1.0, float("nan"))
-    # a NaN, non-positive or infinite cut is refused by the enumeration
+    # a NaN, non-positive or infinite cut is refused by the enumeration,
+    # and so is such a window top by ball_growth, which walks to it
     for cut in (float("nan"), -1.0, 0.0, math.inf, 10 ** 400):
         with pytest.raises(ValueError, match="radius_cut"):
             enumerate_chambers(pentagon_q1, radius_cut=cut)
-        with pytest.raises(ValueError, match="radius_cut"):
-            ball_growth(pentagon_q1, cut, 1.0, 6.0)
+        with pytest.raises(ValueError, match="r_max"):
+            ball_growth(pentagon_q1, 1.0, cut)
     # and a fractional or bool row count, which once gave a TypeError or
     # a one-row table
     for rows in (2.5, True):
         with pytest.raises(ValueError, match="n_rows"):
-            ball_growth(pentagon_q1, 8.0, 1.0, 6.0, rows)
+            ball_growth(pentagon_q1, 1.0, 6.0, rows)
     # so is a negative, fractional or bool depth
     for depth in (-3, 2.5, True):
         with pytest.raises(ValueError, match="max_depth"):
             enumerate_chambers(pentagon_q1, max_depth=depth)
     # a bool radius, which once ran as 1.0 or 0.0 (here r_max = True with
-    # r_min = 0.5); r_max = 10**400, beyond every reach like inf, once
-    # raised OverflowError formatting that message
+    # r_min = 0.5); for weighted_ball_growth r_max = 10**400 lies beyond
+    # every reach like inf, and once raised OverflowError formatting that
+    # message
     with pytest.raises(ValueError, match="r_min"):
-        ball_growth(pentagon_q1, 8.0, True, 6.0)
+        ball_growth(pentagon_q1, True, 6.0)
     with pytest.raises(ValueError, match="r_max"):
-        ball_growth(pentagon_q1, 8.0, 0.5, True)
-    with pytest.raises(FrontierTooClose, match="r_max"):
-        ball_growth(pentagon_q1, 8.0, 1.0, 10 ** 400)
+        ball_growth(pentagon_q1, 0.5, True)
     cs = enumerate_chambers(pentagon_q1, radius_cut=8.0)
     with pytest.raises(ValueError, match="r_min"):
         weighted_ball_growth(cs, True, 6.0)
@@ -169,16 +172,22 @@ def test_nan_radius_refused(pentagon_q1):
 
 
 def test_ball_growth_frontier_checked_first(pentagon_q1, monkeypatch):
-    # the reach is checked before the walk starts
+    # the window top, the walk's frontier, is checked before the walk
+    # starts
     def no_walk(*args):
         pytest.fail("ball_growth walked before checking its window")
     monkeypatch.setattr(coxeter, "_walk", no_walk)
-    with pytest.raises(FrontierTooClose):
-        ball_growth(pentagon_q1, 50.0, 1.0, 60.0)
-    with pytest.raises(FrontierTooClose):
-        ball_growth(pentagon_q1, 8.0, 1.0, float("nan"))
-    with pytest.raises(ValueError, match="r_min"):
-        ball_growth(pentagon_q1, 8.0, 5.0, 4.0)
+    for r_max in (float("nan"), math.inf, 4.0):
+        with pytest.raises(ValueError, match="r_max"):
+            ball_growth(pentagon_q1, 5.0, r_max)
+
+
+def test_ball_growth_capped(pentagon_q2, monkeypatch):
+    # the window top alone sets the walk, so the chamber cap is its only
+    # bound: 441 chambers lie within depth 5
+    monkeypatch.setattr(coxeter, "CHAMBER_CAP", 1000)
+    with pytest.raises(ResourceLimit, match="cap=1000"):
+        ball_growth(pentagon_q2, 4.0, 40.0)
 
 
 def test_ball_sums_edges_and_rescale():
@@ -444,29 +453,29 @@ _STREAM_CASES = [
 @pytest.mark.parametrize("p, m, q", _STREAM_CASES)
 def test_ball_growth_matches_chamber_set(p, m, q):
     # weighted_ball_growth sorts the whole set and sums prefixes, so it
-    # checks the streamed fold's binning and rescaling
+    # checks the streamed fold's binning and rescaling; its set is a walk
+    # one diameter deeper, so it also checks that the walk pruned at
+    # r_max misses no chamber within r_max
     poly = regular_polygon(p, m, q)
-    cut = 9.0
-    cs = enumerate_chambers(poly, radius_cut=cut)
-    r_max = cs.reach
-    ref = weighted_ball_growth(cs, 1.0, r_max, 16)
-    bg = ball_growth(poly, cut, 1.0, r_max, 16)
+    r_max = 9.0
+    deep = enumerate_chambers(poly, radius_cut=r_max + poly.diameter + 0.01)
+    ref = weighted_ball_growth(deep, 1.0, r_max, 16)
+    bg = ball_growth(poly, 1.0, r_max, 16)
     assert np.array_equal(bg.table.radii, ref.radii)
     assert np.max(np.abs(bg.table.log_weight - ref.log_weight)) <= 1e-13
-    assert bg.chambers_per_depth == np.bincount(cs.depths).tolist()
-    assert bg.chambers == len(cs)
-    assert bg.reach == cs.reach
+    inside = deep.depths[deep.radii <= r_max]
+    assert bg.chambers == inside.shape[0]
+    assert bg.chambers_per_depth == np.bincount(inside).tolist()
 
 
 def test_ball_growth_radius_on_grid_point(pentagon_q1):
     # with q = 1 each row is the count of chambers with radius <= its
     # grid point; r_min and r_max are chamber radii, so both end rows
     # hold a chamber exactly on the grid
-    cut = 8.0
-    cs = enumerate_chambers(pentagon_q1, radius_cut=cut)
+    cs = enumerate_chambers(pentagon_q1, radius_cut=8.0)
     r = np.unique(cs.radii)
-    r_min, r_max = r[r > 1.0][0], r[r <= cs.reach][-1]
-    bg = ball_growth(pentagon_q1, cut, r_min, r_max, 7)
+    r_min, r_max = r[r > 1.0][0], r[-1]
+    bg = ball_growth(pentagon_q1, r_min, r_max, 7)
     ref = weighted_ball_growth(cs, r_min, r_max, 7)
     assert bg.table.radii[0] == r_min and bg.table.radii[-1] == r_max
     want = (cs.radii[:, None] <= bg.table.radii).sum(axis=0)
@@ -478,23 +487,32 @@ def test_ball_growth_radius_on_grid_point(pentagon_q1):
 def test_ball_growth_block_invariance(monkeypatch):
     # slices of 7 fold the same chambers in more, smaller sums
     poly = regular_polygon(5, 2, (2, 3, 2, 3, 4))
-    ref = ball_growth(poly, 9.0, 2.0, 7.0, 12)
+    ref = ball_growth(poly, 2.0, 7.0, 12)
     monkeypatch.setattr(coxeter, "BLOCK", 7)
-    bg = ball_growth(poly, 9.0, 2.0, 7.0, 12)
+    bg = ball_growth(poly, 2.0, 7.0, 12)
     assert np.max(np.abs(bg.table.log_weight - ref.table.log_weight)) <= 1e-13
     assert bg.chambers_per_depth == ref.chambers_per_depth
-    assert (bg.chambers, bg.reach) == (ref.chambers, ref.reach)
+    assert bg.chambers == ref.chambers
 
 
 def test_ball_growth_memory_bounded(pentagon_q2):
-    # the default growth stage (655,371 chambers) holds one level of
+    # the ball of radius 12.7 (655,371 chambers) holds one level of
     # orbit points and the candidates of one slice, not the ball; the
     # ChamberSet path peaks near 55 MiB on the same input
     tracemalloc.start()
     try:
-        bg = ball_growth(pentagon_q2, 12.7, 4.0, 11.0, 24)
+        bg = ball_growth(pentagon_q2, 4.0, 12.7, 24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert bg.chambers == 655_371
     assert peak <= 24 * 2 ** 20
+
+
+def test_default_growth_slope(pentagon_q2):
+    # the default growth stage: the window [4, 11] with 24 rows, 119,911
+    # chambers
+    bg = ball_growth(pentagon_q2, 4.0, 11.0, 24)
+    assert bg.chambers == 119_911
+    assert growth_slope(bg.table, pentagon_q2.diameter) == (
+        1.764219830570042, 0.245994802157243)

@@ -300,6 +300,10 @@ def test_span_refuses_bad_ends(pentagon_q2):
     for t_max in (0.0, True, -1.0, 10 ** 400, math.nan, math.inf):
         with pytest.raises(ValueError, match="t_max"):
             trace(pentagon_q2.walls, 0.01, 1.0, 0.6, 0.8, t_max)
+    # max_steps = 2.5 once returned 3 crossings and True ran as 1
+    for max_steps in (2.5, True, -1):
+        with pytest.raises(ValueError, match="max_steps"):
+            trace(pentagon_q2.walls, 0.01, 1.0, 0.6, 0.8, 5.0, max_steps)
 
 
 def _period(model) -> int:
