@@ -169,7 +169,7 @@ def validate_config(cfg: dict) -> dict:
                 raise ValueError(f"config key {key!r} must be an object")
             for sub in val:
                 if sub not in merged[key]:
-                    raise ValueError(f"unknown config key: {key}.{sub!r}")
+                    raise ValueError(f"unknown config key: {key}.{sub}")
             merged[key].update(val)
         else:
             merged[key] = val
