@@ -20,7 +20,9 @@ Times nine tasks:
   crossing count, times and edge labels;
 - cross_section: `build_cross_section` on the default polygon at
   64x64, K = 3, seed 0 (the refinement grid of the default
-  `volent entropy`);
+  `volent entropy`); tracemalloc_peak_mb is the tracemalloc peak, in
+  MiB, of a second, untimed build in the same worker (runs before
+  `parent-b3343bd` lack it);
 - enumerate: `enumerate_chambers` on the default polygon with
   radius_cut = 12.7, the `ChamberSet` that `svg` draws; its digest
   covers the radii, depths and log weights, the fields that every
@@ -68,6 +70,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 TASKS = ("import", "batch", "santalo", "traces", "birkhoff",
          "cross_section", "enumerate", "growth", "entropy")
@@ -176,10 +179,15 @@ def worker(task: str) -> dict:
         for arr in (m.states, m.src, m.dst, m.mass, m.mean_L):
             digest.update(arr.tobytes())
         d = m.diagnostics
+        tracemalloc.start()
+        build_cross_section(poly, GRID, K, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         counters = {"samples": d["total_samples"],
                     "discarded": d["discarded_samples"],
                     "scc_states": d["scc_states"],
-                    "transitions": int(m.src.size)}
+                    "transitions": int(m.src.size),
+                    "tracemalloc_peak_mb": peak / 2 ** 20}
     elif task == "enumerate":
         t0 = time.perf_counter()
         cs = enumerate_chambers(poly, radius_cut=RADIUS_CUT)

@@ -46,10 +46,12 @@ _INPUT_ERRORS = (ValueError, KeyError, NonHyperbolic, BadThickness,
                  Degenerate, json.JSONDecodeError, OSError,
                  RecursionError, MemoryError)
 
-# The most samples one stage may draw, refused before any stage starts:
-# the Santalo Monte Carlo peaks at about 64 bytes per sample
-# (tracemalloc), so 1e7 samples take about 0.6 GB (a fresh process on
-# the right-angled pentagon peaks at 675 MB RSS).
+# The most samples one stage may draw, refused before any stage starts.
+# Both stages it caps peak near 60 bytes per sample (tracemalloc on the
+# right-angled pentagon), so about 0.6 GB at 1e7 samples: the Santalo
+# Monte Carlo at 64 bytes (1e6 samples; a fresh process at 1e7 peaks at
+# 675 MB RSS) and the refined pressure grid's build_cross_section at
+# 60 bytes (1.15e6 samples on 160x160, K = 3).
 _MAX_SAMPLES = 10_000_000
 
 # The most chambers `volent polygon --svg` draws, refused before drawing:

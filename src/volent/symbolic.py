@@ -30,6 +30,16 @@ bisected on signs of rho - 1 certified by the Collatz-Wielandt brackets
 of the shifted power iteration in volent.perron, which converges
 whatever the period of the transition graph.
 
+build_cross_section streams its samples: it draws every sample's two
+uniforms up front, in the order one full-length draw makes them, then
+places, launches and traces slices of whole cells (about tracing.BLOCK
+samples each), keeping a landing cell, a flight length and a flag per
+sample, 17 bytes. Vertex-grazing samples are redrawn after that pass,
+then the (src, dst) counts and length sums are taken slice by slice and
+concatenated. Every step is per sample, the samples are in cell order
+and each transition's samples lie in one slice, summed in sample order,
+so the model is bit-identical to one pass over all samples at once.
+
 scipy is imported inside the functions that build a sparse matrix
 (build_cross_section, _pressure_rho), so a process that only traces
 geodesics and sums along them never loads it.
@@ -46,7 +56,8 @@ from .constants import DEFAULT_H_TOL, EPS_POWER
 from .errors import NotIrreducible, VertexHit, _int, _is_finite, _require
 from .hypgeom import CoxeterPolygon, HGeodesic, HPoint, WallTable
 from .perron import WarmPerron, bisect_root
-from .tracing import LOST, NEAR_VERTEX, OK, batch_first_crossing, launch, trace
+from .tracing import (BLOCK, LOST, NEAR_VERTEX, OK, batch_first_crossing,
+                      launch, trace)
 
 
 # One row per wall crossing: flow time, crossed wall of the base
@@ -223,6 +234,75 @@ class UlamModel:
 _MAX_RETRIES = 8
 
 
+def _landings(poly: CoxeterPolygon, n_u: int, n_th: int, K: int, seed: int,
+              step: int) -> tuple:
+    """(cell, length, flag) of every sample of build_cross_section.
+
+    cell is the landing cell, set only where flag is OK; length is the
+    flight time. The samples are placed, launched and traced in slices
+    of step samples; flagged ones are then redrawn as
+    build_cross_section says.
+    """
+    walls, ell = poly.walls, poly.edge_length
+    n_cells = n_u * n_th
+    per_cell = K * K
+    n = poly.p * n_cells * per_cell
+    cell = np.empty(n, dtype=np.int64)
+    length = np.empty(n)
+    flag = np.empty(n, dtype=np.int8)
+
+    def flow(idx, su, st):
+        # sample slot idx % K^2 of cell idx // K^2, stratified K x K
+        # within the cell by the uniforms su, st, launched and traced to
+        # its first crossing
+        src, slot = np.divmod(idx, per_cell)
+        edges = src // n_cells
+        u = ((src // n_th) % n_u + (slot // K + su) / K) / n_u * ell
+        th = (src % n_th + (slot % K + st) / K) / n_th * math.pi
+        x, y, dx, dy = launch(walls, edges, u, th)
+        j, t, u2, th2, f = batch_first_crossing(walls, x, y, dx, dy,
+                                                prev=edges)
+        ok = f == OK
+        iu2 = np.clip((u2[ok] / ell * n_u).astype(np.int64), 0, n_u - 1)
+        ith2 = np.clip((th2[ok] / math.pi * n_th).astype(np.int64), 0,
+                       n_th - 1)
+        cell[idx[ok]] = j[ok] * n_cells + iu2 * n_th + ith2
+        length[idx], flag[idx] = t, f
+
+    rng = np.random.default_rng(seed)
+    su, st = rng.random(n), rng.random(n)
+    for a in range(0, n, step):
+        flow(np.arange(a, min(a + step, n)), su[a:a + step], st[a:a + step])
+    del su, st
+    for _ in range(_MAX_RETRIES):
+        bad = np.flatnonzero(flag != OK)
+        if bad.size == 0:
+            break
+        # every first draw is made, so a redraw shifts no other sample
+        flow(bad, rng.random(bad.size), rng.random(bad.size))
+    return cell, length, flag
+
+
+def _transitions(cell, length, ok, per_cell: int, n_states: int,
+                 step: int) -> tuple:
+    """(key, count, total length) of each observed src -> dst transition,
+    key = src * n_states + dst ascending, over the samples where ok.
+
+    Counted per slice of step samples; step is a multiple of per_cell,
+    so every key's samples lie in one slice.
+    """
+    keys, counts, totals = [], [], []
+    for a in range(0, cell.size, step):
+        good = np.flatnonzero(ok[a:a + step]) + a
+        key = good // per_cell * n_states + cell[good]
+        uniq, inv = np.unique(key, return_inverse=True)
+        keys.append(uniq)
+        counts.append(np.bincount(inv))
+        totals.append(np.bincount(inv, weights=length[good]))
+    return (np.concatenate(keys), np.concatenate(counts).astype(float),
+            np.concatenate(totals))
+
+
 def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
                         seed: int) -> UlamModel:
     """Discretize the wall-crossing return map on an (N_u, N_theta) grid.
@@ -235,6 +315,12 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
     sample order, a bounded number of times, and finally discarded with
     the cell mass renormalized.
 
+    The samples are traced, and their transitions then counted, in
+    slices of whole cells of about tracing.BLOCK samples, with 17 bytes
+    per sample kept between the two passes (landing cell, flight length,
+    flag). The model is bit-identical for every slice size, and to one
+    pass over all samples; the module docstring says why.
+
     ValueError, naming it, unless N_u, N_theta >= 4, K >= 1 and seed >= 0
     are integers (numpy ints count, bools do not).
     """
@@ -243,54 +329,18 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
         _require(name, n, *_int(4))
     _require("K", K, *_int(1))
     _require("seed", seed, *_int(0))
-    walls = poly.walls
-    p = poly.p
-    ell = poly.edge_length
-    n_states = p * n_u * n_th
+    n_states = poly.p * n_u * n_th
     per_cell = K * K
-    rng = np.random.default_rng(seed)
-
-    def draw(idx: np.ndarray):
-        # (edge, u, theta) of sample slot idx % K^2 of cell idx // K^2,
-        # stratified K x K within the cell
-        cell, slot = np.divmod(idx, per_cell)
-        su = (slot // K + rng.random(idx.size)) / K
-        st = (slot % K + rng.random(idx.size)) / K
-        u = ((cell // n_th) % n_u + su) / n_u * ell
-        th = (cell % n_th + st) / n_th * math.pi
-        return cell // (n_u * n_th), u, th
-
-    edges, us, ths = draw(np.arange(n_states * per_cell))
-
-    def flow(edges, us, ths):
-        x, y, dx, dy = launch(walls, edges, us, ths)
-        return batch_first_crossing(walls, x, y, dx, dy, prev=edges)
-
-    j, t, u2, th2, flag = flow(edges, us, ths)
-    for _ in range(_MAX_RETRIES):
-        bad = np.nonzero(flag != OK)[0]
-        if bad.size == 0:
-            break
-        # every first draw is made, so a redraw shifts no other sample
-        edges[bad], us[bad], ths[bad] = draw(bad)
-        j[bad], t[bad], u2[bad], th2[bad], flag[bad] = flow(
-            edges[bad], us[bad], ths[bad])
+    step = max(1, BLOCK // per_cell) * per_cell
+    cell, length, flag = _landings(poly, n_u, n_th, K, seed, step)
     good = flag == OK
     discarded = int(np.count_nonzero(~good))
+    uniq, cnt, tot_L = _transitions(cell, length, good, per_cell, n_states,
+                                    step)
+    del cell, length, flag, good
 
-    src_cell = np.nonzero(good)[0] // per_cell
-    iu2 = np.clip((u2[good] / ell * n_u).astype(np.int64), 0, n_u - 1)
-    ith2 = np.clip((th2[good] / math.pi * n_th).astype(np.int64), 0, n_th - 1)
-    dst_cell = j[good] * (n_u * n_th) + iu2 * n_th + ith2
-    lengths = t[good]
-
-    # accumulate (src, dst) -> (count, total length)
-    key = src_cell * n_states + dst_cell
-    uniq, inv = np.unique(key, return_inverse=True)
-    cnt = np.bincount(inv).astype(float)
-    tot_L = np.bincount(inv, weights=lengths)
-    tr_src = (uniq // n_states).astype(np.int64)
-    tr_dst = (uniq % n_states).astype(np.int64)
+    tr_src = uniq // n_states
+    tr_dst = uniq % n_states
     mean_L = tot_L / cnt
     out_per_src = np.bincount(tr_src, weights=cnt, minlength=n_states)
     mass = cnt / out_per_src[tr_src]

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -354,7 +356,8 @@ def test_period_stalled_pressure_model_solves(pentagon_q2, capsys):
 def _flag_rays(monkeypatch, flag_later: bool) -> list:
     """Record the launches of build_cross_section and mark every 97th
     ray of the first crossing batch NEAR_VERTEX; with flag_later, also
-    every ray of each later batch. Returns the (edge, u, theta) list."""
+    every ray of each later batch. A marked ray's foot and angle become
+    NaN, as a lost ray's may be. Returns the (edge, u, theta) list."""
     launches = []
     real_launch = symbolic.launch
     real_cross = symbolic.batch_first_crossing
@@ -365,10 +368,13 @@ def _flag_rays(monkeypatch, flag_later: bool) -> list:
 
     def cross(*args, **kwargs):
         out = real_cross(*args, **kwargs)
+        marked = np.zeros(out[4].size, dtype=bool)
         if len(launches) == 1:
-            out[4][::97] = NEAR_VERTEX
+            marked[::97] = True
         elif flag_later:
-            out[4][:] = NEAR_VERTEX
+            marked[:] = True
+        out[4][marked] = NEAR_VERTEX
+        out[2][marked] = out[3][marked] = math.nan
         return out
 
     monkeypatch.setattr(symbolic, "launch", launch)
@@ -382,6 +388,8 @@ def _stratum(model, poly, edges, us, ths):
             np.floor(ths / math.pi * n_th * k).astype(int))
 
 
+# a flagged sample's NaN foot is never cast to a cell: no RuntimeWarning
+@pytest.mark.filterwarnings("error")
 def test_grazing_samples_redrawn_in_their_stratum(pentagon_q2, monkeypatch):
     launches = _flag_rays(monkeypatch, flag_later=False)
     a = build_cross_section(pentagon_q2, (8, 8), 3, seed=0)
@@ -410,6 +418,7 @@ def test_grazing_samples_redrawn_in_their_stratum(pentagon_q2, monkeypatch):
                 and np.array_equal(a.mean_L, c.mean_L))
 
 
+@pytest.mark.filterwarnings("error")
 def test_samples_discarded_after_retries(pentagon_q2, monkeypatch):
     launches = _flag_rays(monkeypatch, flag_later=True)
     m = build_cross_section(pentagon_q2, (8, 8), 3, seed=0)
@@ -419,6 +428,73 @@ def test_samples_discarded_after_retries(pentagon_q2, monkeypatch):
     assert m.diagnostics["total_samples"] == 2880
     sums = np.bincount(m.src, weights=m.mass, minlength=m.n_states)
     assert np.allclose(sums, 1.0, atol=1e-12)
+
+
+def _model_digest(model) -> str:
+    h = hashlib.sha256()
+    for arr in (model.states, model.src, model.dst, model.mass,
+                model.mean_L):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("args,grid,k,seed,digest,diagnostics", [
+    # the bench_tracing.py cross_section task: 45 slices of 4095 samples
+    ((5, 2, (2,) * 5), (64, 64), 3, 0,
+     "004fc1b8e23ff167531210f6a15bf596f92f19a72508c445b9b88a86ed095847",
+     {"discarded_samples": 0, "total_samples": 184320, "scc_states": 19218,
+      "grid_states": 20480, "n_components": 1263}),
+    ((5, 4, (2, 3, 2, 3, 4)), (12, 20), 3, 1,
+     "98a5c35b0d6b1e2677da5780151080338f5c14671b4d271ca5b79d7708f450cf",
+     {"discarded_samples": 0, "total_samples": 10800, "scc_states": 1144,
+      "grid_states": 1200, "n_components": 57}),
+])
+def test_cross_section_bit_exact(args, grid, k, seed, digest, diagnostics):
+    # digests recorded before the build was sliced; slicing may not move
+    # a bit
+    model = build_cross_section(regular_polygon(*args), grid, k, seed)
+    assert _model_digest(model) == digest
+    assert model.diagnostics == diagnostics
+
+
+@pytest.mark.parametrize("block", [7, 100, 3 * 4096])
+def test_cross_section_block_invariance(monkeypatch, block):
+    # rays flagged by their own launch point, so the same samples are
+    # redrawn whatever the slices; with blocks of 7 each slice is one
+    # cell of K^2 = 9 samples
+    real_cross = symbolic.batch_first_crossing
+    flagged = []
+
+    def cross(table, x, y, dx, dy, prev):
+        out = real_cross(table, x, y, dx, dy, prev=prev)
+        marked = np.floor(x * 1e9) % 53 == 0
+        out[4][marked] = NEAR_VERTEX
+        flagged.append(np.count_nonzero(marked))
+        return out
+
+    monkeypatch.setattr(symbolic, "batch_first_crossing", cross)
+    poly = regular_polygon(5, 4, (2, 3, 2, 3, 4))
+    ref = build_cross_section(poly, (12, 20), 3, 1)
+    assert sum(flagged) > 100
+    monkeypatch.setattr(symbolic, "BLOCK", block)
+    got = build_cross_section(poly, (12, 20), 3, 1)
+    for name in ("states", "src", "dst", "mass", "mean_L"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name))
+    assert got.diagnostics == ref.diagnostics
+
+
+def test_cross_section_memory_bounded(pentagon_q2):
+    # 184,320 samples keep 17 bytes each (3 MB) beside their first
+    # uniforms (3 MB); the build that held every draw, launch and
+    # crossing at once peaked at 31.7 MiB
+    build_cross_section(pentagon_q2, (4, 4), 1, 0)  # loads scipy
+    tracemalloc.start()
+    try:
+        build_cross_section(pentagon_q2, (64, 64), 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 def test_root_solve_counters(pentagon_q2):
