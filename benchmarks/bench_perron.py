@@ -1,6 +1,6 @@
 """Benchmark: the Perron root solves and the pressure curve.
 
-Four tasks:
+Five tasks:
 
 - graphs: `graph_entropy(tol=1e-10)` over a fixed seeded set of metric
   graphs;
@@ -20,16 +20,24 @@ Four tasks:
   the shipped iteration and restoring both afterwards: the curve on the
   seed-0 32x32 model, the two root solves of the default run (32x32 and
   64x64, seed 0) and the graphs task's graph set. The shipped c = 1/4
-  and order 3 are the curve, ulam_root and graphs tasks' own counts.
+  and order 3 are the curve, ulam_root and graphs tasks' own counts;
+- scc: `volent.perron.strong_components` on the transition graph that
+  `build_cross_section` hands it (caught by wrapping
+  `volent.symbolic.strong_components`) for the default polygon at
+  32x32 and 64x64, K=3, seed 0, against scipy's `connected_components`
+  on the CSR matrix `build_cross_section` built for it before,
+  construction included; repeats x 20 interleaved pairs, and whether
+  the two partitions agree.
 
 Each timing is the median over repeats; every result value, the solver
 counters found in `diagnostics` and the machine are recorded. Apart
-from the sweep's two settings, only public functions are called: point
-PYTHONPATH at the `src/` of the checkout to measure.
+from the sweep's two settings and the scc task's wrapper, only public
+functions are called: point PYTHONPATH at the `src/` of the checkout to
+measure.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_perron.py --label change \\
-        [--repeats 5] [--tasks graphs,ulam_root,curve,sweep] \\
+        [--repeats 5] [--tasks graphs,ulam_root,curve,sweep,scc] \\
         [--out BENCH_perron.json]
 
 A run is stored under `runs[label]` of the output file, keeping the
@@ -56,7 +64,7 @@ from volent.symbolic import (build_cross_section, pressure_curve,
                              pressure_log_radius, solve_entropy)
 
 COUNTERS = ("bisection_iters", "power_iters", "bracket_width")
-TASKS = ("graphs", "ulam_root", "curve", "sweep")
+TASKS = ("graphs", "ulam_root", "curve", "sweep", "scc")
 
 
 def graph_set(seed: int = 0) -> dict:
@@ -129,6 +137,48 @@ def time_ulam(repeats: int) -> list:
                          "states": model.n_states, "h": repr(est.value),
                          "median_s": statistics.median(times),
                          "runs_s": times, **counters(est.diagnostics)})
+    return rows
+
+
+def time_scc(repeats: int) -> list:
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    import volent.symbolic
+
+    rows = []
+    real = volent.symbolic.strong_components
+    for grid in (32, 64):
+        caught = []
+
+        def spy(src, dst, n):
+            caught.append((src, dst, n))
+            return real(src, dst, n)
+
+        volent.symbolic.strong_components = spy
+        try:
+            default_model(grid, 0)
+        finally:
+            volent.symbolic.strong_components = real
+        (src, dst, n), = caught
+        ours, theirs = [], []
+        for _ in range(20 * repeats):
+            t0 = time.perf_counter()
+            n_comp, labels = real(src, dst, n)
+            t1 = time.perf_counter()
+            adj = sp.csr_matrix((np.ones(src.size), (src, dst)),
+                                shape=(n, n))
+            n_ref, ref = connected_components(adj, directed=True,
+                                              connection="strong")
+            theirs.append(time.perf_counter() - t1)
+            ours.append(t1 - t0)
+        same = (n_comp == n_ref
+                and len(set(zip(labels.tolist(), ref.tolist()))) == n_comp)
+        rows.append({"grid": grid, "states": n, "transitions": int(src.size),
+                     "components": n_comp, "same_partition": same,
+                     "median_s": statistics.median(ours), "runs_s": ours,
+                     "csgraph_median_s": statistics.median(theirs),
+                     "csgraph_runs_s": theirs})
     return rows
 
 
@@ -214,6 +264,8 @@ def main() -> None:
         run["curve"] = time_curve(args.repeats)
     if "sweep" in tasks:
         run["sweep"] = sweep()
+    if "scc" in tasks:
+        run["scc"] = time_scc(args.repeats)
     doc = {"script": "benchmarks/bench_perron.py", "runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
@@ -233,6 +285,11 @@ def main() -> None:
         print(f"curve 32x32 seed {r['seed']}  {r['power_iters']} steps  "
               f"max |delta| {r['max_abs_delta_cold']:.2e}  "
               f"median {r['median_s']:.3f} s")
+    for r in run.get("scc", []):
+        print(f"scc {r['grid']}x{r['grid']}  {r['components']} components  "
+              f"median {1e3 * r['median_s']:.2f} ms, csgraph "
+              f"{1e3 * r['csgraph_median_s']:.2f} ms  "
+              f"same partition {r['same_partition']}")
     if "sweep" in run:
         for r in run["sweep"]["shifts"]:
             print(f"shift c = {r['c']:<6} curve {r['curve_plain_warm']:5d}  "

@@ -1,8 +1,8 @@
 """Benchmark: the tracing kernels, the Santalo Monte Carlo, the
-cross-section sampler, chamber enumeration, ball growth and the default
-`volent entropy` run.
+cross-section sampler, chamber enumeration, ball growth, the default
+`volent entropy` run and one metric graph solve.
 
-Times nine tasks:
+Times ten tasks:
 
 - import: a fresh `import volent.cli`, the start-up every `volent`
   command pays; scipy_loaded counts the scipy modules it loaded, and
@@ -22,7 +22,9 @@ Times nine tasks:
   64x64, K = 3, seed 0 (the refinement grid of the default
   `volent entropy`); tracemalloc_peak_mb is the tracemalloc peak, in
   MiB, of a second, untimed build in the same worker (runs before
-  `parent-b3343bd` lack it);
+  `parent-b3343bd` lack it); the time includes the scipy imports at
+  checkouts whose build loads scipy (before `change-numpy-scc`), and
+  `bench_perron.py`'s scc task times the component step alone;
 - enumerate: `enumerate_chambers` on the default polygon with
   radius_cut = 12.7, the `ChamberSet` that `svg` draws; its digest
   covers the radii, depths and log weights, the fields that every
@@ -37,7 +39,12 @@ Times nine tasks:
   digested the table, the counts per depth and the reach);
 - entropy: the default `volent entropy`, writing into a temporary
   directory; its digest covers `report.json` without `timings` and
-  `output_dir`, and `curves.csv`.
+  `output_dir`, and `curves.csv`;
+- graph: `MetricGraph.from_json` and `graph_entropy` at tol 1e-10, as
+  `volent graph` runs them, on one seeded graph: a cycle on 2000
+  vertices plus 1000 random chords, lengths uniform in [0.5, 2]; the
+  time includes the scipy imports of the first graph solve, and the
+  digest covers `repr(h)`.
 
 The batch and traces tasks read the polygon's wall record,
 `poly.walls`.
@@ -73,13 +80,28 @@ import time
 import tracemalloc
 
 TASKS = ("import", "batch", "santalo", "traces", "birkhoff",
-         "cross_section", "enumerate", "growth", "entropy")
+         "cross_section", "enumerate", "growth", "entropy", "graph")
 N_RAYS = 1_000_000
 N_TRACES = 2000
 T_TRACE = 50.0
 GRID, K = (64, 64), 3
 RADIUS_CUT = 12.7
 BIRKHOFF_Q, SPAN = (2, 3, 2, 3, 4), (-3.5, T_TRACE + 3.5)
+GRAPH_VERTICES = 2000
+
+
+def _graph_json() -> str:
+    """The graph task's input: a cycle plus n // 2 seeded chords."""
+    import numpy as np
+    rng = np.random.default_rng(0)
+    n = GRAPH_VERTICES
+    ends = [(i, (i + 1) % n) for i in range(n)]
+    for _ in range(n // 2):
+        a, b = rng.choice(n, 2, replace=False).tolist()
+        ends.append((a, b))
+    lengths = rng.uniform(0.5, 2.0, len(ends)).tolist()
+    return json.dumps({"vertices": n, "edges": [
+        {"src": a, "dst": b, "len": ln} for (a, b), ln in zip(ends, lengths)]})
 
 
 def _rays(n: int):
@@ -145,6 +167,7 @@ def worker(task: str) -> dict:
                                     for m in loaded)}
     from volent import cli
     from volent.coxeter import enumerate_chambers
+    from volent.graphs import MetricGraph, graph_entropy
     from volent.hypgeom import regular_polygon
     from volent.measures import santalo_monte_carlo
     from volent.symbolic import build_cross_section
@@ -228,6 +251,16 @@ def worker(task: str) -> dict:
                 digest.update(fh.read())
         counters = {"chambers": report["results"]["growth"]["diagnostics"][
             "chambers"]}
+    elif task == "graph":
+        text = _graph_json()
+        t0 = time.perf_counter()
+        g = MetricGraph.from_json(text)
+        est = graph_entropy(g, tol=1e-10)
+        seconds = time.perf_counter() - t0
+        digest.update(repr(est.value).encode())
+        counters = {"h": est.value, "directed_edges": int(g.n_edges),
+                    "bisection_iters": est.diagnostics["bisection_iters"],
+                    "power_iters": est.diagnostics["power_iters"]}
     else:
         x, y, dx, dy = _rays(N_TRACES)
         t0 = time.perf_counter()

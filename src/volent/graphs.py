@@ -9,8 +9,13 @@ pattern is built once; each bisection step only rewrites the weights
 and reads a certified sign of rho - 1 from the shifted power iteration
 of volent.perron, so periodic edge graphs solve too. A graph whose
 vertices all have degree 2 (a union of circuits) grows linearly and
-gets entropy 0 with a degenerate flag instead. scipy is imported by
-the two functions that use it, on the first graph solved.
+gets entropy 0 with a degenerate flag instead. Any other graph solves
+if and only if it is connected: for a graph of minimum degree >= 2
+that is not a union of circuits, the operator is irreducible exactly
+when the graph is connected (Glover and Kempton, Linear Algebra Appl.
+618, 2021), so its vertices' connected components are counted instead
+of the operator's strong components. scipy is imported by
+_nonbacktracking, on the first graph solved.
 """
 
 from __future__ import annotations
@@ -106,8 +111,30 @@ def scale_lengths(g: MetricGraph, alpha: float) -> MetricGraph:
                        length=g.length * math.sqrt(alpha), rev=g.rev)
 
 
-def _nonbacktracking(g: MetricGraph) -> sp.csr_matrix:
-    """Non-backtracking edge operator, data = length of the entered edge.
+def _n_components(g: MetricGraph) -> int:
+    """Number of connected components of g.
+
+    Each vertex holds a label: a vertex of its own component, no larger
+    than itself. Every round, for each directed edge u -> v, the label
+    of u's label falls to v's label if that is smaller, and then each
+    label is replaced by its label's label. Labels only fall, so the
+    rounds end; at the end every edge joins equal labels and every label
+    labels itself, so the vertices that label themselves are one per
+    component.
+    """
+    label = np.arange(g.n_vertices)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, label[g.src], label[g.dst])
+        new = new[new]
+        if np.array_equal(new, label):
+            return int(np.count_nonzero(label == np.arange(g.n_vertices)))
+        label = new
+
+
+def _nonbacktracking(g: MetricGraph):
+    """Non-backtracking edge operator as a scipy CSR matrix, data =
+    length of the entered edge.
 
     Row e holds every edge f leaving dst[e] except rev[e], so its
     length is deg(dst[e]) - 1; columns come out sorted.
@@ -133,19 +160,20 @@ def graph_entropy(g: MetricGraph, tol: float = 1e-10) -> EntropyEstimate:
     bisected on certified signs of rho(B(h)) - 1.
 
     Returns 0 with a degenerate flag when every vertex has degree 2 (a
-    union of circuits: rho = 1 at h = 0, linear growth).
+    union of circuits: rho = 1 at h = 0, linear growth). Otherwise
+    NotStronglyConnected, naming the count, unless g is connected.
     """
-    from scipy.sparse.csgraph import connected_components
-
     A = _nonbacktracking(g)
     if np.diff(A.indptr).max() <= 1:
         return EntropyEstimate(value=0.0, err=0.0, method="graph_spectral",
                                diagnostics={"degenerate": True,
                                             "rho_at_0": 1.0})
-    n_comp, _ = connected_components(A, directed=True, connection="strong")
+    # not all of degree 2, so irreducible if and only if connected
+    n_comp = _n_components(g)
     if n_comp != 1:
         raise NotStronglyConnected(
-            f"directed edge graph has {n_comp} strong components")
+            f"graph has {n_comp} connected components, so its directed "
+            "edge graph is not strongly connected")
     rho = WarmPerron(A, 1.0, 0.0, rtol=1e-13, max_iter=200_000)
     # doubling from 1 stops at 2**19, the last upper end below the
     # runaway cap 1e6

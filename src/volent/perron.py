@@ -21,6 +21,11 @@ A value-mode evaluation of a curve h -> rho(B(h)) starts from the
 cubic Lagrange extrapolation, in h, of ln v over the last _HISTORY = 4
 evaluations: the Perron vector is smooth in h, so the start is close to
 the answer and the bracket narrows in far fewer steps.
+
+Both roots are taken on an irreducible matrix. strong_components finds
+the strongly connected components of a sparsity pattern with numpy
+alone, so that an Ulam model keeps its largest one; a metric graph's
+operator needs no such step (see strong_components).
 """
 
 from __future__ import annotations
@@ -115,6 +120,115 @@ class WarmPerron:
         """Certified rho(B(h)) > 1."""
         lo, hi = self.bracket(h, target=1.0)
         return lo + hi > 2.0
+
+
+def _rows(ptr, deg, nbr, rows):
+    """Concatenated neighbour lists nbr[ptr[r]:ptr[r] + deg[r]] of rows."""
+    cnt = deg[rows]
+    end = np.cumsum(cnt)
+    idx = np.repeat(ptr[rows] - end + cnt, cnt)
+    idx += np.arange(idx.size)
+    return nbr[idx]
+
+
+def _lists(a, b, n: int) -> tuple:
+    """(ptr, deg, nbr) of the edges a -> b: the b's grouped by a. Edges
+    that come grouped by a, as an Ulam model's transitions do, keep
+    their order; others are grouped by one in-place sort of packed
+    (a, b) keys."""
+    deg = np.bincount(a, minlength=n)
+    if np.any(a[1:] < a[:-1]):
+        nbr = a << 32
+        nbr |= b
+        nbr.sort()
+        nbr &= 0xFFFFFFFF
+    else:
+        nbr = b
+    return np.cumsum(deg) - deg, deg, nbr
+
+
+def _reach(ptr, deg, nbr, start: int, allowed):
+    """Mask of the states that paths from start through allowed states
+    reach along the lists (ptr, deg, nbr); start must be allowed. One
+    frontier per level."""
+    free = allowed.copy()
+    free[start] = False
+    front = np.array([start])
+    while front.size:
+        new = np.zeros(free.size, dtype=bool)
+        new[_rows(ptr, deg, nbr, front)] = True
+        new &= free
+        free ^= new
+        front = np.flatnonzero(new)
+    return allowed & ~free
+
+
+def strong_components(src, dst, n: int) -> tuple:
+    """(n_comp, labels) of the strongly connected components of the
+    directed graph on states 0 .. n-1 (n < 2**31) with edges
+    src[k] -> dst[k]; self-loops and repeated edges are allowed.
+
+    Trim: a state with no edge from, or no edge to, another state still
+    in play lies on no cycle through others, so it is a component of
+    its own and leaves play; the trim repeats on the neighbours of
+    every state that leaves. Forward-backward: when no state can be
+    trimmed, the states a pivot reaches (forward, through states in
+    play) and, among those, the states that reach it (backward) are the
+    pivot's component, which then leaves play in turn. The pivot is the
+    state in play with the largest product of in- and out-degree: in an
+    Ulam model, whose trim leaves its giant component and little else,
+    one forward-backward pass usually ends the work. Every level of
+    either search gathers the edge lists of its frontier at once.
+
+    Components are numbered in the order of their lowest state, so
+    labels do not depend on the pivots, and np.argmax of the component
+    sizes (the component build_cross_section keeps) takes, of the
+    largest components, the one holding the lowest state.
+
+    The operator of a metric graph needs no such step: when the
+    graph's minimum degree is >= 2 and it is not a union of cycles, its
+    non-backtracking operator is irreducible if and only if the graph
+    is connected (Glover and Kempton, Linear Algebra Appl. 618, 2021),
+    so graph_entropy counts the graph's connected components instead.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    fwd, bwd = _lists(src, dst, n), _lists(dst, src, n)
+    out_n, in_n = fwd[1], bwd[1]
+    loops = np.bincount(src[src == dst], minlength=n)
+    out_deg, in_deg = out_n - loops, in_n - loops
+    score = out_deg * in_deg
+    labels = np.empty(n, dtype=np.int64)
+    live = np.ones(n, dtype=bool)
+    firsts = []     # lowest state of each component, in found order
+    left = n
+    gone = np.flatnonzero((out_deg == 0) | (in_deg == 0))
+    while left:
+        if gone.size:
+            labels[gone] = np.arange(len(firsts), len(firsts) + gone.size)
+            firsts += gone.tolist()
+        else:
+            cand = np.flatnonzero(live)
+            pivot = int(cand[np.argmax(score[cand])])
+            gone = np.flatnonzero(_reach(*bwd, pivot,
+                                         _reach(*fwd, pivot, live)))
+            labels[gone] = len(firsts)
+            firsts.append(int(gone[0]))
+        live[gone] = False
+        left -= gone.size
+        if left:
+            heads = _rows(*fwd, gone)
+            tails = _rows(*bwd, gone)
+            in_deg -= np.bincount(heads, minlength=n)
+            out_deg -= np.bincount(tails, minlength=n)
+            near = np.zeros(n, dtype=bool)
+            near[heads] = True
+            near[tails] = True
+            near &= live & ((in_deg == 0) | (out_deg == 0))
+            gone = np.flatnonzero(near)
+    rank = np.empty(len(firsts), dtype=np.int64)
+    rank[np.argsort(firsts)] = np.arange(len(firsts))
+    return len(firsts), rank[labels]
 
 
 def bisect_root(above, lo: float, hi: float, tol: float,

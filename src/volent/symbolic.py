@@ -40,9 +40,11 @@ concatenated. Every step is per sample, the samples are in cell order
 and each transition's samples lie in one slice, summed in sample order,
 so the model is bit-identical to one pass over all samples at once.
 
-scipy is imported inside the functions that build a sparse matrix
-(build_cross_section, _pressure_rho), so a process that only traces
-geodesics and sums along them never loads it.
+The model keeps the largest strongly connected component of the
+transition graph, found by volent.perron.strong_components with numpy
+alone. scipy is imported only by _pressure_rho, which builds the
+sparse matrix of the root solve, so a process that only builds models,
+traces geodesics or sums along them never loads it.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import numpy as np
 from .constants import DEFAULT_H_TOL, EPS_POWER
 from .errors import NotIrreducible, VertexHit, _int, _is_finite, _require
 from .hypgeom import CoxeterPolygon, HGeodesic, HPoint, WallTable
-from .perron import WarmPerron, bisect_root
+from .perron import WarmPerron, bisect_root, strong_components
 from .tracing import (BLOCK, LOST, NEAR_VERTEX, OK, batch_first_crossing,
                       launch, trace)
 
@@ -345,14 +347,9 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
     out_per_src = np.bincount(tr_src, weights=cnt, minlength=n_states)
     mass = cnt / out_per_src[tr_src]
 
-    # restrict to the largest strongly connected component
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    adj = sp.csr_matrix((np.ones_like(cnt), (tr_src, tr_dst)),
-                        shape=(n_states, n_states))
-    n_comp, labels = connected_components(adj, directed=True,
-                                          connection="strong")
+    # restrict to the largest strongly connected component, of equal
+    # ones the one holding the lowest state
+    n_comp, labels = strong_components(tr_src, tr_dst, n_states)
     sizes = np.bincount(labels, minlength=n_comp)
     big = int(np.argmax(sizes))
     keep_state = labels == big

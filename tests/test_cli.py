@@ -619,22 +619,33 @@ from volent import coxeter, measures, symbolic
 from volent.graphs import MetricGraph, graph_entropy
 from volent.hypgeom import HPoint, geodesic_through, regular_polygon
 
+def csgraph():
+    return sorted(m for m in sys.modules
+                  if m.startswith("scipy.sparse.csgraph"))
+
 poly = regular_polygon(5, 2, (2, 3, 2, 3, 4))
 g = geodesic_through(HPoint(0.01, 1.0), HPoint(0.3, 1.2))
 symbolic.cutting_sequence(g, (-1.0, 20.0), poly)
 measures.santalo_monte_carlo(poly, samples=20_000, seed=0)
 coxeter.ball_growth(poly, 1.0, 6.0)
+model = symbolic.build_cross_section(poly, (8, 8), 2, 0)
 before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 k4 = MetricGraph.from_undirected(
     4, [(a, b, 1.0) for a in range(4) for b in range(a + 1, 4)])
-print(json.dumps({"before": before, "h": graph_entropy(k4).value,
-                  "sparse": "scipy.sparse" in sys.modules}))
+h = graph_entropy(k4).value
+after_graph = csgraph()
+symbolic.solve_entropy(model)
+print(json.dumps({"before": before, "h": h,
+                  "sparse": "scipy.sparse" in sys.modules,
+                  "csgraph": [after_graph, csgraph()]}))
 """
 
 
 def test_scipy_loaded_only_by_sparse_work():
-    # the CLI, tracing, Santalo and ball growth load no scipy; the first
-    # graph solve does (K4 with unit lengths: h = ln 2)
+    # the CLI, tracing, Santalo, ball growth and an Ulam model build
+    # load no scipy; the first graph solve loads scipy.sparse (K4 with
+    # unit lengths: h = ln 2), and neither it nor the model's root solve
+    # loads scipy.sparse.csgraph
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     done = subprocess.run(
         [sys.executable, "-I", "-c",
@@ -644,3 +655,4 @@ def test_scipy_loaded_only_by_sparse_work():
     assert got["before"] == []
     assert abs(got["h"] - math.log(2.0)) <= 1e-9
     assert got["sparse"]
+    assert got["csgraph"] == [[], []]

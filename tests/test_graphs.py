@@ -1,14 +1,15 @@
 import json
 import math
 import time
+import typing
 
 import numpy as np
 import pytest
 
 from volent.cli import main
 from volent.errors import NotStronglyConnected, PowerIterationStalled
-from volent.graphs import (MetricGraph, _nonbacktracking, graph_entropy,
-                           scale_lengths)
+from volent.graphs import (MetricGraph, _n_components, _nonbacktracking,
+                           graph_entropy, scale_lengths)
 from volent.perron import perron_bracket
 
 
@@ -89,6 +90,70 @@ def test_disconnected_rejected():
         4, [(0, 1, 1.0)] * 3 + [(2, 3, 1.0)] * 3)
     with pytest.raises(NotStronglyConnected):
         graph_entropy(g)
+
+
+def test_disconnected_with_cycle_component_rejected():
+    # a triangle (degree 2) beside a theta graph (degree 3): not all of
+    # degree 2, so not degenerate, and two components
+    g = MetricGraph.from_undirected(
+        5, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)] + [(3, 4, 1.0)] * 3)
+    with pytest.raises(NotStronglyConnected, match="2 connected components"):
+        graph_entropy(g)
+
+
+def test_loops_solve():
+    # one vertex with two unit loops: its universal cover is the
+    # 4-regular tree, so h = ln 3
+    bouquet = MetricGraph.from_undirected(1, [(0, 0, 1.0), (0, 0, 1.0)])
+    assert abs(graph_entropy(bouquet).value - math.log(3.0)) <= 1e-9
+    # a theta graph with a loop on one vertex: rho(B(h)) = 1 at the root
+    g = MetricGraph.from_undirected(
+        2, [(0, 1, 1.0), (0, 1, 0.7), (0, 1, 1.3), (1, 1, 0.9)])
+    h = graph_entropy(g).value
+    B = _nonbacktracking(g).toarray()
+    B[B > 0] = np.exp(-h * B[B > 0])
+    assert abs(max(abs(np.linalg.eigvals(B))) - 1.0) <= 1e-8
+
+
+def test_connectivity_criterion_matches_csgraph():
+    # on seeded random multigraphs with loops and parallel edges, made
+    # of one or two random parts, that are not all of degree 2:
+    # connected if and only if the non-backtracking operator is
+    # strongly connected (irreducible)
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(3)
+    seen = {True: 0, False: 0}
+    while sum(seen.values()) < 400:
+        n, ends = 0, []
+        for _ in range(int(rng.integers(1, 3))):
+            k = int(rng.integers(1, 6))
+            ends += (n + rng.integers(0, k, (int(rng.integers(k, 2 * k + 3)),
+                                             2))).tolist()
+            n += k
+        try:
+            g = MetricGraph.from_undirected(n, [(a, b, 1.0) for a, b in ends])
+        except ValueError:
+            continue   # a terminal vertex
+        A = _nonbacktracking(g)
+        if np.diff(A.indptr).max() <= 1:
+            continue   # a union of circuits: degenerate, never checked
+        strong = connected_components(A, directed=True,
+                                      connection="strong")[0] == 1
+        adj = sp.csr_matrix((np.ones(g.n_edges), (g.src, g.dst)),
+                            shape=(n, n))
+        n_ref = connected_components(adj, directed=False)[0]
+        assert _n_components(g) == n_ref
+        assert (n_ref == 1) == strong
+        seen[strong] += 1
+    assert min(seen.values()) >= 100
+
+
+def test_nonbacktracking_hints_resolve():
+    # scipy is imported inside the function, so its annotations may not
+    # name it
+    assert typing.get_type_hints(_nonbacktracking) == {"g": MetricGraph}
 
 
 def test_terminal_vertex_rejected():

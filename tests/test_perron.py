@@ -6,7 +6,8 @@ import pytest
 import volent.perron
 from volent.errors import BracketFailed, PowerIterationStalled
 from volent.graphs import MetricGraph, _nonbacktracking
-from volent.perron import WarmPerron, bisect_root, perron_bracket
+from volent.perron import (WarmPerron, bisect_root, perron_bracket,
+                          strong_components)
 
 
 def k4_operator(L, h):
@@ -161,3 +162,69 @@ def test_bisect_root_refuses_bad_bracket(lo, hi):
     with pytest.raises(ValueError, match="lo < hi"):
         bisect_root(above, lo, hi, 1e-9, hi_cap=8.0)
     assert calls == []
+
+
+def _csgraph_components(src, dst, n):
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+    adj = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    return connected_components(adj, directed=True, connection="strong")
+
+
+def _random_digraph(rng):
+    """(src, dst, n): blocks of random edges joined by edges from lower
+    to higher blocks only, so that each block's components stay apart,
+    plus self-loops and states without edges."""
+    n = int(rng.integers(1, 120))
+    cuts = np.sort(rng.integers(0, n + 1, int(rng.integers(0, 6))))
+    block = np.searchsorted(cuts, np.arange(n), side="right")
+    m = int(rng.integers(0, 3 * n))
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    keep = block[src] <= block[dst]
+    src, dst = src[keep], dst[keep]
+    loops = rng.integers(0, n, int(rng.integers(0, 5)))
+    src, dst = np.concatenate([src, loops]), np.concatenate([dst, loops])
+    # states left out of every edge stay isolated
+    alone = rng.random(n) < 0.1
+    keep = ~alone[src] & ~alone[dst]
+    return src[keep], dst[keep], n
+
+
+def test_strong_components_match_csgraph():
+    # the partition and count of scipy's strong components, on seeded
+    # random digraphs with self-loops, repeated edges, empty rows,
+    # isolated states and several nontrivial components
+    rng = np.random.default_rng(11)
+    nontrivial = 0
+    for _ in range(300):
+        src, dst, n = _random_digraph(rng)
+        n_comp, labels = strong_components(src, dst, n)
+        n_ref, ref = _csgraph_components(src, dst, n)
+        assert n_comp == n_ref
+        assert len(set(zip(labels.tolist(), ref.tolist()))) == n_comp
+        sizes = np.bincount(labels, minlength=n_comp)
+        nontrivial += np.count_nonzero(sizes > 1) > 1
+        # numbered by lowest state: each label first appears in order
+        _, first = np.unique(labels, return_index=True)
+        assert np.all(np.diff(first) > 0) and labels.max(initial=-1) == \
+            n_comp - 1
+    assert nontrivial >= 30
+
+
+def test_strong_components_edge_cases():
+    assert strong_components([], [], 0)[0] == 0
+    n_comp, labels = strong_components([], [], 3)
+    assert n_comp == 3 and labels.tolist() == [0, 1, 2]
+    # a self-loop alone is a component of one state
+    n_comp, labels = strong_components([1, 0], [1, 2], 3)
+    assert n_comp == 3 and labels.tolist() == [0, 1, 2]
+
+
+def test_strong_components_tie_takes_lowest_state():
+    # two 2-cycles, {1, 4} and {2, 3}, fed by state 0: argmax of the
+    # sizes picks the component of state 1, whatever the pivot order
+    src, dst = [3, 2, 4, 1, 0, 0], [2, 3, 1, 4, 2, 4]
+    n_comp, labels = strong_components(src, dst, 5)
+    assert n_comp == 3
+    sizes = np.bincount(labels)
+    assert np.flatnonzero(labels == np.argmax(sizes)).tolist() == [1, 4]

@@ -457,6 +457,43 @@ def test_cross_section_bit_exact(args, grid, k, seed, digest, diagnostics):
     assert model.diagnostics == diagnostics
 
 
+@pytest.mark.parametrize("args,grid,k,seed", [
+    ((4, 3, (2,) * 4), (6, 8), 2, 3),           # m = 3
+    ((5, 2, (2, 3, 2, 3, 4)), (10, 12), 2, 0),   # mixed q
+    ((5, 2, (2,) * 5), (4, 4), 1, 5),            # the smallest grid
+    ((5, 4, (2, 3, 2, 3, 4)), (12, 20), 3, 1),
+])
+def test_cross_section_components_match_csgraph(monkeypatch, args, grid, k,
+                                                seed):
+    # the transition graph handed to strong_components, split by scipy:
+    # the same component count, and the kept states are its largest
+    # component
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    calls = []
+
+    def spy(src, dst, n):
+        calls.append((src.copy(), dst.copy(), n))
+        return real(src, dst, n)
+
+    real = symbolic.strong_components
+    monkeypatch.setattr(symbolic, "strong_components", spy)
+    model = build_cross_section(regular_polygon(*args), grid, k, seed)
+    (src, dst, n), = calls
+    adj = sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+    n_ref, labels = connected_components(adj, directed=True,
+                                         connection="strong")
+    sizes = np.bincount(labels)
+    assert np.count_nonzero(sizes == sizes.max()) == 1
+    assert model.diagnostics["n_components"] == n_ref
+    assert model.diagnostics["scc_states"] == sizes.max()
+    n_u, n_th = grid
+    state = (model.states[:, 0] * n_u + model.states[:, 1]) * n_th \
+        + model.states[:, 2]
+    assert np.array_equal(state, np.flatnonzero(labels == np.argmax(sizes)))
+
+
 @pytest.mark.parametrize("block", [7, 100, 3 * 4096])
 def test_cross_section_block_invariance(monkeypatch, block):
     # rays flagged by their own launch point, so the same samples are
