@@ -2,11 +2,13 @@
 
 Subcommands wire the geometry, pressure, growth, Santalo, graph, and
 orbit modules into seeded, reproducible experiments. `volent entropy`
-runs the pressure, growth and Santalo stages on a JSON config; `volent
-pressure`, `growth` and `santalo` each run one of them on the config
-their flags give. Each input is one `_INPUTS` row (config key, flag,
-default, check). Reports are JSON with a separate timings block: every
-field outside it is reproducible for a fixed config and version.
+runs the pressure, growth and Santalo stages on a JSON config, the last
+two in a forked child process while the parent runs the pressure stage
+(so it needs POSIX fork); `volent pressure`, `growth` and `santalo` each
+run one of them on the config their flags give. Each input is one
+`_INPUTS` row (config key, flag, default, check). Reports are JSON with
+a separate timings block: every field outside it is reproducible for a
+fixed config and version.
 
 Exit codes: 0 success, 1 numerical non-convergence, 2 input error.
 """
@@ -26,8 +28,9 @@ import numpy as np
 
 from . import __version__
 from .coxeter import ball_growth, enumerate_chambers, growth_slope
-from .errors import (BadThickness, Degenerate, NonHyperbolic, VolentError,
-                     _above, _int, _is_finite, _is_int, _require)
+from .errors import (BadThickness, Degenerate, NonHyperbolic,
+                     StageProcessLost, VolentError, _above, _int, _is_finite,
+                     _is_int, _require)
 from .graphs import MetricGraph, graph_entropy
 from .hypgeom import regular_polygon
 from .measures import (DEFAULT_SAMPLES, lower_bound_2d, santalo_monte_carlo,
@@ -51,7 +54,9 @@ _INPUT_ERRORS = (ValueError, KeyError, NonHyperbolic, BadThickness,
 # right-angled pentagon), so about 0.6 GB at 1e7 samples: the Santalo
 # Monte Carlo at 64 bytes (1e6 samples; a fresh process at 1e7 peaks at
 # 675 MB RSS) and the refined pressure grid's build_cross_section at
-# 60 bytes (1.15e6 samples on 160x160, K = 3).
+# 60 bytes (1.15e6 samples on 160x160, K = 3). `volent entropy` runs the
+# two at once, Santalo in a forked child, so a run at both caps holds up
+# to about 0.6 GB in each of the two processes, about 1.2 GB in all.
 _MAX_SAMPLES = 10_000_000
 
 # The most chambers `volent polygon --svg` draws, refused before drawing:
@@ -339,10 +344,47 @@ def cmd_entropy(args) -> int:
                             "max_bracket_width": curve.max_bracket_width}
         return ulam
 
-    ulam = stage("pressure", pressure)
-    growth = stage("growth", lambda: _growth_stage(poly, cfg))
-    santalo = stage("santalo",
-                    lambda: santalo_monte_carlo(poly, **cfg["santalo"]))
+    def growth_santalo(conn) -> None:
+        """The forked child: growth, then Santalo, sent back whole. An
+        exception that is not a VolentError is sent back to be raised."""
+        try:
+            reply = (stage("growth", lambda: _growth_stage(poly, cfg)),
+                     stage("santalo", lambda: santalo_monte_carlo(
+                         poly, **cfg["santalo"])),
+                     timings, failures)
+        except Exception as exc:
+            reply = exc
+        conn.send(reply)
+
+    # fork, not spawn: the child shares poly and cfg without a fresh
+    # import, and is forked before the pressure stage loads scipy
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    recv_end, send_end = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=growth_santalo, args=(send_end,))
+    child.start()
+    send_end.close()
+    try:
+        ulam = stage("pressure", pressure)
+        try:
+            reply = recv_end.recv()
+        except EOFError:
+            child.join()
+            raise StageProcessLost(
+                f"the growth and Santalo process exited with code "
+                f"{child.exitcode} before sending its results") from None
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        recv_end.close()
+    if isinstance(reply, Exception):
+        raise reply
+    growth, santalo, child_timings, child_failures = reply
+    timings.update(child_timings)
+    failures.extend(child_failures)
     results.update({key: asdict(doc) for key, doc in (
         ("growth", growth), ("santalo", santalo)) if doc is not None})
 

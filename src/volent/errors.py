@@ -90,3 +90,7 @@ class NotStronglyConnected(VolentError):
 
 class Degenerate(VolentError):
     """Input sits on a degenerate stratum (flagged, sometimes raised)."""
+
+
+class StageProcessLost(VolentError):
+    """A stage's forked process exited without sending its results."""

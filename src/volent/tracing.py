@@ -96,10 +96,11 @@ def _candidates(walls: WallTable, x, y, dx, dy):
     denom = np.where(bad, 1.0, denom)
     xs = (gr[:, None] ** 2 - rr[None, :] ** 2 + cx[None, :] ** 2
           - gcx[:, None] ** 2) / (2.0 * denom)
-    h2 = gr[:, None] ** 2 - (xs - gcx[:, None]) ** 2
+    xs_rel = xs - gcx[:, None]
+    h2 = gr[:, None] ** 2 - xs_rel ** 2
     ok = (~bad) & (h2 > 0.0)
     ys = np.sqrt(np.where(ok, h2, 1.0))
-    psis = np.arctan2(ys, xs - gcx[:, None])
+    psis = np.arctan2(ys, xs_rel)
     a = np.where(ok, np.log(np.tan(0.5 * psis)) - s0[:, None], np.nan)
 
     # vertical-ray candidates, only for the (rare) vertical rows
@@ -342,11 +343,14 @@ def launch(walls: WallTable, edge, u, theta):
     theta = np.asarray(theta, dtype=float)
     sw = walls.s_lo[edge] + u
     psi = 2.0 * np.arctan(np.exp(sw))
-    x = walls.cx[edge] + walls.r[edge] * np.cos(psi)
-    y = walls.r[edge] * np.sin(psi)
-    nx = walls.n_sign[edge] * np.cos(psi)
-    ny = walls.n_sign[edge] * np.sin(psi)
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    r, sign = walls.r[edge], walls.n_sign[edge]
+    x = walls.cx[edge] + r * cos_psi
+    y = r * sin_psi
+    nx = sign * cos_psi
+    ny = sign * sin_psi
     wx, wy = ny, -nx
-    dx = np.cos(theta) * wx + np.sin(theta) * nx
-    dy = np.cos(theta) * wy + np.sin(theta) * ny
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    dx = cos_t * wx + sin_t * nx
+    dy = cos_t * wy + sin_t * ny
     return x, y, dx, dy

@@ -1,9 +1,12 @@
 import json
 import math
+import multiprocessing
+import os
 import pathlib
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from volent import cli, coxeter
 from volent.cli import main, validate_config
 from volent.coxeter import enumerate_chambers
+from volent.errors import BracketFailed, WindowTooNarrow
 from volent.hypgeom import regular_polygon
 from volent.symbolic import MODEL_COUNTERS, build_cross_section
 
@@ -600,6 +604,87 @@ def test_report_render(tmp_path, capsys):
     assert "[ulam]" in out and "[santalo]" in out
 
 
+def _entropy_fast(tmp_path, capsys):
+    """`volent entropy` on FAST_CFG: its exit code, stderr and report (None
+    if it wrote none). No child process outlives the run."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST_CFG, output_dir=str(tmp_path))))
+    code, _, err = run(capsys, "entropy", "--config", str(p))
+    assert multiprocessing.active_children() == []
+    path = tmp_path / "report.json"
+    report = json.loads(path.read_text()) if path.exists() else None
+    return code, err, report
+
+
+def _raises(exc):
+    def stage(*args, **kwargs):
+        raise exc
+    return stage
+
+
+def test_entropy_child_stages_match_in_process(tmp_path, capsys):
+    # growth and Santalo run in a forked child; their report entries are
+    # what the same calls give in this process
+    code, _, report = _entropy_fast(tmp_path, capsys)
+    assert code == 0
+    cfg = validate_config(dict(FAST_CFG))
+    poly = regular_polygon(5, 2, (2,) * 5)
+    for key, doc in (("growth", cli._growth_stage(poly, cfg)),
+                     ("santalo", cli.santalo_monte_carlo(
+                         poly, **cfg["santalo"]))):
+        assert report["results"][key] == json.loads(json.dumps(asdict(doc)))
+    assert sorted(report["timings"]) == ["growth", "pressure", "santalo"]
+
+
+def test_entropy_child_volent_error_fails_its_stage(tmp_path, capsys,
+                                                    monkeypatch):
+    # a VolentError in the child fails its stage, listed after the
+    # pressure stage's; Santalo still runs
+    monkeypatch.setattr(cli, "_pressure_stage",
+                        _raises(BracketFailed("no root in bracket")))
+    monkeypatch.setattr(cli, "_growth_stage",
+                        _raises(WindowTooNarrow("too few rows")))
+    code, err, report = _entropy_fast(tmp_path, capsys)
+    assert code == 1 and "Traceback" not in err
+    assert report["failures"] == [["pressure", "no root in bracket"],
+                                  ["growth", "too few rows"]]
+    assert set(report["results"]) == {"bounds", "santalo"}
+
+
+@pytest.mark.parametrize("stage", ["_growth_stage", "santalo_monte_carlo"])
+def test_entropy_child_input_error_exits_2(tmp_path, capsys, monkeypatch,
+                                           stage):
+    # any other exception in the child is raised again in the parent
+    monkeypatch.setattr(cli, stage, _raises(ValueError("bad child input")))
+    code, err, report = _entropy_fast(tmp_path, capsys)
+    assert code == 2 and report is None
+    assert "error (input): bad child input" in err and "Traceback" not in err
+
+
+def test_entropy_child_exit_without_reply(tmp_path, capsys, monkeypatch):
+    # a child that dies without a reply is a numerical failure naming
+    # its exit code
+    monkeypatch.setattr(cli, "santalo_monte_carlo",
+                        lambda *a, **k: os._exit(3))
+    code, err, report = _entropy_fast(tmp_path, capsys)
+    assert code == 1 and report is None
+    assert "error (numerical)" in err and "code 3" in err
+    assert "Traceback" not in err
+
+
+def test_entropy_pressure_error_stops_child(tmp_path, capsys, monkeypatch):
+    # an input error in the pressure stage terminates the child, which
+    # would otherwise sleep for a minute
+    monkeypatch.setattr(cli, "_growth_stage", lambda *a: time.sleep(60))
+    monkeypatch.setattr(cli, "_pressure_stage",
+                        _raises(ValueError("bad pressure input")))
+    t0 = time.monotonic()
+    code, err, report = _entropy_fast(tmp_path, capsys)
+    assert code == 2 and report is None
+    assert "bad pressure input" in err
+    assert time.monotonic() - t0 < 30.0
+
+
 @pytest.mark.parametrize("doc", [[1, 2], {"results": [1]},
                                  {"results": {"ulam": 5}}])
 def test_report_refuses_other_json(tmp_path, capsys, doc):
@@ -656,3 +741,16 @@ def test_scipy_loaded_only_by_sparse_work():
     assert abs(got["h"] - math.log(2.0)) <= 1e-9
     assert got["sparse"]
     assert got["csgraph"] == [[], []]
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # `volent entropy` imports multiprocessing when it forks, so importing
+    # the CLI does not pay for it
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import volent.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] == 'multiprocessing'))")
+    done = subprocess.run([sys.executable, "-I", "-c", probe],
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.strip() == "[]"
