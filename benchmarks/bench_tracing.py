@@ -26,7 +26,8 @@ Times ten tasks:
   checkouts whose build loads scipy (before `change-numpy-scc`), and
   `bench_perron.py`'s scc task times the component step alone;
 - enumerate: `enumerate_chambers` on the default polygon with
-  radius_cut = 12.7, the `ChamberSet` that `svg` draws; its digest
+  radius_cut = 12.7, the cut that acceptance criteria 1 and 2
+  enumerate (criterion 2 on this polygon); its digest
   covers the radii, depths and log weights, the fields that every
   checkout's `ChamberSet` has (before the runs `parent-c2b39f6` and
   `change-orbit-tree` it also covered the group matrices, orientations

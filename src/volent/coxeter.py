@@ -167,6 +167,11 @@ class _BallSums:
     sums[j] is the weight, scaled by exp(-shift), of the chambers whose
     radius lies in (grid[j-1], grid[j]]; shift is the largest log weight
     folded in so far, so no term overflows.
+
+    Every batch must be nonempty with every radius at most grid[-1], as
+    in ball_growth, which walks only to the window top; a radius beyond
+    it makes bincount one row too long and add raises. Radii below
+    grid[0] count in row 0.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -176,15 +181,11 @@ class _BallSums:
 
     def add(self, radii: np.ndarray, log_mult: np.ndarray) -> None:
         row = np.searchsorted(self.grid, radii)
-        inside = row < self.grid.shape[0]
-        if not inside.any():
-            return
-        row, lm = row[inside], log_mult[inside]
-        top = float(lm.max())
+        top = float(log_mult.max())
         if top > self.shift:
             self.sums *= math.exp(self.shift - top)
             self.shift = top
-        self.sums += np.bincount(row, weights=np.exp(lm - self.shift),
+        self.sums += np.bincount(row, weights=np.exp(log_mult - self.shift),
                                  minlength=self.sums.shape[0])
 
     def table(self) -> GrowthTable:

@@ -44,6 +44,11 @@ def _at_least(low: float) -> tuple:
     return lambda v: _is_finite(v) and v >= low, f"a finite number >= {low:g}"
 
 
+def _two(what: str) -> tuple:
+    return (lambda v: isinstance(v, (tuple, list)) and len(v) == 2,
+            f"a tuple or list of two {what}")
+
+
 class VolentError(Exception):
     """Base class for all package errors."""
 

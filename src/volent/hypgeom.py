@@ -63,7 +63,8 @@ class HGeodesic:
 
 def geodesic_through(a: HPoint, b: HPoint) -> HGeodesic:
     """The geodesic through two distinct points, based at a and oriented
-    from a toward b."""
+    from a toward b. ValueError, naming b, if b == a."""
+    _require("b", b, lambda v: v != a, "a point other than a")
     if abs(a.x - b.x) < EPS_GEOM * max(1.0, abs(a.x), abs(b.x)):
         return HGeodesic(a, (0.0, 1.0 if b.y > a.y else -1.0))
     c = (a.x**2 + a.y**2 - b.x**2 - b.y**2) / (2.0 * (a.x - b.x))
@@ -117,7 +118,8 @@ class WallTable:
 
         |z - cx| is numpy's complex abs: about twice as fast as
         np.hypot(x - cx, y), which the default growth stage would feel
-        (it tests about a million points), and at most 1 ulp from it.
+        (it tests 187,255 points while walking 119,911 chambers), and at
+        most 1 ulp from it.
         """
         z = np.asarray(z)[..., None]
         return self.n_sign * (np.abs(z - self.cx) - self.r)

@@ -36,11 +36,11 @@ chord length in one candidate pass per call, selected both ways.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VertexHit, _above, _at_least, _int, _require
+from .errors import VertexHit, _int, _require
 from .hypgeom import CoxeterPolygon
 from .tracing import BLOCK, _chords
 
@@ -302,22 +302,6 @@ def lower_bound_2d(poly: CoxeterPolygon) -> BoundReport:
         paper_literal_bound=1.0 + s / poly.area,
         derived_constant_bound=1.0 + s / (math.pi * poly.area),
     )
-
-
-def lower_bound_plugin(n: int, vol_P: float, faces, euclidean: bool = False) -> float:
-    """Literal bound arithmetic for user-supplied n-dimensional data.
-
-    n is an integer >= 1 and faces a list of (vol_F, q) pairs; returns
-    (n - 1 if hyperbolic else 0) + (1/vol_P) * sum ln(q) vol_F.
-    """
-    _require("n", n, *_int(1))
-    _require("vol_P", vol_P, *_above())
-    s = 0.0
-    for vol_F, q in faces:
-        _require("vol_F", vol_F, *_above())
-        _require("q", q, *_at_least(1.0))
-        s += math.log(q) * vol_F
-    return (0.0 if euclidean else float(n - 1)) + s / vol_P
 
 
 _EQUALITY_TOL = 0.05

@@ -103,16 +103,6 @@ def affine_deviation(family: OrbitFamily) -> tuple:
     return second, float(np.max(np.abs(second)))
 
 
-def monotone_from(family: OrbitFamily) -> int:
-    """Smallest k0 such that l(g_k) is strictly increasing for k >= k0."""
-    ls = family.length
-    k0 = int(family.k[0])
-    for i in range(ls.shape[0] - 1):
-        if ls[i + 1] <= ls[i]:
-            k0 = int(family.k[i + 1])
-    return k0
-
-
 def family_rows(family: OrbitFamily) -> list:
     """(k, length, length_formula, deviation from asymptote) rows."""
     dev = family.length - family.asymptote()

@@ -55,8 +55,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT_H_TOL, EPS_POWER
-from .errors import NotIrreducible, VertexHit, _int, _is_finite, _require
-from .hypgeom import CoxeterPolygon, HGeodesic, HPoint, WallTable
+from .errors import (NotIrreducible, VertexHit, _int, _is_finite, _require,
+                     _two)
+from .hypgeom import CoxeterPolygon, HGeodesic, WallTable
 from .perron import WarmPerron, bisect_root, strong_components
 from .tracing import (BLOCK, LOST, NEAR_VERTEX, OK, batch_first_crossing,
                       launch, trace)
@@ -119,8 +120,9 @@ def cutting_sequence(geodesic: HGeodesic, t_span: tuple,
     Edge labels refer to walls of the base polygon after folding by the
     reflection group. Backward crossings (t < 0) store the section
     coordinates seen by the reversed flow. ValueError, naming t_span,
-    unless t0 < t1 are finite numbers.
+    unless t_span is a tuple or list of two finite numbers t0 < t1.
     """
+    _require("t_span", t_span, *_two("finite numbers"))
     t0, t1 = t_span
     for end in (t0, t1):
         _require("t_span", end, _is_finite, "a finite number at each end")
@@ -135,19 +137,6 @@ def _tent_antiderivative(x: np.ndarray) -> np.ndarray:
     # integral of max(0, 1 - |s|) from -inf to x, elementwise
     x = np.clip(x, -1.0, 1.0)
     return np.where(x <= 0.0, 0.5 * (x + 1.0) ** 2, 1.0 - 0.5 * (1.0 - x) ** 2)
-
-
-def f_value(point: HPoint, angle: float, poly: CoxeterPolygon) -> float:
-    """Sum of ln q(H) * (1 - |t_H|) over walls crossed within unit time.
-
-    The vector is the unit tangent at the given point making the given
-    angle with the horizontal.
-    """
-    rows = _trace_span(poly.walls, point.x, point.y,
-                       math.cos(angle), math.sin(angle), -1.0, 1.0)
-    t = np.abs(rows["t"])
-    near = t < 1.0
-    return float(np.dot(rows["log_q"][near], 1.0 - t[near]))
 
 
 def birkhoff_f_integral(seq: CuttingSequence, a: float, b: float) -> float:
@@ -323,9 +312,11 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
     flag). The model is bit-identical for every slice size, and to one
     pass over all samples; the module docstring says why.
 
-    ValueError, naming it, unless N_u, N_theta >= 4, K >= 1 and seed >= 0
-    are integers (numpy ints count, bools do not).
+    ValueError, naming it, unless grid is a tuple or list of two integers
+    N_u, N_theta >= 4, and K >= 1 and seed >= 0 are integers (numpy ints
+    count, bools do not).
     """
+    _require("grid", grid, *_two("integers >= 4"))
     n_u, n_th = grid
     for name, n in (("grid N_u", n_u), ("grid N_theta", n_th)):
         _require(name, n, *_int(4))
@@ -476,8 +467,10 @@ def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
     discarded), so they reach the report. With refine=True a second
     model, on a grid REFINE times finer per side, is built and solved,
     and the difference enters the error bar as the dominant
-    discretization term.
+    discretization term. ValueError, naming bracket, unless it is a
+    tuple or list of two numbers.
     """
+    _require("bracket", bracket, *_two("numbers"))
     h, counters = _solve_root(model, bracket, tol)
     err = tol
     diagnostics = dict(counters, grid=[model.n_u, model.n_theta],

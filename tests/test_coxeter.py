@@ -195,12 +195,14 @@ def test_ball_sums_edges_and_rescale():
     # weight exceeds the running shift rescales the sums, and exp(710)
     # alone would overflow
     sums = coxeter._BallSums(np.array([1.0, 2.0, 3.0]))
-    sums.add(np.array([1.0, 2.5, 3.5]), np.array([700.0, 700.0, 0.0]))
+    sums.add(np.array([1.0, 2.5]), np.array([700.0, 700.0]))
     sums.add(np.array([2.0, 0.5]), np.array([710.0, 0.0]))
-    sums.add(np.array([4.0]), np.array([900.0]))
     want = [700.0, 710.0 + math.log1p(math.exp(-10.0)),
             710.0 + math.log1p(2.0 * math.exp(-10.0))]
     assert np.allclose(sums.table().log_weight, want, rtol=0, atol=1e-12)
+    # a radius beyond the grid is refused, not dropped
+    with pytest.raises(ValueError):
+        sums.add(np.array([3.5]), np.array([0.0]))
 
 
 def test_synthetic_exact_exponential(pentagon_q1):

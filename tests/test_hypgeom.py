@@ -76,6 +76,12 @@ def test_geodesic_through_endpoints_on_curve():
         assert dist(step, b) < dist(a, b)
 
 
+def test_geodesic_through_refuses_equal_points():
+    # b == a once gave a downward vertical geodesic, which the tracer ran
+    with pytest.raises(ValueError, match="b must"):
+        geodesic_through(HPoint(0.3, 1.0), HPoint(0.3, 1.0))
+
+
 def test_pentagon_closed_form_values(pentagon_q1):
     poly = pentagon_q1
     assert poly.area == pytest.approx(math.pi / 2, abs=1e-12)

@@ -7,8 +7,8 @@ from volent import measures
 from volent.hypgeom import HPoint, dist, regular_polygon
 from volent.measures import (_VERTEX_SHARE, FLUX_CONSTANT_2D, _Sectors,
                              _sample_in_polygon, lower_bound_2d,
-                             lower_bound_plugin, santalo_closed_form,
-                             santalo_monte_carlo, strictness_report)
+                             santalo_closed_form, santalo_monte_carlo,
+                             strictness_report)
 from volent.symbolic import EntropyEstimate
 
 
@@ -165,34 +165,6 @@ def test_lower_bounds_values(pentagon_q2):
     assert rep.derived_constant_bound == pytest.approx(
         1.0 + s / (math.pi * pentagon_q2.area), rel=1e-12)
     assert rep.derived_constant_bound < rep.paper_literal_bound
-
-
-def test_plugin_bound_examples():
-    # hyperbolic n = 2 with the pentagon data reproduces lower_bound_2d
-    poly = regular_polygon(5, 2, (2,) * 5)
-    faces = list(zip((poly.walls.s_hi - poly.walls.s_lo).tolist(), poly.q))
-    v = lower_bound_plugin(2, poly.area, faces)
-    assert v == pytest.approx(lower_bound_2d(poly).paper_literal_bound,
-                              rel=1e-12)
-    # euclidean unit segment with branching 4 at both endpoints
-    assert lower_bound_plugin(1, 1.0, [(1.0, 4), (1.0, 1)],
-                              euclidean=True) == pytest.approx(2 * math.log(2))
-    with pytest.raises(ValueError):
-        lower_bound_plugin(2, 0.0, faces)
-    with pytest.raises(ValueError):
-        lower_bound_plugin(2, 1.0, [(1.0, 0)])
-    # non-finite data gave nan (or 1.0 for vol_P = inf) instead of an error
-    for vol_P, bad in ((math.nan, faces), (math.inf, faces),
-                       (1.0, [(math.nan, 2)]), (1.0, [(math.inf, 2)]),
-                       (1.0, [(1.0, math.nan)]), (1.0, [(1.0, math.inf)]),
-                       (10 ** 400, faces), (1.0, [(10 ** 400, 2)])):
-        with pytest.raises(ValueError):
-            lower_bound_plugin(2, vol_P, bad)
-    # a dimension that is not an integer >= 1 gave -0.307, -3.307, 2.193
-    # and 0.693 instead of an error
-    for n in (0, -3, 2.5, True):
-        with pytest.raises(ValueError):
-            lower_bound_plugin(n, poly.area, faces)
 
 
 @pytest.mark.parametrize("block", [997, 3 * 4096])

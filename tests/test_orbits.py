@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volent.errors import Degenerate
-from volent.orbits import (affine_deviation, family_rows, geodesic_lengths,
-                           monotone_from)
+from volent.orbits import affine_deviation, family_rows, geodesic_lengths
 
 PIN_B = np.array([[1.0, 1.0], [1.0, 2.0]])
 
@@ -65,13 +64,6 @@ def test_rotation_conjugation_preserves_lengths(theta):
     g = A @ A @ PIN_B
     h = R @ g @ R.T
     assert np.trace(h @ h.T) == pytest.approx(np.trace(g @ g.T), rel=1e-12)
-
-
-def test_monotone_from():
-    fam = geodesic_lengths(2.0, PIN_B, 12)
-    k0 = monotone_from(fam)
-    i0 = k0 - int(fam.k[0])
-    assert np.all(np.diff(fam.length[i0:]) > 0)
 
 
 def test_family_rows_shape():

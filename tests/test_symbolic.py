@@ -13,7 +13,7 @@ from volent.errors import BracketFailed
 from volent.hypgeom import HPoint, geodesic_through, regular_polygon
 from volent.symbolic import (CROSSING, CuttingSequence,
                              birkhoff_f_integral, birkhoff_lq_integral,
-                             build_cross_section, cutting_sequence, f_value,
+                             build_cross_section, cutting_sequence,
                              pressure_curve, pressure_log_radius,
                              solve_entropy, thickness_log_product,
                              _solve_root)
@@ -53,26 +53,6 @@ def test_crossings_ordered_with_bounded_gaps(pentagon_q2):
     assert np.diff(ts).max() <= pentagon_q2.diameter + 1e-9
     n = len(ts)
     assert n >= 30.0 / pentagon_q2.diameter - 1
-
-
-def test_f_value_zero_for_thin_polygon(pentagon_q1):
-    assert f_value(HPoint(0.0, 1.0), 0.7, pentagon_q1) == 0.0
-
-
-def test_f_value_single_tent(pentagon_q2, table_q2):
-    # aim at the nearest wall; the first crossing is at t = inradius
-    # < 1 and contributes ln(2) * (1 - t); subtract the other tents
-    # explicitly using the traced crossing times
-    val = f_value(HPoint(0.0, 1.0), -math.pi / 3, pentagon_q2)
-    j_f, t_f, _, _, _ = trace(table_q2, 0.0, 1.0,
-                              math.cos(-math.pi / 3), math.sin(-math.pi / 3),
-                              1.0, max_steps=8)
-    j_b, t_b, _, _, _ = trace(table_q2, 0.0, 1.0,
-                              math.cos(2 * math.pi / 3),
-                              math.sin(2 * math.pi / 3), 1.0, max_steps=8)
-    expected = sum(math.log(2) * (1 - t) for t in t_f if t < 1)
-    expected += sum(math.log(2) * (1 - t) for t in t_b if t < 1)
-    assert val == pytest.approx(expected, abs=1e-12)
 
 
 def test_padded_sandwich_holds_everywhere(pentagon_q2):
@@ -266,8 +246,12 @@ def test_build_determinism(pentagon_q2):
 
 def test_cross_section_refuses_bad_counts(pentagon_q2):
     # K = 1.5 once ran, with 1.5^2 samples per cell, and K = True as K = 1
+    # grid = 5 raised TypeError and a grid of 1 or 3 sides an unpacking
+    # ValueError that named neither input
     for grid, K, name in (((8, 8), 1.5, "K"), ((8, 8), True, "K"),
-                          ((8.0, 8.0), 2, "grid"), ((8, 3), 2, "grid")):
+                          ((8.0, 8.0), 2, "grid"), ((8, 3), 2, "grid"),
+                          (5, 2, "grid"), ((8,), 2, "grid"),
+                          ((8, 8, 8), 2, "grid")):
         with pytest.raises(ValueError, match=name):
             build_cross_section(pentagon_q2, grid, K, seed=3)
     with pytest.raises(ValueError, match="seed"):
@@ -281,6 +265,11 @@ def test_cross_section_refuses_bad_counts(pentagon_q2):
         solve_entropy(b, tol=10 ** 400, refine=False)
     with pytest.raises(ValueError, match="lo < hi"):
         solve_entropy(b, bracket=(0.5, 10 ** 400), refine=False)
+    # a third bracket value was dropped, one value raised IndexError and
+    # a bare number TypeError
+    for bracket in ((0.5, 4.0, 99.0), (0.5,), 5):
+        with pytest.raises(ValueError, match="bracket"):
+            solve_entropy(b, bracket=bracket, refine=False)
     # h = NaN once ran 20,000 power steps into PowerIterationStalled, and
     # h = 10**400 raised OverflowError
     for h in (10 ** 400, math.nan, math.inf, True):
@@ -293,10 +282,12 @@ def test_cross_section_refuses_bad_counts(pentagon_q2):
 def test_span_refuses_bad_ends(pentagon_q2):
     # an infinite span once traced until killed, (0, 10**400) raised
     # OverflowError and (True, 5) ran as (1, 5); the cases that ran are
-    # first, so the unchecked code fails here instead of hanging
+    # first, so the unchecked code fails here instead of hanging; a bare
+    # number raised TypeError and one or three ends an unpacking error
     g = geodesic_through(HPoint(0.01, 1.0), HPoint(0.3, 1.2))
     for span in ((True, 5.0), (0.0, 10 ** 400), (math.nan, 1.0),
-                 (-math.inf, 1.0), (0.0, math.inf)):
+                 (-math.inf, 1.0), (0.0, math.inf), 5.0, (0.0,),
+                 (0.0, 1.0, 2.0)):
         with pytest.raises(ValueError, match="t_span"):
             cutting_sequence(g, span, pentagon_q2)
     for t_max in (0.0, True, -1.0, 10 ** 400, math.nan, math.inf):
