@@ -43,9 +43,11 @@ Times ten tasks:
   `output_dir`, and `curves.csv`;
 - graph: `MetricGraph.from_json` and `graph_entropy` at tol 1e-10, as
   `volent graph` runs them, on one seeded graph: a cycle on 2000
-  vertices plus 1000 random chords, lengths uniform in [0.5, 2]; the
-  time includes the scipy imports of the first graph solve, and the
-  digest covers `repr(h)`.
+  vertices plus 1000 random chords, lengths uniform in [0.5, 2];
+  scipy_loaded counts the scipy modules loaded after the solve (runs
+  before `parent-7c56815` lack it), the time includes the scipy
+  imports at checkouts whose graph solve loads scipy (up to
+  `parent-7c56815`), and the digest covers `repr(h)`.
 
 The batch and traces tasks read the polygon's wall record,
 `poly.walls`.
@@ -261,7 +263,9 @@ def worker(task: str) -> dict:
         digest.update(repr(est.value).encode())
         counters = {"h": est.value, "directed_edges": int(g.n_edges),
                     "bisection_iters": est.diagnostics["bisection_iters"],
-                    "power_iters": est.diagnostics["power_iters"]}
+                    "power_iters": est.diagnostics["power_iters"],
+                    "scipy_loaded": sum(m.partition(".")[0] == "scipy"
+                                        for m in sys.modules)}
     else:
         x, y, dx, dy = _rays(N_TRACES)
         t0 = time.perf_counter()

@@ -14,8 +14,8 @@ if and only if it is connected: for a graph of minimum degree >= 2
 that is not a union of circuits, the operator is irreducible exactly
 when the graph is connected (Glover and Kempton, Linear Algebra Appl.
 618, 2021), so its vertices' connected components are counted instead
-of the operator's strong components. scipy is imported by
-_nonbacktracking, on the first graph solved.
+of the operator's strong components. The operator (_NonBacktracking)
+is built and multiplied with numpy alone.
 """
 
 from __future__ import annotations
@@ -132,15 +132,33 @@ def _n_components(g: MetricGraph) -> int:
         label = new
 
 
+class _NonBacktracking:
+    """Non-backtracking edge operator: B[e, f] = data[f] for each pair
+    (e, f) = (rows[k], cols[k]), rows ascending. data holds one value
+    per edge, m in all, since an entry depends only on the entered edge
+    f.
+
+    B @ v adds each row's terms in stored order into 0.0, as a CSR
+    matrix product does, and each term is the same product
+    data[f] * v[f], so the two products agree bit for bit.
+    """
+
+    def __init__(self, rows, cols, data):
+        self.rows, self.cols, self.data = rows, cols, data
+        self.shape = (data.size, data.size)
+
+    def __matmul__(self, v):
+        return np.bincount(self.rows, (self.data * v).take(self.cols),
+                           self.shape[0])
+
+
 def _nonbacktracking(g: MetricGraph):
-    """Non-backtracking edge operator as a scipy CSR matrix, data =
-    length of the entered edge.
+    """Non-backtracking edge operator, data = length of the entered edge
+    (a copy, so the weights may be rewritten in place).
 
     Row e holds every edge f leaving dst[e] except rev[e], so its
     length is deg(dst[e]) - 1; columns come out sorted.
     """
-    import scipy.sparse as sp
-
     m = g.n_edges
     out = np.argsort(g.src, kind="stable")          # edges grouped by source
     deg = np.bincount(g.src, minlength=g.n_vertices)
@@ -150,9 +168,7 @@ def _nonbacktracking(g: MetricGraph):
     offset = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
     cols = out[np.repeat(first[g.dst], count) + offset]
     keep = cols != g.rev[rows]
-    indptr = np.concatenate([[0], np.cumsum(count - 1)])
-    return sp.csr_matrix((g.length[cols[keep]], cols[keep], indptr),
-                         shape=(m, m))
+    return _NonBacktracking(rows[keep], cols[keep], g.length.copy())
 
 
 def graph_entropy(g: MetricGraph, tol: float = 1e-10) -> EntropyEstimate:
@@ -163,8 +179,7 @@ def graph_entropy(g: MetricGraph, tol: float = 1e-10) -> EntropyEstimate:
     union of circuits: rho = 1 at h = 0, linear growth). Otherwise
     NotStronglyConnected, naming the count, unless g is connected.
     """
-    A = _nonbacktracking(g)
-    if np.diff(A.indptr).max() <= 1:
+    if np.bincount(g.src).max() <= 2:
         return EntropyEstimate(value=0.0, err=0.0, method="graph_spectral",
                                diagnostics={"degenerate": True,
                                             "rho_at_0": 1.0})
@@ -174,7 +189,8 @@ def graph_entropy(g: MetricGraph, tol: float = 1e-10) -> EntropyEstimate:
         raise NotStronglyConnected(
             f"graph has {n_comp} connected components, so its directed "
             "edge graph is not strongly connected")
-    rho = WarmPerron(A, 1.0, 0.0, rtol=1e-13, max_iter=200_000)
+    rho = WarmPerron(_nonbacktracking(g), 1.0, 0.0, rtol=1e-13,
+                     max_iter=200_000)
     # doubling from 1 stops at 2**19, the last upper end below the
     # runaway cap 1e6
     h, iters, _ = bisect_root(rho.above, 0.0, 1.0, tol, hi_cap=2.0 ** 19)

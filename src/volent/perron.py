@@ -48,8 +48,9 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
                    max_iter: int = 200_000) -> tuple:
     """Collatz-Wielandt bracket (lo, hi, v, steps) of rho(B).
 
-    B is a nonnegative square matrix, v an optional positive start
-    (e.g. the iterate returned for a nearby matrix). alpha is _SHIFT
+    B is a nonnegative square matrix: anything with .shape and a product
+    B @ v. v is an optional positive start (e.g. the iterate returned
+    for a nearby matrix), copied, not changed. alpha is _SHIFT
     times the first bracket's midpoint. Stops when hi - lo <= rtol * hi
     or, given a target, once the bracket excludes it; lo + hi > 2 *
     target is then the sign of rho - target. An all-zero B gives (0, 0). If
@@ -57,10 +58,11 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
     underflowed to zero) and hi > 0, PowerIterationStalled is raised at
     once instead of after max_iter steps, since a zero row keeps lo at 0.
     """
-    v = np.ones(B.shape[0]) if v is None else v
+    v = np.ones(B.shape[0]) if v is None else np.array(v, dtype=float)
+    ratio = np.empty_like(v)
     for step in range(1, max_iter + 1):
         w = B @ v
-        ratio = w / v
+        np.divide(w, v, out=ratio)
         lo, hi = float(ratio.min()), float(ratio.max())
         if step == 1:
             alpha = _SHIFT * 0.5 * (lo + hi)
@@ -71,7 +73,8 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
             raise PowerIterationStalled(
                 f"entries of B underflowed to zero (bracket [{lo:g}, "
                 f"{hi:g}]); the lower bound can never exceed 0")
-        v = w + alpha * v
+        v *= alpha
+        v += w
         v /= v.max()
     raise PowerIterationStalled(
         f"spectral radius iteration did not converge in {max_iter} steps")
@@ -79,11 +82,12 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
 
 class WarmPerron:
     """Brackets of rho(B(h)), B(h).data = weight * exp((shift - h) * length)
-    on the fixed pattern of B, with length the data B is built with. A
-    sign (given a target) is warm-started from the last iterate; a value
-    (no target) from the extrapolation of the last _HISTORY value-mode
-    iterates to h. steps counts kernel steps; width is the last
-    bracket's."""
+    on the fixed pattern of B, with length the data B is built with. B
+    may be anything with .shape, .data (a float array, rewritten in
+    place) and a product B @ v. A sign (given a target) is warm-started
+    from the last iterate; a value (no target) from the extrapolation of
+    the last _HISTORY value-mode iterates to h. steps counts kernel
+    steps; width is the last bracket's."""
 
     def __init__(self, B, weight, shift: float, rtol: float, max_iter: int):
         self.B, self.weight, self.length = B, weight, B.data.copy()
@@ -92,7 +96,10 @@ class WarmPerron:
         self.history = []   # (h, ln v) of the last value-mode brackets
 
     def bracket(self, h: float, target=None) -> tuple:
-        self.B.data = self.weight * np.exp((self.shift - h) * self.length)
+        data = self.B.data
+        np.multiply(self.length, self.shift - h, out=data)
+        np.exp(data, out=data)
+        data *= self.weight
         v = self.v if target is not None else self._extrapolate(h)
         lo, hi, self.v, n = perron_bracket(self.B, v, self.rtol, target,
                                            self.max_iter)

@@ -468,9 +468,13 @@ def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
     model, on a grid REFINE times finer per side, is built and solved,
     and the difference enters the error bar as the dominant
     discretization term. ValueError, naming bracket, unless it is a
-    tuple or list of two numbers.
+    tuple or list of two finite numbers (not bools). A lower end below
+    0, which the CLI's pressure.bracket accepts, is raised to 0: the
+    entropy is not negative.
     """
-    _require("bracket", bracket, *_two("numbers"))
+    _require("bracket", bracket, *_two("finite numbers"))
+    for end in bracket:
+        _require("bracket end", end, _is_finite, "a finite number")
     h, counters = _solve_root(model, bracket, tol)
     err = tol
     diagnostics = dict(counters, grid=[model.n_u, model.n_theta],

@@ -13,6 +13,14 @@ from volent.graphs import (MetricGraph, _n_components, _nonbacktracking,
 from volent.perron import perron_bracket
 
 
+def as_csr(A):
+    # the operator as a scipy CSR matrix: entry (e, f) = data[f] for each
+    # of its (e, f) pairs
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((A.data[A.cols], (A.rows, A.cols)), shape=A.shape)
+
+
 def theta_graph():
     # quotient of the 3-regular tree: 2 vertices, 3 parallel unit edges
     return MetricGraph.from_undirected(
@@ -110,7 +118,7 @@ def test_loops_solve():
     g = MetricGraph.from_undirected(
         2, [(0, 1, 1.0), (0, 1, 0.7), (0, 1, 1.3), (1, 1, 0.9)])
     h = graph_entropy(g).value
-    B = _nonbacktracking(g).toarray()
+    B = as_csr(_nonbacktracking(g)).toarray()
     B[B > 0] = np.exp(-h * B[B > 0])
     assert abs(max(abs(np.linalg.eigvals(B))) - 1.0) <= 1e-8
 
@@ -136,7 +144,7 @@ def test_connectivity_criterion_matches_csgraph():
             g = MetricGraph.from_undirected(n, [(a, b, 1.0) for a, b in ends])
         except ValueError:
             continue   # a terminal vertex
-        A = _nonbacktracking(g)
+        A = as_csr(_nonbacktracking(g))
         if np.diff(A.indptr).max() <= 1:
             continue   # a union of circuits: degenerate, never checked
         strong = connected_components(A, directed=True,
@@ -150,9 +158,35 @@ def test_connectivity_criterion_matches_csgraph():
     assert min(seen.values()) >= 100
 
 
+def test_nonbacktracking_product_matches_csr():
+    # the bincount product adds each row's terms in stored order into
+    # 0.0, as scipy's CSR product does: equal bit for bit on seeded
+    # random multigraphs with loops and parallel edges, at the lengths
+    # and at rewritten weights
+    rng = np.random.default_rng(11)
+    done = 0
+    while done < 60:
+        n, k = int(rng.integers(1, 12)), int(rng.integers(2, 30))
+        ends = rng.integers(0, n, (k, 2)).tolist()
+        lengths = rng.uniform(0.1, 3.0, k).tolist()
+        try:
+            g = MetricGraph.from_undirected(
+                n, [(a, b, ln) for (a, b), ln in zip(ends, lengths)])
+        except ValueError:
+            continue   # a terminal vertex
+        A = _nonbacktracking(g)
+        assert A.shape == (g.n_edges, g.n_edges)
+        assert A.data.shape == (g.n_edges,)
+        for _ in range(2):
+            v = rng.uniform(0.0, 2.0, g.n_edges)
+            assert np.array_equal(A @ v, as_csr(A) @ v)
+            A.data = np.exp(-rng.uniform(0.0, 3.0) * A.data)
+        done += 1
+
+
 def test_nonbacktracking_hints_resolve():
-    # scipy is imported inside the function, so its annotations may not
-    # name it
+    # the annotations are strings (postponed evaluation) that must
+    # resolve to the module's own names
     assert typing.get_type_hints(_nonbacktracking) == {"g": MetricGraph}
 
 
@@ -244,7 +278,7 @@ def test_underflowed_operator_fails_fast(tmp_path, capsys):
 ])
 def test_nonbacktracking_matches_definition(g):
     # the vectorized pattern against the loop over edge pairs
-    A = _nonbacktracking(g).toarray()
+    A = as_csr(_nonbacktracking(g)).toarray()
     for e in range(g.n_edges):
         for f in range(g.n_edges):
             linked = g.src[f] == g.dst[e] and f != g.rev[e]

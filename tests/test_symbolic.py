@@ -263,13 +263,20 @@ def test_cross_section_refuses_bad_counts(pentagon_q2):
     # the root solve refuses a tol or bracket end beyond the float range
     with pytest.raises(ValueError, match="tol"):
         solve_entropy(b, tol=10 ** 400, refine=False)
-    with pytest.raises(ValueError, match="lo < hi"):
+    with pytest.raises(ValueError, match="bracket"):
         solve_entropy(b, bracket=(0.5, 10 ** 400), refine=False)
-    # a third bracket value was dropped, one value raised IndexError and
-    # a bare number TypeError
-    for bracket in ((0.5, 4.0, 99.0), (0.5,), 5):
+    # a third bracket value was dropped, one value raised IndexError, a
+    # bare number or a lower end that is not a number TypeError, an
+    # upper end that is not a number and a bool, NaN or infinite end a
+    # ValueError naming lo and hi, and a lower end of -inf ran as 0
+    for bracket in ((0.5, 4.0, 99.0), (0.5,), 5, ("a", 4.0), (0.5, "4"),
+                    (True, 4.0), (0.5, math.inf), (math.nan, 4.0),
+                    (-math.inf, 4.0)):
         with pytest.raises(ValueError, match="bracket"):
             solve_entropy(b, bracket=bracket, refine=False)
+    # a finite lower end below 0 is raised to 0
+    assert (solve_entropy(b, bracket=(-1.0, 4.0), refine=False).value
+            == solve_entropy(b, bracket=(0.0, 4.0), refine=False).value)
     # h = NaN once ran 20,000 power steps into PowerIterationStalled, and
     # h = 10**400 raised OverflowError
     for h in (10 ** 400, math.nan, math.inf, True):
