@@ -2,10 +2,12 @@
 
 Subcommands wire the geometry, pressure, growth, Santalo, graph, and
 orbit modules into seeded, reproducible experiments. `volent entropy`
-runs the pressure, growth and Santalo stages on a JSON config, the last
-two in a forked child process while the parent runs the pressure stage
-(so it needs POSIX fork); `volent pressure`, `growth` and `santalo` each
-run one of them on the config their flags give. Each input is one
+runs the pressure, growth and Santalo stages on a JSON config in two
+processes (so it needs POSIX fork): a forked child runs growth and the
+pressure stage's refined root, while the parent runs the coarse root
+and its curve, then Santalo, and then folds the refined root in.
+`volent pressure`, `growth` and `santalo` each run one stage whole on
+the config their flags give. Each input is one
 `_INPUTS` row (config key, flag, default, check). Reports are JSON with
 a separate timings block: every field outside it is reproducible for a
 fixed config and version.
@@ -38,7 +40,8 @@ from .measures import (DEFAULT_SAMPLES, lower_bound_2d, santalo_monte_carlo,
 from .orbits import affine_deviation, family_rows, geodesic_lengths
 from .svg import orbit_svg, tessellation_svg
 from .symbolic import (REFINE, EntropyEstimate, build_cross_section,
-                       pressure_curve, solve_entropy)
+                       pressure_curve, refined_root, solve_entropy,
+                       with_refinement)
 
 # Every other VolentError is numerical and maps to exit 1.
 # OSError: an input or output path that is missing, a directory, a file
@@ -55,8 +58,9 @@ _INPUT_ERRORS = (ValueError, KeyError, NonHyperbolic, BadThickness,
 # Monte Carlo at 64 bytes (1e6 samples; a fresh process at 1e7 peaks at
 # 675 MB RSS) and the refined pressure grid's build_cross_section at
 # 60 bytes (1.15e6 samples on 160x160, K = 3). `volent entropy` runs the
-# two at once, Santalo in a forked child, so a run at both caps holds up
-# to about 0.6 GB in each of the two processes, about 1.2 GB in all.
+# two at once, the refined grid in a forked child and Santalo in the
+# parent, so a run at both caps holds up to about 0.6 GB in each of the
+# two processes, about 1.2 GB in all.
 _MAX_SAMPLES = 10_000_000
 
 # The most chambers `volent polygon --svg` draws, refused before drawing:
@@ -218,11 +222,20 @@ def _pressure_stage(poly, cfg: dict, refine: bool = True) -> tuple:
                                 tol=pc["tol"], refine=refine)
 
 
-def _write_curve(path: str, model, h: float):
-    """The pressure curve at 21 points of [h - 0.5, h + 0.5], as CSV."""
-    curve = pressure_curve(model, np.linspace(h - 0.5, h + 0.5, 21))
+def _refined_root(poly, cfg: dict) -> float:
+    """The entropy root on the config's grid refined REFINE times."""
+    pc = cfg["pressure"]
+    return refined_root(poly, (pc["n_u"], pc["n_theta"]), pc["k"],
+                        cfg["seed"], tuple(pc["bracket"]), pc["tol"])
+
+
+def _curve(model, h: float):
+    """The pressure curve at 21 points of [h - 0.5, h + 0.5]."""
+    return pressure_curve(model, np.linspace(h - 0.5, h + 0.5, 21))
+
+
+def _write_curve(path: str, curve) -> None:
     _write_csv(path, ["h", "pressure_log_radius"], curve)
-    return curve
 
 
 def _growth_stage(poly, cfg: dict) -> EntropyEstimate:
@@ -269,7 +282,7 @@ def cmd_pressure(args) -> int:
     model, est = _pressure_stage(_polygon(cfg), cfg, not args.no_refine)
     print(f"h = {est.value:.6f} +/- {est.err:.6f}  ({est.method})")
     if args.curve:
-        _write_curve(args.curve, model, est.value)
+        _write_curve(args.curve, _curve(model, est.value))
         print(f"wrote {args.curve}")
     return 0
 
@@ -313,6 +326,10 @@ def cmd_orbits(args) -> int:
     return 0
 
 
+# The stages of `volent entropy`, in the order its failures are listed.
+_FAILURE_ORDER = ("pressure", "growth", "santalo")
+
+
 def cmd_entropy(args) -> int:
     if args.config:
         with open(args.config) as fh:
@@ -332,47 +349,72 @@ def cmd_entropy(args) -> int:
         except VolentError as exc:
             failures.append((name, str(exc)))
         finally:
-            timings[name] = time.perf_counter() - t0
+            timings[name] = (timings.get(name, 0.0)
+                             + time.perf_counter() - t0)
 
-    def pressure():
-        model, ulam = _pressure_stage(poly, cfg)
+    def coarse():
+        """The config's root and its curve. A VolentError from the curve
+        is held: a failed refined root fails the stage first."""
+        model, ulam = _pressure_stage(poly, cfg, refine=False)
+        try:
+            return ulam, _curve(model, ulam.value)
+        except VolentError as exc:
+            return ulam, exc
+
+    def pressure(ulam, curve, h_refined):
+        """The coarse root's end: the refined root folded in, then the
+        curve written."""
+        if isinstance(h_refined, VolentError):
+            raise h_refined
+        ulam = with_refinement(ulam, h_refined)
         results["ulam"] = asdict(ulam)
-        curve = _write_curve(os.path.join(out, "curves.csv"), model,
-                             ulam.value)
+        if isinstance(curve, VolentError):
+            raise curve
+        _write_curve(os.path.join(out, "curves.csv"), curve)
         results["curve"] = {"points": len(curve),
                             "power_iters": curve.power_iters,
                             "max_bracket_width": curve.max_bracket_width}
         return ulam
 
-    def growth_santalo(conn) -> None:
-        """The forked child: growth, then Santalo, sent back whole. An
-        exception that is not a VolentError is sent back to be raised."""
+    def refined():
+        """The refined root, or the VolentError that fails the pressure
+        stage."""
+        try:
+            return _refined_root(poly, cfg)
+        except VolentError as exc:
+            return exc
+
+    def growth_refined(conn) -> None:
+        """The forked child: growth, then the refined root, sent back
+        whole. An exception that is not a VolentError is sent back to be
+        raised."""
         try:
             reply = (stage("growth", lambda: _growth_stage(poly, cfg)),
-                     stage("santalo", lambda: santalo_monte_carlo(
-                         poly, **cfg["santalo"])),
-                     timings, failures)
+                     stage("pressure_refined", refined), timings, failures)
         except Exception as exc:
             reply = exc
         conn.send(reply)
 
     # fork, not spawn: the child shares poly and cfg without a fresh
-    # import, and is forked before the pressure stage loads scipy
+    # import. It is forked before the parent's pressure stage, so in a
+    # fresh run each process imports scipy.sparse for its own root solve.
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
     recv_end, send_end = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=growth_santalo, args=(send_end,))
+    child = ctx.Process(target=growth_refined, args=(send_end,))
     child.start()
     send_end.close()
     try:
-        ulam = stage("pressure", pressure)
+        coarse_root = stage("pressure", coarse)
+        santalo = stage("santalo", lambda: santalo_monte_carlo(
+            poly, **cfg["santalo"]))
         try:
             reply = recv_end.recv()
         except EOFError:
             child.join()
             raise StageProcessLost(
-                f"the growth and Santalo process exited with code "
+                f"the growth and refined pressure process exited with code "
                 f"{child.exitcode} before sending its results") from None
     except BaseException:
         child.terminate()
@@ -382,9 +424,13 @@ def cmd_entropy(args) -> int:
         recv_end.close()
     if isinstance(reply, Exception):
         raise reply
-    growth, santalo, child_timings, child_failures = reply
+    growth, h_refined, child_timings, child_failures = reply
     timings.update(child_timings)
     failures.extend(child_failures)
+    ulam = None
+    if coarse_root is not None:
+        ulam = stage("pressure", lambda: pressure(*coarse_root, h_refined))
+    failures.sort(key=lambda failure: _FAILURE_ORDER.index(failure[0]))
     results.update({key: asdict(doc) for key, doc in (
         ("growth", growth), ("santalo", santalo)) if doc is not None})
 

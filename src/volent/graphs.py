@@ -53,38 +53,30 @@ class MetricGraph:
 
         Raises ValueError unless the vertex count and indices are
         integers (not bools), indices lie in range, lengths are finite
-        positive numbers and no vertex is terminal.
+        positive numbers and no vertex is terminal. Triples of plain
+        ints and floats are checked with numpy; any other input, and any
+        that fails a check there, goes through the per-edge loop, which
+        raises at the first bad edge.
         """
         edges = list(edges)
         _require("vertex count", n_vertices, *_int(1))
         if n_vertices > len(edges):
             # degrees sum to 2 * len(edges), so some degree is below 2
             raise ValueError("terminal vertex (undirected degree < 2)")
-        src, dst, length, rev = [], [], [], []
-        for (a, b, ln) in edges:
-            if not (_is_int(a) and _is_int(b)
-                    and 0 <= a < n_vertices and 0 <= b < n_vertices):
-                raise ValueError(f"vertex index is not an integer in [0, "
-                                 f"{n_vertices}) in edge {(a, b)!r}")
-            if not (_is_finite(ln) and ln > 0):
-                raise ValueError(f"edge length {ln!r} is not a finite "
-                                 "positive number")
-            ln = float(ln)
-            k = len(src)
-            src += [a, b]
-            dst += [b, a]
-            length += [ln, ln]
-            rev += [k + 1, k]
-        g = MetricGraph(
-            n_vertices=n_vertices,
-            src=np.asarray(src, dtype=np.int64),
-            dst=np.asarray(dst, dtype=np.int64),
-            length=np.asarray(length, dtype=float),
-            rev=np.asarray(rev, dtype=np.int64),
-        )
-        deg = np.bincount(np.concatenate([g.src, g.dst]),
-                          minlength=n_vertices) // 2
-        if deg.min() < 2:
+        ends = _plain_edges(n_vertices, edges)
+        if ends is None:
+            ends = _checked_edges(n_vertices, edges)
+        a, b, ln = ends
+        m = 2 * len(edges)
+        src = np.empty(m, dtype=np.int64)
+        dst = np.empty(m, dtype=np.int64)
+        src[0::2] = dst[1::2] = a
+        src[1::2] = dst[0::2] = b
+        g = MetricGraph(n_vertices=n_vertices, src=src, dst=dst,
+                        length=np.repeat(ln, 2),
+                        rev=np.arange(m, dtype=np.int64) ^ 1)
+        # dst is a permutation of src, so src alone counts each end once
+        if np.bincount(src, minlength=n_vertices).min() < 2:
             raise ValueError("terminal vertex (undirected degree < 2)")
         return g
 
@@ -102,6 +94,46 @@ class MetricGraph:
     @property
     def n_edges(self) -> int:
         return self.src.shape[0]
+
+
+def _plain_edges(n: int, edges: list):
+    """(a, b, length) arrays of triples of plain ints and floats that pass
+    every check of _checked_edges, or None."""
+    try:
+        if set(map(len, edges)) != {3}:
+            return None
+    except TypeError:       # an edge without a length
+        return None
+    a, b, ln = zip(*edges)
+    if not (set(map(type, a + b)) == {int}
+            and set(map(type, ln)) <= {int, float}):
+        return None
+    try:
+        a = np.array(a, dtype=np.int64)
+        b = np.array(b, dtype=np.int64)
+        ln = np.array(ln, dtype=float)
+    except OverflowError:   # beyond int64 or the float range
+        return None
+    ok = ((a >= 0) & (a < n) & (b >= 0) & (b < n)
+          & np.isfinite(ln) & (ln > 0)).all()
+    return (a, b, ln) if ok else None
+
+
+def _checked_edges(n: int, edges: list) -> tuple:
+    """(a, b, length) arrays of the triples, each checked in turn."""
+    a, b, ln = [], [], []
+    for (u, v, length) in edges:
+        if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex index is not an integer in [0, "
+                             f"{n}) in edge {(u, v)!r}")
+        if not (_is_finite(length) and length > 0):
+            raise ValueError(f"edge length {length!r} is not a finite "
+                             "positive number")
+        a.append(u)
+        b.append(v)
+        ln.append(float(length))
+    return (np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64),
+            np.asarray(ln, dtype=float))
 
 
 def scale_lengths(g: MetricGraph, alpha: float) -> MetricGraph:

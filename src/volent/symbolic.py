@@ -294,6 +294,12 @@ def _transitions(cell, length, ok, per_cell: int, n_states: int,
             np.concatenate(totals))
 
 
+def _check_grid(grid) -> None:
+    _require("grid", grid, *_two("integers >= 4"))
+    for name, n in zip(("grid N_u", "grid N_theta"), grid):
+        _require(name, n, *_int(4))
+
+
 def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
                         seed: int) -> UlamModel:
     """Discretize the wall-crossing return map on an (N_u, N_theta) grid.
@@ -316,10 +322,8 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
     N_u, N_theta >= 4, and K >= 1 and seed >= 0 are integers (numpy ints
     count, bools do not).
     """
-    _require("grid", grid, *_two("integers >= 4"))
+    _check_grid(grid)
     n_u, n_th = grid
-    for name, n in (("grid N_u", n_u), ("grid N_theta", n_th)):
-        _require(name, n, *_int(4))
     _require("K", K, *_int(1))
     _require("seed", seed, *_int(0))
     n_states = poly.p * n_u * n_th
@@ -455,6 +459,12 @@ MODEL_COUNTERS = ("scc_states", "grid_states", "discarded_samples",
                   "total_samples")
 
 
+def _check_bracket(bracket) -> None:
+    _require("bracket", bracket, *_two("finite numbers"))
+    for end in bracket:
+        _require("bracket end", end, _is_finite, "a finite number")
+
+
 def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
                   tol: float = DEFAULT_H_TOL,
                   refine: bool = True) -> EntropyEstimate:
@@ -464,29 +474,51 @@ def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
     bracket_widened, power_iters (kernel steps) and bracket_width (the
     last Collatz-Wielandt bracket). They also carry the model's own
     counters (MODEL_COUNTERS: states kept and sampled, samples drawn and
-    discarded), so they reach the report. With refine=True a second
-    model, on a grid REFINE times finer per side, is built and solved,
-    and the difference enters the error bar as the dominant
-    discretization term. ValueError, naming bracket, unless it is a
-    tuple or list of two finite numbers (not bools). A lower end below
-    0, which the CLI's pressure.bracket accepts, is raised to 0: the
-    entropy is not negative.
+    discarded), so they reach the report. With refine=True the root on
+    a grid REFINE times finer per side (refined_root) enters the error
+    bar as the dominant discretization term (with_refinement); the two
+    can also run apart, as `volent entropy` runs them in two processes.
+    ValueError, naming bracket, unless it is a tuple or list of two
+    finite numbers (not bools). A lower end below 0, which the CLI's
+    pressure.bracket accepts, is raised to 0: the entropy is not
+    negative.
     """
-    _require("bracket", bracket, *_two("finite numbers"))
-    for end in bracket:
-        _require("bracket end", end, _is_finite, "a finite number")
+    _check_bracket(bracket)
     h, counters = _solve_root(model, bracket, tol)
-    err = tol
     diagnostics = dict(counters, grid=[model.n_u, model.n_theta],
                        k=model.k, seed=model.seed)
     diagnostics.update((key, model.diagnostics[key])
                        for key in MODEL_COUNTERS)
+    est = EntropyEstimate(value=h, err=tol, method="ulam_pressure",
+                          diagnostics=diagnostics)
     if refine:
-        fine = build_cross_section(model.poly, (REFINE * model.n_u,
-                                                REFINE * model.n_theta),
-                                   model.k, model.seed)
-        h_fine, _ = _solve_root(fine, bracket, tol)
-        err = tol + abs(h_fine - h)
-        diagnostics["h_refined"] = h_fine
-    return EntropyEstimate(value=h, err=err, method="ulam_pressure",
-                           diagnostics=diagnostics)
+        est = with_refinement(est, refined_root(
+            model.poly, (model.n_u, model.n_theta), model.k, model.seed,
+            bracket, tol))
+    return est
+
+
+def refined_root(poly: CoxeterPolygon, grid: tuple, K: int, seed: int,
+                 bracket: tuple = (0.5, 4.0),
+                 tol: float = DEFAULT_H_TOL) -> float:
+    """The pressure root of the model build_cross_section(poly, grid, K,
+    seed) would give on a grid REFINE times finer per side.
+
+    Input checks and errors are those of build_cross_section and
+    solve_entropy.
+    """
+    _check_bracket(bracket)
+    _check_grid(grid)
+    fine = build_cross_section(poly, (REFINE * grid[0], REFINE * grid[1]),
+                               K, seed)
+    return _solve_root(fine, bracket, tol)[0]
+
+
+def with_refinement(est: EntropyEstimate,
+                    h_refined: float) -> EntropyEstimate:
+    """An unrefined solve_entropy estimate with the refined root folded
+    in: err = tol + |h_refined - h| and diagnostics["h_refined"]."""
+    return EntropyEstimate(
+        value=est.value, err=est.err + abs(h_refined - est.value),
+        method=est.method, diagnostics=dict(est.diagnostics,
+                                            h_refined=h_refined))

@@ -17,7 +17,7 @@ from volent.cli import main, validate_config
 from volent.coxeter import enumerate_chambers
 from volent.errors import BracketFailed, WindowTooNarrow
 from volent.hypgeom import regular_polygon
-from volent.symbolic import MODEL_COUNTERS, build_cross_section
+from volent.symbolic import MODEL_COUNTERS, build_cross_section, solve_entropy
 
 
 def run(capsys, *argv):
@@ -189,7 +189,7 @@ def test_santalo_samples_too_large(capsys):
 # The functions through which the CLI subcommands reach geometry,
 # sampling, tracing and enumeration.
 _STAGES = ("regular_polygon", "santalo_monte_carlo", "build_cross_section",
-           "enumerate_chambers", "ball_growth")
+           "refined_root", "enumerate_chambers", "ball_growth")
 
 
 def _no_stage(*args, **kwargs):
@@ -623,17 +623,24 @@ def _raises(exc):
 
 
 def test_entropy_child_stages_match_in_process(tmp_path, capsys):
-    # growth and Santalo run in a forked child; their report entries are
-    # what the same calls give in this process
+    # growth and the refined pressure root run in a forked child, the
+    # coarse root and Santalo in this one; their report entries are what
+    # the same calls give in this process
     code, _, report = _entropy_fast(tmp_path, capsys)
     assert code == 0
     cfg = validate_config(dict(FAST_CFG))
     poly = regular_polygon(5, 2, (2,) * 5)
+    pc = cfg["pressure"]
+    ulam = solve_entropy(build_cross_section(
+        poly, (pc["n_u"], pc["n_theta"]), pc["k"], cfg["seed"]),
+        bracket=tuple(pc["bracket"]), tol=pc["tol"], refine=True)
     for key, doc in (("growth", cli._growth_stage(poly, cfg)),
                      ("santalo", cli.santalo_monte_carlo(
-                         poly, **cfg["santalo"]))):
+                         poly, **cfg["santalo"])),
+                     ("ulam", ulam)):
         assert report["results"][key] == json.loads(json.dumps(asdict(doc)))
-    assert sorted(report["timings"]) == ["growth", "pressure", "santalo"]
+    assert sorted(report["timings"]) == ["growth", "pressure",
+                                         "pressure_refined", "santalo"]
 
 
 def test_entropy_child_volent_error_fails_its_stage(tmp_path, capsys,
@@ -651,10 +658,12 @@ def test_entropy_child_volent_error_fails_its_stage(tmp_path, capsys,
     assert set(report["results"]) == {"bounds", "santalo"}
 
 
-@pytest.mark.parametrize("stage", ["_growth_stage", "santalo_monte_carlo"])
+@pytest.mark.parametrize("stage", ["_growth_stage", "_refined_root",
+                                   "santalo_monte_carlo"])
 def test_entropy_child_input_error_exits_2(tmp_path, capsys, monkeypatch,
                                            stage):
-    # any other exception in the child is raised again in the parent
+    # an exception other than a VolentError, in the child (growth, the
+    # refined root) or in the parent (Santalo), exits 2 with no report
     monkeypatch.setattr(cli, stage, _raises(ValueError("bad child input")))
     code, err, report = _entropy_fast(tmp_path, capsys)
     assert code == 2 and report is None
@@ -662,14 +671,42 @@ def test_entropy_child_input_error_exits_2(tmp_path, capsys, monkeypatch,
 
 
 def test_entropy_child_exit_without_reply(tmp_path, capsys, monkeypatch):
-    # a child that dies without a reply is a numerical failure naming
-    # its exit code
-    monkeypatch.setattr(cli, "santalo_monte_carlo",
-                        lambda *a, **k: os._exit(3))
+    # a child that dies without a reply, in either of its stages, is a
+    # numerical failure naming its exit code
+    for stage in ("_growth_stage", "_refined_root"):
+        out = tmp_path / stage
+        out.mkdir()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, stage, lambda *a, **k: os._exit(3))
+            code, err, report = _entropy_fast(out, capsys)
+        assert code == 1 and report is None
+        assert "error (numerical)" in err and "code 3" in err
+        assert "Traceback" not in err
+        assert not (out / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("growth_fails", [False, True])
+def test_entropy_refined_root_error_fails_pressure(tmp_path, capsys,
+                                                   monkeypatch, growth_fails):
+    # a VolentError in the refined root, in the child, fails the pressure
+    # stage as it did in one process: no ulam or curve entry and no
+    # curves.csv; a growth failure is still listed after it
+    monkeypatch.setattr(cli, "_refined_root",
+                        _raises(BracketFailed("no root in refined bracket")))
+    if growth_fails:
+        monkeypatch.setattr(cli, "_growth_stage",
+                            _raises(WindowTooNarrow("too few rows")))
     code, err, report = _entropy_fast(tmp_path, capsys)
-    assert code == 1 and report is None
-    assert "error (numerical)" in err and "code 3" in err
-    assert "Traceback" not in err
+    assert code == 1 and "Traceback" not in err
+    expected = [["pressure", "no root in refined bracket"]]
+    if growth_fails:
+        expected.append(["growth", "too few rows"])
+    assert report["failures"] == expected
+    assert "ulam" not in report["results"]
+    assert "curve" not in report["results"]
+    assert ("growth" in report["results"]) != growth_fails
+    assert "santalo" in report["results"]
+    assert not (tmp_path / "curves.csv").exists()
 
 
 def test_entropy_pressure_error_stops_child(tmp_path, capsys, monkeypatch):

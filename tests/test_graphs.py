@@ -285,6 +285,48 @@ def test_nonbacktracking_matches_definition(g):
             assert A[e, f] == (g.length[f] if linked else 0.0)
 
 
+def _seeded_edges(seed: int, kind: str) -> tuple:
+    """A cycle with random chords and loops, its triples as `kind` asks:
+    plain ints and floats, ints and floats mixed among the lengths (big
+    ints too), or numpy integers and floats."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 200))
+    ends = [(i, (i + 1) % n) for i in range(n)]
+    ends += [tuple(rng.integers(0, n, 2).tolist()) for _ in range(n // 2)]
+    lengths = rng.uniform(0.5, 2.0, len(ends)).tolist()
+    if kind == "mixed":
+        lengths[::3] = rng.integers(1, 5, len(lengths[::3])).tolist()
+        lengths[1] = 2 ** 60 + 1
+    edges = [(a, b, ln) for (a, b), ln in zip(ends, lengths)]
+    if kind == "numpy":
+        edges = [(np.int32(a), np.int64(b), np.float64(ln))
+                 for a, b, ln in edges]
+    return n, edges
+
+
+@pytest.mark.parametrize("kind", ["int", "mixed", "numpy"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_from_undirected_matches_per_edge_definition(seed, kind):
+    # the numpy path for plain triples and the per-edge loop for others
+    # give the arrays of the definition in bits and dtype: edge 2k runs
+    # a -> b and edge 2k+1 back, each the other's reversal
+    n, edges = _seeded_edges(seed, kind)
+    src, dst, length, rev = [], [], [], []
+    for a, b, ln in edges:
+        k = len(src)
+        src += [a, b]
+        dst += [b, a]
+        length += [float(ln)] * 2
+        rev += [k + 1, k]
+    g = MetricGraph.from_undirected(n, edges)
+    for got, want in ((g.src, np.asarray(src, dtype=np.int64)),
+                      (g.dst, np.asarray(dst, dtype=np.int64)),
+                      (g.length, np.asarray(length, dtype=float)),
+                      (g.rev, np.asarray(rev, dtype=np.int64))):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n,edges", [
     (2, [(0, 1, "1.0")] * 3),
     (2, [(0, 1, True)] * 3),

@@ -15,7 +15,8 @@ from volent.symbolic import (CROSSING, CuttingSequence,
                              birkhoff_f_integral, birkhoff_lq_integral,
                              build_cross_section, cutting_sequence,
                              pressure_curve, pressure_log_radius,
-                             solve_entropy, thickness_log_product,
+                             refined_root, solve_entropy,
+                             thickness_log_product, with_refinement,
                              _solve_root)
 from volent.tracing import (NEAR_VERTEX, OK, batch_first_crossing, launch,
                             trace)
@@ -541,6 +542,28 @@ def test_root_solve_counters(pentagon_q2):
     # the curve warm-starts point to point and agrees with single calls
     hs = np.linspace(est.value - 0.5, est.value + 0.5, 5)
     _assert_within_cold_brackets(m, pressure_curve(m, hs))
+
+
+def test_refinement_apart_is_refine_true(pentagon_q2):
+    # the refined root and the fold, run apart as `volent entropy` runs
+    # them, give solve_entropy(refine=True) bit for bit
+    m = build_cross_section(pentagon_q2, (8, 8), 2, seed=3)
+    whole = solve_entropy(m, bracket=(0.25, 4.0), tol=1e-3)
+    h_fine = refined_root(pentagon_q2, (8, 8), 2, 3, (0.25, 4.0), 1e-3)
+    fine = build_cross_section(pentagon_q2, (16, 16), 2, seed=3)
+    assert h_fine == _solve_root(fine, (0.25, 4.0), 1e-3)[0]
+    coarse = solve_entropy(m, bracket=(0.25, 4.0), tol=1e-3, refine=False)
+    assert with_refinement(coarse, h_fine) == whole
+    assert whole.err == 1e-3 + abs(h_fine - whole.value)
+    assert whole.diagnostics["h_refined"] == h_fine
+    assert "h_refined" not in coarse.diagnostics
+    # its inputs are refused as build_cross_section and solve_entropy
+    # refuse them, by name, before any sampling
+    for grid, bracket, name in (((8, 3), (0.5, 4.0), "grid"),
+                                (("ab", 8), (0.5, 4.0), "grid N_u"),
+                                ((8, 8), (0.5, math.inf), "bracket")):
+        with pytest.raises(ValueError, match=name):
+            refined_root(pentagon_q2, grid, 2, 3, bracket)
 
 
 def _assert_within_cold_brackets(m, curve):
