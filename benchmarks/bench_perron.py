@@ -1,6 +1,7 @@
-"""Benchmark: the Perron root solves and the pressure curve.
+"""Benchmark: the Perron root solves, the pressure curve and the
+pressure operator's product.
 
-Five tasks:
+Six tasks:
 
 - graphs: `graph_entropy(tol=1e-10)` over a fixed seeded set of metric
   graphs;
@@ -27,7 +28,14 @@ Five tasks:
   32x32 and 64x64, K=3, seed 0, against scipy's `connected_components`
   on the CSR matrix `build_cross_section` built for it before,
   construction included; repeats x 20 interleaved pairs, and whether
-  the two partitions agree.
+  the two partitions agree;
+- product: one product B @ v of the default polygon's pressure
+  operator B(h) at h = 1.76 (K=3, seed 0) at 32x32 and 64x64, v
+  seeded uniform in [0.1, 1], for three layouts of the same entries:
+  scipy's CSR matrix, a numpy `bincount` over the row-major entries
+  and `volent.perron.SparseRows` (absent before `change-sparse-rows`).
+  Each repeat times 200 products of each, interleaved; `equal` says
+  whether the numpy products equal the CSR one bit for bit.
 
 Each timing is the median over repeats; every result value, the solver
 counters found in `diagnostics` and the machine are recorded. Apart
@@ -37,7 +45,7 @@ measure.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_perron.py --label change \\
-        [--repeats 5] [--tasks graphs,ulam_root,curve,sweep,scc] \\
+        [--repeats 5] [--tasks graphs,ulam_root,curve,sweep,scc,product] \\
         [--out BENCH_perron.json]
 
 A run is stored under `runs[label]` of the output file, keeping the
@@ -64,7 +72,9 @@ from volent.symbolic import (build_cross_section, pressure_curve,
                              pressure_log_radius, solve_entropy)
 
 COUNTERS = ("bisection_iters", "power_iters", "bracket_width")
-TASKS = ("graphs", "ulam_root", "curve", "sweep", "scc")
+TASKS = ("graphs", "ulam_root", "curve", "sweep", "scc", "product")
+# products per timing in the product task
+PRODUCTS = 200
 
 
 def graph_set(seed: int = 0) -> dict:
@@ -182,6 +192,44 @@ def time_scc(repeats: int) -> list:
     return rows
 
 
+def time_product(repeats: int) -> list:
+    import scipy.sparse as sp
+
+    rows = []
+    for grid in (32, 64):
+        model = default_model(grid, 0)
+        n, src, dst = model.n_states, model.src, model.dst
+        data = (model.mass * model.q_of_state(dst)
+                * np.exp((1.0 - 1.76) * model.mean_L))
+        v = np.random.default_rng(0).uniform(0.1, 1.0, n)
+        csr = sp.csr_matrix((data, (src, dst)), shape=(n, n))
+        products = {"csr": lambda: csr @ v,
+                    "bincount": lambda: np.bincount(src, data * v.take(dst),
+                                                    n)}
+        ref = csr @ v
+        equal = {"bincount": bool(np.array_equal(products["bincount"](),
+                                                 ref))}
+        if hasattr(volent.perron, "SparseRows"):
+            B = volent.perron.SparseRows(src, dst, n)
+            B.data = data[B.entries]
+            u = v[B.order]
+            products["sparse_rows"] = lambda: B @ u
+            equal["sparse_rows"] = bool(np.array_equal(B @ u, ref[B.order]))
+        runs = {name: [] for name in products}
+        for _ in range(repeats):
+            for name, f in products.items():
+                t0 = time.perf_counter()
+                for _ in range(PRODUCTS):
+                    f()
+                runs[name].append((time.perf_counter() - t0) / PRODUCTS)
+        rows.append({"grid": grid, "states": n, "entries": int(src.size),
+                     "equal": equal,
+                     "median_us": {k: 1e6 * statistics.median(t)
+                                   for k, t in runs.items()},
+                     "runs_s": runs})
+    return rows
+
+
 def time_curve(repeats: int) -> list:
     rows = []
     for seed in (0, 1, 2):
@@ -266,6 +314,8 @@ def main() -> None:
         run["sweep"] = sweep()
     if "scc" in tasks:
         run["scc"] = time_scc(args.repeats)
+    if "product" in tasks:
+        run["product"] = time_product(args.repeats)
     doc = {"script": "benchmarks/bench_perron.py", "runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
@@ -290,6 +340,10 @@ def main() -> None:
               f"median {1e3 * r['median_s']:.2f} ms, csgraph "
               f"{1e3 * r['csgraph_median_s']:.2f} ms  "
               f"same partition {r['same_partition']}")
+    for r in run.get("product", []):
+        times = "  ".join(f"{k} {t:.1f} us"
+                          for k, t in r["median_us"].items())
+        print(f"product {r['grid']}x{r['grid']}  {times}  equal {r['equal']}")
     if "sweep" in run:
         for r in run["sweep"]["shifts"]:
             print(f"shift c = {r['c']:<6} curve {r['curve_plain_warm']:5d}  "

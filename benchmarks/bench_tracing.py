@@ -40,7 +40,9 @@ Times ten tasks:
   digested the table, the counts per depth and the reach);
 - entropy: the default `volent entropy`, writing into a temporary
   directory; its digest covers `report.json` without `timings` and
-  `output_dir`, and `curves.csv`;
+  `output_dir`, and `curves.csv`; scipy_loaded counts the scipy modules
+  the worker (the parent of the run's forked child) loaded (runs before
+  `parent-8e3904e` lack it);
 - graph: `MetricGraph.from_json` and `graph_entropy` at tol 1e-10, as
   `volent graph` runs them, on one seeded graph: a cycle on 2000
   vertices plus 1000 random chords, lengths uniform in [0.5, 2];
@@ -252,8 +254,10 @@ def worker(task: str) -> dict:
             digest.update(json.dumps(report, sort_keys=True).encode())
             with open(os.path.join(out, "curves.csv"), "rb") as fh:
                 digest.update(fh.read())
-        counters = {"chambers": report["results"]["growth"]["diagnostics"][
-            "chambers"]}
+        growth = report["results"]["growth"]["diagnostics"]
+        counters = {"chambers": growth["chambers"],
+                    "scipy_loaded": sum(m.partition(".")[0] == "scipy"
+                                        for m in sys.modules)}
     elif task == "graph":
         text = _graph_json()
         t0 = time.perf_counter()

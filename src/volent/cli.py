@@ -396,8 +396,8 @@ def cmd_entropy(args) -> int:
         conn.send(reply)
 
     # fork, not spawn: the child shares poly and cfg without a fresh
-    # import. It is forked before the parent's pressure stage, so in a
-    # fresh run each process imports scipy.sparse for its own root solve.
+    # import. It is forked before the parent's pressure stage, so the two
+    # root solves run side by side, each on numpy alone.
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")

@@ -22,6 +22,11 @@ cubic Lagrange extrapolation, in h, of ln v over the last _HISTORY = 4
 evaluations: the Perron vector is smooth in h, so the start is close to
 the answer and the bracket narrows in far fewer steps.
 
+An Ulam model's matrix is a SparseRows: its product adds each row's
+terms in the same order as a CSR product, so the two agree bit for bit,
+with numpy alone. A metric graph's operator keeps its own bincount
+product (graphs._NonBacktracking).
+
 Both roots are taken on an irreducible matrix. strong_components finds
 the strongly connected components of a sparsity pattern with numpy
 alone, so that an Ulam model keeps its largest one; a metric graph's
@@ -82,12 +87,16 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
 
 class WarmPerron:
     """Brackets of rho(B(h)), B(h).data = weight * exp((shift - h) * length)
-    on the fixed pattern of B, with length the data B is built with. B
-    may be anything with .shape, .data (a float array, rewritten in
-    place) and a product B @ v. A sign (given a target) is warm-started
-    from the last iterate; a value (no target) from the extrapolation of
-    the last _HISTORY value-mode iterates to h. steps counts kernel
-    steps; width is the last bracket's."""
+    on the fixed pattern of B, with length the data B is built with and
+    weight in the order of B.data. B may be anything with .shape, .data
+    (a float array, rewritten in place) and a product B @ v: a
+    SparseRows for an Ulam model, graphs._NonBacktracking for a metric
+    graph. The iterates v are in B's state order, which the brackets do
+    not depend on: every step on them is elementwise or a min/max. A
+    sign (given a target) is warm-started from the last iterate; a
+    value (no target) from the extrapolation of the last _HISTORY
+    value-mode iterates to h. steps counts kernel steps; width is the
+    last bracket's."""
 
     def __init__(self, B, weight, shift: float, rtol: float, max_iter: int):
         self.B, self.weight, self.length = B, weight, B.data.copy()
@@ -127,6 +136,51 @@ class WarmPerron:
         """Certified rho(B(h)) > 1."""
         lo, hi = self.bracket(h, target=1.0)
         return lo + hi > 2.0
+
+
+class SparseRows:
+    """The n x n matrix with entries at (rows[k], cols[k]), k = 0 .. m-1
+    (a pair may repeat), in its own state order: states are renumbered
+    longest row first (stable), order[i] is the input state of state i,
+    and B @ v takes and returns vectors in that order.
+
+    Entries are stored term-major: block j of the slots holds the j-th
+    entry (in input order) of every row with more than j entries, row 0
+    first, so it covers rows 0 .. len(block j) - 1. entries[s] is the
+    input index k of slot s, and data (zeros until set) holds one value
+    per slot. B @ v adds block after block into 0.0, so each row adds
+    its terms data[s] * v[cols[s]] in input order, exactly as a CSR
+    product on rows grouped in input order does.
+    """
+
+    def __init__(self, rows, cols, n: int):
+        rows = np.asarray(rows, dtype=np.int64)
+        deg = np.bincount(rows, minlength=n)
+        self.order = np.argsort(-deg, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[self.order] = np.arange(n)
+        # entry k is term j = term[k] of its row, so it sits in block j
+        # at the row's new number
+        term = np.empty(rows.size, dtype=np.int64)
+        term[np.argsort(rows, kind="stable")] = np.arange(rows.size)
+        term -= (np.cumsum(deg) - deg)[rows]
+        size = np.bincount(term)
+        ends = np.cumsum(size)
+        self.entries = np.empty(rows.size, dtype=np.int64)
+        self.entries[(ends - size)[term] + rank[rows]] = np.arange(rows.size)
+        self.cols = rank[np.asarray(cols, dtype=np.int64)[self.entries]]
+        ends = ends.tolist()
+        self.blocks = list(zip([0] + ends, ends))
+        self.data = np.zeros(rows.size)
+        self.shape = (n, n)
+
+    def __matmul__(self, v):
+        x = v.take(self.cols)
+        x *= self.data
+        acc = np.zeros(self.shape[0])
+        for a, b in self.blocks:
+            acc[:b - a] += x[a:b]
+        return acc
 
 
 def _rows(ptr, deg, nbr, rows):

@@ -42,9 +42,8 @@ so the model is bit-identical to one pass over all samples at once.
 
 The model keeps the largest strongly connected component of the
 transition graph, found by volent.perron.strong_components with numpy
-alone. scipy is imported only by _pressure_rho, which builds the
-sparse matrix of the root solve, so a process that only builds models,
-traces geodesics or sums along them never loads it.
+alone, and the root solve's matrix is a volent.perron.SparseRows, whose
+product is bit-identical to a CSR one: no part of volent loads scipy.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .constants import DEFAULT_H_TOL, EPS_POWER
 from .errors import (NotIrreducible, VertexHit, _int, _is_finite, _require,
                      _two)
 from .hypgeom import CoxeterPolygon, HGeodesic, WallTable
-from .perron import WarmPerron, bisect_root, strong_components
+from .perron import SparseRows, WarmPerron, bisect_root, strong_components
 from .tracing import (BLOCK, LOST, NEAR_VERTEX, OK, batch_first_crossing,
                       launch, trace)
 
@@ -379,17 +378,16 @@ def build_cross_section(poly: CoxeterPolygon, grid: tuple, K: int,
 
 def _pressure_rho(model: UlamModel) -> WarmPerron:
     """Warm-started brackets of rho(B(h)) on the model's transitions."""
-    import scipy.sparse as sp
-
     if model.n_states == 0:
         raise NotIrreducible("empty model")
-    # the (src, dst) pairs are unique and row-major (np.unique of
-    # src * n + dst, renumbered monotonically), so the CSR data keeps
-    # the order of the model's arrays and the weight lines up with it
-    B = sp.csr_matrix((model.mean_L, (model.src, model.dst)),
-                      shape=(model.n_states,) * 2)
-    return WarmPerron(B, model.mass * model.q_of_state(model.dst),
-                      shift=1.0, rtol=EPS_POWER, max_iter=20000)
+    # B and the weight hold the model's transitions in B's slot order,
+    # and the brackets run in B's state order: each step is elementwise
+    # or a min/max, so the brackets do not depend on that order
+    B = SparseRows(model.src, model.dst, model.n_states)
+    B.data = model.mean_L[B.entries]
+    weight = model.mass * model.q_of_state(model.dst)
+    return WarmPerron(B, weight[B.entries], shift=1.0, rtol=EPS_POWER,
+                      max_iter=20000)
 
 
 def _log_radius(rho: WarmPerron, h: float) -> float:

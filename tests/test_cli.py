@@ -741,9 +741,8 @@ from volent import coxeter, measures, symbolic
 from volent.graphs import MetricGraph, graph_entropy
 from volent.hypgeom import HPoint, geodesic_through, regular_polygon
 
-def loaded(prefix):
-    return sorted(m for m in sys.modules
-                  if m == prefix or m.startswith(prefix + "."))
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 
 poly = regular_polygon(5, 2, (2, 3, 2, 3, 4))
 g = geodesic_through(HPoint(0.01, 1.0), HPoint(0.3, 1.2))
@@ -751,23 +750,23 @@ symbolic.cutting_sequence(g, (-1.0, 20.0), poly)
 measures.santalo_monte_carlo(poly, samples=20_000, seed=0)
 coxeter.ball_growth(poly, 1.0, 6.0)
 model = symbolic.build_cross_section(poly, (8, 8), 2, 0)
-before = loaded("scipy")
+before = loaded()
 k4 = MetricGraph.from_undirected(
     4, [(a, b, 1.0) for a in range(4) for b in range(a + 1, 4)])
 h = graph_entropy(k4).value
-after_graph = loaded("scipy")
-symbolic.solve_entropy(model)
+after_graph = loaded()
+est = symbolic.solve_entropy(model)
+curve = symbolic.pressure_curve(model, [1.2, 1.5, 1.8])
 print(json.dumps({"before": before, "h": h, "after_graph": after_graph,
-                  "sparse": "scipy.sparse" in sys.modules,
-                  "csgraph": loaded("scipy.sparse.csgraph")}))
+                  "refined": "h_refined" in est.diagnostics,
+                  "points": len(curve), "after_ulam": loaded()}))
 """
 
 
-def test_scipy_loaded_only_by_sparse_work():
-    # the CLI, tracing, Santalo, ball growth, an Ulam model build and a
-    # graph solve (K4 with unit lengths: h = ln 2) load no scipy module;
-    # the model's root solve loads scipy.sparse but not
-    # scipy.sparse.csgraph
+def test_no_scipy_loaded():
+    # the CLI, tracing, Santalo, ball growth, an Ulam model build, a
+    # graph solve (K4 with unit lengths: h = ln 2), an Ulam root solve
+    # with its refinement and a pressure curve load no scipy module
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     done = subprocess.run(
         [sys.executable, "-I", "-c",
@@ -777,8 +776,8 @@ def test_scipy_loaded_only_by_sparse_work():
     assert got["before"] == []
     assert abs(got["h"] - math.log(2.0)) <= 1e-9
     assert got["after_graph"] == []
-    assert got["sparse"]
-    assert got["csgraph"] == []
+    assert got["refined"] and got["points"] == 3
+    assert got["after_ulam"] == []
 
 
 def test_cli_import_loads_no_multiprocessing():

@@ -6,8 +6,10 @@ import pytest
 import volent.perron
 from volent.errors import BracketFailed, PowerIterationStalled
 from volent.graphs import MetricGraph, _nonbacktracking
-from volent.perron import (WarmPerron, bisect_root, perron_bracket,
-                          strong_components)
+from volent.hypgeom import regular_polygon
+from volent.perron import (SparseRows, WarmPerron, bisect_root,
+                          perron_bracket, strong_components)
+from volent.symbolic import build_cross_section
 
 
 def k4_operator(L, h):
@@ -228,3 +230,101 @@ def test_strong_components_tie_takes_lowest_state():
     assert n_comp == 3
     sizes = np.bincount(labels)
     assert np.flatnonzero(labels == np.argmax(sizes)).tolist() == [1, 4]
+
+
+def _csr_in_input_order(rows, cols, data, n):
+    # scipy's CSR matrix of the entries, each row's in input order, with
+    # repeated pairs kept apart (the (data, indices, indptr) form neither
+    # sorts nor sums them)
+    import scipy.sparse as sp
+
+    grouped = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_matrix((data[grouped], cols[grouped], indptr),
+                         shape=(n, n))
+
+
+def _assert_product_matches(B, C, rng):
+    # B @ v, in B's state order, equals C @ v bit for bit
+    for _ in range(2):
+        v = rng.uniform(0.0, 2.0, B.shape[0])
+        assert np.array_equal(B @ v[B.order], (C @ v)[B.order])
+
+
+def test_sparse_rows_product_matches_csr():
+    # seeded random patterns with empty rows, one-term rows, rows of 10
+    # or more terms and repeated columns, at the data and at rewritten
+    # data
+    rng = np.random.default_rng(5)
+    seen = {"empty": 0, "one": 0, "long": 0, "repeated": 0}
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 6 * n))
+        rows = rng.integers(0, n, m) ** 2 // n    # skewed row lengths
+        cols = rng.integers(0, n, m)
+        deg = np.bincount(rows, minlength=n)
+        seen["empty"] += np.any(deg == 0)
+        seen["one"] += np.any(deg == 1)
+        seen["long"] += np.any(deg >= 10)
+        seen["repeated"] += np.unique(rows * n + cols).size < m
+        data = rng.uniform(0.1, 3.0, m)
+        B = SparseRows(rows, cols, n)
+        assert B.shape == (n, n) and np.all(B.data == 0.0)
+        assert np.array_equal(np.sort(B.entries), np.arange(m))
+        B.data = data[B.entries]
+        _assert_product_matches(B, _csr_in_input_order(rows, cols, data, n),
+                                rng)
+        data = np.exp(-rng.uniform(0.0, 3.0) * data)
+        B.data[:] = data[B.entries]
+        _assert_product_matches(B, _csr_in_input_order(rows, cols, data, n),
+                                rng)
+    assert min(seen.values()) >= 20
+
+
+@pytest.fixture(scope="module")
+def default_models():
+    poly = regular_polygon(5, 2, (2,) * 5)
+    return [build_cross_section(poly, (g, g), 3, 0) for g in (32, 64)]
+
+
+def _ulam_pair(model):
+    # the model's pressure matrix at h = shift as a SparseRows and as the
+    # CSR matrix scipy builds, with the weight in each one's entry order
+    import scipy.sparse as sp
+
+    weight = model.mass * model.q_of_state(model.dst)
+    B = SparseRows(model.src, model.dst, model.n_states)
+    B.data = model.mean_L[B.entries]
+    C = sp.csr_matrix((model.mean_L, (model.src, model.dst)),
+                      shape=(model.n_states,) * 2)
+    assert np.array_equal(C.data, model.mean_L)
+    return (B, weight[B.entries]), (C, weight)
+
+
+def test_sparse_rows_matches_csr_on_ulam_models(default_models):
+    # the default 32x32 and 64x64 models, at the mean lengths and after
+    # WarmPerron rewrote the data
+    rng = np.random.default_rng(0)
+    for model in default_models:
+        (B, wb), (C, wc) = _ulam_pair(model)
+        _assert_product_matches(B, C, rng)
+        for A, w in ((B, wb), (C, wc)):
+            WarmPerron(A, w, 1.0, rtol=1e-12, max_iter=20000).bracket(1.7)
+        assert np.array_equal(B.data, C.data[B.entries])
+        _assert_product_matches(B, C, rng)
+
+
+@pytest.mark.parametrize("target", [None, 1.0])
+def test_warm_perron_same_over_sparse_rows_and_csr(default_models, target):
+    # the same brackets and step counts, bit for bit, along a fixed h
+    # sequence in value mode (extrapolated starts) and in sign mode
+    # (warm starts)
+    hs = [1.2, 1.5, 1.5, 1.0, 1.8, 1.76, 1.77, 2.4, 0.7]
+    for model in default_models:
+        (B, wb), (C, wc) = _ulam_pair(model)
+        ours = WarmPerron(B, wb, 1.0, rtol=1e-12, max_iter=20000)
+        ref = WarmPerron(C, wc, 1.0, rtol=1e-12, max_iter=20000)
+        for h in hs:
+            assert ours.bracket(h, target) == ref.bracket(h, target)
+            assert (ours.steps, ours.width) == (ref.steps, ref.width)
+            assert np.array_equal(ours.v, ref.v[B.order])

@@ -523,7 +523,7 @@ def test_cross_section_memory_bounded(pentagon_q2):
     # 184,320 samples keep 17 bytes each (3 MB) beside their first
     # uniforms (3 MB); the build that held every draw, launch and
     # crossing at once peaked at 31.7 MiB
-    build_cross_section(pentagon_q2, (4, 4), 1, 0)  # loads scipy
+    build_cross_section(pentagon_q2, (4, 4), 1, 0)  # warm-up, untraced
     tracemalloc.start()
     try:
         build_cross_section(pentagon_q2, (64, 64), 3, 0)
@@ -580,16 +580,21 @@ def _assert_within_cold_brackets(m, curve):
 
 @pytest.mark.parametrize("p,m,q", [(5, 2, (2,) * 5), (4, 3, (3,) * 4)])
 def test_pressure_matrix_in_model_order(p, m, q):
-    # B is built once from mean_L and the weight is passed in the model's
-    # transition order: that holds because the CSR pattern is (src, dst)
-    # entry by entry
+    # slot s of B holds the model's transition entries[s], renumbered
+    # into B's state order, with its mean length as data and its
+    # mass * q(dst) as weight; each row's slots keep the model's order
     model = build_cross_section(regular_polygon(p, m, q), (16, 16), 2, 0)
     rho = symbolic._pressure_rho(model)
-    assert rho.length.tobytes() == model.mean_L.tobytes()
-    assert np.array_equal(rho.B.indices, model.dst)
-    assert np.array_equal(
-        np.repeat(np.arange(model.n_states), np.diff(rho.B.indptr)),
-        model.src)
+    B, k = rho.B, rho.B.entries
+    assert np.array_equal(np.sort(k), np.arange(model.src.size))
+    assert rho.length.tobytes() == model.mean_L[k].tobytes()
+    weight = model.mass * model.q_of_state(model.dst)
+    assert rho.weight.tobytes() == weight[k].tobytes()
+    row = np.concatenate([np.arange(b - a) for a, b in B.blocks])
+    assert np.array_equal(B.order[row], model.src[k])
+    assert np.array_equal(B.order[B.cols], model.dst[k])
+    by_row = np.argsort(row, kind="stable")
+    assert np.all((np.diff(k[by_row]) > 0) | (np.diff(row[by_row]) > 0))
 
 
 def test_pressure_curve_repeated_and_unordered_h(pentagon_q2):
