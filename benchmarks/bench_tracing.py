@@ -42,7 +42,10 @@ Times ten tasks:
   directory; its digest covers `report.json` without `timings` and
   `output_dir`, and `curves.csv`; scipy_loaded counts the scipy modules
   the worker (the parent of the run's forked child) loaded (runs before
-  `parent-8e3904e` lack it);
+  `parent-8e3904e` lack it); parent_peak_rss_mb and child_peak_rss_mb
+  are the medians of the worker's own peak RSS (`RUSAGE_SELF`) and of
+  its forked child's (`RUSAGE_CHILDREN`), so a run shows which process
+  sets peak_rss_mb (runs before `parent-cd5014a` lack them);
 - graph: `MetricGraph.from_json` and `graph_entropy` at tol 1e-10, as
   `volent graph` runs them, on one seeded graph: a cycle on 2000
   vertices plus 1000 random chords, lengths uniform in [0.5, 2];
@@ -78,6 +81,7 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import sys
 import tempfile
@@ -257,7 +261,11 @@ def worker(task: str) -> dict:
         growth = report["results"]["growth"]["diagnostics"]
         counters = {"chambers": growth["chambers"],
                     "scipy_loaded": sum(m.partition(".")[0] == "scipy"
-                                        for m in sys.modules)}
+                                        for m in sys.modules),
+                    "parent_peak_rss_mb": resource.getrusage(
+                        resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                    "child_peak_rss_mb": resource.getrusage(
+                        resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
     elif task == "graph":
         text = _graph_json()
         t0 = time.perf_counter()
@@ -305,8 +313,12 @@ def time_task(task: str, repeats: int) -> dict:
     results = [r for r, _ in runs]
     if len({r["digest"] for r in results}) != 1:
         raise RuntimeError(f"{task}: outputs differ between repeats")
-    first = {k: v for k, v in results[0].items() if k != "seconds"}
-    return {**first,
+    # a peak RSS a worker reports varies between repeats: its median
+    peaks = {k: statistics.median(r[k] for r in results)
+             for k in results[0] if k.endswith("_rss_mb")}
+    first = {k: v for k, v in results[0].items()
+             if k != "seconds" and k not in peaks}
+    return {**first, **peaks,
             "median_s": statistics.median(r["seconds"] for r in results),
             "runs_s": [r["seconds"] for r in results],
             "peak_rss_mb": statistics.median(rss for _, rss in runs),

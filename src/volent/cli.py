@@ -53,14 +53,14 @@ _INPUT_ERRORS = (ValueError, KeyError, NonHyperbolic, BadThickness,
                  RecursionError, MemoryError)
 
 # The most samples one stage may draw, refused before any stage starts.
-# Both stages it caps peak near 60 bytes per sample (tracemalloc on the
-# right-angled pentagon), so about 0.6 GB at 1e7 samples: the Santalo
-# Monte Carlo at 64 bytes (1e6 samples; a fresh process at 1e7 peaks at
-# 675 MB RSS) and the refined pressure grid's build_cross_section at
-# 60 bytes (1.15e6 samples on 160x160, K = 3). `volent entropy` runs the
-# two at once, the refined grid in a forked child and Santalo in the
-# parent, so a run at both caps holds up to about 0.6 GB in each of the
-# two processes, about 1.2 GB in all.
+# The stages it caps peak at up to 60 bytes per sample (tracemalloc on
+# the right-angled pentagon), so about 0.6 GB at 1e7 samples: the
+# refined pressure grid's build_cross_section at 60 bytes (1.15e6
+# samples on 160x160, K = 3) and the Santalo Monte Carlo at 33 bytes
+# (1e6 samples; a fresh `volent santalo` at 1e7 peaks at 344 MB RSS).
+# `volent entropy` runs the two at once, the refined grid in a forked
+# child and Santalo in the parent, so a run at both caps holds up to
+# about 0.6 GB in the child and 0.35 GB in the parent, about 1 GB in all.
 _MAX_SAMPLES = 10_000_000
 
 # The most chambers `volent polygon --svg` draws, refused before drawing:
@@ -397,8 +397,13 @@ def cmd_entropy(args) -> int:
 
     # fork, not spawn: the child shares poly and cfg without a fresh
     # import. It is forked before the parent's pressure stage, so the two
-    # root solves run side by side, each on numpy alone.
+    # root solves run side by side, each on numpy alone. Both processes
+    # draw from numpy.random, so it is imported here, once, and its pages
+    # are shared with the child instead of loaded twice; importing the
+    # CLI does not pay for it.
     import multiprocessing
+
+    import numpy.random  # noqa: F401
 
     ctx = multiprocessing.get_context("fork")
     recv_end, send_end = ctx.Pipe(duplex=False)

@@ -26,11 +26,16 @@ heuristic), which cancels the 1/l blow-up near a vertex: every
 weighted sample is bounded. With w = 0 the weights are exactly 1 and
 the estimator is the uniform one bit for bit.
 
-The random draws are made up front, each round at full length; the
-geometry on them runs in blocks of ``tracing.BLOCK`` samples, the only
-block loop over chords, so the stream and the estimate do not depend on
-the block size. ``tracing._chords`` gives each sample's entry wall and
-chord length in one candidate pass per call, selected both ways.
+The base points are drawn into one pair of full-length arrays, x and
+y. The directions, and the radii and angles of the disk rejection, are
+drawn per block of ``tracing.BLOCK`` samples, in the order of one
+full-length draw (a rejection round takes its angles from a generator
+copy moved ahead), so the stream and the estimate do not depend on the
+block size. The chords and weighted values are computed in the same
+blocks, the only block loop over chords: beyond x, y and the values,
+the working set does not grow with the sample count. ``tracing._chords``
+gives each sample's entry wall and chord length in one candidate pass
+per call, selected both ways.
 """
 
 from __future__ import annotations
@@ -105,28 +110,48 @@ def santalo_closed_form(poly: CoxeterPolygon) -> float:
     return FLUX_CONSTANT_2D * _log_q_length(poly)
 
 
+def _advanced(state: dict, k: int) -> np.random.PCG64:
+    """A PCG64 at state moved k 64-bit outputs ahead (k a Python int).
+    advance() clears the buffered 32-bit half that Generator.integers
+    reads, so it is carried across the jump."""
+    bits = np.random.PCG64()
+    bits.state = state
+    ahead = bits.advance(k).state
+    ahead["has_uint32"], ahead["uinteger"] = (state["has_uint32"],
+                                              state["uinteger"])
+    bits.state = ahead
+    return bits
+
+
 def _sample_in_polygon(poly: CoxeterPolygon, n: int,
                        rng: np.random.Generator):
     """n points uniform for hyperbolic area in P, by disk rejection.
 
-    Each round draws all its u and phi up front, then maps them in
-    blocks of BLOCK and keeps, in draw order, the first points on the
-    inner side of every wall (poly.walls.side).
+    A round of m draws takes its radii u from the next m doubles of the
+    stream and its angles phi from the m after them, through a PCG64
+    copy moved m outputs ahead (Generator.random uses one output per
+    double). Both are drawn in blocks of BLOCK, mapped, and the first
+    points on the inner side of every wall (poly.walls.side) kept in
+    draw order; the stream then resumes after the round's 2m doubles,
+    however many blocks ran, so the points do not depend on BLOCK. rng
+    must draw from a PCG64 (np.random.default_rng).
     """
     R = poly.circumradius * (1.0 + 1e-9)
+    bits = rng.bit_generator
     xs = np.empty(n)
     ys = np.empty(n)
     have = 0
     while have < n:
         m = int((n - have) * 2.2) + 16
-        u_all = rng.random(m)
-        phi_all = rng.random(m)
+        start = bits.state
+        ahead = np.random.Generator(_advanced(start, m))
         for a in range(0, m, BLOCK):
             if have == n:
                 break
-            u = u_all[a:a + BLOCK]
+            k = min(BLOCK, m - a)
+            u = rng.random(k)
             d = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
-            phi = phi_all[a:a + BLOCK] * (2.0 * math.pi)
+            phi = ahead.random(k) * (2.0 * math.pi)
             # push distance d up the vertical geodesic through the
             # center i, then rotate by phi about it
             c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
@@ -136,6 +161,7 @@ def _sample_in_polygon(poly: CoxeterPolygon, n: int,
             xs[have:have + z.shape[0]] = z.real
             ys[have:have + z.shape[0]] = z.imag
             have += z.shape[0]
+        bits.state = _advanced(start, 2 * m).state
     return xs, ys
 
 
@@ -229,9 +255,10 @@ def santalo_monte_carlo(poly: CoxeterPolygon, samples: int = DEFAULT_SAMPLES,
     from their own component, in the same order (uniform, sector,
     directions), and their count is reported. With w = 0 no sector draw
     touches the stream and every weight is 1.0, which is the uniform
-    estimator bit for bit. The chords and weighted values are evaluated
-    in blocks of BLOCK samples, so the working set beyond the per-sample
-    arrays does not grow with the sample count.
+    estimator bit for bit. The base points go into one preallocated x
+    and y; the directions are drawn, and the chords and weighted values
+    evaluated, in blocks of BLOCK samples, so the working set beyond x,
+    y and the values does not grow with the sample count.
 
     ValueError, naming it, unless samples >= 1e4 and seed >= 0 are
     integers (numpy ints count, bools do not).
@@ -244,25 +271,29 @@ def santalo_monte_carlo(poly: CoxeterPolygon, samples: int = DEFAULT_SAMPLES,
     n2 = round(_VERTEX_SHARE * samples)
     n1 = samples - n2
 
-    def base_points(n_uniform, n_vertex):
-        xu, yu = _sample_in_polygon(poly, n_uniform, rng)
-        xv, yv = sectors.sample(n_vertex, rng)
-        return np.concatenate((xu, xv)), np.concatenate((yu, yv))
+    x, y = np.empty(samples), np.empty(samples)
 
-    x, y = base_points(n1, n2)
-    ang = rng.random(samples) * (2.0 * math.pi)
-    dx, dy = np.cos(ang), np.sin(ang)
+    def base_points(uniform, vertex):
+        """Fresh base points into x and y: at the slice or indices
+        uniform from P, then at vertex from the sectors."""
+        x[uniform], y[uniform] = _sample_in_polygon(poly, x[uniform].size,
+                                                    rng)
+        x[vertex], y[vertex] = sectors.sample(x[vertex].size, rng)
+
+    base_points(slice(0, n1), slice(n1, samples))
     vals = np.empty(samples)
-    todo = np.arange(samples)
+    blocks = (np.arange(a, min(a + BLOCK, samples))
+              for a in range(0, samples, BLOCK))
     resampled = 0
     for _ in range(64):
         redo = []
-        for k in range(0, todo.size, BLOCK):
-            idx = todo[k:k + BLOCK]
-            entry, length, good = _chords(walls, x[idx], y[idx], dx[idx],
-                                          dy[idx])
+        for idx in blocks:
+            ang = rng.random(idx.size) * (2.0 * math.pi)
+            xb, yb = x[idx], y[idx]
+            entry, length, good = _chords(walls, xb, yb, np.cos(ang),
+                                          np.sin(ang))
             weight = 1.0 / (n1 / samples + n2 / samples * poly.area
-                            * sectors.density(x[idx], y[idx]))
+                            * sectors.density(xb, yb))
             lnq = walls.log_q[entry[good]]
             vals[idx[good]] = lnq / length[good] * weight[good]
             redo.append(idx[~good])
@@ -272,9 +303,8 @@ def santalo_monte_carlo(poly: CoxeterPolygon, samples: int = DEFAULT_SAMPLES,
         resampled += todo.size
         # todo is sorted, so its uniform-component indices come first
         n_uniform = int(np.count_nonzero(todo < n1))
-        x[todo], y[todo] = base_points(n_uniform, todo.size - n_uniform)
-        a = rng.random(todo.size) * (2.0 * math.pi)
-        dx[todo], dy[todo] = np.cos(a), np.sin(a)
+        base_points(todo[:n_uniform], todo[n_uniform:])
+        blocks = np.split(todo, range(BLOCK, todo.size, BLOCK))
     else:
         raise VertexHit("persistent vertex-grazing samples")
     mass = 2.0 * math.pi * poly.area

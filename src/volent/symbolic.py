@@ -138,6 +138,14 @@ def _tent_antiderivative(x: np.ndarray) -> np.ndarray:
     return np.where(x <= 0.0, 0.5 * (x + 1.0) ** 2, 1.0 - 0.5 * (1.0 - x) ** 2)
 
 
+def _span(seq: CuttingSequence, a, b) -> tuple:
+    """seq.t_span, once a and b are checked: ValueError, naming it,
+    unless each is a finite number."""
+    _require("a", a, _is_finite, "a finite number")
+    _require("b", b, _is_finite, "a finite number")
+    return seq.t_span
+
+
 def birkhoff_f_integral(seq: CuttingSequence, a: float, b: float) -> float:
     """Integral over [a, b] of f along the flow.
 
@@ -145,7 +153,7 @@ def birkhoff_f_integral(seq: CuttingSequence, a: float, b: float) -> float:
     crossings H, so the integral is a sum of clipped unit-tent masses.
     The sequence must cover (a - 1, b + 1).
     """
-    t0, t1 = seq.t_span
+    t0, t1 = _span(seq, a, b)
     if t0 > a - 1.0 or t1 < b + 1.0:
         raise ValueError("cutting sequence span too short for this integral")
     t = seq.crossings["t"]
@@ -154,7 +162,12 @@ def birkhoff_f_integral(seq: CuttingSequence, a: float, b: float) -> float:
 
 
 def thickness_log_product(seq: CuttingSequence, a: float, b: float) -> float:
-    """ln of the product of branching parameters crossed in [a, b]."""
+    """ln of the product of branching parameters crossed in [a, b], 0.0
+    if a > b. The sequence must cover [a, b]: its span (t0, t1] has
+    t0 < a and b <= t1."""
+    t0, t1 = _span(seq, a, b)
+    if t0 >= a or t1 < b:
+        raise ValueError("cutting sequence span too short for this product")
     t = seq.crossings["t"]
     inside = (a <= t) & (t <= b)
     return float(seq.crossings["log_q"][inside].sum())
@@ -167,6 +180,7 @@ def birkhoff_lq_integral(seq: CuttingSequence, T: float) -> float:
     gap length and q the entry crossing's branching parameter. The
     sequence must contain a crossing at or before 0 and one beyond T.
     """
+    _require("T", T, _is_finite, "a finite number")
     t = seq.crossings["t"]
     if len(t) < 2 or t[0] > 0.0 or t[-1] < T:
         raise ValueError("cutting sequence does not bracket [0, T]")

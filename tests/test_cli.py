@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -558,14 +559,32 @@ def test_entropy_growth_counters(tmp_path, capsys):
     assert diag["chambers"] == len(enumerate_chambers(poly, radius_cut=5.0))
 
 
+# sha256 of the default `volent entropy` outputs, recorded on x86-64
+# (glibc libm) at commit cd5014a: report.json without timings and
+# output_dir, dumped with sorted keys, and curves.csv as written. They
+# pin every bit, so a change that claims byte-identical outputs is
+# checked here.
+_ENTROPY_REPORT_DIGEST = ("5732474ba5616469c036d6db0b5bc131"
+                          "e3205db925743698a3b19c2e76227bf9")
+_ENTROPY_CURVES_DIGEST = ("14e519ba1adc114c22f0f48989b598c3"
+                          "9e995e6f92091e977d2c52bf858a15e0")
+
+
 def test_entropy_default_ulam_counters(tmp_path, capsys):
-    # the default run's report carries the coarse model's counters
+    # the default run's report carries the coarse model's counters, and
+    # its outputs match the recorded digests bit for bit
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"output_dir": str(tmp_path)}))
     code, _, _ = run(capsys, "entropy", "--config", str(p))
     assert code in (0, 1)
-    diag = json.loads((tmp_path / "report.json").read_text())[
-        "results"]["ulam"]["diagnostics"]
+    report = json.loads((tmp_path / "report.json").read_text())
+    report.pop("timings")
+    report["config"].pop("output_dir")
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode(
+    )).hexdigest() == _ENTROPY_REPORT_DIGEST
+    assert hashlib.sha256((tmp_path / "curves.csv").read_bytes(
+    )).hexdigest() == _ENTROPY_CURVES_DIGEST
+    diag = report["results"]["ulam"]["diagnostics"]
     cfg = validate_config({})
     pc = cfg["pressure"]
     model = build_cross_section(regular_polygon(5, 2, (2,) * 5),
@@ -781,12 +800,13 @@ def test_no_scipy_loaded():
 
 
 def test_cli_import_loads_no_multiprocessing():
-    # `volent entropy` imports multiprocessing when it forks, so importing
-    # the CLI does not pay for it
+    # `volent entropy` imports multiprocessing and numpy.random when it
+    # forks, so importing the CLI does not pay for them
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     probe = (f"import sys; sys.path.insert(0, {src!r}); import volent.cli; "
              "print(sorted(m for m in sys.modules "
-             "if m.partition('.')[0] == 'multiprocessing'))")
+             "if m.partition('.')[0] == 'multiprocessing' "
+             "or m.startswith('numpy.random')))")
     done = subprocess.run([sys.executable, "-I", "-c", probe],
                           capture_output=True, text=True, timeout=120,
                           check=True)

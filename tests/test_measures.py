@@ -112,6 +112,47 @@ def test_mixture_density_normalised(pentagon_q2):
         assert min(dist(pt, v) for v in poly.vertices) < sectors.r0
 
 
+def _whole_round_sample(poly, n, rng):
+    """_sample_in_polygon with each round's m radii and then its m angles
+    drawn at full length: (xs, ys, rounds)."""
+    R = poly.circumradius * (1.0 + 1e-9)
+    parts, have, rounds = [], 0, 0
+    while have < n:
+        m = int((n - have) * 2.2) + 16
+        u = rng.random(m)
+        phi = rng.random(m) * (2.0 * math.pi)
+        d = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
+        c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
+        zt = 1j * np.exp(d)
+        z = (c * zt + s) / (-s * zt + c)
+        z = z[np.all(poly.walls.side(z) > 0.0, axis=1)][: n - have]
+        parts.append(z)
+        have += z.size
+        rounds += 1
+    z = np.concatenate(parts)
+    return z.real.copy(), z.imag.copy(), rounds
+
+
+@pytest.mark.parametrize("block", [97, 4096])
+def test_sample_in_polygon_matches_whole_round_draws(monkeypatch, block):
+    # on the (3, 7) triangle about one disk draw in five lands in P, so
+    # the first round of 2.2 n + 16 draws falls short; the blocked draws
+    # must give the whole-round points bit for bit and leave the stream,
+    # with its buffered 32-bit half, where the whole rounds leave it
+    poly = regular_polygon(3, 7, (2, 3, 4))
+    monkeypatch.setattr(measures, "BLOCK", block)
+    got, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for rng in (got, ref):
+        rng.integers(0, 5, 3)
+    assert got.bit_generator.state["has_uint32"] == 1
+    x, y = _sample_in_polygon(poly, 3000, got)
+    xr, yr, rounds = _whole_round_sample(poly, 3000, ref)
+    assert rounds >= 2
+    assert x.tobytes() == xr.tobytes() and y.tobytes() == yr.tobytes()
+    assert got.bit_generator.state == ref.bit_generator.state
+    assert got.integers(0, 5, 9).tolist() == ref.integers(0, 5, 9).tolist()
+
+
 def test_mixture_tail_bounded(monkeypatch, pentagon_q2):
     # the largest weighted sample stays within 10x the mean; uniform
     # base points (vertex share 0) read far above it
@@ -169,8 +210,10 @@ def test_lower_bounds_values(pentagon_q2):
 
 @pytest.mark.parametrize("block", [997, 3 * 4096])
 def test_santalo_independent_of_block_size(monkeypatch, block):
-    # the draws are made at full length and every operation on them is
-    # per sample, so the block size cannot move the estimate
+    # the draws are made in stream order whatever the block size (each
+    # rejection round's angles from a generator copy moved ahead), and
+    # every operation on them is per sample, so the block size cannot
+    # move the estimate
     poly = regular_polygon(5, 2, (2, 3, 2, 3, 4))
     ref = [santalo_monte_carlo(poly, samples=20_000, seed=s) for s in (0, 3)]
     monkeypatch.setattr(measures, "BLOCK", block)

@@ -305,6 +305,23 @@ def test_span_refuses_bad_ends(pentagon_q2):
     for max_steps in (2.5, True, -1):
         with pytest.raises(ValueError, match="max_steps"):
             trace(pentagon_q2.walls, 0.01, 1.0, 0.6, 0.8, 5.0, max_steps)
+    # the Birkhoff sums took their numbers unchecked: thickness(nan, 5)
+    # returned 0.0, f(nan, 5) and lq(nan) NaN, and the product over
+    # (-1, 40) on a span ending at 15.5 returned 19.30
+    seq = _random_sequence(pentagon_q2, np.random.default_rng(6), -3.5, 15.5)
+    for fn in (birkhoff_f_integral, thickness_log_product):
+        for bad in (math.nan, math.inf, True, "0", 10 ** 400):
+            with pytest.raises(ValueError, match="^a must"):
+                fn(seq, bad, 5.0)
+            with pytest.raises(ValueError, match="^b must"):
+                fn(seq, 0.0, bad)
+    for bad in (math.nan, -math.inf, True, "5"):
+        with pytest.raises(ValueError, match="^T must"):
+            birkhoff_lq_integral(seq, bad)
+    for a, b in ((-1.0, 40.0), (-3.5, 5.0), (-4.0, 5.0), (0.0, 15.6)):
+        with pytest.raises(ValueError, match="span too short"):
+            thickness_log_product(seq, a, b)
+    assert thickness_log_product(seq, 5.0, 4.0) == 0.0
 
 
 def _period(model) -> int:

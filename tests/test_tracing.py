@@ -203,9 +203,12 @@ def test_batch_memory_bounded(table_q2):
 
 
 def test_santalo_memory_bounded(pentagon_q2):
+    # the base points and values take 4.8 MB at this size and the
+    # directions and rejection draws are streamed in blocks; it peaked
+    # at 6.8 MB, against 13.1 MB with full-length draws
     peak = _traced_peak_mb(
         lambda: santalo_monte_carlo(pentagon_q2, samples=200_000, seed=0))
-    assert peak <= 64.0
+    assert peak <= 8.0
 
 
 # Outputs of the seed-7 rays and the fixed trace below on the right-angled
