@@ -17,7 +17,9 @@ Times ten tasks:
   pentagon with q = (2,3,2,3,4), `cutting_sequence` over (-3.5, 53.5)
   and the four Birkhoff sums of the padded sandwich at T = 50, as the
   perfbench birkhoff-traces workload runs them; its digest covers the
-  crossing count, times and edge labels;
+  crossing count, times and edge labels, and its sums_digest the foot
+  positions, incidence angles and the repr of the four sums (runs before
+  `parent-0c64570` lack it);
 - cross_section: `build_cross_section` on the default polygon at
   64x64, K = 3, seed 0 (the refinement grid of the default
   `volent entropy`); tracemalloc_peak_mb is the tracemalloc peak, in
@@ -123,7 +125,8 @@ def _rays(n: int):
 
 
 def _birkhoff() -> tuple:
-    """(seconds, digest bytes, counters) of the birkhoff task."""
+    """(seconds, digest bytes, counters) of the birkhoff task; the
+    counters hold sums_digest."""
     from volent import symbolic
     from volent.errors import VertexHit
     from volent.hypgeom import HPoint, geodesic_through, regular_polygon
@@ -133,7 +136,7 @@ def _birkhoff() -> tuple:
     geos = [geodesic_through(HPoint(x[i], y[i]),
                              HPoint(x[i] + 0.5 * dx[i], y[i] + 0.5 * dy[i]))
             for i in range(N_TRACES)]
-    seqs, failed = [], 0
+    seqs, sums, failed = [], [], 0
     t0 = time.perf_counter()
     for g in geos:
         try:
@@ -142,13 +145,15 @@ def _birkhoff() -> tuple:
             seqs.append(None)
             failed += 1
             continue
-        symbolic.birkhoff_f_integral(seq, 0.0, T_TRACE)
-        symbolic.thickness_log_product(seq, -1.0, T_TRACE + 1.0)
-        symbolic.birkhoff_f_integral(seq, -2.0, T_TRACE + 2.0)
-        symbolic.birkhoff_lq_integral(seq, T_TRACE)
+        sums.append((
+            symbolic.birkhoff_f_integral(seq, 0.0, T_TRACE),
+            symbolic.thickness_log_product(seq, -1.0, T_TRACE + 1.0),
+            symbolic.birkhoff_f_integral(seq, -2.0, T_TRACE + 2.0),
+            symbolic.birkhoff_lq_integral(seq, T_TRACE)))
         seqs.append(seq)
     seconds = time.perf_counter() - t0
     chunks, crossings = [], 0
+    sums_digest = hashlib.sha256(repr(sums).encode())
     for seq in seqs:
         if seq is None:
             chunks.append(b"VertexHit")
@@ -156,9 +161,11 @@ def _birkhoff() -> tuple:
         t, j = seq.crossings["t"], seq.crossings["edge_label"]
         crossings += len(t)
         chunks.append(repr(len(t)).encode() + t.tobytes() + j.tobytes())
-    return seconds, b"".join(chunks), {"geodesics": N_TRACES,
-                                        "crossings": crossings,
-                                        "failed": failed}
+        for name in ("u", "theta"):
+            sums_digest.update(seq.crossings[name].tobytes())
+    return seconds, b"".join(chunks), {
+        "geodesics": N_TRACES, "crossings": crossings, "failed": failed,
+        "sums_digest": sums_digest.hexdigest()[:16]}
 
 
 def worker(task: str) -> dict:

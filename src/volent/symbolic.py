@@ -3,9 +3,10 @@
 A geodesic in the quotient is coded by the ordered list of walls it
 crosses, with the flight length between consecutive crossings and the
 weight ln q collected at each crossing. A CuttingSequence holds that
-list as one CROSSING structured array, filled straight from the
-single-ray tracer's arrays and the polygon's log_q column, and the
-Birkhoff sums along it are numpy expressions over its columns. The
+list as one CROSSING structured array, made in one np.array call from
+the rows of the single-ray step loop (tracing._steps, the loop of
+tracing.trace) and the polygon's log_q column, and the Birkhoff sums
+along it are numpy expressions over its columns. The
 geodesic itself is the tracer's state: hypgeom.HGeodesic is a basepoint
 and a unit tangent.
 
@@ -58,8 +59,8 @@ from .errors import (NotIrreducible, VertexHit, _int, _is_finite, _require,
                      _two)
 from .hypgeom import CoxeterPolygon, HGeodesic, WallTable
 from .perron import SparseRows, WarmPerron, bisect_root, strong_components
-from .tracing import (BLOCK, LOST, NEAR_VERTEX, OK, batch_first_crossing,
-                      launch, trace)
+from .tracing import (BLOCK, LOST, NEAR_VERTEX, OK, _ray, _steps,
+                      batch_first_crossing, launch)
 
 
 # One row per wall crossing: flow time, crossed wall of the base
@@ -81,35 +82,38 @@ class CuttingSequence:
     t_span: tuple
 
 
-def _trace_checked(walls: WallTable, x, y, dx, dy, t_max):
-    j, t, u, th, flag = trace(walls, x, y, dx, dy, t_max)
+def _steps_checked(walls: WallTable, x, y, dx, dy, t_max) -> tuple:
+    js, ts, us, ths, flag = _steps(walls, x, y, dx, dy, t_max)
     if flag == NEAR_VERTEX:
         raise VertexHit("geodesic passed near a tessellation vertex")
     if flag == LOST:
         raise VertexHit("degenerate geodesic geometry during tracing")
-    return j, t, u, th
+    return js, ts, us, ths
 
 
 def _trace_span(walls: WallTable, x, y, dx, dy, t0, t1) -> np.ndarray:
     """CROSSING rows with t in (t0, t1], tracing backward when t0 < 0.
 
-    The backward crossings, reversed and negated, precede the forward
-    ones, so the rows are in time order without a sort.
+    Both directions run trace's step loop, tracing._steps, and its
+    Python lists become (t, edge_label, log_q, u, theta) tuples, all
+    made into rows by one np.array call. The backward crossings,
+    reversed and with t negated, precede the forward ones, so the rows
+    are in time order without a sort. ValueError, as from trace, unless
+    x is a finite number, y one > 0 and (dx, dy) a finite nonzero vector.
     """
-    parts = []
+    x, y, dx, dy = _ray(x, y, dx, dy)
+    t0, t1 = float(t0), float(t1)
+    log_q = walls.log_q.tolist()
+    rows = []
     if t0 < 0.0:
-        j, t, u, th = _trace_checked(walls, x, y, -dx, -dy, -t0)
-        k = np.flatnonzero(-t <= t1)[::-1]
-        parts.append((j[k], -t[k], u[k], th[k]))
+        rows = [(-t, j, log_q[j], u, th) for j, t, u, th
+                in zip(*_steps_checked(walls, x, y, -dx, -dy, -t0))
+                if -t <= t1]
+        rows.reverse()
     if t1 > 0.0:
-        j, t, u, th = _trace_checked(walls, x, y, dx, dy, t1)
-        k = t > t0
-        parts.append((j[k], t[k], u[k], th[k]))
-    j, t, u, th = (np.concatenate(col) for col in zip(*parts))
-    rows = np.empty(t.size, dtype=CROSSING)
-    rows["t"], rows["edge_label"], rows["log_q"] = t, j, walls.log_q[j]
-    rows["u"], rows["theta"] = u, th
-    return rows
+        rows += [(t, j, log_q[j], u, th) for j, t, u, th
+                 in zip(*_steps_checked(walls, x, y, dx, dy, t1)) if t > t0]
+    return np.array(rows, dtype=CROSSING)
 
 
 def cutting_sequence(geodesic: HGeodesic, t_span: tuple,
@@ -119,7 +123,8 @@ def cutting_sequence(geodesic: HGeodesic, t_span: tuple,
     Edge labels refer to walls of the base polygon after folding by the
     reflection group. Backward crossings (t < 0) store the section
     coordinates seen by the reversed flow. ValueError, naming t_span,
-    unless t_span is a tuple or list of two finite numbers t0 < t1.
+    unless t_span is a tuple or list of two finite numbers t0 < t1, and,
+    naming x, y or the tangent, unless the geodesic is a ray trace takes.
     """
     _require("t_span", t_span, *_two("finite numbers"))
     t0, t1 = t_span
@@ -134,7 +139,7 @@ def cutting_sequence(geodesic: HGeodesic, t_span: tuple,
 
 def _tent_antiderivative(x: np.ndarray) -> np.ndarray:
     # integral of max(0, 1 - |s|) from -inf to x, elementwise
-    x = np.clip(x, -1.0, 1.0)
+    x = np.minimum(np.maximum(x, -1.0), 1.0)
     return np.where(x <= 0.0, 0.5 * (x + 1.0) ** 2, 1.0 - 0.5 * (1.0 - x) ** 2)
 
 
@@ -147,18 +152,21 @@ def _span(seq: CuttingSequence, a, b) -> tuple:
 
 
 def birkhoff_f_integral(seq: CuttingSequence, a: float, b: float) -> float:
-    """Integral over [a, b] of f along the flow.
+    """Integral over [a, b] of f along the flow, 0.0 if a > b.
 
     f at flow time t sums ln q(H) * max(0, 1 - |t - t_H|) over wall
-    crossings H, so the integral is a sum of clipped unit-tent masses.
-    The sequence must cover (a - 1, b + 1).
+    crossings H, so the integral is a sum of clipped unit-tent masses:
+    one tent antiderivative over the (2, n) differences of b and a with
+    the crossing times, and one dot with the log_q column. The sequence
+    must cover (a - 1, b + 1).
     """
     t0, t1 = _span(seq, a, b)
     if t0 > a - 1.0 or t1 < b + 1.0:
         raise ValueError("cutting sequence span too short for this integral")
-    t = seq.crossings["t"]
-    mass = _tent_antiderivative(b - t) - _tent_antiderivative(a - t)
-    return float(np.dot(seq.crossings["log_q"], mass))
+    if a > b:
+        return 0.0
+    ends = _tent_antiderivative(np.subtract.outer((b, a), seq.crossings["t"]))
+    return float(np.dot(seq.crossings["log_q"], ends[0] - ends[1]))
 
 
 def thickness_log_product(seq: CuttingSequence, a: float, b: float) -> float:

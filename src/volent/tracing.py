@@ -11,13 +11,31 @@ Every entry point takes the polygon's one wall record, ``poly.walls``
 argument; nothing here rebuilds wall arrays.
 
 The step geometry exists twice, one copy per call shape. ``trace``
-steps a single ray in its own loop, on plain Python floats;
-``batch_first_crossing`` steps many rays at once with the numpy kernel
-``_batch_step_numpy``. Both stay because each is the cheap one for its
-call shape. On a 2-CPU x86-64 host (Python 3.11, numpy 2.4) one step of
-``trace`` takes about 3.2 us and one kernel call on a single ray about
-90 us, so the kernel would make single-ray traces many times slower; on
-a batch of 2e5 rays the kernel takes about 0.6 us per ray.
+steps a single ray in its own loop, ``_steps``, on plain Python floats
+(``symbolic.cutting_sequence`` runs the same loop and builds its rows
+from the loop's lists); ``batch_first_crossing`` steps many rays at once
+with the numpy kernel ``_batch_step_numpy``. Both stay because each is
+the cheap one for its call shape. On a 2-CPU x86-64 host (Python 3.11,
+numpy 2.4) one step of ``trace`` takes about 3.0 us and one kernel call
+on a single ray about 90 us, so the kernel would make single-ray traces
+many times slower; on a batch of 2e5 rays the kernel takes about 0.6 us
+per ray.
+
+The scalar step selects its exit wall by meeting point, not by flight
+time. On a geodesic circle centered (gcx, 0) the point at angle psi has
+x = gcx + gr cos(psi), which falls strictly as psi and the arclength
+s = log tan(psi/2) rise. So the walls met ahead come in the
+same order by key = sig * (x - xs), where xs is the meeting point's x
+and sig the direction of s, as by flight time t = sig * (s(xs) - s(x)),
+and the key takes only rational operations. The loop evaluates atan2,
+tan and log only for a candidate with 0 <= key < the best key so far,
+and accepts it only if t > EPS_STEP, the flight-time scan's test. The
+order is exact: key and the computed t are both monotone in xs, so they
+can rank two walls differently only where the two meeting points lie
+within rounding error of each other. Non-adjacent walls of a Coxeter
+polygon never meet, so that is a vertex, and either wall then gives a
+foot within EPS_VERTEX of its end: the step stops NEAR_VERTEX before
+recording anything. A vertical ray still computes every flight time.
 
 The kernel runs in three stages. ``_candidates`` finds where each ray's
 geodesic meets every wall circle, as signed distances along the
@@ -44,7 +62,7 @@ import math
 import numpy as np
 
 from .constants import EPS_STEP, EPS_VERTEX
-from .errors import _above, _int, _require
+from .errors import _above, _int, _is_finite, _require
 from .hypgeom import WallTable
 
 
@@ -175,30 +193,34 @@ def _batch_step_numpy(walls: WallTable, x, y, dx, dy, prev):
     return j.astype(np.int64), tbest, u, theta, flag.astype(np.int64)
 
 
-def trace(walls: WallTable, x, y, dx, dy, t_max, max_steps=None):
-    """Trace a ray forward for hyperbolic time t_max.
+def _ray(x, y, dx, dy) -> tuple:
+    """(x, y, dx, dy) as Python floats. ValueError, naming x, y or the
+    tangent, unless x is a finite number, y one > 0 and (dx, dy) a finite
+    nonzero vector. Four Python (or numpy) floats take a fast path."""
+    if (isinstance(x, float) and isinstance(y, float)
+            and isinstance(dx, float) and isinstance(dy, float)
+            and math.isfinite(x) and 0.0 < y < math.inf
+            and math.isfinite(dx) and math.isfinite(dy) and (dx or dy)):
+        return float(x), float(y), float(dx), float(dy)
+    _require("x", x, _is_finite, "a finite number")
+    _require("y", y, *_above())
+    _require("tangent", (dx, dy),
+             lambda v: _is_finite(v[0]) and _is_finite(v[1]) and any(v),
+             "a finite nonzero vector (dx, dy)")
+    return float(x), float(y), float(dx), float(dy)
 
-    Returns (j, t, u, theta) arrays of crossings with 0 < t <= t_max, at
-    most max_steps of them, and a status flag: NEAR_VERTEX as soon as a
-    crossing foot comes within EPS_VERTEX of a wall endpoint, LOST if a
-    step finds no crossing, OK otherwise. ValueError unless t_max is a
-    finite number > 0 and max_steps is None or an integer >= 0.
 
-    Each step is the scalar copy of the batch kernel's geometry on
-    Python floats: the first wall crossed (least flight time above
-    EPS_STEP, skipping the wall just crossed), the direction transported
-    to the crossing point, then folded back inward by the reflection in
-    that wall. The wall columns are the tuples WallTable.floats.
-    """
-    _require("t_max", t_max, *_above())
-    if max_steps is not None:
-        _require("max_steps", max_steps, *_int(0))
+def _steps(walls: WallTable, x: float, y: float, dx: float, dy: float,
+           t_max: float, max_steps=None) -> tuple:
+    """The step loop of trace, on Python floats from _ray: (js, ts, us,
+    ths, flag), the crossings as four Python lists and trace's flag."""
+    atan2, cos, hypot, log, sin, sqrt, tan = (
+        math.atan2, math.cos, math.hypot, math.log, math.sin, math.sqrt,
+        math.tan)
     cx, rr, slo, shi, nsign = walls.floats
     rr2 = tuple(r * r for r in rr)
     cx2 = tuple(c * c for c in cx)
     wall_ids = range(len(cx))
-    x, y, dx, dy = float(x), float(y), float(dx), float(dy)
-    t_max = float(t_max)
     js, ts, us, ths = [], [], [], []
     t_acc = 0.0
     flag = OK
@@ -206,9 +228,9 @@ def trace(walls: WallTable, x, y, dx, dy, t_max, max_steps=None):
     while max_steps is None or len(js) < max_steps:
         best_t = 1e300
         best_j = -1
-        if abs(dx) < 1e-13:
+        if -1e-13 < dx < 1e-13:
             # vertical geodesic: arclength is log y
-            ly = math.log(y)
+            ly = log(y)
             up = 1.0 if dy > 0 else -1.0
             for j in wall_ids:
                 if j == prev:
@@ -217,42 +239,51 @@ def trace(walls: WallTable, x, y, dx, dy, t_max, max_steps=None):
                 h2 = rr2[j] - dxc * dxc
                 if h2 <= 0.0:
                     continue
-                ys = math.sqrt(h2)
-                t = (math.log(ys) - ly) * up
+                ys = sqrt(h2)
+                t = (log(ys) - ly) * up
                 if EPS_STEP < t < best_t:
                     best_t, best_j, best_y = t, j, ys
             best_x = x
             da, db = 0.0, up
         else:
-            # geodesic circle centered (gcx, 0); arclength log tan(psi/2)
+            # geodesic circle centered (gcx, 0); arclength log tan(psi/2).
+            # x falls as s rises, so the ray runs toward rising s (sig =
+            # 1) exactly when dx < 0, and a wall's key = sig * (x - xs),
+            # how far ahead in x it is met, ranks it as its flight time
+            # does (see the module docstring): t is computed only for a
+            # candidate that would beat the best so far.
             gcx = x + y * dy / dx
-            gr = math.hypot(x - gcx, y)
+            gr = hypot(x - gcx, y)
             gr2 = gr * gr
             gcx2 = gcx * gcx
-            psi0 = math.atan2(y, x - gcx)
-            s0 = math.log(math.tan(0.5 * psi0))
-            sig = (1.0 if (dx * (-math.sin(psi0)) + dy * math.cos(psi0)) > 0.0
-                   else -1.0)
+            sig = -1.0 if dx > 0.0 else 1.0
+            s0 = None
+            best_key = math.inf
             for j in wall_ids:
                 if j == prev:
                     continue
                 denom = cx[j] - gcx
-                if abs(denom) < 1e-13:
+                if -1e-13 < denom < 1e-13:
                     continue
                 xs = (gr2 - rr2[j] + cx2[j] - gcx2) / (2.0 * denom)
+                key = sig * (x - xs)
+                if not 0.0 <= key < best_key:
+                    continue
                 h2 = gr2 - (xs - gcx) * (xs - gcx)
                 if h2 <= 0.0:
                     continue
-                ys = math.sqrt(h2)
-                psis = math.atan2(ys, xs - gcx)
-                t = sig * (math.log(math.tan(0.5 * psis)) - s0)
-                if EPS_STEP < t < best_t:
-                    best_t, best_j, best_psi = t, j, psis
+                ys = sqrt(h2)
+                psis = atan2(ys, xs - gcx)
+                if s0 is None:
+                    s0 = log(tan(0.5 * atan2(y, x - gcx)))
+                t = sig * (log(tan(0.5 * psis)) - s0)
+                if t > EPS_STEP:
+                    best_key, best_t, best_j, best_psi = key, t, j, psis
                     best_x, best_y = xs, ys
             if best_j >= 0:
                 # the direction transported to the crossing point
-                da = sig * (-math.sin(best_psi))
-                db = sig * math.cos(best_psi)
+                da = sig * (-sin(best_psi))
+                db = sig * cos(best_psi)
         if best_j < 0:
             flag = LOST
             break
@@ -260,26 +291,52 @@ def trace(walls: WallTable, x, y, dx, dy, t_max, max_steps=None):
         t_acc += best_t
         if t_acc > t_max:
             break
-        psiw = math.atan2(best_y, best_x - cx[j])
-        u = math.log(math.tan(0.5 * psiw)) - slo[j]
+        psiw = atan2(best_y, best_x - cx[j])
+        u = log(tan(0.5 * psiw)) - slo[j]
         if u < EPS_VERTEX or u > shi[j] - slo[j] - EPS_VERTEX:
             flag = NEAR_VERTEX
             break
         # fold by the reflection in the wall circle: v' = -e^{2 i psiw}
         # conj(v); theta is the angle of v' from the wall tangent
-        c2 = math.cos(2.0 * psiw)
-        s2 = math.sin(2.0 * psiw)
+        c2 = cos(2.0 * psiw)
+        s2 = sin(2.0 * psiw)
         dxr = -(c2 * da + s2 * db)
         dyr = -(s2 * da - c2 * db)
-        nx = nsign[j] * math.cos(psiw)
-        ny = nsign[j] * math.sin(psiw)
+        nx = nsign[j] * cos(psiw)
+        ny = nsign[j] * sin(psiw)
         wx = ny
         wy = -nx
         js.append(j)
         ts.append(t_acc)
         us.append(u)
-        ths.append(math.atan2(wx * dyr - wy * dxr, wx * dxr + wy * dyr))
+        ths.append(atan2(wx * dyr - wy * dxr, wx * dxr + wy * dyr))
         x, y, dx, dy, prev = best_x, best_y, dxr, dyr, j
+    return js, ts, us, ths, flag
+
+
+def trace(walls: WallTable, x, y, dx, dy, t_max, max_steps=None):
+    """Trace a ray forward for hyperbolic time t_max.
+
+    Returns (j, t, u, theta) arrays of crossings with 0 < t <= t_max, at
+    most max_steps of them, and a status flag: NEAR_VERTEX as soon as a
+    crossing foot comes within EPS_VERTEX of a wall endpoint, LOST if a
+    step finds no crossing, OK otherwise. ValueError unless x is a
+    finite number, y one > 0, (dx, dy) a finite nonzero vector, t_max a
+    finite number > 0 and max_steps None or an integer >= 0.
+
+    Each step is the scalar copy of the batch kernel's geometry on
+    Python floats: the first wall crossed (least flight time above
+    EPS_STEP, skipping the wall just crossed, found by meeting point as
+    the module docstring says), the direction transported to the
+    crossing point, then folded back inward by the reflection in that
+    wall. The wall columns are the tuples WallTable.floats.
+    """
+    x, y, dx, dy = _ray(x, y, dx, dy)
+    _require("t_max", t_max, *_above())
+    if max_steps is not None:
+        _require("max_steps", max_steps, *_int(0))
+    js, ts, us, ths, flag = _steps(walls, x, y, dx, dy, float(t_max),
+                                   max_steps)
     return (np.array(js, dtype=np.int64), np.array(ts), np.array(us),
             np.array(ths), flag)
 

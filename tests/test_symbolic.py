@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from volent import symbolic
 from volent.errors import BracketFailed
-from volent.hypgeom import HPoint, geodesic_through, regular_polygon
+from volent.hypgeom import HGeodesic, HPoint, geodesic_through, regular_polygon
 from volent.symbolic import (CROSSING, CuttingSequence,
                              birkhoff_f_integral, birkhoff_lq_integral,
                              build_cross_section, cutting_sequence,
@@ -113,6 +113,44 @@ def test_crossings_are_the_traced_arrays(pentagon_mixed, span):
     for name, want in (("t", t), ("edge_label", j), ("u", u), ("theta", th),
                        ("log_q", table.log_q[j])):
         assert rows[name].tobytes() == want.tobytes(), name
+
+
+# sha256 of the CROSSING row bytes of cutting_sequence over (-3.5, 33.5)
+# and the repr of the four Birkhoff sums of the padded sandwich at T = 30,
+# on 200 seeded geodesics through the mixed pentagon, recorded on x86-64
+# (glibc libm) at commit 0c64570, before the step loop scanned the walls
+# by meeting point and before the rows were built from Python rows.
+_SEQUENCE_DIGEST = ("46980a5d6061282a4422d727b380007b"
+                    "a6fe89596fecd8b52050185a4f88b254")
+
+
+def _sequence_digest(poly) -> str:
+    from volent.errors import VertexHit
+    rng = np.random.default_rng(31)
+    n, T = 200, 30.0
+    x = rng.uniform(-0.1, 0.1, n)
+    y = rng.uniform(0.9, 1.1, n)
+    a = rng.uniform(0.0, 2.0 * math.pi, n)
+    digest = hashlib.sha256()
+    for i in range(n):
+        g = geodesic_through(HPoint(x[i], y[i]),
+                             HPoint(x[i] + 0.5 * math.cos(a[i]),
+                                    y[i] + 0.5 * math.sin(a[i])))
+        try:
+            seq = cutting_sequence(g, (-3.5, T + 3.5), poly)
+        except VertexHit:
+            digest.update(b"VertexHit")
+            continue
+        digest.update(seq.crossings.tobytes())
+        digest.update(repr((birkhoff_f_integral(seq, 0.0, T),
+                            thickness_log_product(seq, -1.0, T + 1.0),
+                            birkhoff_f_integral(seq, -2.0, T + 2.0),
+                            birkhoff_lq_integral(seq, T))).encode())
+    return digest.hexdigest()
+
+
+def test_cutting_sequences_and_sums_bit_exact(pentagon_mixed):
+    assert _sequence_digest(pentagon_mixed) == _SEQUENCE_DIGEST
 
 
 def test_lq_integral_against_quadrature(pentagon_mixed):
@@ -305,6 +343,24 @@ def test_span_refuses_bad_ends(pentagon_q2):
     for max_steps in (2.5, True, -1):
         with pytest.raises(ValueError, match="max_steps"):
             trace(pentagon_q2.walls, 0.01, 1.0, 0.6, 0.8, 5.0, max_steps)
+    # the ray went unchecked: y = -1 raised a bare "math domain error", a
+    # NaN x or dy returned flag LOST (so cutting_sequence raised VertexHit)
+    # and the zero tangent traced 6 crossings as a downward vertical ray
+    for ray, name in (((0.01, -1.0, 0.6, 0.8), "y"),
+                      ((0.01, 0.0, 0.6, 0.8), "y"),
+                      ((0.01, math.inf, 0.6, 0.8), "y"),
+                      ((math.nan, 1.0, 0.6, 0.8), "x"),
+                      ((True, 1.0, 0.6, 0.8), "x"),
+                      ((0.01, 1.0, 0.6, math.nan), "tangent"),
+                      ((0.01, 1.0, math.inf, 0.8), "tangent"),
+                      ((0.01, 1.0, 0.0, 0.0), "tangent"),
+                      ((0.01, 1.0, -0.0, 0.0), "tangent")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            trace(pentagon_q2.walls, *ray, 5.0)
+    for tangent in ((0.6, math.nan), (0.0, 0.0)):
+        bad = HGeodesic(HPoint(0.01, 1.0), tangent)
+        with pytest.raises(ValueError, match="^tangent must"):
+            cutting_sequence(bad, (-1.0, 5.0), pentagon_q2)
     # the Birkhoff sums took their numbers unchecked: thickness(nan, 5)
     # returned 0.0, f(nan, 5) and lq(nan) NaN, and the product over
     # (-1, 40) on a span ending at 15.5 returned 19.30
@@ -322,6 +378,9 @@ def test_span_refuses_bad_ends(pentagon_q2):
         with pytest.raises(ValueError, match="span too short"):
             thickness_log_product(seq, a, b)
     assert thickness_log_product(seq, 5.0, 4.0) == 0.0
+    # an empty window: f(5, 1) returned the oriented integral, -4.79
+    assert birkhoff_f_integral(seq, 5.0, 1.0) == 0.0
+    assert birkhoff_lq_integral(seq, -2.0) == 0.0
 
 
 def _period(model) -> int:

@@ -261,6 +261,40 @@ def test_trace_bit_exact():
     assert digest.hexdigest() == _TRACE_DIGEST
 
 
+# sha256 of trace's (j, t, u, theta, flag) on 200 seeded rays of T = 30
+# from near the center of the (8, 3) octagon with q = 2, the first 16 of
+# them exactly vertical, recorded on x86-64 (glibc libm) at commit
+# 0c64570, before the step loop scanned the walls by meeting point. With
+# eight walls a step weighs more candidates than on a pentagon, so an
+# order that disagreed with the flight times would show here.
+_OCTAGON_DIGEST = ("5611315314bd83eaf534ad4ad608bd0e"
+                   "517c8a5c4399d479d6c6ee54bf460edc")
+
+
+def _octagon_digest() -> str:
+    poly = regular_polygon(8, 3, (2,) * 8)
+    n = 200
+    rng = np.random.default_rng(37)
+    c = poly.center
+    x = c.x + c.y * rng.uniform(-0.1, 0.1, n)
+    y = c.y * np.exp(rng.uniform(-0.1, 0.1, n))
+    a = rng.uniform(0.0, 2.0 * math.pi, n)
+    dx, dy = np.cos(a), np.sin(a)
+    dx[:16] = 0.0
+    dy[:16] = np.where(np.arange(16) % 2, 1.0, -1.0)
+    digest = hashlib.sha256()
+    for i in range(n):
+        j, t, u, th, flag = trace(poly.walls, x[i], y[i], dx[i], dy[i], 30.0)
+        for arr in (j, t, u, th):
+            digest.update(arr.tobytes())
+        digest.update(bytes([flag]))
+    return digest.hexdigest()
+
+
+def test_trace_bit_exact_on_octagon():
+    assert _octagon_digest() == _OCTAGON_DIGEST
+
+
 @pytest.mark.parametrize("poly_args", [(5, 2, (2, 3, 2, 3, 4)),
                                        (4, 3, (2, 2, 2, 2))])
 def test_single_ray_and_batch_geometries_agree(poly_args):
