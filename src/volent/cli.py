@@ -4,13 +4,14 @@ Subcommands wire the geometry, pressure, growth, Santalo, graph, and
 orbit modules into seeded, reproducible experiments. `volent entropy`
 runs the pressure, growth and Santalo stages on a JSON config in two
 processes (so it needs POSIX fork): a forked child runs growth and the
-pressure stage's refined root, while the parent runs the coarse root
-and its curve, then Santalo, and then folds the refined root in.
-`volent pressure`, `growth` and `santalo` each run one stage whole on
-the config their flags give. Each input is one
-`_INPUTS` row (config key, flag, default, check). Reports are JSON with
-a separate timings block: every field outside it is reproducible for a
-fixed config and version.
+refined root, the parent the coarse root and its curve, then Santalo.
+`_stage` runs each, returning its value or its VolentError, timed under
+its name; after the join one block folds the refined root in, as
+`volent pressure` does, and lists the failures in stage order. `volent
+pressure`, `growth` and `santalo` each run one stage whole on the config
+their flags give. Each input is one `_INPUTS` row (config key, flag,
+default, check). Reports are JSON with a separate timings block: every
+field outside it is reproducible for a fixed config and version.
 
 Exit codes: 0 success, 1 numerical non-convergence, 2 input error.
 """
@@ -213,13 +214,13 @@ def _write_csv(path: str, header: list, rows) -> None:
         csv.writer(fh).writerows([header, *rows])
 
 
-def _pressure_stage(poly, cfg: dict, refine: bool = True) -> tuple:
-    """The cross-section model of the config and its entropy root."""
+def _pressure_stage(poly, cfg: dict) -> tuple:
+    """The cross-section model of the config and its unrefined root."""
     pc = cfg["pressure"]
     model = build_cross_section(poly, (pc["n_u"], pc["n_theta"]), pc["k"],
                                 cfg["seed"])
     return model, solve_entropy(model, bracket=tuple(pc["bracket"]),
-                                tol=pc["tol"], refine=refine)
+                                tol=pc["tol"], refine=False)
 
 
 def _refined_root(poly, cfg: dict) -> float:
@@ -279,7 +280,10 @@ def cmd_santalo(args) -> int:
 
 def cmd_pressure(args) -> int:
     cfg = _flag_config(args)
-    model, est = _pressure_stage(_polygon(cfg), cfg, not args.no_refine)
+    poly = _polygon(cfg)
+    model, est = _pressure_stage(poly, cfg)
+    if not args.no_refine:
+        est = with_refinement(est, _refined_root(poly, cfg))
     print(f"h = {est.value:.6f} +/- {est.err:.6f}  ({est.method})")
     if args.curve:
         _write_curve(args.curve, _curve(model, est.value))
@@ -326,8 +330,40 @@ def cmd_orbits(args) -> int:
     return 0
 
 
-# The stages of `volent entropy`, in the order its failures are listed.
-_FAILURE_ORDER = ("pressure", "growth", "santalo")
+def _stage(timings: dict, name: str, run, *args, **kwargs):
+    """run(*args, **kwargs), timed into timings[name]. A VolentError is
+    returned, not raised: it fails the stage, not the run."""
+    t0 = time.perf_counter()
+    try:
+        return run(*args, **kwargs)
+    except VolentError as exc:
+        return exc
+    finally:
+        timings[name] = time.perf_counter() - t0
+
+
+def _coarse_root(poly, cfg: dict) -> tuple:
+    """The config's unrefined root, and its curve or the curve's
+    VolentError, held: a failed refined root fails the stage first."""
+    model, ulam = _pressure_stage(poly, cfg)
+    try:
+        return ulam, _curve(model, ulam.value)
+    except VolentError as exc:
+        return ulam, exc
+
+
+def _child_stages(conn, poly, cfg: dict) -> None:
+    """The forked child of `volent entropy`: the outcomes of growth and
+    of the refined root, and their timings, sent back whole. An exception
+    that is not a VolentError is sent back to be raised."""
+    timings: dict = {}
+    try:
+        reply = (_stage(timings, "growth", _growth_stage, poly, cfg),
+                 _stage(timings, "pressure_refined", _refined_root, poly,
+                        cfg), timings)
+    except Exception as exc:
+        reply = exc
+    conn.send(reply)
 
 
 def cmd_entropy(args) -> int:
@@ -339,61 +375,7 @@ def cmd_entropy(args) -> int:
     out = cfg["output_dir"] or "."
     os.makedirs(out, exist_ok=True)
     poly = _polygon(cfg)
-    results, timings, failures = {}, {}, []
-
-    def stage(name: str, run):
-        """run(), timed; a VolentError fails the stage, not the run."""
-        t0 = time.perf_counter()
-        try:
-            return run()
-        except VolentError as exc:
-            failures.append((name, str(exc)))
-        finally:
-            timings[name] = (timings.get(name, 0.0)
-                             + time.perf_counter() - t0)
-
-    def coarse():
-        """The config's root and its curve. A VolentError from the curve
-        is held: a failed refined root fails the stage first."""
-        model, ulam = _pressure_stage(poly, cfg, refine=False)
-        try:
-            return ulam, _curve(model, ulam.value)
-        except VolentError as exc:
-            return ulam, exc
-
-    def pressure(ulam, curve, h_refined):
-        """The coarse root's end: the refined root folded in, then the
-        curve written."""
-        if isinstance(h_refined, VolentError):
-            raise h_refined
-        ulam = with_refinement(ulam, h_refined)
-        results["ulam"] = asdict(ulam)
-        if isinstance(curve, VolentError):
-            raise curve
-        _write_curve(os.path.join(out, "curves.csv"), curve)
-        results["curve"] = {"points": len(curve),
-                            "power_iters": curve.power_iters,
-                            "max_bracket_width": curve.max_bracket_width}
-        return ulam
-
-    def refined():
-        """The refined root, or the VolentError that fails the pressure
-        stage."""
-        try:
-            return _refined_root(poly, cfg)
-        except VolentError as exc:
-            return exc
-
-    def growth_refined(conn) -> None:
-        """The forked child: growth, then the refined root, sent back
-        whole. An exception that is not a VolentError is sent back to be
-        raised."""
-        try:
-            reply = (stage("growth", lambda: _growth_stage(poly, cfg)),
-                     stage("pressure_refined", refined), timings, failures)
-        except Exception as exc:
-            reply = exc
-        conn.send(reply)
+    timings: dict = {}
 
     # fork, not spawn: the child shares poly and cfg without a fresh
     # import. It is forked before the parent's pressure stage, so the two
@@ -407,13 +389,13 @@ def cmd_entropy(args) -> int:
 
     ctx = multiprocessing.get_context("fork")
     recv_end, send_end = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=growth_refined, args=(send_end,))
+    child = ctx.Process(target=_child_stages, args=(send_end, poly, cfg))
     child.start()
     send_end.close()
     try:
-        coarse_root = stage("pressure", coarse)
-        santalo = stage("santalo", lambda: santalo_monte_carlo(
-            poly, **cfg["santalo"]))
+        coarse = _stage(timings, "pressure", _coarse_root, poly, cfg)
+        santalo = _stage(timings, "santalo", santalo_monte_carlo, poly,
+                         **cfg["santalo"])
         try:
             reply = recv_end.recv()
         except EOFError:
@@ -429,24 +411,40 @@ def cmd_entropy(args) -> int:
         recv_end.close()
     if isinstance(reply, Exception):
         raise reply
-    growth, h_refined, child_timings, child_failures = reply
+    growth, h_refined, child_timings = reply
     timings.update(child_timings)
-    failures.extend(child_failures)
-    ulam = None
-    if coarse_root is not None:
-        ulam = stage("pressure", lambda: pressure(*coarse_root, h_refined))
-    failures.sort(key=lambda failure: _FAILURE_ORDER.index(failure[0]))
-    results.update({key: asdict(doc) for key, doc in (
-        ("growth", growth), ("santalo", santalo)) if doc is not None})
 
-    bounds = lower_bound_2d(poly)
-    estimates = [e for e in (ulam, growth) if e is not None]
+    # The pressure stage fails on the coarse root's error, else on the
+    # refined root's, else on the curve's. Only a failed curve leaves ulam
+    # in the report, and then out of the strictness verdict.
+    results, failures, ulam = {}, [], None
+    pressure = coarse if isinstance(coarse, VolentError) else h_refined
+    if not isinstance(pressure, VolentError):
+        est, curve = coarse
+        est = with_refinement(est, h_refined)
+        results["ulam"] = asdict(est)
+        pressure = curve
+        if not isinstance(curve, VolentError):
+            ulam = est
+            _write_curve(os.path.join(out, "curves.csv"), curve)
+            results["curve"] = {"points": len(curve),
+                                "power_iters": curve.power_iters,
+                                "max_bracket_width": curve.max_bracket_width}
+    for name, outcome in (("pressure", pressure), ("growth", growth),
+                          ("santalo", santalo)):
+        if isinstance(outcome, VolentError):
+            failures.append((name, str(outcome)))
+        elif name != "pressure":
+            results[name] = asdict(outcome)
+
+    estimates = [e for e in (ulam, growth) if isinstance(e, EntropyEstimate)]
+    bounds = (strictness_report(poly, estimates) if estimates
+              else lower_bound_2d(poly))
     results["bounds"] = {"paper_literal": bounds.paper_literal_bound,
                          "derived_constant": bounds.derived_constant_bound}
     if estimates:
-        strict = strictness_report(poly, estimates)
-        results["strictness"] = {"margin": strict.strictness_margin,
-                                 "flag": strict.flag}
+        results["strictness"] = {"margin": bounds.strictness_margin,
+                                 "flag": bounds.flag}
 
     report = {"version": __version__, "config": cfg, "results": results,
               "failures": failures, "timings": timings}

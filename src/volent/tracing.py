@@ -100,7 +100,7 @@ def _candidates(walls: WallTable, x, y, dx, dy):
     BLOCK).
     """
     cx, rr = walls.cx, walls.r
-    vertical = np.abs(dx) < 1e-13
+    vertical = np.abs(dx) < 1e-13 * np.abs(dy)
     safe_dx = np.where(vertical, 1.0, dx)
     gcx = x + y * dy / safe_dx
     gr = np.hypot(x - gcx, y)
@@ -228,7 +228,7 @@ def _steps(walls: WallTable, x: float, y: float, dx: float, dy: float,
     while max_steps is None or len(js) < max_steps:
         best_t = 1e300
         best_j = -1
-        if -1e-13 < dx < 1e-13:
+        if abs(dx) < 1e-13 * abs(dy):
             # vertical geodesic: arclength is log y
             ly = log(y)
             up = 1.0 if dy > 0 else -1.0

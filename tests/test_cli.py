@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 from volent import cli, coxeter
 from volent.cli import main, validate_config
 from volent.coxeter import enumerate_chambers
-from volent.errors import BracketFailed, WindowTooNarrow
+from volent.errors import (BracketFailed, PowerIterationStalled,
+                           WindowTooNarrow)
 from volent.hypgeom import regular_polygon
-from volent.symbolic import MODEL_COUNTERS, build_cross_section, solve_entropy
+from volent.measures import lower_bound_2d
+from volent.symbolic import (MODEL_COUNTERS, EntropyEstimate,
+                             build_cross_section, solve_entropy)
 
 
 def run(capsys, *argv):
@@ -726,6 +729,55 @@ def test_entropy_refined_root_error_fails_pressure(tmp_path, capsys,
     assert ("growth" in report["results"]) != growth_fails
     assert "santalo" in report["results"]
     assert not (tmp_path / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("refined_fails", [False, True])
+def test_entropy_curve_error_fails_pressure(tmp_path, capsys, monkeypatch,
+                                            refined_fails):
+    # a VolentError from the coarse model's curve fails the pressure stage
+    # after the refined root is folded in: ulam is reported with h_refined,
+    # the curve and curves.csv are not, and the strictness verdict rests
+    # on growth alone (here a growth estimate far above the bound). A
+    # failed refined root fails the stage first, with its own message.
+    monkeypatch.setattr(cli, "_curve",
+                        _raises(PowerIterationStalled("curve stalled")))
+    growth = EntropyEstimate(value=5.0, err=0.0, method="ball_growth",
+                             diagnostics={})
+    monkeypatch.setattr(cli, "_growth_stage", lambda *a: growth)
+    if refined_fails:
+        monkeypatch.setattr(cli, "_refined_root", _raises(
+            BracketFailed("no root in refined bracket")))
+    code, err, report = _entropy_fast(tmp_path, capsys)
+    assert code == 1 and "Traceback" not in err
+    results = report["results"]
+    assert "curve" not in results
+    assert not (tmp_path / "curves.csv").exists()
+    assert results["growth"] == asdict(growth)
+    if refined_fails:
+        assert report["failures"] == [["pressure",
+                                       "no root in refined bracket"]]
+        assert "ulam" not in results
+    else:
+        assert report["failures"] == [["pressure", "curve stalled"]]
+        assert "h_refined" in results["ulam"]["diagnostics"]
+    bound = lower_bound_2d(regular_polygon(5, 2, (2,) * 5))
+    assert results["strictness"] == {
+        "margin": 5.0 - bound.derived_constant_bound, "flag": "PASS"}
+
+
+@pytest.mark.parametrize("no_refine", [False, True])
+def test_pressure_prints_solve_entropy_line(capsys, no_refine):
+    # `volent pressure` prints the estimate solve_entropy gives on the
+    # same config, with the refined root folded in unless --no-refine
+    code, out, _ = run(capsys, "pressure", "--n-u", "8", "--n-theta", "8",
+                       "--k", "2", "--tol", "1e-3", "--seed", "3",
+                       *["--no-refine"] * no_refine)
+    assert code == 0
+    model = build_cross_section(regular_polygon(5, 2, (2,) * 5), (8, 8), 2, 3)
+    est = solve_entropy(model, bracket=(0.5, 4.0), tol=1e-3,
+                        refine=not no_refine)
+    assert out.splitlines()[0] == (
+        f"h = {est.value:.6f} +/- {est.err:.6f}  ({est.method})")
 
 
 def test_entropy_pressure_error_stops_child(tmp_path, capsys, monkeypatch):

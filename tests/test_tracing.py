@@ -311,11 +311,23 @@ def test_single_ray_and_batch_geometries_agree(poly_args):
     dx, dy = np.cos(a), np.sin(a)
     dx[:8] = 0.0
     dy[:8] = np.where(np.arange(8) % 2, 1.0, -1.0)
-    bj, bt, bu, bth, bflag = batch_first_crossing(table, x, y, dx, dy)
+    # rays 8 to 15 once more, on tangents scaled exactly to length 2**-50:
+    # a short tangent is not a vertical one, in either kernel
+    short = 2.0 ** -50
+    x, y = np.r_[x, x[8:16]], np.r_[y, y[8:16]]
+    dx, dy = np.r_[dx, short * dx[8:16]], np.r_[dy, short * dy[8:16]]
+    batch = batch_first_crossing(table, x, y, dx, dy)
+    for arr in batch:
+        assert np.array_equal(arr[n:], arr[8:16])
+    bj, bt, bu, bth, bflag = batch
     assert np.all(bflag[:8] == OK)
-    for i in range(n):
+    for i in range(n + 8):
         j, t, u, th, flag = trace(table, x[i], y[i], dx[i], dy[i], 1e6,
                                   max_steps=1)
+        if i >= n:
+            unit = trace(table, x[i], y[i], dx[i - n + 8], dy[i - n + 8],
+                         1e6, max_steps=1)
+            assert all(map(np.array_equal, (j, t, u, th, flag), unit))
         assert flag == bflag[i]
         if flag != OK:
             continue
