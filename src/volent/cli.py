@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -70,13 +69,6 @@ _MAX_SAMPLES = 10_000_000
 _SVG_CHAMBER_CAP = 25_000
 
 
-def _interval(low: float, what: str) -> tuple:
-    # hi > 0: a bisection from lo clamped at 0 cannot grow hi <= 0
-    return (lambda b: isinstance(b, list) and len(b) == 2
-            and all(map(_is_finite, b)) and low < b[0] < b[1] and b[1] > 0,
-            f"two finite numbers {what}")
-
-
 @dataclass(frozen=True)
 class _Input:
     """One input: config key ("section.name" or top-level), the flag that
@@ -98,11 +90,10 @@ _INPUTS = (
     _Input("pressure.n_theta", "--n-theta", 32, *_int(4)),
     _Input("pressure.k", "--k", 3, *_int(1)),
     _Input("pressure.tol", "--tol", 1e-4, *_above()),
-    _Input("pressure.bracket", None, [0.5, 4.0],
-           *_interval(-math.inf, "lo < hi, hi > 0")),
     _Input("growth.window", "--window", [4.0, 11.0],
-           *_interval(0.0, "0 < lo < hi")),
-    _Input("growth.rows", None, 24, *_int(3, 10_000)),
+           lambda b: isinstance(b, list) and len(b) == 2
+           and all(map(_is_finite, b)) and 0 < b[0] < b[1],
+           "two finite numbers 0 < lo < hi"),
     _Input("santalo.samples", "--samples", DEFAULT_SAMPLES,
            *_int(10_000, _MAX_SAMPLES)),
     _Input("santalo.seed", "--seed", 0, *_int(0)),
@@ -219,15 +210,14 @@ def _pressure_stage(poly, cfg: dict) -> tuple:
     pc = cfg["pressure"]
     model = build_cross_section(poly, (pc["n_u"], pc["n_theta"]), pc["k"],
                                 cfg["seed"])
-    return model, solve_entropy(model, bracket=tuple(pc["bracket"]),
-                                tol=pc["tol"], refine=False)
+    return model, solve_entropy(model, tol=pc["tol"], refine=False)
 
 
 def _refined_root(poly, cfg: dict) -> float:
     """The entropy root on the config's grid refined REFINE times."""
     pc = cfg["pressure"]
     return refined_root(poly, (pc["n_u"], pc["n_theta"]), pc["k"],
-                        cfg["seed"], tuple(pc["bracket"]), pc["tol"])
+                        cfg["seed"], pc["tol"])
 
 
 def _curve(model, h: float):
@@ -240,9 +230,10 @@ def _write_curve(path: str, curve) -> None:
 
 
 def _growth_stage(poly, cfg: dict) -> EntropyEstimate:
-    """Ball-growth slope of the config's growth section."""
+    """Ball-growth slope of the config's growth window, on ball_growth's
+    default row grid."""
     gc = cfg["growth"]
-    bg = ball_growth(poly, *gc["window"], gc["rows"])
+    bg = ball_growth(poly, *gc["window"])
     slope, serr = growth_slope(bg.table, poly.diameter)
     return EntropyEstimate(
         value=slope, err=serr, method="ball_growth",

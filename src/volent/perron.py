@@ -15,7 +15,11 @@ moves to modulus |e^(2 pi i/d) + c| / (1 + c) < 1 relative to the root,
 for every c > 0. A large shift slows the interior spectrum instead: a
 positive eigenvalue lambda < rho converges at the ratio
 (lambda + alpha) / (rho + alpha), which grows with alpha. So alpha is
-_SHIFT = 1/4 of the first bracket's midpoint, about rho/4.
+_SHIFT = 1/4 of the first bracket's midpoint, about rho/4, and is taken
+again from the current midpoint whenever that falls below alpha: a warm
+start from a distant matrix can make the first midpoint overshoot rho by
+orders of magnitude, and alpha >> rho then contracts by about
+1 - rho/alpha per step.
 
 A value-mode evaluation of a curve h -> rho(B(h)) starts from the
 cubic Lagrange extrapolation, in h, of ln v over the last _HISTORY = 4
@@ -42,7 +46,8 @@ import numpy as np
 from .errors import (BracketFailed, PowerIterationStalled, _at_least,
                      _is_finite, _require)
 
-# alpha as a fraction of the first bracket's midpoint.
+# alpha as a fraction of a bracket's midpoint: the first one's, then any
+# later one's that alpha exceeds.
 _SHIFT = 0.25
 # Value-mode iterates kept for the start extrapolation: four points,
 # a cubic in h.
@@ -56,7 +61,8 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
     B is a nonnegative square matrix: anything with .shape and a product
     B @ v. v is an optional positive start (e.g. the iterate returned
     for a nearby matrix), copied, not changed. alpha is _SHIFT
-    times the first bracket's midpoint. Stops when hi - lo <= rtol * hi
+    times the first bracket's midpoint, re-taken from the midpoint of
+    any later bracket it exceeds. Stops when hi - lo <= rtol * hi
     or, given a target, once the bracket excludes it; lo + hi > 2 *
     target is then the sign of rho - target. An all-zero B gives (0, 0). If
     neither stop holds while lo is not positive (0 or NaN: rows of B
@@ -69,7 +75,7 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
         w = B @ v
         np.divide(w, v, out=ratio)
         lo, hi = float(ratio.min()), float(ratio.max())
-        if step == 1:
+        if step == 1 or alpha > 0.5 * (lo + hi):
             alpha = _SHIFT * 0.5 * (lo + hi)
         if (hi - lo <= rtol * hi
                 or target is not None and (lo > target or hi < target)):

@@ -465,8 +465,7 @@ def _solve_root(model: UlamModel, bracket: tuple, tol: float) -> tuple:
     h: one sign change, located by the bracket ends alone.
     """
     rho = _pressure_rho(model)
-    h, iters, widened = bisect_root(rho.above, max(bracket[0], 0.0),
-                                    bracket[1], tol, hi_cap=50.0)
+    h, iters, widened = bisect_root(rho.above, *bracket, tol, hi_cap=50.0)
     return h, {"bisection_iters": iters, "bracket_widened": widened,
                "power_iters": rho.steps, "bracket_width": rho.width}
 
@@ -474,21 +473,19 @@ def _solve_root(model: UlamModel, bracket: tuple, tol: float) -> tuple:
 # solve_entropy's refinement multiplies each grid side by REFINE.
 REFINE = 2
 
+# The root solve's start bracket. rho(B(0.5)) > 1 for every model: each
+# row of B(0.5) sums to more than 1, as q >= 1 and every mean_L > 0.
+_BRACKET = (0.5, 4.0)
+
 # build_cross_section counters that solve_entropy passes on.
 MODEL_COUNTERS = ("scc_states", "grid_states", "discarded_samples",
                   "total_samples")
 
 
-def _check_bracket(bracket) -> None:
-    _require("bracket", bracket, *_two("finite numbers"))
-    for end in bracket:
-        _require("bracket end", end, _is_finite, "a finite number")
-
-
-def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
-                  tol: float = DEFAULT_H_TOL,
+def solve_entropy(model: UlamModel, tol: float = DEFAULT_H_TOL,
                   refine: bool = True) -> EntropyEstimate:
-    """Entropy as the root of the pressure log radius, by bisection.
+    """Entropy as the root of the pressure log radius, by bisection from
+    the start bracket [0.5, 4.0], whose upper end doubles up to h = 50.
 
     The diagnostics count the root solve on this model: bisection_iters,
     bracket_widened, power_iters (kernel steps) and bracket_width (the
@@ -498,13 +495,10 @@ def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
     a grid REFINE times finer per side (refined_root) enters the error
     bar as the dominant discretization term (with_refinement); the two
     can also run apart, as `volent entropy` runs them in two processes.
-    ValueError, naming bracket, unless it is a tuple or list of two
-    finite numbers (not bools). A lower end below 0, which the CLI's
-    pressure.bracket accepts, is raised to 0: the entropy is not
-    negative.
+    ValueError, naming tol, unless it is a finite number >= 0;
+    BracketFailed if the root lies above h = 50.
     """
-    _check_bracket(bracket)
-    h, counters = _solve_root(model, bracket, tol)
+    h, counters = _solve_root(model, _BRACKET, tol)
     diagnostics = dict(counters, grid=[model.n_u, model.n_theta],
                        k=model.k, seed=model.seed)
     diagnostics.update((key, model.diagnostics[key])
@@ -514,24 +508,23 @@ def solve_entropy(model: UlamModel, bracket: tuple = (0.5, 4.0),
     if refine:
         est = with_refinement(est, refined_root(
             model.poly, (model.n_u, model.n_theta), model.k, model.seed,
-            bracket, tol))
+            tol))
     return est
 
 
 def refined_root(poly: CoxeterPolygon, grid: tuple, K: int, seed: int,
-                 bracket: tuple = (0.5, 4.0),
                  tol: float = DEFAULT_H_TOL) -> float:
-    """The pressure root of the model build_cross_section(poly, grid, K,
-    seed) would give on a grid REFINE times finer per side.
+    """The pressure root, from solve_entropy's start bracket, of the
+    model build_cross_section(poly, grid, K, seed) would give on a grid
+    REFINE times finer per side.
 
     Input checks and errors are those of build_cross_section and
     solve_entropy.
     """
-    _check_bracket(bracket)
     _check_grid(grid)
     fine = build_cross_section(poly, (REFINE * grid[0], REFINE * grid[1]),
                                K, seed)
-    return _solve_root(fine, bracket, tol)[0]
+    return _solve_root(fine, _BRACKET, tol)[0]
 
 
 def with_refinement(est: EntropyEstimate,

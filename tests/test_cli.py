@@ -297,13 +297,19 @@ def test_validate_config_unknown_keys():
 
 
 def test_radius_cut_config_key_unknown(tmp_path, capsys):
-    # the growth walk stops at the window top, so a config that still
-    # sets the old radius cut is refused, not run with the key ignored
+    # the growth walk stops at the window top, the root solve starts from
+    # its own bracket and the growth fit takes ball_growth's row grid, so
+    # a config that still sets one of these old keys is refused, not run
+    # with the key ignored
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"growth": {"radius_cut": 12.7}}))
-    code, _, err = run(capsys, "entropy", "--config", str(cfg))
-    assert code == 2
-    assert "unknown config key: growth.radius_cut" in err
+    for doc, key in (({"growth": {"radius_cut": 12.7}}, "growth.radius_cut"),
+                     ({"pressure": {"bracket": [0.5, 4.0]}},
+                      "pressure.bracket"),
+                     ({"growth": {"rows": 24}}, "growth.rows")):
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "entropy", "--config", str(cfg))
+        assert code == 2
+        assert f"unknown config key: {key}" in err
 
 
 def test_radius_cut_flag_unknown(capsys):
@@ -346,6 +352,8 @@ def test_entropy_config_errors(tmp_path, capsys):
     ({"tol": -1e-4}, "pressure.tol"),
     ({"tol": "1e-4"}, "pressure.tol"),
     ({"tol": 10 ** 400}, "pressure.tol"),
+    # the start bracket and the growth rows are no longer config keys:
+    # their cases in this list exit 2 as unknown keys
     ({"bracket": [4.0, 0.5]}, "pressure.bracket"),
     ({"bracket": [0.5]}, "pressure.bracket"),
     ({"bracket": [0.5, "4"]}, "pressure.bracket"),
@@ -385,7 +393,6 @@ def test_entropy_config_errors(tmp_path, capsys):
     ({"p": 3, "m": 7, "q": [1, 2, 3]}, "polygon.q"),
     # q has one entry per wall: the default q has 5
     ({"p": 6}, "polygon.q"),
-    # an upper end <= 0 never grows, so the root solve would not end
     ({"bracket": [-5.0, -1.0]}, "pressure.bracket"),
     ({"bracket": [-5.0, 0.0]}, "pressure.bracket"),
     # the window top alone sets how far the growth walk goes
@@ -457,9 +464,8 @@ def _config_docs(draw):
     most one field corrupted."""
     valid = {
         "polygon": {"p": 5, "m": 2, "q": [2, 3, 2, 3, 4]},
-        "pressure": {"n_u": 8, "n_theta": 8, "k": 2, "tol": 1e-3,
-                     "bracket": [0.5, 4.0]},
-        "growth": {"window": [2.0, 5.0], "rows": 8},
+        "pressure": {"n_u": 8, "n_theta": 8, "k": 2, "tol": 1e-3},
+        "growth": {"window": [2.0, 5.0]},
         "santalo": {"samples": 20000, "seed": 1},
         "seed": 3,
         "output_dir": "out",
@@ -493,23 +499,10 @@ def test_config_fuzz_validates_or_rejects(doc):
 FAST_CFG = {
     "polygon": {"p": 5, "m": 2, "q": [2, 2, 2, 2, 2]},
     "pressure": {"n_u": 8, "n_theta": 8, "k": 2, "tol": 1e-3},
-    "growth": {"window": [2.0, 5.0], "rows": 8},
+    "growth": {"window": [2.0, 5.0]},
     "santalo": {"samples": 20000, "seed": 1},
     "seed": 3,
 }
-
-
-def test_entropy_growth_rows_too_large(tmp_path, capsys):
-    # 1e12 radius rows (7.3 TiB) are refused by validation, before the
-    # pressure stage writes anything
-    cfg = dict(FAST_CFG, output_dir=str(tmp_path),
-               growth=dict(FAST_CFG["growth"], rows=10 ** 12))
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(cfg))
-    code, _, err = run(capsys, "entropy", "--config", str(p))
-    assert code == 2
-    assert "error (input)" in err and "growth.rows" in err
-    assert not (tmp_path / "curves.csv").exists()
 
 
 def test_entropy_output_dir_is_a_file(tmp_path, capsys):
@@ -563,12 +556,13 @@ def test_entropy_growth_counters(tmp_path, capsys):
 
 
 # sha256 of the default `volent entropy` outputs, recorded on x86-64
-# (glibc libm) at commit cd5014a: report.json without timings and
-# output_dir, dumped with sorted keys, and curves.csv as written. They
-# pin every bit, so a change that claims byte-identical outputs is
-# checked here.
-_ENTROPY_REPORT_DIGEST = ("5732474ba5616469c036d6db0b5bc131"
-                          "e3205db925743698a3b19c2e76227bf9")
+# (glibc libm): report.json without timings and output_dir, dumped with
+# sorted keys, at version 0.3.2 (its config without pressure.bracket and
+# growth.rows; every estimate as at commit cd5014a), and curves.csv as
+# written at commit cd5014a. They pin every bit, so a change that claims
+# byte-identical outputs is checked here.
+_ENTROPY_REPORT_DIGEST = ("b3c8004d433fc4fe2d5eaca2277a1346"
+                          "14caca4798f1844a69f5fa3027903897")
 _ENTROPY_CURVES_DIGEST = ("14e519ba1adc114c22f0f48989b598c3"
                           "9e995e6f92091e977d2c52bf858a15e0")
 
@@ -655,7 +649,7 @@ def test_entropy_child_stages_match_in_process(tmp_path, capsys):
     pc = cfg["pressure"]
     ulam = solve_entropy(build_cross_section(
         poly, (pc["n_u"], pc["n_theta"]), pc["k"], cfg["seed"]),
-        bracket=tuple(pc["bracket"]), tol=pc["tol"], refine=True)
+        tol=pc["tol"], refine=True)
     for key, doc in (("growth", cli._growth_stage(poly, cfg)),
                      ("santalo", cli.santalo_monte_carlo(
                          poly, **cfg["santalo"])),
@@ -774,8 +768,7 @@ def test_pressure_prints_solve_entropy_line(capsys, no_refine):
                        *["--no-refine"] * no_refine)
     assert code == 0
     model = build_cross_section(regular_polygon(5, 2, (2,) * 5), (8, 8), 2, 3)
-    est = solve_entropy(model, bracket=(0.5, 4.0), tol=1e-3,
-                        refine=not no_refine)
+    est = solve_entropy(model, tol=1e-3, refine=not no_refine)
     assert out.splitlines()[0] == (
         f"h = {est.value:.6f} +/- {est.err:.6f}  ({est.method})")
 

@@ -299,23 +299,9 @@ def test_cross_section_refuses_bad_counts(pentagon_q2):
     a = build_cross_section(pentagon_q2, (np.int64(8),) * 2, np.int64(2), 3)
     b = build_cross_section(pentagon_q2, (8, 8), 2, seed=3)
     assert np.array_equal(a.src, b.src) and np.array_equal(a.mass, b.mass)
-    # the root solve refuses a tol or bracket end beyond the float range
+    # the root solve refuses a tol beyond the float range
     with pytest.raises(ValueError, match="tol"):
         solve_entropy(b, tol=10 ** 400, refine=False)
-    with pytest.raises(ValueError, match="bracket"):
-        solve_entropy(b, bracket=(0.5, 10 ** 400), refine=False)
-    # a third bracket value was dropped, one value raised IndexError, a
-    # bare number or a lower end that is not a number TypeError, an
-    # upper end that is not a number and a bool, NaN or infinite end a
-    # ValueError naming lo and hi, and a lower end of -inf ran as 0
-    for bracket in ((0.5, 4.0, 99.0), (0.5,), 5, ("a", 4.0), (0.5, "4"),
-                    (True, 4.0), (0.5, math.inf), (math.nan, 4.0),
-                    (-math.inf, 4.0)):
-        with pytest.raises(ValueError, match="bracket"):
-            solve_entropy(b, bracket=bracket, refine=False)
-    # a finite lower end below 0 is raised to 0
-    assert (solve_entropy(b, bracket=(-1.0, 4.0), refine=False).value
-            == solve_entropy(b, bracket=(0.0, 4.0), refine=False).value)
     # h = NaN once ran 20,000 power steps into PowerIterationStalled, and
     # h = 10**400 raised OverflowError
     for h in (10 ** 400, math.nan, math.inf, True):
@@ -403,8 +389,8 @@ def _period(model) -> int:
     return g
 
 
-def _dense_root(model) -> float:
-    """Root of rho(B(h)) = 1 from dense eigenvalues."""
+def _dense_root(model, hi: float = 4.0) -> float:
+    """Root of rho(B(h)) = 1 in [0.5, hi] from dense eigenvalues."""
     n = model.n_states
     w = model.mass * model.q_of_state(model.dst)
 
@@ -413,7 +399,17 @@ def _dense_root(model) -> float:
         B[model.src, model.dst] = w * np.exp((1.0 - h) * model.mean_L)
         return math.log(np.abs(np.linalg.eigvals(B)).max())
 
-    return brentq(log_rho, 0.5, 4.0, xtol=1e-12)
+    return brentq(log_rho, 0.5, hi, xtol=1e-12)
+
+
+def test_thick_uniform_root_solves():
+    # q = 1e5 on every wall: a warm start from a distant h puts the first
+    # bracket's midpoint far above rho, and the shift, once fixed at a
+    # quarter of it, left the power iteration stalled
+    model = build_cross_section(regular_polygon(5, 2, (100_000,) * 5),
+                                (8, 8), 2, 0)
+    est = solve_entropy(model, refine=False)
+    assert est.value == pytest.approx(_dense_root(model, 20.0), abs=est.err)
 
 
 def test_period_stalled_pressure_model_solves(pentagon_q2, capsys):
@@ -624,22 +620,20 @@ def test_refinement_apart_is_refine_true(pentagon_q2):
     # the refined root and the fold, run apart as `volent entropy` runs
     # them, give solve_entropy(refine=True) bit for bit
     m = build_cross_section(pentagon_q2, (8, 8), 2, seed=3)
-    whole = solve_entropy(m, bracket=(0.25, 4.0), tol=1e-3)
-    h_fine = refined_root(pentagon_q2, (8, 8), 2, 3, (0.25, 4.0), 1e-3)
+    whole = solve_entropy(m, tol=1e-3)
+    h_fine = refined_root(pentagon_q2, (8, 8), 2, 3, 1e-3)
     fine = build_cross_section(pentagon_q2, (16, 16), 2, seed=3)
-    assert h_fine == _solve_root(fine, (0.25, 4.0), 1e-3)[0]
-    coarse = solve_entropy(m, bracket=(0.25, 4.0), tol=1e-3, refine=False)
+    assert h_fine == _solve_root(fine, (0.5, 4.0), 1e-3)[0]
+    coarse = solve_entropy(m, tol=1e-3, refine=False)
     assert with_refinement(coarse, h_fine) == whole
     assert whole.err == 1e-3 + abs(h_fine - whole.value)
     assert whole.diagnostics["h_refined"] == h_fine
     assert "h_refined" not in coarse.diagnostics
-    # its inputs are refused as build_cross_section and solve_entropy
-    # refuse them, by name, before any sampling
-    for grid, bracket, name in (((8, 3), (0.5, 4.0), "grid"),
-                                (("ab", 8), (0.5, 4.0), "grid N_u"),
-                                ((8, 8), (0.5, math.inf), "bracket")):
+    # its grid is refused as build_cross_section refuses it, by name,
+    # before any sampling
+    for grid, name in (((8, 3), "grid"), (("ab", 8), "grid N_u")):
         with pytest.raises(ValueError, match=name):
-            refined_root(pentagon_q2, grid, 2, 3, bracket)
+            refined_root(pentagon_q2, grid, 2, 3)
 
 
 def _assert_within_cold_brackets(m, curve):
