@@ -38,10 +38,15 @@ Six tasks:
   whether the numpy products equal the CSR one bit for bit.
 
 Each timing is the median over repeats; every result value, the solver
-counters found in `diagnostics` and the machine are recorded. Apart
-from the sweep's two settings and the scc task's wrapper, only public
-functions are called: point PYTHONPATH at the `src/` of the checkout to
-measure.
+counters found in `diagnostics` and the machine are recorded. The
+graphs and ulam_root tasks record each solve's power steps
+(`power_iters`), the signs its bisection read from the root enclosure
+(`skipped_signs`, absent before the enclosure, when every sign was
+evaluated) and its evaluated signs (`sign_brackets`), counted in one
+more untimed solve by wrapping `volent.perron.perron_bracket` and
+counting its calls with a target. Apart from the sweep's two settings
+and the scc task's and sign count's wrappers, only public functions
+are called: point PYTHONPATH at the `src/` of the checkout to measure.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_perron.py --label change \\
@@ -71,7 +76,8 @@ from volent.hypgeom import regular_polygon
 from volent.symbolic import (build_cross_section, pressure_curve,
                              pressure_log_radius, solve_entropy)
 
-COUNTERS = ("bisection_iters", "power_iters", "bracket_width")
+COUNTERS = ("bisection_iters", "power_iters", "bracket_width",
+            "skipped_signs")
 TASKS = ("graphs", "ulam_root", "curve", "sweep", "scc", "product")
 # products per timing in the product task
 PRODUCTS = 200
@@ -111,6 +117,28 @@ def counters(diagnostics: dict) -> dict:
     return {k: diagnostics[k] for k in COUNTERS if k in diagnostics}
 
 
+def sign_brackets(solve, *args, **kwargs) -> int:
+    """The sign-mode perron_bracket calls (a target given) of one call of
+    solve, counted by wrapping volent.perron.perron_bracket, which
+    WarmPerron calls with the target as its fourth argument."""
+    real = volent.perron.perron_bracket
+    count = 0
+
+    def spy(*a, **kw):
+        nonlocal count
+        count += a[3] is not None
+        return real(*a, **kw)
+
+    volent.perron.perron_bracket = spy
+    try:
+        solve(*args, **kwargs)
+    except VolentError:
+        pass
+    finally:
+        volent.perron.perron_bracket = real
+    return count
+
+
 def time_graphs(graphs, repeats: int) -> dict:
     times, results = [], []
     for _ in range(repeats):
@@ -124,6 +152,8 @@ def time_graphs(graphs, repeats: int) -> dict:
             except VolentError as exc:
                 results.append({"graph": name, "error": type(exc).__name__})
         times.append(time.perf_counter() - t0)
+    for row, (_, g) in zip(results, graphs):
+        row["sign_brackets"] = sign_brackets(graph_entropy, g, tol=1e-10)
     return {"median_s": statistics.median(times), "runs_s": times,
             "results": results}
 
@@ -146,7 +176,9 @@ def time_ulam(repeats: int) -> list:
             rows.append({"grid": grid, "seed": seed,
                          "states": model.n_states, "h": repr(est.value),
                          "median_s": statistics.median(times),
-                         "runs_s": times, **counters(est.diagnostics)})
+                         "runs_s": times, **counters(est.diagnostics),
+                         "sign_brackets": sign_brackets(
+                             solve_entropy, model, refine=False)})
     return rows
 
 
@@ -325,12 +357,19 @@ def main() -> None:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for k, r in run.get("graphs", {}).items():
-        ok = sum("h" in x for x in r["results"])
+        solved = [x for x in r["results"] if "h" in x]
         print(f"graph_entropy {k:<10} {len(r['results']):3d} graphs "
-              f"({ok} solved)  median {r['median_s']:.3f} s")
+              f"({len(solved)} solved)  signs "
+              f"{sum(x['sign_brackets'] for x in r['results'])} evaluated, "
+              f"{sum(x.get('skipped_signs', 0) for x in solved)} skipped  "
+              f"{sum(x['power_iters'] for x in solved)} power steps  "
+              f"median {r['median_s']:.3f} s")
     for r in run.get("ulam_root", []):
         print(f"ulam root {r['grid']}x{r['grid']} seed {r['seed']}  "
-              f"h = {float(r['h']):.6f}  median {r['median_s']:.3f} s")
+              f"h = {float(r['h']):.6f}  signs {r['sign_brackets']} "
+              f"evaluated, {r.get('skipped_signs', 0)} skipped  "
+              f"{r['power_iters']} power steps  "
+              f"median {r['median_s']:.3f} s")
     for r in run.get("curve", []):
         print(f"curve 32x32 seed {r['seed']}  {r['power_iters']} steps  "
               f"max |delta| {r['max_abs_delta_cold']:.2e}  "

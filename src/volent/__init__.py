@@ -9,7 +9,7 @@ tabulates a family of closed-geodesic lengths whose non-affineness in k
 separates the Liouville and maximal-entropy measures.
 """
 
-__version__ = "0.3.2"
+__version__ = "0.3.3"
 
 from .errors import VolentError  # noqa: F401
 from .hypgeom import CoxeterPolygon, HPoint, regular_polygon  # noqa: F401

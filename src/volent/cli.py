@@ -189,8 +189,8 @@ def _flag_config(args) -> dict:
             d, k = _slot(cfg, row.key)
             d[k] = getattr(args, row.flag[2:].replace("-", "_"))
     pc = cfg["polygon"]
-    if _is_int(pc["q"]):     # --q defaults to one thickness on every wall
-        pc["q"] = [pc["q"]] * pc["p"]
+    if len(pc["q"]) == 1:    # one --q value is the thickness of every wall
+        pc["q"] = pc["q"] * pc["p"]
     _check(cfg, _READS[args.cmd], by_flag=True)
     return cfg
 
@@ -472,10 +472,10 @@ def _add_stage(sub, cmd: str, fn, text: str):
             if row.key == "polygon.q":
                 # one thickness on each of the --p walls: the config's, or
                 # q = 1 (a thin building) for `volent polygon`
-                kw["default"] = 1 if cmd == "polygon" else row.default[0]
+                kw["default"] = [1] if cmd == "polygon" else row.default[:1]
                 kw.update(type=lambda s: [int(x) for x in s.split(",")],
-                          help=f"comma-separated q per edge (default "
-                               f"uniform {kw['default']})")
+                          help=f"comma-separated q per edge, or one q for "
+                               f"every edge (default {kw['default'][0]})")
             elif isinstance(row.default, list):
                 kw.update(type=float, nargs=len(row.default),
                           default=list(row.default))

@@ -5,16 +5,17 @@ trees, and geodesics in a tree never backtrack. The entropy is the
 unique h > 0 at which the non-backtracking edge operator, weighted by
 exp(-h * length of the entered edge), has spectral radius one (Lim,
 "Minimal volume entropy for graphs", Trans. AMS 360, 2008). Its sparsity
-pattern is built once; each bisection step only rewrites the weights
-and reads a certified sign of rho - 1 from the shifted power iteration
-of volent.perron, so periodic edge graphs solve too. A graph whose
-vertices all have degree 2 (a union of circuits) grows linearly and
-gets entropy 0 with a degenerate flag instead. Any other graph solves
-if and only if it is connected: for a graph of minimum degree >= 2
-that is not a union of circuits, the operator is irreducible exactly
-when the graph is connected (Glover and Kempton, Linear Algebra Appl.
-618, 2021), so its vertices' connected components are counted instead
-of the operator's strong components. The operator (_NonBacktracking)
+pattern is built once; each bisection step reads a certified sign of
+rho - 1 from the root enclosure of volent.perron or, inside it, from
+the shifted power iteration on rewritten weights, so periodic edge
+graphs solve too. A graph whose vertices all have degree 2 (a union of
+circuits) grows linearly and gets entropy 0 with a degenerate flag
+instead. Any other graph solves if and only if it is connected: for a
+graph of minimum degree >= 2 that is not a union of circuits, the
+operator is irreducible exactly when the graph is connected (Glover
+and Kempton, Linear Algebra Appl. 618, 2021), so its vertices'
+connected components are counted instead of the operator's strong
+components. The operator (_NonBacktracking)
 is built and multiplied with numpy alone.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import (NotStronglyConnected, _above, _int, _is_finite, _is_int,
                      _require)
-from .perron import WarmPerron, bisect_root
+from .perron import WarmPerron
 from .symbolic import EntropyEstimate
 
 
@@ -168,20 +169,27 @@ class _NonBacktracking:
     """Non-backtracking edge operator: B[e, f] = data[f] for each pair
     (e, f) = (rows[k], cols[k]), rows ascending. data holds one value
     per edge, m in all, since an entry depends only on the entered edge
-    f.
+    f, and rev[e] is the reversal of edge e.
 
     B @ v adds each row's terms in stored order into 0.0, as a CSR
     matrix product does, and each term is the same product
     data[f] * v[f], so the two products agree bit for bit.
     """
 
-    def __init__(self, rows, cols, data):
-        self.rows, self.cols, self.data = rows, cols, data
+    def __init__(self, rows, cols, data, rev):
+        self.rows, self.cols, self.data, self.rev = rows, cols, data, rev
         self.shape = (data.size, data.size)
 
     def __matmul__(self, v):
         return np.bincount(self.rows, (self.data * v).take(self.cols),
                            self.shape[0])
+
+    def left(self, v):
+        """data * v[rev], a left Perron vector of B when v is a right one:
+        f follows e exactly when rev e follows rev f, and an edge and its
+        reversal have one length, so B^T = D R B R D^-1 with R the
+        reversal and D = diag(data)."""
+        return self.data * v.take(self.rev)
 
 
 def _nonbacktracking(g: MetricGraph):
@@ -200,7 +208,7 @@ def _nonbacktracking(g: MetricGraph):
     offset = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
     cols = out[np.repeat(first[g.dst], count) + offset]
     keep = cols != g.rev[rows]
-    return _NonBacktracking(rows[keep], cols[keep], g.length.copy())
+    return _NonBacktracking(rows[keep], cols[keep], g.length.copy(), g.rev)
 
 
 def graph_entropy(g: MetricGraph, tol: float = 1e-10) -> EntropyEstimate:
@@ -225,9 +233,11 @@ def graph_entropy(g: MetricGraph, tol: float = 1e-10) -> EntropyEstimate:
                      max_iter=200_000)
     # doubling from 1 stops at 2**19, the last upper end below the
     # runaway cap 1e6
-    h, iters, _ = bisect_root(rho.above, 0.0, 1.0, tol, hi_cap=2.0 ** 19)
+    h, iters, _ = rho.root(0.0, 1.0, tol, hi_cap=2.0 ** 19)
     return EntropyEstimate(value=h, err=tol, method="graph_spectral",
                            diagnostics={"degenerate": False,
                                         "bisection_iters": iters,
                                         "power_iters": rho.steps,
-                                        "bracket_width": rho.width})
+                                        "bracket_width": rho.width,
+                                        "sign_brackets": rho.signs,
+                                        "skipped_signs": rho.skipped})

@@ -26,6 +26,35 @@ cubic Lagrange extrapolation, in h, of ln v over the last _HISTORY = 4
 evaluations: the Perron vector is smooth in h, so the start is close to
 the answer and the bracket narrows in far fewer steps.
 
+A root solve (WarmPerron.root) bisects with bisect_root on signs read
+through WarmPerron.above, and each sign bracket [lo, hi] at h also
+bounds the root r of rho(B(h)) = 1. Every entry of B(h) carries the
+factor exp(-h * length), so d ln rho / dh lies in [-lmax, -lmin], the
+extremes of length (mean_L > 0 for an Ulam model, the edge lengths for
+a graph), and r lies in [h + ln lo / (lmax if lo >= 1 else lmin),
+h + ln hi / (lmin if hi >= 1 else lmax)]. The solver keeps the
+intersection [low, high] of these enclosures, each end widened by the
+margin (_ROUNDING * (1 + |h|) + 2 * rtol) / lmin: the rounding of B(h)
+and of a bracket is far below _ROUNDING in ln rho, and where
+|ln rho| > 2 * rtol a sign bracket excludes 1 before its rtol stop. So
+at an h outside [low, high] any sign bracket, from any warm start,
+certifies the sign the enclosure gives, and above(h) reads it without
+one. bisect_root keeps its loop and its midpoints, so h, its iteration
+count and its widenings are those of a bisection that evaluates every
+sign, bit for bit whenever that bisection's signs were all certified.
+(A midpoint within the margin of the root is evaluated on both paths,
+from different warm starts; a bracket that stops at rtol with 1 inside
+reads its midpoint, so there the two may differ, within tol and the
+margins.) When h falls inside, the solver first probes the secant root
+r' of the last two sign brackets' ln rho at r' -+ d, d = max(tol / 4,
+margin), each probe only if it lies more than the margin inside [low,
+high]: once r' is within d of the root, the probes leave an enclosure
+of width about 2d, and the bisection's later midpoints fall outside it.
+A sign bracket stops as soon as it excludes 1, so its midpoint places
+r' only to a fraction of the distance to the root; where the operator
+gives a left Perron vector (a metric graph's does), ln rho is read from
+the quotient u.Bv / u.v instead, whose error is second order.
+
 An Ulam model's matrix is a SparseRows: its product adds each row's
 terms in the same order as a CSR product, so the two agree bit for bit,
 with numpy alone. A metric graph's operator keeps its own bincount
@@ -52,6 +81,9 @@ _SHIFT = 0.25
 # Value-mode iterates kept for the start extrapolation: four points,
 # a cubic in h.
 _HISTORY = 4
+# Relative rounding of B(h) and of its brackets allowed for, in ln rho,
+# by the ends of WarmPerron's root enclosure.
+_ROUNDING = 1e-12
 
 
 def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
@@ -97,18 +129,30 @@ class WarmPerron:
     weight in the order of B.data. B may be anything with .shape, .data
     (a float array, rewritten in place) and a product B @ v: a
     SparseRows for an Ulam model, graphs._NonBacktracking for a metric
-    graph. The iterates v are in B's state order, which the brackets do
+    graph; B.left(v), if B has it, maps a right Perron vector to a left
+    one (see _rho). The iterates v are in B's state order, which the brackets do
     not depend on: every step on them is elementwise or a min/max. A
     sign (given a target) is warm-started from the last iterate; a
     value (no target) from the extrapolation of the last _HISTORY
     value-mode iterates to h. steps counts kernel steps; width is the
-    last bracket's."""
+    last bracket's.
+
+    Every sign bracket also narrows [low, high], an enclosure of the
+    root of rho(B(h)) = 1 that above reads (see the module docstring;
+    every length must be > 0); signs counts the sign brackets and
+    skipped the signs read from the enclosure alone."""
 
     def __init__(self, B, weight, shift: float, rtol: float, max_iter: int):
         self.B, self.weight, self.length = B, weight, B.data.copy()
         self.shift, self.rtol, self.max_iter = shift, rtol, max_iter
         self.v, self.steps, self.width = None, 0, 0.0
         self.history = []   # (h, ln v) of the last value-mode brackets
+        self.lmin = float(self.length.min())
+        self.lmax = float(self.length.max())
+        self.low, self.high = -math.inf, math.inf
+        self.signs = self.skipped = 0
+        self.tol = 0.0
+        self.last = []      # (h, ln rho) of the last two sign brackets
 
     def bracket(self, h: float, target=None) -> tuple:
         data = self.B.data
@@ -138,10 +182,75 @@ class WarmPerron:
         v = np.exp(y - y.max())
         return v if np.all(v > 0.0) else self.v
 
+    def root(self, lo: float, hi: float, tol: float, hi_cap: float) -> tuple:
+        """bisect_root(above, lo, hi, tol, hi_cap), whose check of tol
+        comes before the probes use it."""
+        self.tol = tol
+        return bisect_root(self.above, lo, hi, tol, hi_cap)
+
     def above(self, h: float) -> bool:
-        """Certified rho(B(h)) > 1."""
+        """Certified rho(B(h)) > 1: read from [low, high] when h lies
+        outside it, after the probes if need be, else from a sign bracket
+        at h."""
+        if self.low <= h <= self.high:
+            self._probe()
+        if self.low <= h <= self.high:
+            return self._sign(h)
+        self.skipped += 1
+        return h < self.low
+
+    def _sign(self, h: float) -> bool:
+        """The sign of rho(B(h)) - 1 from a sign bracket, which narrows
+        [low, high]: by d ln rho / dh in [-lmax, -lmin], the root lies in
+        [h + ln lo / (lmax if lo >= 1 else lmin),
+         h + ln hi / (lmin if hi >= 1 else lmax)],
+        widened by _margin(h) at each end."""
         lo, hi = self.bracket(h, target=1.0)
+        self.signs += 1
+        m = self._margin(h)
+        if 0.0 < lo < math.inf:
+            a = math.log(lo) / (self.lmax if lo >= 1.0 else self.lmin)
+            self.low = max(self.low, h + a - m)
+        if 0.0 < hi < math.inf:
+            b = math.log(hi) / (self.lmin if hi >= 1.0 else self.lmax)
+            self.high = min(self.high, h + b + m)
+            self.last = (self.last + [(h, math.log(self._rho(lo, hi)))])[-2:]
         return lo + hi > 2.0
+
+    def _rho(self, lo: float, hi: float) -> float:
+        """rho(B(h)) read from the last sign bracket [lo, hi]: its midpoint,
+        first order in the error of the iterate v, or, when B gives a left
+        Perron vector u = B.left(v), the quotient u.Bv / u.v, second order,
+        if it lies in [lo, hi]. The product counts as a step."""
+        mid = 0.5 * (lo + hi)
+        if not hasattr(self.B, "left"):
+            return mid
+        w = self.B @ self.v
+        self.steps += 1
+        u = self.B.left(self.v)
+        r = float(np.dot(u, w) / np.dot(u, self.v))
+        return r if lo <= r <= hi else mid
+
+    def _margin(self, h: float) -> float:
+        """Distance in h beyond which every sign bracket certifies: at
+        least _ROUNDING * (1 + |h|) + 2 * rtol in ln rho, by slope lmin."""
+        return (_ROUNDING * (1.0 + abs(h)) + 2.0 * self.rtol) / self.lmin
+
+    def _probe(self) -> None:
+        """Sign brackets at r -+ max(tol / 4, margin) that lie more than the
+        margin inside [low, high], r the secant root of the last two sign
+        brackets' ln rho."""
+        if len(self.last) < 2:
+            return
+        (h0, y0), (h1, y1) = self.last
+        if y0 == y1:
+            return
+        r = h1 - y1 * (h1 - h0) / (y1 - y0)
+        m = self._margin(r)
+        d = max(0.25 * self.tol, m)
+        for p in (r - d, r + d):
+            if self.low + m < p < self.high - m:
+                self._sign(p)
 
 
 class SparseRows:

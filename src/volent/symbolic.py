@@ -58,7 +58,7 @@ from .constants import DEFAULT_H_TOL, EPS_POWER
 from .errors import (NotIrreducible, VertexHit, _int, _is_finite, _require,
                      _two)
 from .hypgeom import CoxeterPolygon, HGeodesic, WallTable
-from .perron import SparseRows, WarmPerron, bisect_root, strong_components
+from .perron import SparseRows, WarmPerron, strong_components
 from .tracing import (BLOCK, LOST, NEAR_VERTEX, OK, _ray, _steps,
                       batch_first_crossing, launch)
 
@@ -462,12 +462,17 @@ def _solve_root(model: UlamModel, bracket: tuple, tol: float) -> tuple:
     """(h, counters) of the pressure root, bisected on certified signs.
 
     All mean_L > 0, so every entry of B(h) and rho decrease strictly in
-    h: one sign change, located by the bracket ends alone.
+    h: one sign change, located by the bracket ends alone. The upper end
+    doubles up to max(50, 1 + ln(max q) / min mean_L): each row of mass
+    sums to 1, so the rows of B(h) sum to at most
+    max q * exp((1 - h) * min mean_L), below 1 beyond that cap.
     """
     rho = _pressure_rho(model)
-    h, iters, widened = bisect_root(rho.above, *bracket, tol, hi_cap=50.0)
+    cap = max(50.0, 1.0 + math.log(max(model.poly.q)) / rho.lmin)
+    h, iters, widened = rho.root(*bracket, tol, hi_cap=cap)
     return h, {"bisection_iters": iters, "bracket_widened": widened,
-               "power_iters": rho.steps, "bracket_width": rho.width}
+               "power_iters": rho.steps, "bracket_width": rho.width,
+               "sign_brackets": rho.signs, "skipped_signs": rho.skipped}
 
 
 # solve_entropy's refinement multiplies each grid side by REFINE.
@@ -485,18 +490,20 @@ MODEL_COUNTERS = ("scc_states", "grid_states", "discarded_samples",
 def solve_entropy(model: UlamModel, tol: float = DEFAULT_H_TOL,
                   refine: bool = True) -> EntropyEstimate:
     """Entropy as the root of the pressure log radius, by bisection from
-    the start bracket [0.5, 4.0], whose upper end doubles up to h = 50.
+    the start bracket [0.5, 4.0], whose upper end doubles up to a cap
+    beyond which rho < 1 is certified (_solve_root).
 
     The diagnostics count the root solve on this model: bisection_iters,
-    bracket_widened, power_iters (kernel steps) and bracket_width (the
-    last Collatz-Wielandt bracket). They also carry the model's own
-    counters (MODEL_COUNTERS: states kept and sampled, samples drawn and
+    bracket_widened, power_iters (kernel steps), bracket_width (the
+    last Collatz-Wielandt bracket), sign_brackets (signs evaluated) and
+    skipped_signs (signs read from the root enclosure of
+    perron.WarmPerron). They also carry the model's own counters
+    (MODEL_COUNTERS: states kept and sampled, samples drawn and
     discarded), so they reach the report. With refine=True the root on
     a grid REFINE times finer per side (refined_root) enters the error
     bar as the dominant discretization term (with_refinement); the two
     can also run apart, as `volent entropy` runs them in two processes.
-    ValueError, naming tol, unless it is a finite number >= 0;
-    BracketFailed if the root lies above h = 50.
+    ValueError, naming tol, unless it is a finite number >= 0.
     """
     h, counters = _solve_root(model, _BRACKET, tol)
     diagnostics = dict(counters, grid=[model.n_u, model.n_theta],

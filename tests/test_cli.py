@@ -175,7 +175,7 @@ def test_flag_defaults_are_config_defaults():
             sec, _, sub = row.key.partition(".")
             want = defaults[sec][sub] if sub else defaults[sec]
             if row.key == "polygon.q":   # one thickness on each wall
-                value = [value] * args.p
+                value = value * args.p
                 want = [1] * 5 if cmd == "polygon" else want
             assert value == want, (cmd, row.flag)
     assert seen == {row.key for row in cli._INPUTS if row.flag}
@@ -227,6 +227,22 @@ def test_subcommand_sizes_checked(monkeypatch, capsys, argv, flag):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pressure", "--n-u", "4", "--n-theta", "4", "--k", "1", "--no-refine"],
+    ["growth", "--window", "4", "7"],
+    ["santalo", "--samples", "10000"],
+    ["polygon"],
+])
+def test_one_q_is_every_wall(capsys, argv):
+    # one --q value is the thickness of each of the --p walls, as the
+    # default is; two values for five walls are still refused by name
+    code, one, _ = run(capsys, *argv, "--q", "3")
+    assert code == 0
+    assert run(capsys, *argv, "--q", "3,3,3,3,3") == (0, one, "")
+    code, _, err = run(capsys, *argv, "--q", "3,3")
+    assert code == 2 and "--q" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -557,12 +573,13 @@ def test_entropy_growth_counters(tmp_path, capsys):
 
 # sha256 of the default `volent entropy` outputs, recorded on x86-64
 # (glibc libm): report.json without timings and output_dir, dumped with
-# sorted keys, at version 0.3.2 (its config without pressure.bracket and
-# growth.rows; every estimate as at commit cd5014a), and curves.csv as
-# written at commit cd5014a. They pin every bit, so a change that claims
+# sorted keys, at version 0.3.3 (every estimate as at commit cd5014a; the
+# root solve's power_iters, bracket_width, sign_brackets and
+# skipped_signs as with the root enclosure), and curves.csv as written
+# at commit cd5014a. They pin every bit, so a change that claims
 # byte-identical outputs is checked here.
-_ENTROPY_REPORT_DIGEST = ("b3c8004d433fc4fe2d5eaca2277a1346"
-                          "14caca4798f1844a69f5fa3027903897")
+_ENTROPY_REPORT_DIGEST = ("2b01ec6bf65e542a19bbf9b78b62cd30"
+                          "e55476b263e9823cd037b540c06b21b5")
 _ENTROPY_CURVES_DIGEST = ("14e519ba1adc114c22f0f48989b598c3"
                           "9e995e6f92091e977d2c52bf858a15e0")
 

@@ -1,15 +1,22 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+import volent.graphs
 import volent.perron
+import volent.symbolic
 from volent.errors import BracketFailed, PowerIterationStalled
-from volent.graphs import MetricGraph, _nonbacktracking
+from volent.graphs import MetricGraph, _nonbacktracking, graph_entropy
 from volent.hypgeom import regular_polygon
 from volent.perron import (SparseRows, WarmPerron, bisect_root,
                           perron_bracket, strong_components)
-from volent.symbolic import build_cross_section
+from volent.symbolic import build_cross_section, solve_entropy
 
 
 def k4_operator(L, h):
@@ -328,3 +335,219 @@ def test_warm_perron_same_over_sparse_rows_and_csr(default_models, target):
             assert ours.bracket(h, target) == ref.bracket(h, target)
             assert (ours.steps, ours.width) == (ref.steps, ref.width)
             assert np.array_equal(ours.v, ref.v[B.order])
+
+
+class _Recording(WarmPerron):
+    """A WarmPerron that keeps its root enclosure after each sign bracket,
+    each (h, sign) it read from the enclosure alone, and the arguments
+    and result of its root solve."""
+
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.enclosures, self.skips = [], []
+        _Recording.made.append(self)
+
+    def above(self, h):
+        skipped = self.skipped
+        out = super().above(h)
+        if self.skipped > skipped:
+            self.skips.append((h, out))
+        return out
+
+    def _sign(self, h):
+        out = super()._sign(h)
+        self.enclosures.append((self.low, self.high))
+        return out
+
+    def root(self, lo, hi, tol, hi_cap):
+        self.args = lo, hi, tol, hi_cap
+        self.result = super().root(lo, hi, tol, hi_cap)
+        return self.result
+
+
+def _reference_root(rho, lo, hi, tol, hi_cap):
+    """bisect_root's loop with every sign read from a sign bracket of rho:
+    (h, iters, widened, certified), certified when every bracket
+    excluded 1."""
+    certified = True
+
+    def above(h):
+        nonlocal certified
+        a, b = rho.bracket(h, target=1.0)
+        certified &= not a <= 1.0 <= b
+        return a + b > 2.0
+
+    assert above(lo)
+    widened = 0
+    while above(hi):
+        hi = min(2.0 * hi, hi_cap)
+        widened += 1
+    iters = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+        iters += 1
+    return 0.5 * (lo + hi), iters, widened, certified
+
+
+def _assert_skips_certify(rho, skips):
+    """Each sign read from the enclosure is the one a sign bracket from a
+    cold start certifies: the bracket excludes 1 on the same side."""
+    for h, out in skips:
+        rho.v = None
+        a, b = rho.bracket(h, target=1.0)
+        assert (a > 1.0) if out else (b < 1.0)
+
+
+def test_skipped_signs_certify_at_coarse_rtol():
+    # unit edges: ln rho(h) = ln rho(0) - h falls at exactly the least
+    # slope, so signs within 2 * rtol of the root in ln rho are left to
+    # the rtol stop; at rtol = 1e-6 the enclosure's margin must keep
+    # every such h inside it, as the rounding allowance alone would not.
+    # The degrees differ, so the brackets are not exact from the start.
+    g = MetricGraph.from_undirected(
+        6, [(i, (i + 1) % 6, 1.0) for i in range(6)] + [(0, 3, 1.0),
+                                                         (1, 4, 1.0)])
+    rho = _Recording(_nonbacktracking(g), 1.0, 0.0, rtol=1e-6,
+                     max_iter=10_000)
+    h, _, _ = rho.root(0.0, 1.0, 0.0, 64.0)
+    assert h == pytest.approx(_dense_graph_root(g), abs=1e-5)
+    assert len(rho.skips) > 10
+    _assert_skips_certify(WarmPerron(_nonbacktracking(g), 1.0, 0.0,
+                                     rtol=1e-6, max_iter=10_000), rho.skips)
+
+
+def test_nonbacktracking_left_vector():
+    # the quotient the probes read ln rho from needs data * v[rev] to be a
+    # left Perron vector whenever v is the right one
+    g = MetricGraph.from_undirected(
+        5, [(i, (i + 1) % 5, 0.5 + 0.3 * i) for i in range(5)]
+        + [(0, 2, 1.7), (1, 3, 0.9)])
+    A = _nonbacktracking(g)
+    A.data = np.exp(-0.4 * A.data)
+    D = np.zeros(A.shape)
+    D[A.rows, A.cols] = A.data[A.cols]
+    vals, vecs = np.linalg.eig(D)
+    k = np.argmax(vals.real)
+    v = np.abs(vecs[:, k].real)
+    u = A.left(v)
+    assert np.allclose(D.T @ u, vals[k].real * u, rtol=1e-12, atol=1e-14)
+
+
+def _dense_graph_root(g):
+    """Root of rho(B(h)) = 1 from the eigenvalues of the dense
+    non-backtracking matrix, in [0, ln(max degree - 1) / min length]."""
+    A = _nonbacktracking(g)
+
+    def log_rho(h):
+        D = np.zeros(A.shape)
+        D[A.rows, A.cols] = np.exp(-h * A.data[A.cols])
+        return math.log(np.abs(np.linalg.eigvals(D)).max())
+
+    hi = math.log(np.bincount(g.src).max() - 1) / g.length.min()
+    return brentq(log_rho, 0.0, hi, xtol=1e-14)
+
+
+@functools.cache
+def _ulam(grid, seed, q):
+    """(model, dense root or None) of an Ulam model; the dense root, from
+    numpy eigenvalues, only on the 8x8 grid."""
+    model = build_cross_section(regular_polygon(5, 2, q), (grid, grid), 2,
+                                seed)
+    if grid != 8:
+        return model, None
+    n = model.n_states
+    w = model.mass * model.q_of_state(model.dst)
+
+    def log_rho(h):
+        D = np.zeros((n, n))
+        D[model.src, model.dst] = w * np.exp((1.0 - h) * model.mean_L)
+        return math.log(np.abs(np.linalg.eigvals(D)).max())
+
+    return model, brentq(log_rho, 0.5, 4.0, xtol=1e-14)
+
+
+@st.composite
+def _cases(draw):
+    """("graph", MetricGraph) or ("ulam", (grid, seed, q)): cycles with
+    chords and lengths in [0.5, 2], the same with every edge split into
+    three unit edges (a period-3 edge graph), and 8x8 and 16x16 models."""
+    kind = draw(st.sampled_from(["graph", "subdivided", "ulam"]))
+    if kind == "ulam":
+        return kind, (draw(st.sampled_from([8, 16])),
+                      draw(st.integers(0, 1)),
+                      draw(st.sampled_from([(2,) * 5, (2, 3, 2, 3, 4)])))
+    n = draw(st.integers(4, 10))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs += draw(st.lists(pair, min_size=1, max_size=n))
+    if kind == "graph":
+        length = st.floats(0.5, 2.0)
+        return kind, MetricGraph.from_undirected(
+            n, [(a, b, draw(length)) for a, b in pairs])
+    edges = []
+    for a, b in pairs:
+        edges += [(a, n, 1.0), (n, n + 1, 1.0), (n + 1, b, 1.0)]
+        n += 2
+    return kind, MetricGraph.from_undirected(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cases(), tol=st.sampled_from([1e-4, 1e-10, 0.0]))
+def test_enclosure_keeps_the_bisection(case, tol):
+    # the solver reads some signs from its root enclosure, yet returns
+    # the (h, bisection_iters, bracket_widened) of a bisection that
+    # evaluates every sign, bit for bit whenever each of that bisection's
+    # signs was certified. A sign bracket that stops at rtol with 1 inside
+    # (within a margin of the root, as at tol = 0) reads its midpoint,
+    # which depends on the warm start, so there the two agree within tol
+    # plus the two margins. Every enclosure contains the root.
+    kind, data = case
+    _Recording.made.clear()
+    if kind == "ulam":
+        model, root = _ulam(*data)
+        with mock.patch.object(volent.symbolic, "WarmPerron", _Recording):
+            d = solve_entropy(model, tol=tol, refine=False).diagnostics
+        fresh, cold = (volent.symbolic._pressure_rho(model)
+                       for _ in range(2))
+    else:
+        with mock.patch.object(volent.graphs, "WarmPerron", _Recording):
+            d = graph_entropy(data, tol=tol).diagnostics
+        root = _dense_graph_root(data)
+        fresh, cold = (WarmPerron(_nonbacktracking(data), 1.0, 0.0,
+                                  rtol=1e-13, max_iter=200_000)
+                       for _ in range(2))
+    rec, = _Recording.made
+    _assert_skips_certify(cold, rec.skips)
+    h, iters, widened = rec.result
+    assert d["bisection_iters"] == iters
+    assert (d["sign_brackets"], d["skipped_signs"]) == (rec.signs,
+                                                        rec.skipped)
+    h_ref, iters_ref, widened_ref, certified = _reference_root(fresh,
+                                                               *rec.args)
+    assert widened == widened_ref
+    if certified:
+        assert (h, iters) == (h_ref, iters_ref)
+    else:
+        assert abs(h - h_ref) <= tol + 2.0 * rec._margin(h)
+    lows, highs = zip(*rec.enclosures)
+    assert list(lows) == sorted(lows) and list(highs) == sorted(highs)[::-1]
+    low, high = rec.enclosures[-1]
+    if root is not None:
+        assert low <= root <= high
+    else:
+        # no dense root: the last (narrowest) enclosure's ends are
+        # certified by cold Collatz-Wielandt brackets, rho(low) > 1 >
+        # rho(high)
+        for end, above in ((low, True), (high, False)):
+            cold.v = None
+            a, b = cold.bracket(end, target=1.0)
+            assert (a > 1.0) if above else (b < 1.0)

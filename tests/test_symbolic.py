@@ -412,6 +412,17 @@ def test_thick_uniform_root_solves():
     assert est.value == pytest.approx(_dense_root(model, 20.0), abs=est.err)
 
 
+@pytest.mark.parametrize("q", [10 ** 18, 10 ** 20])
+def test_root_above_50_solves(q):
+    # the entropy grows like ln q, and these roots (about 52.4 and 58.2)
+    # lie above 50; the upper end doubles up to 1 + ln(max q) / min mean_L,
+    # beyond which every row of B(h) sums to less than 1
+    model = build_cross_section(regular_polygon(5, 2, (q,) * 5), (8, 8), 2, 0)
+    est = solve_entropy(model, refine=False)
+    assert est.value > 50.0
+    assert est.value == pytest.approx(_dense_root(model, 100.0), abs=est.err)
+
+
 def test_period_stalled_pressure_model_solves(pentagon_q2, capsys):
     # a 4x4, K=1 model whose transition graph defeats two-step ratio
     # averaging; the shifted iteration solves it
@@ -609,7 +620,11 @@ def test_root_solve_counters(pentagon_q2):
     m = build_cross_section(pentagon_q2, (8, 8), 2, seed=3)
     est = solve_entropy(m, refine=False)
     d = est.diagnostics
-    assert d["power_iters"] >= d["bisection_iters"] > 0
+    # each evaluated sign takes at least one power step, and each sign
+    # the bisection reads is evaluated or read from the root enclosure
+    assert d["power_iters"] >= d["sign_brackets"] > 0
+    assert (d["sign_brackets"] + d["skipped_signs"]
+            >= 2 + d["bracket_widened"] + d["bisection_iters"])
     assert d["bracket_width"] >= 0.0
     # the curve warm-starts point to point and agrees with single calls
     hs = np.linspace(est.value - 0.5, est.value + 0.5, 5)
