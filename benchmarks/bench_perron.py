@@ -4,15 +4,16 @@ pressure operator's product.
 Six tasks:
 
 - graphs: `graph_entropy(tol=1e-10)` over a fixed seeded set of metric
-  graphs;
+  graphs, and the build of their operators (`graphs._nonbacktracking`,
+  all graphs of a group per timing);
 - ulam_root: the root solve `solve_entropy(refine=False)` on the
   default polygon's Ulam models (K=3) at 32x32 and 64x64 for seeds 0,
-  1, 2;
+  1, 2, and the build of its operator (`symbolic._pressure_rho`);
 - curve: the 21-point `pressure_curve` that `volent entropy` writes to
   `curves.csv`, on the 32x32 model for seeds 0, 1, 2, over
-  h_root +- 0.5. It records the curve's kernel steps (`power_iters`)
-  and the largest |difference| from a cold single
-  `pressure_log_radius` call at each point;
+  h_root +- 0.5. It records the curve's kernel steps (`power_iters`),
+  the sha256 of its rows' reprs (`sha256`) and the largest |difference|
+  from a cold single `pressure_log_radius` call at each point;
 - sweep: kernel-step counts of the shift alpha = c * (lo + hi) / 2 of
   the first bracket and of the order of the value-mode start
   extrapolation (0: the previous point's iterate, k: the degree-k
@@ -37,16 +38,18 @@ Six tasks:
   Each repeat times 200 products of each, interleaved; `equal` says
   whether the numpy products equal the CSR one bit for bit.
 
-Each timing is the median over repeats; every result value, the solver
-counters found in `diagnostics` and the machine are recorded. The
+Each timing is the median over repeats; every result value with its
+error bar (`err`), the solver counters found in `diagnostics` and the
+machine are recorded. The
 graphs and ulam_root tasks record each solve's power steps
 (`power_iters`), the signs its bisection read from the root enclosure
 (`skipped_signs`, absent before the enclosure, when every sign was
 evaluated) and its evaluated signs (`sign_brackets`), counted in one
 more untimed solve by wrapping `volent.perron.perron_bracket` and
-counting its calls with a target. Apart from the sweep's two settings
-and the scc task's and sign count's wrappers, only public functions
-are called: point PYTHONPATH at the `src/` of the checkout to measure.
+counting its calls with a target. Apart from the sweep's two settings,
+the scc task's and sign count's wrappers and the two operator builds,
+only public functions are called: point PYTHONPATH at the `src/` of the
+checkout to measure.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_perron.py --label change \\
@@ -58,6 +61,7 @@ other labels, so a before/after pair lands in one file.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -71,13 +75,14 @@ import scipy
 import volent
 import volent.perron
 from volent.errors import VolentError
-from volent.graphs import MetricGraph, graph_entropy
+from volent.graphs import MetricGraph, _nonbacktracking, graph_entropy
 from volent.hypgeom import regular_polygon
-from volent.symbolic import (build_cross_section, pressure_curve,
-                             pressure_log_radius, solve_entropy)
+from volent.symbolic import (_pressure_rho, build_cross_section,
+                             pressure_curve, pressure_log_radius,
+                             solve_entropy)
 
-COUNTERS = ("bisection_iters", "power_iters", "bracket_width",
-            "skipped_signs")
+COUNTERS = ("bisection_iters", "bracket_widened", "power_iters",
+            "bracket_width", "skipped_signs")
 TASKS = ("graphs", "ulam_root", "curve", "sweep", "scc", "product")
 # products per timing in the product task
 PRODUCTS = 200
@@ -139,6 +144,16 @@ def sign_brackets(solve, *args, **kwargs) -> int:
     return count
 
 
+def timed(run, repeats: int) -> list:
+    """The wall times of repeats calls of run()."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    return times
+
+
 def time_graphs(graphs, repeats: int) -> dict:
     times, results = [], []
     for _ in range(repeats):
@@ -148,14 +163,16 @@ def time_graphs(graphs, repeats: int) -> dict:
             try:
                 est = graph_entropy(g, tol=1e-10)
                 results.append({"graph": name, "h": repr(est.value),
-                                **counters(est.diagnostics)})
+                                "err": est.err, **counters(est.diagnostics)})
             except VolentError as exc:
                 results.append({"graph": name, "error": type(exc).__name__})
         times.append(time.perf_counter() - t0)
     for row, (_, g) in zip(results, graphs):
         row["sign_brackets"] = sign_brackets(graph_entropy, g, tol=1e-10)
+    builds = timed(lambda: [_nonbacktracking(g) for _, g in graphs], repeats)
     return {"median_s": statistics.median(times), "runs_s": times,
-            "results": results}
+            "build_median_s": statistics.median(builds),
+            "build_runs_s": builds, "results": results}
 
 
 def default_model(grid: int, seed: int):
@@ -173,10 +190,14 @@ def time_ulam(repeats: int) -> list:
                 t0 = time.perf_counter()
                 est = solve_entropy(model, refine=False)
                 times.append(time.perf_counter() - t0)
+            builds = timed(lambda: _pressure_rho(model), repeats)
             rows.append({"grid": grid, "seed": seed,
                          "states": model.n_states, "h": repr(est.value),
+                         "err": est.err,
                          "median_s": statistics.median(times),
-                         "runs_s": times, **counters(est.diagnostics),
+                         "runs_s": times,
+                         "build_median_s": statistics.median(builds),
+                         "build_runs_s": builds, **counters(est.diagnostics),
                          "sign_brackets": sign_brackets(
                              solve_entropy, model, refine=False)})
     return rows
@@ -274,8 +295,10 @@ def time_curve(repeats: int) -> list:
             curve = pressure_curve(model, hs)
             times.append(time.perf_counter() - t0)
         delta = max(abs(p - pressure_log_radius(model, x)) for x, p in curve)
+        digest = hashlib.sha256(repr(list(curve)).encode()).hexdigest()
         rows.append({"grid": 32, "seed": seed, "states": model.n_states,
-                     "points": len(curve), "power_iters": curve.power_iters,
+                     "points": len(curve), "sha256": digest,
+                     "power_iters": curve.power_iters,
                      "max_bracket_width": curve.max_bracket_width,
                      "max_abs_delta_cold": delta,
                      "median_s": statistics.median(times), "runs_s": times})
@@ -363,13 +386,16 @@ def main() -> None:
               f"{sum(x['sign_brackets'] for x in r['results'])} evaluated, "
               f"{sum(x.get('skipped_signs', 0) for x in solved)} skipped  "
               f"{sum(x['power_iters'] for x in solved)} power steps  "
-              f"median {r['median_s']:.3f} s")
+              f"median {r['median_s']:.3f} s  build "
+              f"{1e3 * r['build_median_s']:.2f} ms  max err "
+              f"{max(x['err'] for x in solved):.1e}")
     for r in run.get("ulam_root", []):
         print(f"ulam root {r['grid']}x{r['grid']} seed {r['seed']}  "
               f"h = {float(r['h']):.6f}  signs {r['sign_brackets']} "
               f"evaluated, {r.get('skipped_signs', 0)} skipped  "
               f"{r['power_iters']} power steps  "
-              f"median {r['median_s']:.3f} s")
+              f"median {r['median_s']:.3f} s  build "
+              f"{1e3 * r['build_median_s']:.2f} ms  err {r['err']:.1e}")
     for r in run.get("curve", []):
         print(f"curve 32x32 seed {r['seed']}  {r['power_iters']} steps  "
               f"max |delta| {r['max_abs_delta_cold']:.2e}  "

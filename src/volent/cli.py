@@ -130,22 +130,24 @@ def _name(by_flag: bool, *keys: str) -> str:
     return listed if by_flag else f"config key{'s' * (len(keys) > 1)} {listed}"
 
 
-def _check(cfg: dict, reads: tuple, by_flag: bool) -> None:
+def _check(cfg: dict, reads: tuple, by_flag: bool, side: int = REFINE) -> None:
     """Check every input of cfg that `reads` names, then the rules across
-    them, naming a bad input by its flag or by its config key."""
+    them, naming a bad input by its flag or by its config key. The sample
+    cap counts the pressure grid refined side times per side."""
     for row in _INPUTS:
         if row.key.startswith(reads) and (row.flag or not by_flag):
             d, k = _slot(cfg, row.key)
             _require(_name(by_flag, row.key), d[k], row.ok, row.what)
     p, m, q = (cfg["polygon"][k] for k in "pmq")
     pc = cfg["pressure"]
-    # the refined build, on the grid solve_entropy refines to
-    n = p * (REFINE * pc["n_u"]) * (REFINE * pc["n_theta"]) * pc["k"] ** 2
+    n = p * (side * pc["n_u"]) * (side * pc["n_theta"]) * pc["k"] ** 2
     if "pressure.k".startswith(reads) and n > _MAX_SAMPLES:
         keys = ("polygon.p", "pressure.n_u", "pressure.n_theta", "pressure.k")
-        raise ValueError(f"{_name(by_flag, *keys)} give p*({REFINE}*n_u)*("
-                         f"{REFINE}*n_theta)*k^2 = {n} samples on the refined "
-                         f"pressure grid, more than {_MAX_SAMPLES}")
+        size, grid = ((f"({side}*n_u)*({side}*n_theta)", "refined ")
+                      if side > 1 else ("n_u*n_theta", ""))
+        raise ValueError(f"{_name(by_flag, *keys)} give p*{size}*k^2 = {n} "
+                         f"samples on the {grid}pressure grid, more than "
+                         f"{_MAX_SAMPLES}")
     if len(q) != p:
         raise ValueError(f"{_name(by_flag, 'polygon.q')} must have one "
                          f"entry per wall, got {len(q)} for "
@@ -182,7 +184,8 @@ def validate_config(cfg: dict) -> dict:
 
 def _flag_config(args) -> dict:
     """The defaults with the inputs a subcommand reads set from its flags,
-    checked by flag."""
+    checked by flag; the sample cap counts the grid the subcommand builds,
+    unrefined under --no-refine."""
     cfg = _defaults()
     for row in _INPUTS:
         if row.flag and row.key.startswith(_READS[args.cmd]):
@@ -191,7 +194,8 @@ def _flag_config(args) -> dict:
     pc = cfg["polygon"]
     if len(pc["q"]) == 1:    # one --q value is the thickness of every wall
         pc["q"] = pc["q"] * pc["p"]
-    _check(cfg, _READS[args.cmd], by_flag=True)
+    side = 1 if getattr(args, "no_refine", False) else REFINE
+    _check(cfg, _READS[args.cmd], by_flag=True, side=side)
     return cfg
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (NotStronglyConnected, _above, _int, _is_finite, _is_int,
                      _require)
-from .perron import WarmPerron
+from .perron import WarmPerron, _lists, _rows
 from .symbolic import EntropyEstimate
 
 
@@ -197,23 +197,22 @@ def _nonbacktracking(g: MetricGraph):
     (a copy, so the weights may be rewritten in place).
 
     Row e holds every edge f leaving dst[e] except rev[e], so its
-    length is deg(dst[e]) - 1; columns come out sorted.
+    length is deg(dst[e]) - 1; the edges leaving a vertex are gathered
+    by perron's neighbour lists, so columns come out sorted.
     """
     m = g.n_edges
-    out = np.argsort(g.src, kind="stable")          # edges grouped by source
-    deg = np.bincount(g.src, minlength=g.n_vertices)
-    first = np.concatenate([[0], np.cumsum(deg)])
-    count = deg[g.dst]
-    rows = np.repeat(np.arange(m), count)
-    offset = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
-    cols = out[np.repeat(first[g.dst], count) + offset]
+    ptr, deg, out = _lists(g.src, np.arange(m), g.n_vertices)
+    cols = _rows(ptr, deg, out, g.dst)
+    rows = np.repeat(np.arange(m), deg[g.dst])
     keep = cols != g.rev[rows]
     return _NonBacktracking(rows[keep], cols[keep], g.length.copy(), g.rev)
 
 
 def graph_entropy(g: MetricGraph, tol: float = 1e-10) -> EntropyEstimate:
     """Unique h >= 0 with spectral radius of the weighted adjacency = 1,
-    bisected on certified signs of rho(B(h)) - 1.
+    bisected on certified signs of rho(B(h)) - 1. err and the
+    diagnostics' counters are those of the root record of
+    WarmPerron.root.
 
     Returns 0 with a degenerate flag when every vertex has degree 2 (a
     union of circuits: rho = 1 at h = 0, linear growth). Otherwise
@@ -233,11 +232,6 @@ def graph_entropy(g: MetricGraph, tol: float = 1e-10) -> EntropyEstimate:
                      max_iter=200_000)
     # doubling from 1 stops at 2**19, the last upper end below the
     # runaway cap 1e6
-    h, iters, _ = rho.root(0.0, 1.0, tol, hi_cap=2.0 ** 19)
-    return EntropyEstimate(value=h, err=tol, method="graph_spectral",
-                           diagnostics={"degenerate": False,
-                                        "bisection_iters": iters,
-                                        "power_iters": rho.steps,
-                                        "bracket_width": rho.width,
-                                        "sign_brackets": rho.signs,
-                                        "skipped_signs": rho.skipped})
+    h, err, counters = rho.root(0.0, 1.0, tol, hi_cap=2.0 ** 19)
+    return EntropyEstimate(value=h, err=err, method="graph_spectral",
+                           diagnostics={"degenerate": False, **counters})

@@ -55,6 +55,11 @@ r' only to a fraction of the distance to the root; where the operator
 gives a left Perron vector (a metric graph's does), ln rho is read from
 the quotient u.Bv / u.v instead, whose error is second order.
 
+WarmPerron.root returns the root record (h, err, counters) both solvers
+report. Only a sign within the margin of the root can be wrong, and the
+last bracket is at most tol wide, so err = max(tol, tol / 2 + margin(h)):
+tol at every default, above 0 at tol = 0.
+
 An Ulam model's matrix is a SparseRows: its product adds each row's
 terms in the same order as a CSR product, so the two agree bit for bit,
 with numpy alone. A metric graph's operator keeps its own bincount
@@ -183,10 +188,17 @@ class WarmPerron:
         return v if np.all(v > 0.0) else self.v
 
     def root(self, lo: float, hi: float, tol: float, hi_cap: float) -> tuple:
-        """bisect_root(above, lo, hi, tol, hi_cap), whose check of tol
-        comes before the probes use it."""
+        """The root record (h, err, counters) of bisect_root(above, lo, hi,
+        tol, hi_cap), whose check of tol comes before the probes use it;
+        err = max(tol, tol / 2 + _margin(h)) (see the module docstring)."""
         self.tol = tol
-        return bisect_root(self.above, lo, hi, tol, hi_cap)
+        h, iters, widened = bisect_root(self.above, lo, hi, tol, hi_cap)
+        err = max(tol, 0.5 * tol + self._margin(h))
+        return h, err, {"bisection_iters": iters, "bracket_widened": widened,
+                        "power_iters": self.steps,
+                        "bracket_width": self.width,
+                        "sign_brackets": self.signs,
+                        "skipped_signs": self.skipped}
 
     def above(self, h: float) -> bool:
         """Certified rho(B(h)) > 1: read from [low, high] when h lies

@@ -412,13 +412,6 @@ def _pressure_rho(model: UlamModel) -> WarmPerron:
                       max_iter=20000)
 
 
-def _log_radius(rho: WarmPerron, h: float) -> float:
-    lo, hi = rho.bracket(h)
-    if hi == 0.0:
-        raise NotIrreducible("transition matrix has a dead row block")
-    return math.log(0.5 * (lo + hi))
-
-
 def pressure_log_radius(model: UlamModel, h: float) -> float:
     """ln spectral radius of the weighted transition matrix at h.
 
@@ -426,8 +419,7 @@ def pressure_log_radius(model: UlamModel, h: float) -> float:
     value is the midpoint of a Collatz-Wielandt bracket of relative
     width EPS_POWER. ValueError unless h is a finite number.
     """
-    _require("h", h, _is_finite, "a finite number")
-    return _log_radius(_pressure_rho(model), h)
+    return pressure_curve(model, [h])[0][1]
 
 
 class PressureCurve(list):
@@ -452,14 +444,17 @@ def pressure_curve(model: UlamModel, h_values) -> PressureCurve:
     curve = PressureCurve()
     for h in h_values:
         _require("h", h, _is_finite, "a finite number")
-        curve.append((float(h), _log_radius(rho, float(h))))
+        lo, hi = rho.bracket(float(h))
+        if hi == 0.0:
+            raise NotIrreducible("transition matrix has a dead row block")
+        curve.append((float(h), math.log(0.5 * (lo + hi))))
         curve.max_bracket_width = max(curve.max_bracket_width, rho.width)
     curve.power_iters = rho.steps
     return curve
 
 
 def _solve_root(model: UlamModel, bracket: tuple, tol: float) -> tuple:
-    """(h, counters) of the pressure root, bisected on certified signs.
+    """(h, err, counters) of the pressure root, bisected on certified signs.
 
     All mean_L > 0, so every entry of B(h) and rho decrease strictly in
     h: one sign change, located by the bracket ends alone. The upper end
@@ -469,10 +464,7 @@ def _solve_root(model: UlamModel, bracket: tuple, tol: float) -> tuple:
     """
     rho = _pressure_rho(model)
     cap = max(50.0, 1.0 + math.log(max(model.poly.q)) / rho.lmin)
-    h, iters, widened = rho.root(*bracket, tol, hi_cap=cap)
-    return h, {"bisection_iters": iters, "bracket_widened": widened,
-               "power_iters": rho.steps, "bracket_width": rho.width,
-               "sign_brackets": rho.signs, "skipped_signs": rho.skipped}
+    return rho.root(*bracket, tol, hi_cap=cap)
 
 
 # solve_entropy's refinement multiplies each grid side by REFINE.
@@ -493,11 +485,11 @@ def solve_entropy(model: UlamModel, tol: float = DEFAULT_H_TOL,
     the start bracket [0.5, 4.0], whose upper end doubles up to a cap
     beyond which rho < 1 is certified (_solve_root).
 
-    The diagnostics count the root solve on this model: bisection_iters,
-    bracket_widened, power_iters (kernel steps), bracket_width (the
-    last Collatz-Wielandt bracket), sign_brackets (signs evaluated) and
-    skipped_signs (signs read from the root enclosure of
-    perron.WarmPerron). They also carry the model's own counters
+    err and the counters come from the root record of WarmPerron.root:
+    bisection_iters, bracket_widened, power_iters (kernel steps),
+    bracket_width (the last Collatz-Wielandt bracket), sign_brackets
+    (signs evaluated) and skipped_signs (signs read from the root
+    enclosure). They also carry the model's own counters
     (MODEL_COUNTERS: states kept and sampled, samples drawn and
     discarded), so they reach the report. With refine=True the root on
     a grid REFINE times finer per side (refined_root) enters the error
@@ -505,12 +497,12 @@ def solve_entropy(model: UlamModel, tol: float = DEFAULT_H_TOL,
     can also run apart, as `volent entropy` runs them in two processes.
     ValueError, naming tol, unless it is a finite number >= 0.
     """
-    h, counters = _solve_root(model, _BRACKET, tol)
+    h, err, counters = _solve_root(model, _BRACKET, tol)
     diagnostics = dict(counters, grid=[model.n_u, model.n_theta],
                        k=model.k, seed=model.seed)
     diagnostics.update((key, model.diagnostics[key])
                        for key in MODEL_COUNTERS)
-    est = EntropyEstimate(value=h, err=tol, method="ulam_pressure",
+    est = EntropyEstimate(value=h, err=err, method="ulam_pressure",
                           diagnostics=diagnostics)
     if refine:
         est = with_refinement(est, refined_root(
@@ -537,7 +529,7 @@ def refined_root(poly: CoxeterPolygon, grid: tuple, K: int, seed: int,
 def with_refinement(est: EntropyEstimate,
                     h_refined: float) -> EntropyEstimate:
     """An unrefined solve_entropy estimate with the refined root folded
-    in: err = tol + |h_refined - h| and diagnostics["h_refined"]."""
+    in: err = est.err + |h_refined - h| and diagnostics["h_refined"]."""
     return EntropyEstimate(
         value=est.value, err=est.err + abs(h_refined - est.value),
         method=est.method, diagnostics=dict(est.diagnostics,

@@ -229,6 +229,26 @@ def test_subcommand_sizes_checked(monkeypatch, capsys, argv, flag):
     assert flag in err and "Traceback" not in err
 
 
+def test_sample_cap_counts_the_grid_built(monkeypatch, capsys):
+    # 5 * 500 * 500 * 2^2 = 5e6 samples on the unrefined grid, which is
+    # all --no-refine draws, but 2e7 on the refined one: the cap once
+    # counted the refined grid either way and refused the --no-refine run
+    argv = ["pressure", "--p", "5", "--n-u", "500", "--n-theta", "500",
+            "--k", "2"]
+    cfg = cli._flag_config(cli.build_parser().parse_args(
+        argv + ["--no-refine"]))
+    assert (cfg["pressure"]["n_u"], cfg["pressure"]["k"]) == (500, 2)
+    for stage in _STAGES:
+        monkeypatch.setattr(cli, stage, _no_stage)
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "20000000 samples on the refined" in err
+    assert "--p, --n-u, --n-theta and --k" in err
+    # the unrefined grid keeps the cap: 5 * 1000 * 500 * 3^2 = 2.25e7
+    with pytest.raises(ValueError, match="22500000 samples on the pressure"):
+        cli._flag_config(cli.build_parser().parse_args(
+            ["pressure", "--no-refine", "--n-u", "1000", "--n-theta", "500"]))
+
+
 @pytest.mark.parametrize("argv", [
     ["pressure", "--n-u", "4", "--n-theta", "4", "--k", "1", "--no-refine"],
     ["growth", "--window", "4", "7"],

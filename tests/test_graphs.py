@@ -184,6 +184,45 @@ def test_nonbacktracking_product_matches_csr():
         done += 1
 
 
+def _argsort_pairs(g):
+    """The operator's (rows, cols) gathered by a stable argsort of src and
+    a repeat/cumsum offset per row."""
+    m = g.n_edges
+    out = np.argsort(g.src, kind="stable")
+    deg = np.bincount(g.src, minlength=g.n_vertices)
+    first = np.concatenate([[0], np.cumsum(deg)])
+    count = deg[g.dst]
+    rows = np.repeat(np.arange(m), count)
+    offset = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+    cols = out[np.repeat(first[g.dst], count) + offset]
+    keep = cols != g.rev[rows]
+    return rows[keep], cols[keep]
+
+
+def test_nonbacktracking_pairs_keep_their_order():
+    # the pairs gathered by perron's neighbour lists are those of the
+    # argsort gather, in the same order: seeded random multigraphs with
+    # loops and parallel edges, some (one vertex) with src already
+    # grouped, others not
+    rng = np.random.default_rng(12)
+    done, grouped = 0, 0
+    while done < 80:
+        n, k = int(rng.integers(1, 12)), int(rng.integers(2, 30))
+        ends = rng.integers(0, n, (k, 2)).tolist()
+        lengths = rng.uniform(0.1, 3.0, k).tolist()
+        try:
+            g = MetricGraph.from_undirected(
+                n, [(a, b, ln) for (a, b), ln in zip(ends, lengths)])
+        except ValueError:
+            continue   # a terminal vertex
+        A = _nonbacktracking(g)
+        rows, cols = _argsort_pairs(g)
+        assert np.array_equal(A.rows, rows) and np.array_equal(A.cols, cols)
+        grouped += bool(np.all(g.src[1:] >= g.src[:-1]))
+        done += 1
+    assert 0 < grouped < done
+
+
 def test_nonbacktracking_hints_resolve():
     # the annotations are strings (postponed evaluation) that must
     # resolve to the module's own names

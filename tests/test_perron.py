@@ -527,7 +527,8 @@ def test_enclosure_keeps_the_bisection(case, tol):
                        for _ in range(2))
     rec, = _Recording.made
     _assert_skips_certify(cold, rec.skips)
-    h, iters, widened = rec.result
+    h, _, counters = rec.result
+    iters, widened = counters["bisection_iters"], counters["bracket_widened"]
     assert d["bisection_iters"] == iters
     assert (d["sign_brackets"], d["skipped_signs"]) == (rec.signs,
                                                         rec.skipped)
@@ -551,3 +552,62 @@ def test_enclosure_keeps_the_bisection(case, tol):
             cold.v = None
             a, b = cold.bracket(end, target=1.0)
             assert (a > 1.0) if above else (b < 1.0)
+
+
+_COUNTERS = {"bisection_iters", "bracket_widened", "power_iters",
+             "bracket_width", "sign_brackets", "skipped_signs"}
+
+
+def _chorded_graphs(seed, count):
+    """Seeded cycles with 1 to n random chords and lengths in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(4, 11))
+        pairs = [(i, (i + 1) % n) for i in range(n)]
+        pairs += [tuple(rng.choice(n, 2, replace=False).tolist())
+                  for _ in range(int(rng.integers(1, n + 1)))]
+        yield MetricGraph.from_undirected(
+            n, [(a, b, float(rng.uniform(0.5, 2.0))) for a, b in pairs])
+
+
+def test_root_err_certified_at_tol_zero_on_graphs():
+    # at tol = 0 the last bracket has no width, so err is the enclosure's
+    # margin: more than 0, and the root lies within it. A plain bisection
+    # on sign brackets is within its own margin of the root, so within
+    # 2 err of h
+    for g in _chorded_graphs(5, 20):
+        est = graph_entropy(g, tol=0.0)
+        assert est.err > 0.0
+        assert abs(est.value - _dense_graph_root(g)) <= est.err
+        rho = WarmPerron(_nonbacktracking(g), 1.0, 0.0, rtol=1e-13,
+                         max_iter=200_000)
+        h_ref = _reference_root(rho, 0.0, 1.0, 0.0, 2.0 ** 19)[0]
+        assert abs(est.value - h_ref) <= 2.0 * est.err
+
+
+@pytest.mark.parametrize("q", [(2,) * 5, (2, 3, 2, 3, 4)])
+def test_root_err_certified_at_tol_zero_on_ulam(q):
+    model, root = _ulam(8, 0, q)
+    est = solve_entropy(model, tol=0.0, refine=False)
+    assert est.err > 0.0
+    assert abs(est.value - root) <= est.err
+    # err is tol wherever tol / 2 exceeds the margin, as at the default
+    assert solve_entropy(model, tol=1e-4, refine=False).err == 1e-4
+
+
+def test_estimates_carry_the_root_record():
+    # graph_entropy and solve_entropy report the record of their root
+    # solve: its h, its err and its six counters, unchanged
+    g = next(_chorded_graphs(7, 1))
+    model, _ = _ulam(8, 1, (2,) * 5)
+    for module, solve in ((volent.graphs, lambda: graph_entropy(g)),
+                          (volent.symbolic, lambda: solve_entropy(
+                              model, refine=False))):
+        _Recording.made.clear()
+        with mock.patch.object(module, "WarmPerron", _Recording):
+            est = solve()
+        rec, = _Recording.made
+        h, err, counters = rec.result
+        assert set(counters) == _COUNTERS
+        assert (est.value, est.err) == (h, err)
+        assert {k: est.diagnostics[k] for k in counters} == counters

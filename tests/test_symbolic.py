@@ -248,7 +248,7 @@ def test_pressure_monotone_in_h(pentagon_q2):
 
 def test_thin_model_root_is_one(pentagon_q1):
     m = build_cross_section(pentagon_q1, (16, 16), 2, seed=0)
-    h, _ = _solve_root(m, (0.5, 4.0), 1e-6)
+    h, _, _ = _solve_root(m, (0.5, 4.0), 1e-6)
     assert h == pytest.approx(1.0, abs=1e-3)
 
 
