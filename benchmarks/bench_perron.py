@@ -4,8 +4,11 @@ pressure operator's product.
 Six tasks:
 
 - graphs: `graph_entropy(tol=1e-10)` over a fixed seeded set of metric
-  graphs, and the build of their operators (`graphs._nonbacktracking`,
-  all graphs of a group per timing);
+  graphs, and the build of the operators (`graphs._nonbacktracking`) of
+  a larger seeded set, BUILD_GRAPHS cycles with random chords at 16 to
+  2000 vertices: all of them per timing, best of BUILD_REPEATS timings
+  (runs before `parent-f4a642f` timed the median build of the solved
+  set per group, which swung by +-30% between runs);
 - ulam_root: the root solve `solve_entropy(refine=False)` on the
   default polygon's Ulam models (K=3) at 32x32 and 64x64 for seeds 0,
   1, 2, and the build of its operator (`symbolic._pressure_rho`);
@@ -84,8 +87,18 @@ from volent.symbolic import (_pressure_rho, build_cross_section,
 COUNTERS = ("bisection_iters", "bracket_widened", "power_iters",
             "bracket_width", "skipped_signs")
 TASKS = ("graphs", "ulam_root", "curve", "sweep", "scc", "product")
+# the graphs task's operator builds: graphs per timing, and timings
+BUILD_GRAPHS, BUILD_REPEATS = 48, 20
 # products per timing in the product task
 PRODUCTS = 200
+
+
+def chorded_edges(rng, n: int, length) -> list:
+    """A cycle on n vertices plus n // 2 random chords, lengths drawn by
+    length()."""
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(n // 2)]
+    return [(a, b, length()) for a, b in pairs]
 
 
 def graph_set(seed: int = 0) -> dict:
@@ -93,12 +106,6 @@ def graph_set(seed: int = 0) -> dict:
     random chords, and graphs with every edge split into three unit
     edges (period-3 edge graphs)."""
     rng = random.Random(seed)
-
-    def chorded(n, length):
-        pairs = [(i, (i + 1) % n) for i in range(n)]
-        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(n // 2)]
-        return [(a, b, length()) for a, b in pairs]
-
     plain = []
     for name, n in (("K4", 4), ("K5", 5)):
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -107,15 +114,37 @@ def graph_set(seed: int = 0) -> dict:
     for i in range(12):
         n = round(16 * (2000 / 16) ** (i / 11))
         plain.append((f"chorded-{n}", MetricGraph.from_undirected(
-            n, chorded(n, lambda: rng.uniform(0.5, 2.0)))))
+            n, chorded_edges(rng, n, lambda: rng.uniform(0.5, 2.0)))))
     split = []
     for i in range(2):
         edges, n = [], 12
-        for a, b, _ in chorded(12, lambda: 1.0):
+        for a, b, _ in chorded_edges(rng, 12, lambda: 1.0):
             edges += [(a, n, 1.0), (n, n + 1, 1.0), (n + 1, b, 1.0)]
             n += 2
         split.append((f"subdivided-{i}", MetricGraph.from_undirected(n, edges)))
     return {"plain": plain, "subdivided": split}
+
+
+def build_set(seed: int = 1) -> list:
+    """BUILD_GRAPHS seeded cycles with chords, log-spaced from 16 to 2000
+    vertices, lengths uniform in [0.5, 2]."""
+    rng = random.Random(seed)
+    sizes = [round(16 * (2000 / 16) ** (i / (BUILD_GRAPHS - 1)))
+             for i in range(BUILD_GRAPHS)]
+    return [MetricGraph.from_undirected(
+        n, chorded_edges(rng, n, lambda: rng.uniform(0.5, 2.0)))
+        for n in sizes]
+
+
+def time_builds() -> dict:
+    """Best of BUILD_REPEATS timings of the build of every build_set
+    operator."""
+    graphs = build_set()
+    runs = timed(lambda: [_nonbacktracking(g) for g in graphs],
+                 BUILD_REPEATS)
+    return {"graphs": len(graphs),
+            "directed_edges": sum(g.n_edges for g in graphs),
+            "best_s": min(runs), "runs_s": runs}
 
 
 def counters(diagnostics: dict) -> dict:
@@ -169,10 +198,8 @@ def time_graphs(graphs, repeats: int) -> dict:
         times.append(time.perf_counter() - t0)
     for row, (_, g) in zip(results, graphs):
         row["sign_brackets"] = sign_brackets(graph_entropy, g, tol=1e-10)
-    builds = timed(lambda: [_nonbacktracking(g) for _, g in graphs], repeats)
     return {"median_s": statistics.median(times), "runs_s": times,
-            "build_median_s": statistics.median(builds),
-            "build_runs_s": builds, "results": results}
+            "results": results}
 
 
 def default_model(grid: int, seed: int):
@@ -361,6 +388,7 @@ def main() -> None:
     if "graphs" in tasks:
         run["graphs"] = {k: time_graphs(v, args.repeats)
                          for k, v in graph_set().items()}
+        run["graph_build"] = time_builds()
     if "ulam_root" in tasks:
         run["ulam_root"] = time_ulam(args.repeats)
     if "curve" in tasks:
@@ -386,9 +414,13 @@ def main() -> None:
               f"{sum(x['sign_brackets'] for x in r['results'])} evaluated, "
               f"{sum(x.get('skipped_signs', 0) for x in solved)} skipped  "
               f"{sum(x['power_iters'] for x in solved)} power steps  "
-              f"median {r['median_s']:.3f} s  build "
-              f"{1e3 * r['build_median_s']:.2f} ms  max err "
+              f"median {r['median_s']:.3f} s  max err "
               f"{max(x['err'] for x in solved):.1e}")
+    if "graph_build" in run:
+        r = run["graph_build"]
+        print(f"graph operator build  {r['graphs']} graphs, "
+              f"{r['directed_edges']} directed edges  best "
+              f"{1e3 * r['best_s']:.2f} ms")
     for r in run.get("ulam_root", []):
         print(f"ulam root {r['grid']}x{r['grid']} seed {r['seed']}  "
               f"h = {float(r['h']):.6f}  signs {r['sign_brackets']} "

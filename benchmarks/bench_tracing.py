@@ -47,7 +47,11 @@ Times ten tasks:
   `parent-8e3904e` lack it); parent_peak_rss_mb and child_peak_rss_mb
   are the medians of the worker's own peak RSS (`RUSAGE_SELF`) and of
   its forked child's (`RUSAGE_CHILDREN`), so a run shows which process
-  sets peak_rss_mb (runs before `parent-cd5014a` lack them);
+  sets peak_rss_mb (runs before `parent-cd5014a` lack them); timings
+  holds the median of each entry of the report's `timings`, the stages
+  of both processes (runs before `parent-f4a642f` lack it; in that run,
+  as at every checkout before `change-curve-stage`, `pressure` includes
+  the curve and there is no `pressure_curve` entry);
 - graph: `MetricGraph.from_json` and `graph_entropy` at tol 1e-10, as
   `volent graph` runs them, on one seeded graph: a cycle on 2000
   vertices plus 1000 random chords, lengths uniform in [0.5, 2];
@@ -260,13 +264,14 @@ def worker(task: str) -> dict:
                 raise RuntimeError(f"volent entropy exited with {code}")
             with open(os.path.join(out, "report.json")) as fh:
                 report = json.load(fh)
-            report.pop("timings")
+            timings = report.pop("timings")
             report["config"].pop("output_dir")
             digest.update(json.dumps(report, sort_keys=True).encode())
             with open(os.path.join(out, "curves.csv"), "rb") as fh:
                 digest.update(fh.read())
         growth = report["results"]["growth"]["diagnostics"]
         counters = {"chambers": growth["chambers"],
+                    "timings": timings,
                     "scipy_loaded": sum(m.partition(".")[0] == "scipy"
                                         for m in sys.modules),
                     "parent_peak_rss_mb": resource.getrusage(
@@ -325,6 +330,10 @@ def time_task(task: str, repeats: int) -> dict:
              for k in results[0] if k.endswith("_rss_mb")}
     first = {k: v for k, v in results[0].items()
              if k != "seconds" and k not in peaks}
+    if "timings" in first:     # so does a stage's time: its median
+        first["timings"] = {k: statistics.median(r["timings"][k]
+                                                 for r in results)
+                            for k in first["timings"]}
     return {**first, **peaks,
             "median_s": statistics.median(r["seconds"] for r in results),
             "runs_s": [r["seconds"] for r in results],
@@ -370,6 +379,9 @@ def main() -> None:
     for t, r in run["tasks"].items():
         print(f"{t:<13} [{r['backend']}]  median {r['median_s']:.3f} s  "
               f"peak RSS {r['peak_rss_mb']:.0f} MB  digest {r['digest']}")
+        if "timings" in r:
+            print("  stage medians  " + "  ".join(
+                f"{k} {v:.3f} s" for k, v in sorted(r["timings"].items())))
 
 
 if __name__ == "__main__":

@@ -307,6 +307,7 @@ def cmd_graph(args) -> int:
 
 def cmd_orbits(args) -> int:
     _require("--lam", args.lam, *_above(1.0))
+    _require("--b", args.b, lambda b: len(b) == 4, "four entries a,b,c,d")
     B = np.array(args.b, dtype=float).reshape(2, 2)
     fam = geodesic_lengths(args.lam, B, args.k_max)
     sec, mx = affine_deviation(fam)
@@ -335,16 +336,6 @@ def _stage(timings: dict, name: str, run, *args, **kwargs):
         return exc
     finally:
         timings[name] = time.perf_counter() - t0
-
-
-def _coarse_root(poly, cfg: dict) -> tuple:
-    """The config's unrefined root, and its curve or the curve's
-    VolentError, held: a failed refined root fails the stage first."""
-    model, ulam = _pressure_stage(poly, cfg)
-    try:
-        return ulam, _curve(model, ulam.value)
-    except VolentError as exc:
-        return ulam, exc
 
 
 def _child_stages(conn, poly, cfg: dict) -> None:
@@ -388,7 +379,13 @@ def cmd_entropy(args) -> int:
     child.start()
     send_end.close()
     try:
-        coarse = _stage(timings, "pressure", _coarse_root, poly, cfg)
+        coarse = _stage(timings, "pressure", _pressure_stage, poly, cfg)
+        curve = None
+        if not isinstance(coarse, VolentError):
+            model, coarse = coarse
+            curve = _stage(timings, "pressure_curve", _curve, model,
+                           coarse.value)
+            del model   # before Santalo, which sets this process's peak
         santalo = _stage(timings, "santalo", santalo_monte_carlo, poly,
                          **cfg["santalo"])
         try:
@@ -415,8 +412,7 @@ def cmd_entropy(args) -> int:
     results, failures, ulam = {}, [], None
     pressure = coarse if isinstance(coarse, VolentError) else h_refined
     if not isinstance(pressure, VolentError):
-        est, curve = coarse
-        est = with_refinement(est, h_refined)
+        est = with_refinement(coarse, h_refined)
         results["ulam"] = asdict(est)
         pressure = curve
         if not isinstance(curve, VolentError):

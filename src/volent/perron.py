@@ -53,11 +53,13 @@ of width about 2d, and the bisection's later midpoints fall outside it.
 A sign bracket stops as soon as it excludes 1, so its midpoint places
 r' only to a fraction of the distance to the root; where the operator
 gives a left Perron vector (a metric graph's does), ln rho is read from
-the quotient u.Bv / u.v instead, whose error is second order.
+the quotient u.Bv / u.v of the bracket's own last product Bv instead,
+whose error is second order.
 
 WarmPerron.root returns the root record (h, err, counters) both solvers
-report. Only a sign within the margin of the root can be wrong, and the
-last bracket is at most tol wide, so err = max(tol, tol / 2 + margin(h)):
+report; its power_iters counts the products B @ v the iteration ran.
+Only a sign within the margin of the root can be wrong, and the last
+bracket is at most tol wide, so err = max(tol, tol / 2 + margin(h)):
 tol at every default, above 0 at tol = 0.
 
 An Ulam model's matrix is a SparseRows: its product adds each row's
@@ -93,7 +95,8 @@ _ROUNDING = 1e-12
 
 def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
                    max_iter: int = 200_000) -> tuple:
-    """Collatz-Wielandt bracket (lo, hi, v, steps) of rho(B).
+    """Collatz-Wielandt bracket (lo, hi, v, w, steps) of rho(B), with the
+    last iterate v and its product w = B @ v, the bracket's.
 
     B is a nonnegative square matrix: anything with .shape and a product
     B @ v. v is an optional positive start (e.g. the iterate returned
@@ -116,7 +119,7 @@ def perron_bracket(B, v=None, rtol: float = 1e-13, target=None,
             alpha = _SHIFT * 0.5 * (lo + hi)
         if (hi - lo <= rtol * hi
                 or target is not None and (lo > target or hi < target)):
-            return lo, hi, v, step
+            return lo, hi, v, w, step
         if hi > 0.0 and not lo > 0.0:
             raise PowerIterationStalled(
                 f"entries of B underflowed to zero (bracket [{lo:g}, "
@@ -139,8 +142,8 @@ class WarmPerron:
     not depend on: every step on them is elementwise or a min/max. A
     sign (given a target) is warm-started from the last iterate; a
     value (no target) from the extrapolation of the last _HISTORY
-    value-mode iterates to h. steps counts kernel steps; width is the
-    last bracket's.
+    value-mode iterates to h. steps counts the products B @ v the
+    brackets ran; w is the last one and width the last bracket's.
 
     Every sign bracket also narrows [low, high], an enclosure of the
     root of rho(B(h)) = 1 that above reads (see the module docstring;
@@ -150,7 +153,7 @@ class WarmPerron:
     def __init__(self, B, weight, shift: float, rtol: float, max_iter: int):
         self.B, self.weight, self.length = B, weight, B.data.copy()
         self.shift, self.rtol, self.max_iter = shift, rtol, max_iter
-        self.v, self.steps, self.width = None, 0, 0.0
+        self.v, self.w, self.steps, self.width = None, None, 0, 0.0
         self.history = []   # (h, ln v) of the last value-mode brackets
         self.lmin = float(self.length.min())
         self.lmax = float(self.length.max())
@@ -165,8 +168,8 @@ class WarmPerron:
         np.exp(data, out=data)
         data *= self.weight
         v = self.v if target is not None else self._extrapolate(h)
-        lo, hi, self.v, n = perron_bracket(self.B, v, self.rtol, target,
-                                           self.max_iter)
+        lo, hi, self.v, self.w, n = perron_bracket(self.B, v, self.rtol,
+                                                   target, self.max_iter)
         self.steps, self.width = self.steps + n, hi - lo
         if target is None:
             # a repeated h replaces its older entry, so the nodes of the
@@ -232,15 +235,13 @@ class WarmPerron:
     def _rho(self, lo: float, hi: float) -> float:
         """rho(B(h)) read from the last sign bracket [lo, hi]: its midpoint,
         first order in the error of the iterate v, or, when B gives a left
-        Perron vector u = B.left(v), the quotient u.Bv / u.v, second order,
-        if it lies in [lo, hi]. The product counts as a step."""
+        Perron vector u = B.left(v), the quotient u.w / u.v, second order,
+        if it lies in [lo, hi], w = B @ v the bracket's last product."""
         mid = 0.5 * (lo + hi)
         if not hasattr(self.B, "left"):
             return mid
-        w = self.B @ self.v
-        self.steps += 1
         u = self.B.left(self.v)
-        r = float(np.dot(u, w) / np.dot(u, self.v))
+        r = float(np.dot(u, self.w) / np.dot(u, self.v))
         return r if lo <= r <= hi else mid
 
     def _margin(self, h: float) -> float:

@@ -124,6 +124,13 @@ def test_orbits_bad_matrix(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("b", ["1,0", "1,0,0", "1,0,0,2,3"])
+def test_orbits_b_needs_four_entries(capsys, b):
+    code, _, err = run(capsys, "orbits", "--b", b)
+    assert code == 2
+    assert "--b" in err and "Traceback" not in err
+
+
 def test_orbits_too_few_lengths(capsys):
     code, _, err = run(capsys, "orbits", "--k-max", "2")
     assert code == 2
@@ -693,7 +700,29 @@ def test_entropy_child_stages_match_in_process(tmp_path, capsys):
                      ("ulam", ulam)):
         assert report["results"][key] == json.loads(json.dumps(asdict(doc)))
     assert sorted(report["timings"]) == ["growth", "pressure",
+                                         "pressure_curve",
                                          "pressure_refined", "santalo"]
+
+
+def test_entropy_times_the_curve_as_its_own_stage(tmp_path, capsys,
+                                                  monkeypatch):
+    # the curve is timed under pressure_curve, not inside pressure: a
+    # curve slowed by 0.3 s shows there alone, with the same results
+    for sub in ("plain", "slow"):
+        (tmp_path / sub).mkdir()
+    code, _, plain = _entropy_fast(tmp_path / "plain", capsys)
+    real = cli._curve
+
+    def slow(*args):
+        time.sleep(0.3)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_curve", slow)
+    slow_code, _, slowed = _entropy_fast(tmp_path / "slow", capsys)
+    assert code == slow_code == 0
+    timings = slowed["timings"]
+    assert timings["pressure_curve"] >= 0.3 > timings["pressure"]
+    assert slowed["results"] == plain["results"]
 
 
 def test_entropy_child_volent_error_fails_its_stage(tmp_path, capsys,

@@ -8,8 +8,8 @@ import pytest
 
 from volent.cli import main
 from volent.errors import NotStronglyConnected, PowerIterationStalled
-from volent.graphs import (MetricGraph, _n_components, _nonbacktracking,
-                           graph_entropy, scale_lengths)
+from volent.graphs import (MetricGraph, _n_components, _NonBacktracking,
+                           _nonbacktracking, graph_entropy, scale_lengths)
 from volent.perron import perron_bracket
 
 
@@ -263,7 +263,7 @@ def test_spectral_radius_log_convex_in_h():
 
     def spectral_radius(h):
         A.data = np.exp(-h * length)
-        lo, hi, _, _ = perron_bracket(A, rtol=1e-13)
+        lo, hi, _, _, _ = perron_bracket(A, rtol=1e-13)
         return 0.5 * (lo + hi)
 
     hs = np.linspace(0.1, 2.0, 9)
@@ -364,6 +364,40 @@ def test_from_undirected_matches_per_edge_definition(seed, kind):
                       (g.rev, np.asarray(rev, dtype=np.int64))):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+# The root record of graph_entropy on _seeded_edges(seed, "int"), as
+# recorded when the left quotient still ran a product of its own:
+# repr(h), repr(err), bisection_iters, sign_brackets, skipped_signs and
+# that power_iters, one step per sign bracket above today's.
+_SEEDED_ROOTS = {
+    0: ("0.6765441763272975", "1e-10", 34, 8, 34, 102),
+    1: ("0.7419068633171264", "1e-10", 34, 8, 33, 103),
+    2: ("0.7980165233893786", "1e-10", 34, 9, 33, 131),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_power_iters_counts_each_product_once(monkeypatch, seed):
+    # power_iters is the number of products B @ v the solve ran: the
+    # left quotient reads the last product of its sign bracket, so the
+    # root and the bisection are as recorded and each sign bracket saves
+    # one step
+    real, products = _NonBacktracking.__matmul__, []
+
+    def counted(self, v):
+        products.append(v.size)
+        return real(self, v)
+
+    monkeypatch.setattr(_NonBacktracking, "__matmul__", counted)
+    est = graph_entropy(MetricGraph.from_undirected(
+        *_seeded_edges(seed, "int")))
+    d = est.diagnostics
+    h, err, iters, signs, skipped, steps = _SEEDED_ROOTS[seed]
+    assert (repr(est.value), repr(est.err), d["bisection_iters"],
+            d["sign_brackets"], d["skipped_signs"]) == (h, err, iters,
+                                                         signs, skipped)
+    assert d["power_iters"] == len(products) == steps - signs
 
 
 @pytest.mark.parametrize("n,edges", [

@@ -36,7 +36,7 @@ def test_k4_bracket_contains_exact_radius(L, h):
     rtol = 1e-13
     starts = [None, np.random.default_rng(0).uniform(0.1, 1.0, A.shape[0])]
     for v in starts:
-        lo, hi, v_out, steps = perron_bracket(A, v, rtol=rtol)
+        lo, hi, v_out, _, steps = perron_bracket(A, v, rtol=rtol)
         assert lo <= rho * (1 + 1e-15) and rho * (1 - 1e-15) <= hi
         assert hi - lo <= rtol * hi
         assert np.all(v_out > 0)
@@ -48,7 +48,7 @@ def test_periodic_matrix_converges():
     z = np.zeros((2, 2))
     P = np.array([[1.0, 1.0], [1.0, 1.0]])
     B = np.block([[z, P, z], [z, z, 1.5 * P], [0.25 * P, z, z]])
-    lo, hi, _, _ = perron_bracket(B, rtol=1e-13)
+    lo, hi, _, _, _ = perron_bracket(B, rtol=1e-13)
     rho = (2 * 3.0 * 0.5) ** (1.0 / 3.0)
     assert lo <= rho * (1 + 1e-15) and rho * (1 - 1e-15) <= hi
     assert hi - lo <= 1e-13 * hi
@@ -69,9 +69,9 @@ def test_period_six_graph_certifies():
         split += [(u, w, 1.0) for u, w in zip(chain, chain[1:])]
         n += 5
     A = _nonbacktracking(MetricGraph.from_undirected(n, split))
-    lo, hi, _, steps = perron_bracket(A, rtol=1e-13, max_iter=2000)
+    lo, hi, _, _, steps = perron_bracket(A, rtol=1e-13, max_iter=2000)
     assert hi - lo <= 1e-13 * hi and steps < 2000
-    blo, bhi, _, _ = perron_bracket(
+    blo, bhi, _, _, _ = perron_bracket(
         _nonbacktracking(MetricGraph.from_undirected(7, base)), rtol=1e-13)
     assert lo <= bhi ** (1 / 6) * (1 + 1e-15)
     assert blo ** (1 / 6) * (1 - 1e-15) <= hi
@@ -108,14 +108,14 @@ def test_warm_perron_keeps_history_entries(monkeypatch, history):
 
 def test_sign_mode_stops_once_target_excluded():
     A = k4_operator(1.0, 0.5)
-    lo, hi, _, _ = perron_bracket(A, np.linspace(1.0, 2.0, A.shape[0]),
-                                  rtol=1e-13, target=1.0)
+    lo, hi, _, _, _ = perron_bracket(A, np.linspace(1.0, 2.0, A.shape[0]),
+                                     rtol=1e-13, target=1.0)
     assert lo > 1.0
     assert hi - lo > 1e-13 * hi
 
 
 def test_zero_matrix_and_stall():
-    lo, hi, _, steps = perron_bracket(np.zeros((3, 3)))
+    lo, hi, _, _, steps = perron_bracket(np.zeros((3, 3)))
     assert (lo, hi, steps) == (0.0, 0.0, 1)
     # reducible: the two diagonal blocks have radii 1 and 2, so the
     # bracket stays [1, 2] and the cap is typed
@@ -611,3 +611,25 @@ def test_estimates_carry_the_root_record():
         assert set(counters) == _COUNTERS
         assert (est.value, est.err) == (h, err)
         assert {k: est.diagnostics[k] for k in counters} == counters
+
+
+def test_ulam_power_iters_counts_each_product():
+    # an Ulam operator gives no left vector, so its secant reads bracket
+    # midpoints and every product B @ v is a power step; the record is
+    # the one recorded before the graph quotient stopped running its own
+    # product: repr(h), repr(err), bisection_iters, sign_brackets,
+    # skipped_signs and power_iters
+    model, _ = _ulam(8, 0, (2,) * 5)
+    real, products = SparseRows.__matmul__, []
+
+    def counted(self, v):
+        products.append(v.size)
+        return real(self, v)
+
+    with mock.patch.object(SparseRows, "__matmul__", counted):
+        est = solve_entropy(model, refine=False)
+    d = est.diagnostics
+    assert (repr(est.value), repr(est.err), d["bisection_iters"],
+            d["sign_brackets"], d["skipped_signs"], d["power_iters"]) == (
+        "1.7500419616699219", "0.0001", 16, 9, 16, 46)
+    assert len(products) == d["power_iters"]
